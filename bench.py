@@ -666,11 +666,18 @@ def run_evidence() -> dict:
             GRAFT_HEADLINE_ONLY="1",
             RAY_GRAFT_CPUS=str(NUM_CPUS),
         )
-        out = subprocess.run(
+        proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True, cwd=here,
-        ).stdout
-        r = json.loads(out.strip().splitlines()[-1])
+            env=env, capture_output=True, text=True, cwd=here,
+        )
+        try:
+            proc.check_returncode()
+            r = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (subprocess.CalledProcessError, IndexError, json.JSONDecodeError) as e:
+            raise RuntimeError(
+                f"soak leg at {n} docs failed ({e!r}); stderr tail:\n"
+                + "\n".join(proc.stderr.splitlines()[-40:])
+            ) from e
         soak.append(
             {
                 "n_docs": r["n_docs"],

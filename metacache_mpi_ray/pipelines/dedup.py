@@ -1,7 +1,7 @@
 """End-to-end near-duplicate detection pipeline (the flagship).
 
 docs -> MinHash signatures -> LSH bands -> bucket star-edges (capped)
-     -> cross-band edge dedup -> signature verification -> union-find
+     -> signature verification (dedupes cross-band pairs) -> union-find
      -> clusters(doc_id, cluster_id, is_dup)
 
 Stage-by-stage mapping to the reference is documented in each stage
@@ -17,7 +17,7 @@ import ray.data
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.stages.banding import compute_bands
-from metacache_mpi_ray.stages.candidates import bucket_edges, dedupe_edges
+from metacache_mpi_ray.stages.candidates import bucket_edges
 from metacache_mpi_ray.stages.cluster import assign_clusters
 from metacache_mpi_ray.stages.signatures import compute_signatures
 from metacache_mpi_ray.stages.verify import verify_edges
@@ -37,7 +37,6 @@ def near_dup_pipeline(
     num_partitions: int | None = None,
     signer_concurrency: int | None = None,
     include_substring: bool = False,
-    dedupe_pairs: bool = False,
     cluster_method: str = "auto",
     cluster_driver_edge_limit: int = 50_000_000,
 ) -> DedupResult:
@@ -69,22 +68,12 @@ def near_dup_pipeline(
         .materialize()
     )
     bands = compute_bands(sigs, cfg)
-    raw_edges = bucket_edges(
+    edges = bucket_edges(
         bands,
         key_cols=["band_id", "band_hash"],
         id_col="doc_id",
         cap=cfg.bucket_cap,
         num_partitions=num_partitions,
-    )
-    # cross-band pair dedup is OPTIONAL: union-find is idempotent and
-    # the vectorized verification costs ~nothing per extra row, so the
-    # groupby(a,b) shuffle only pays off when verified edges feed a
-    # consumer that needs unique pairs (e.g. pair exports). Skipping it
-    # is ~35% faster end-to-end with identical clusters.
-    edges = (
-        dedupe_edges(raw_edges, num_partitions=num_partitions).materialize()
-        if dedupe_pairs
-        else raw_edges
     )
     # the final cluster-assignment pass only needs doc_id, but mapping
     # over the full-width signature blocks pays per-block executor
@@ -115,22 +104,13 @@ def near_dup_pipeline(
 
     ids_thread = threading.Thread(target=_project_ids, daemon=True)
     ids_thread.start()
-    # auto strategy: verify_edges sizes the actual broadcast payload
-    # (distinct edge endpoints x signature width) and falls back to the
-    # two-hash-join path only when the dup subset outgrows one object —
-    # at web-scale dup rates the broadcast would otherwise become a
+    # auto strategy: verify_edges dedupes the raw per-band edges, sizes
+    # the endpoint signature subset, and falls back to the two-hash-join
+    # path only when that subset outgrows one broadcast object — at
+    # web-scale dup rates the broadcast would otherwise become a
     # driver-memory scale-killer
-    # pre_deduped ONLY when dedupe_pairs actually ran: with the default
-    # dedupe_pairs=False the edges carry raw per-band multiplicity, and
-    # claiming them distinct makes the join fallback attach a 1 KB
-    # signature payload to EVERY raw edge row — at 4M docs (>2M distinct
-    # endpoints, past the broadcast limit) that re-created the measured
-    # >50 GB spill the _dedupe_and_prune guard exists to prevent
-    # (r5 evidence-suite incident; the 120k bench hides it because its
-    # endpoint set broadcasts)
     verified = verify_edges(
-        edges, sigs, cfg, num_partitions=num_partitions, strategy="auto",
-        pre_deduped=dedupe_pairs,
+        edges, sigs, cfg, num_partitions=num_partitions, strategy="auto"
     ).materialize()
     if include_substring:
         # exact long-match substring edges (suffix/anchor stage, F6

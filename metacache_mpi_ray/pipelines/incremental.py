@@ -131,8 +131,7 @@ def build_index(
             [("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())]
         ),
         compute=lambda: verify_edges(
-            edges, sigs, cfg, num_partitions=num_partitions,
-            pre_deduped=True,  # edges = dedupe_edges output
+            edges, sigs, cfg, num_partitions=num_partitions
         ),
     )
     return checkpointed_stage(

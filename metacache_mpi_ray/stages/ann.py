@@ -444,7 +444,7 @@ def embedding_near_dup(
     threshold collide more; exact duplicates always collide. An
     EXPLICITLY passed n_tables is respected verbatim, never bumped.
     """
-    from metacache_mpi_ray.stages.candidates import bucket_all_pairs, unique_pairs
+    from metacache_mpi_ray.stages.candidates import bucket_all_pairs
 
     # consumed twice (code emission + exact-cosine verify) — one read
     embeddings = embeddings.materialize()
@@ -480,11 +480,6 @@ def embedding_near_dup(
     edges = bucket_all_pairs(
         codes, key_cols=["table_id", "code"], id_col="doc_id", cap=cap
     )
-    # unique_pairs (sorted-run dedup) instead of the dedupe_edges hash
-    # groupby (119 s vs ~10 s at 34M pair rows; see candidates.py);
-    # the verify stage never reads the agreement count
-    edges = unique_pairs(edges).materialize()
-
     # exact cosine verification through the shared payload-sized
     # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
     # the endpoint vector matrix (d x 8 bytes/doc) rides one broadcast
@@ -512,5 +507,4 @@ def embedding_near_dup(
         payload_dtype=np.float64,
         strategy=verify_strategy,
         num_partitions=num_partitions,
-        pre_deduped=True,  # unique_pairs ran above
     )

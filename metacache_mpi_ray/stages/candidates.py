@@ -113,8 +113,8 @@ def _make_edge_emitter(id_col: str, cap: int, hot_policy: str = "drop"):
             for sz in np.unique(hsizes):
                 gstarts = starts[hot[hsizes == sz]]
                 ids2 = ids[gstarts[:, None] + np.arange(sz)]  # (k, sz)
-                mix2 = splitmix64(np.ascontiguousarray(ids2).view(U64))
-                part = np.argpartition(mix2, cap - 1, axis=1)[:, :cap]
+                hot_mix = splitmix64(np.ascontiguousarray(ids2).view(U64))
+                part = np.argpartition(hot_mix, cap - 1, axis=1)[:, :cap]
                 picked = np.take_along_axis(ids2, part, axis=1)
                 ea_parts.append(
                     np.repeat(picked.min(axis=1), picked.shape[1])

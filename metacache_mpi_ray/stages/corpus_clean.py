@@ -453,7 +453,7 @@ def remove_boilerplate_lines(
     base = docs.map_batches(id_counts, batch_format="pyarrow")
     if reassembled.limit(1).count() == 0:
         # every line in the corpus was hot: an all-empty join side
-        # crashes the Ray 2.49 hash join (see verify._nonempty_or_none),
+        # crashes the Ray 2.49 hash join (see verify._verify_core),
         # and the answer needs no join at all
         def all_removed(t: pa.Table) -> pa.Table:
             n = len(t)

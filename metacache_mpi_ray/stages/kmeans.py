@@ -298,7 +298,7 @@ def semantic_dedup(
     floor so sf-scale corpora (and their oracles) keep the old default
     exactly.
     """
-    from metacache_mpi_ray.stages.candidates import bucket_all_pairs, unique_pairs
+    from metacache_mpi_ray.stages.candidates import bucket_all_pairs
     from metacache_mpi_ray.stages.cluster import assign_clusters
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 
@@ -320,10 +320,6 @@ def semantic_dedup(
     )
     assigned = kmeans_assign(embeddings, cent, metric="cos", id_col=id_col)
     edges = bucket_all_pairs(assigned, key_cols=["cell"], id_col=id_col, cap=cap)
-    # unique_pairs (sorted-run dedup) instead of the dedupe_edges hash
-    # groupby (119 s vs ~10 s at 34M pair rows; see candidates.py);
-    # the verify stage never reads the agreement count
-    edges = unique_pairs(edges).materialize()
 
     def extract(batch: pa.Table):
         ids, raw = _valid_emb(batch, id_col=id_col)
@@ -344,7 +340,6 @@ def semantic_dedup(
         payload_dtype=np.float64,
         strategy=verify_strategy,
         num_partitions=num_partitions,
-        pre_deduped=True,  # unique_pairs ran above
     )
     ids_only = embeddings.select_columns([id_col])
     clusters = assign_clusters(ids_only, verified, id_col=id_col)

@@ -169,35 +169,6 @@ def sig_to_arrow(sig: np.ndarray) -> pa.FixedSizeListArray:
     return pa.FixedSizeListArray.from_arrays(pa.array(sig.reshape(-1)), p)
 
 
-def sig_to_binary(sig: np.ndarray) -> pa.Array:
-    """(n, P) u64 matrix -> binary column of n x P*8-byte rows.
-
-    Arrow's hash join (acero) cannot carry list-typed payload columns,
-    so signatures ride through the verification joins as packed bytes.
-    """
-    n, p = sig.shape
-    flat = np.ascontiguousarray(sig).view(np.uint8).reshape(-1)
-    offsets = (np.arange(n + 1, dtype=np.int32) * (p * 8))
-    return pa.Array.from_buffers(
-        pa.binary(), n, [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(flat.tobytes())]
-    )
-
-
-def sig_from_binary(col: pa.Array | pa.ChunkedArray, n_perms: int) -> np.ndarray:
-    """binary column of packed signatures -> (n, P) u64 matrix."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    if n == 0:
-        return np.empty((0, n_perms), dtype=U64)
-    L = n_perms * 8
-    offs = np.frombuffer(col.buffers()[1], dtype=np.int32)[col.offset : col.offset + n + 1]
-    data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-    idx = offs[:-1, None].astype(np.int64) + np.arange(L, dtype=np.int64)[None, :]
-    rows = np.ascontiguousarray(data[idx])
-    return rows.view(U64).reshape(n, n_perms)
-
-
 def sig_from_arrow(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """fixed_size_list<uint64, P> column -> (n, P) u64 matrix."""
     if isinstance(col, pa.ChunkedArray):

@@ -18,7 +18,7 @@ import pyarrow as pa
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.hashing import U64, concat_shingle_hashes
-from metacache_mpi_ray.stages.candidates import bucket_all_pairs, unique_pairs
+from metacache_mpi_ray.stages.candidates import bucket_all_pairs
 
 
 _POPBITS = None  # (256, 8) int64: bit k of byte value v, little-endian
@@ -165,12 +165,6 @@ def simhash_dedup(
         blocks, key_cols=["block_id", "block_val"], id_col="doc_id",
         cap=cfg.bucket_cap,
     )
-    # unique_pairs (sorted-run dedup), not the dedupe_edges hash
-    # groupby: at 1M docs / 34M pair rows the groupby measured 119 s
-    # against ~10 s for the sort, and nothing downstream reads the
-    # band-agreement count
-    edges = unique_pairs(edges).materialize()
-
     # exact Hamming verification through the shared payload-sized
     # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
     # broadcast the edge-endpoint simhashes while the dup subset fits in
@@ -198,11 +192,9 @@ def simhash_dedup(
         id_col="doc_id",
         extract=extract,
         score=score,
-        pre_deduped=True,  # unique_pairs ran above
         value_col="hamming",
         value_type=pa.int64(),
         payload_dtype=U64,
-        payload_bytes_per_row=8,
         strategy=verify_strategy,
         num_partitions=num_partitions,
     )

@@ -2,25 +2,38 @@
 hit-counting / top-k candidate filter (/root/reference/src/candidates.h:
 118-289): LSH gives candidates, a similarity check keeps real ones.
 
-Similarity is estimated as the fraction of agreeing MinHash values
-between the two signatures (an unbiased estimator of Jaccard with
-sigma ~= sqrt(s(1-s)/n_perms) ~= 0.044 at 128 perms); pairs with
-``est_sim >= cfg.verify_threshold`` (threshold minus a noise margin)
-survive.
+One core (``_verify_core``) serves three thin adapters:
 
-Two strategies (auto-selected by edge count):
+* ``verify_edges`` — MinHash: the fraction of agreeing signature values
+  estimates Jaccard (sigma ~= sqrt(s(1-s)/n_perms) ~= 0.044 at 128
+  perms); pairs with ``est_sim >= cfg.verify_threshold`` (threshold
+  minus a noise margin) survive.
+* ``verify_pairs_payload`` — any fixed-width per-id payload (SimHash
+  values, embedding vectors) with a caller-supplied scorer.
+* ``verify_edges_exact_jaccard`` — exact n-gram Jaccard over each doc's
+  unique shingle set.
 
-* ``broadcast`` — the duplicate subset is small relative to the corpus:
-  semi-join the signatures down to doc_ids appearing in any edge, pull
-  that subset into one object, ``ray.put`` it once, and score edges in
-  map_batches with a vectorized searchsorted lookup. No shuffle of the
-  big side (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
-* ``join`` — scale fallback when the edge list is too big to broadcast:
-  two hash joins against the signatures table (signatures packed as
-  binary payloads; Arrow hash join can't carry list columns).
+Every adapter packs its payload as ONE ``large_binary`` value per id, so
+both strategies below hand the same scorer the same Arrow types. The
+core always reduces the edges to distinct (a, b) pairs first (LSH emits
+a pair once per agreeing band, and the join path would otherwise ship a
+payload row per raw edge — measured >50 GB of spill at 4M docs),
+filters the payload table to the edge endpoints once, materializes it,
+and then picks a strategy by the filtered payload's BYTES (block
+metadata):
+
+* ``broadcast`` — the subset fits ``broadcast_bytes_limit``: one task
+  assembles the id-sorted subset off-driver, its return object is the
+  broadcast, and edges score in map_batches with a searchsorted lookup
+  (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
+* ``join`` — scale fallback past the limit: two hash joins of the
+  distinct edges against the same filtered blocks (Arrow hash join can't
+  carry list columns, hence the binary packing).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -28,22 +41,12 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
 from metacache_mpi_ray.config import DedupConfig
+from metacache_mpi_ray.functions.blocks import drop_empty_blocks
 from metacache_mpi_ray.stages.signatures import sig_from_arrow
 
-
-def _nonempty_or_none(edges):
-    """Materialized ``edges`` if it has rows, else None.
-
-    Ray 2.49's hash join finalizes schema-less empty partitions when one
-    side is GLOBALLY empty ("No match ... for key field reference"), so
-    every join-strategy verify path short-circuits a zero-edge input.
-    The count on the materialized dataset is metadata-only, and the
-    join consumes the same materialized blocks."""
-    mat = edges.materialize()
-    return mat if mat.count() else None
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_PAYLOAD = pa.schema([("doc_id", pa.int64()), ("payload", pa.large_binary())])
 
 
 def lookup_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,92 +58,6 @@ def lookup_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
     pos = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
     return pos, sorted_ids[pos] == ids
-
-
-def _edge_doc_ids(edges) -> np.ndarray:
-    ids: list[np.ndarray] = []
-    for b in edges.iter_batches(batch_size=262144, batch_format="pyarrow"):
-        ids.append(b["a"].to_numpy(zero_copy_only=False))
-        ids.append(b["b"].to_numpy(zero_copy_only=False))
-    if not ids:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(ids))
-
-
-@ray.remote
-def _block_edge_ids(t):
-    """Per-block unique endpoint ids (parallel pre-contraction: the
-    cross-band multiplicity collapses here before the serial merge)."""
-    if len(t) == 0:  # empty blocks can arrive schema-less
-        return np.empty(0, dtype=np.int64)
-    return np.unique(
-        np.concatenate(
-            [
-                t["a"].to_numpy(zero_copy_only=False),
-                t["b"].to_numpy(zero_copy_only=False),
-            ]
-        )
-    )
-
-
-@ray.remote(num_returns=2)
-def _assemble_edge_ids(*parts):
-    """(count, sorted unique edge-endpoint ids) from per-block unique
-    arrays — the serial merge touches the contracted id sets, not the
-    raw edge bytes, and nothing crosses the driver heap (the round-2
-    version pulled every batch through iter_batches)."""
-    parts = [p for p in parts if len(p)]
-    w = (
-        np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-    )
-    return len(w), w
-
-
-def _edge_doc_ids_ref(edges):
-    """(count, ObjectRef of sorted unique endpoint ids): driver sees
-    only the count; the id array stays in the object store."""
-    refs = edges.to_arrow_refs()
-    if not refs:
-        empty = np.empty(0, dtype=np.int64)
-        return 0, ray.put(empty)
-    n_ref, w_ref = _assemble_edge_ids.remote(
-        *[_block_edge_ids.remote(r) for r in refs]
-    )
-    return int(ray.get(n_ref)), w_ref
-
-
-@ray.remote
-def _assemble_sig_subset(n_perms: int, *tabs):
-    """(id-sorted ids, signature matrix) from filtered signature blocks
-    — off-driver assembly; the task's return object IS the broadcast."""
-    from metacache_mpi_ray.stages.signatures import sig_from_arrow
-
-    ids_out, sig_out = [], []
-    for t in tabs:
-        if len(t) == 0:  # empty blocks can arrive schema-less
-            continue
-        ids_out.append(t["doc_id"].to_numpy(zero_copy_only=False))
-        sig_out.append(sig_from_arrow(t["sig"]))
-    if not ids_out:
-        return np.empty(0, dtype=np.int64), np.empty((0, n_perms), dtype=np.uint64)
-    ids_all = np.concatenate(ids_out)
-    sig_all = np.concatenate(sig_out, axis=0)
-    order = np.argsort(ids_all)
-    return ids_all[order], sig_all[order]
-
-
-def _collect_sig_subset_ref(signatures, wanted_ref, n_perms: int):
-    """ObjectRef[(ids_sorted, sig_matrix)] for the edge-endpoint doc
-    ids: filter distributed, assemble in one task, never on the driver."""
-    sub = signatures.select_columns(["doc_id", "sig"]).map_batches(
-        filter_to_ids("doc_id", wanted_ref), batch_format="pyarrow"
-    )
-    refs = sub.to_arrow_refs()
-    if not refs:
-        return ray.put(
-            (np.empty(0, dtype=np.int64), np.empty((0, n_perms), dtype=np.uint64))
-        )
-    return _assemble_sig_subset.remote(n_perms, *refs)
 
 
 def filter_to_ids(id_col: str, wanted_ref):
@@ -156,106 +73,193 @@ def filter_to_ids(id_col: str, wanted_ref):
     return pick
 
 
-def _collect_payload_subset(table, id_col, wanted, extract, bytes_limit=None):
-    """Stream the rows of ``table`` whose id is in ``wanted`` through
-    ``extract`` (batch -> (ids, 2D payload)) and return the id-sorted
-    (ids, payload) pair — or None as soon as the accumulated payload
-    exceeds ``bytes_limit`` (the caller then takes the join path instead
-    of finishing a broadcast that can't fit)."""
-    wref = ray.put(wanted)
-    sub = table.map_batches(filter_to_ids(id_col, wref), batch_format="pyarrow")
-    ids_out, pay_out, nbytes = [], [], 0
-    for b in sub.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ids, pay = extract(b)
-        if len(ids) == 0:  # extract may drop every row of a block
-            continue
-        ids_out.append(ids)
-        pay_out.append(pay)
-        nbytes += pay.nbytes
-        if bytes_limit is not None and nbytes > bytes_limit:
-            return None
-    if not ids_out:
-        return np.empty(0, dtype=np.int64), np.empty((0, 0))
-    ids_all = np.concatenate(ids_out)
-    pay_all = np.concatenate(pay_out, axis=0)
-    order = np.argsort(ids_all)
-    return ids_all[order], pay_all[order]
-
-
-def _distinct_pairs(edges):
-    """Edges reduced to the distinct (a, b) set — the sorted-run dedup
-    (see candidates.dedupe_edges for the groupby-vs-sort measurements)
-    with schema-safe empty blocks for downstream Ray 2.49 hash joins."""
-    from metacache_mpi_ray.stages.candidates import unique_pairs
-
-    return drop_empty_blocks(
-        unique_pairs(edges).materialize(),
-        schema=pa.schema([("a", pa.int64()), ("b", pa.int64())]),
+@ray.remote
+def _block_edge_ids(t):
+    """Per-block unique endpoint ids (parallel pre-contraction before
+    the serial merge)."""
+    if len(t) == 0:  # empty blocks can arrive schema-less
+        return np.empty(0, dtype=np.int64)
+    return np.unique(
+        np.concatenate(
+            [
+                t["a"].to_numpy(zero_copy_only=False),
+                t["b"].to_numpy(zero_copy_only=False),
+            ]
+        )
     )
 
 
-def _schema_safe_pairs(edges):
-    """Pre-deduped edges still need schema-safe blocks before a hash
-    join: a caller's materialized sort/unique_pairs output can carry
-    zero-row blocks with a stowaway (or missing) schema that crashes
-    the Ray 2.49 hash join ("No match ... for key field reference").
-    Metadata-only when ``edges`` is already materialized — the
-    pre-deduped callers all are."""
-    return drop_empty_blocks(
-        edges.materialize(),
-        schema=pa.schema([("a", pa.int64()), ("b", pa.int64())]),
-    )
+@ray.remote
+def _assemble_edge_ids(*parts):
+    """Sorted unique edge-endpoint ids from per-block unique arrays —
+    the merge touches the contracted id sets, not the raw edge bytes,
+    and nothing crosses the driver heap."""
+    parts = [p for p in parts if len(p)]
+    return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
-def _dedupe_and_prune(
+@ray.remote
+def _assemble_payload(*tabs):
+    """(id-sorted ids, payload large_binary array) from the filtered,
+    packed blocks — built off-driver in ONE task; the task's return
+    object IS the broadcast. The caller only broadcasts a non-empty
+    side."""
+    t = pa.concat_tables([x for x in tabs if len(x)])  # empties may lack a schema
+    ids = t["doc_id"].to_numpy()
+    order = np.argsort(ids)
+    return ids[order], t["payload"].take(order).combine_chunks()
+
+
+def _verify_core(
     edges,
     table,
-    id_col: str,
     *,
-    n_wanted: int | None = None,
-    wanted_ref=None,
-    id_bytes_limit: int = 2 << 30,
-    dedupe: bool = True,
+    id_col: str,
+    pack,
+    score,
+    value_col: str,
+    value_type,
+    strategy: str,
+    broadcast_bytes_limit: int,
+    num_partitions: int,
 ):
-    """Shared join-fallback scale guards (verify_pairs_payload,
-    _verify_join, verify_edges_exact_jaccard).
+    """Shared verify path: edges(a, b, ...) x ``table`` -> (a, b,
+    ``value_col``), one row per distinct pair that ``score`` keeps.
 
-    LSH-style emitters hand the same (a, b) pair once per agreeing
-    band/block, and the join paths attach a packed payload row to EVERY
-    edge row — so shuffled bytes scale with pairs x multiplicity x
-    payload width. Measured at 4M docs / 46M raw edge rows x 1 KB
-    signatures: >76 GB of spill (disk-full); deduped it runs in the
-    dup-subset footprint. Two guards:
+    ``pack(batch) -> Table(doc_id int64, payload large_binary)`` turns
+    the endpoint-filtered rows of ``table`` (id column ``id_col``) into
+    one packed payload per id; ``score(pay_a, pay_b) -> (values, keep)``
+    scores aligned large_binary arrays. Contract: ONE payload per id —
+    the sorted-id lookup and the join both assume it. Endpoints without
+    a payload row drop their edges.
 
-    1. ``unique_pairs`` (sorted-run dedup; Ray's hash groupby measured
-       124 s on the same input) — output pair-set and scores are
-       unchanged, since scores depend only on the two payloads;
-       drop_empty_blocks guards the Ray 2.49 hash join against
-       schema-less empty blocks from the union (functions/blocks.py).
-    2. endpoint pre-filter of the payload table via the ids-only
-       broadcast (8 B/row — 128x narrower than the payload broadcast
-       that just failed to fit), skipped if even the ids outgrow the
-       limit (the join still drops unreferenced rows, just after
-       shuffling them).
+    ``strategy``: ``auto`` broadcasts when the filtered payload's bytes
+    fit ``broadcast_bytes_limit``, else joins; ``broadcast`` / ``join``
+    force a path. Both paths score the same distinct pairs against the
+    same materialized blocks, so their outputs are identical."""
+    from metacache_mpi_ray.stages.candidates import unique_pairs
+    from metacache_mpi_ray.stages.joins import clamp_join_partitions
 
-    Returns (deduped edges, possibly-filtered table). Callers MUST
-    empty-guard the packed payload side before joining: the filter can
-    legitimately drop every payload row (edges may reference endpoints
-    absent from the table), and a globally-empty join side crashes the
-    Ray 2.49 hash join (see _nonempty_or_none).
-
-    ``dedupe=False`` skips guard 1 — for callers that already ran the
-    edges through ``_distinct_pairs`` (the verify entry points do, so
-    broadcast and join paths see the same distinct pair set)."""
-    if dedupe:
-        edges = _distinct_pairs(edges)
-    if wanted_ref is None or n_wanted is None:
-        n_wanted, wanted_ref = _edge_doc_ids_ref(edges)
-    if n_wanted * 8 <= id_bytes_limit:
-        table = table.map_batches(
-            filter_to_ids(id_col, wanted_ref), batch_format="pyarrow"
+    def rows(a, b, vals) -> pa.Table:
+        return pa.table(
+            {
+                "a": pa.array(a, type=pa.int64()),
+                "b": pa.array(b, type=pa.int64()),
+                value_col: pa.array(vals, type=value_type),
+            }
         )
-    return edges, table
+
+    empty = rows([], [], [])
+
+    def scored(a, b, pay_a, pay_b) -> pa.Table:
+        if len(a) == 0:
+            return empty
+        vals, keep = score(pay_a, pay_b)
+        return rows(a[keep], b[keep], vals[keep])
+
+    # distinct pairs on EVERY path: scores depend only on the two
+    # payloads, so multiplicity is pure cost; drop_empty_blocks keeps
+    # the Ray 2.49 hash join off schema-less empty blocks
+    # (functions/blocks.py)
+    edges = drop_empty_blocks(unique_pairs(edges).materialize(), schema=_PAIRS)
+    if edges.count() == 0:
+        # a globally-empty join side crashes the Ray 2.49 hash join
+        # ("No match ... for key field reference"); nothing to score
+        return rd.from_arrow(empty)
+    wanted_ref = _assemble_edge_ids.remote(
+        *[_block_edge_ids.remote(r) for r in edges.to_arrow_refs()]
+    )
+
+    def pack_rows(batch: pa.Table) -> pa.Table:
+        return pack(batch) if len(batch) else _PAYLOAD.empty_table()
+
+    # materialized ONCE: the broadcast assembly or both join sides read
+    # these blocks (Ray Data has no cross-branch CSE)
+    side = (
+        table.map_batches(filter_to_ids(id_col, wanted_ref), batch_format="pyarrow")
+        .map_batches(pack_rows, batch_format="pyarrow")
+        .materialize()
+    )
+    if side.count() == 0:
+        # edges may reference ids absent from the table: every edge drops
+        return rd.from_arrow(empty)
+
+    if strategy == "broadcast" or (
+        strategy == "auto" and side.size_bytes() <= broadcast_bytes_limit
+    ):
+        lookup_ref = _assemble_payload.remote(*side.to_arrow_refs())
+
+        def score_b(batch: pa.Table) -> pa.Table:
+            ids_s, pay = ray.get(lookup_ref)
+            a = batch["a"].to_numpy(zero_copy_only=False)
+            b = batch["b"].to_numpy(zero_copy_only=False)
+            ia, fa = lookup_sorted(ids_s, a)
+            ib, fb = lookup_sorted(ids_s, b)
+            found = fa & fb
+            return scored(a[found], b[found], pay.take(ia[found]), pay.take(ib[found]))
+
+        return edges.map_batches(score_b, batch_format="pyarrow")
+
+    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
+    sa = side.rename_columns({"doc_id": "a", "payload": "pay_a"})
+    sb = side.rename_columns({"doc_id": "b", "payload": "pay_b"})
+    j = edges.join(sa, join_type="inner", num_partitions=num_partitions, on=("a",))
+    # schema-preserving barrier: a hash partition of a chained join that
+    # receives zero left blocks finalizes as a zero-column table and the
+    # second join's key lookup fails (Ray 2.49 join aggregator builds
+    # empty partitions schema-less); repartition rebuilds every block
+    # with the schema attached
+    j = j.repartition(num_partitions)
+    j = j.join(sb, join_type="inner", num_partitions=num_partitions, on=("b",))
+
+    def score_j(batch: pa.Table) -> pa.Table:
+        return scored(
+            batch["a"].to_numpy(zero_copy_only=False),
+            batch["b"].to_numpy(zero_copy_only=False),
+            batch["pay_a"],
+            batch["pay_b"],
+        )
+
+    return j.map_batches(score_j, batch_format="pyarrow")
+
+
+def _binary_offsets(col) -> tuple[pa.Array, np.ndarray]:
+    """(combined array, int64 value offsets) of a binary/large_binary
+    column, honoring the array's slice offset."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    off_dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    offs = np.frombuffer(col.buffers()[1], dtype=off_dt)[
+        col.offset : col.offset + len(col) + 1
+    ]
+    return col, offs.astype(np.int64)
+
+
+def _pack_fixed(ids: np.ndarray, pay: np.ndarray, dtype: np.dtype) -> pa.Table:
+    """(ids, (n, w) payload matrix) -> Table(doc_id, payload) with each
+    row's w values packed as one fixed-width large_binary value."""
+    n, w = pay.shape
+    if n == 0 or w == 0:
+        # extractors report width 0 for empty/all-null blocks; a
+        # zero-width row carries nothing to score
+        return _PAYLOAD.empty_table()
+    row = w * dtype.itemsize
+    flat = np.ascontiguousarray(pay, dtype=dtype).view(np.uint8).reshape(-1)
+    offs = np.arange(0, (n + 1) * row, row, dtype=np.int64)
+    bin_col = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), n, [None, pa.py_buffer(offs), pa.py_buffer(flat)]
+    )
+    return pa.table({"doc_id": pa.array(ids, type=pa.int64()), "payload": bin_col})
+
+
+def _unpack_fixed(col, dtype: np.dtype) -> np.ndarray:
+    """Packed fixed-width column -> (n, w) matrix. Rows are tightly
+    packed (``_pack_fixed`` wrote them; Arrow take/concat preserve dense
+    value layout), so the value bytes are one view."""
+    col, offs = _binary_offsets(col)
+    data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
+    seg = np.ascontiguousarray(data[offs[0] : offs[-1]])
+    return seg.view(dtype).reshape(len(col), -1)
 
 
 def verify_pairs_payload(
@@ -267,233 +271,40 @@ def verify_pairs_payload(
     score,
     value_col: str,
     value_type=None,
-    payload_dtype=None,
-    payload_bytes_per_row: int | None = None,
+    payload_dtype,
     strategy: str = "auto",
     broadcast_bytes_limit: int = 2 << 30,
     num_partitions: int = 16,
-    pre_deduped: bool = False,
 ):
-    """Generic pair verification against per-row fixed-width payloads —
-    the payload-sized broadcast-vs-join auto-switch factored out of
-    ``verify_edges`` so every pair-verifying pipeline (MinHash
-    signatures, SimHash values, embedding vectors) shares one scale
-    story instead of each hard-coding a broadcast.
+    """Pair verification against one fixed-width payload row per id
+    (MinHash signatures, SimHash values, embedding vectors).
 
     ``extract(batch) -> (ids int64, payload 2D ndarray)`` pulls the
-    payload rows out of a ``table`` batch; ``score(pa, pb) ->
-    (values ndarray, keep bool mask)`` scores aligned payload-row pairs.
-    Contract: ``table`` carries ONE fixed-width payload row per id —
-    the broadcast scorer's sorted-id lookup and the width peek below
-    both assume it (duplicate ids would silently score against an
-    arbitrary one of their rows on any path). Duplicate (a, b) edge
-    rows are deduped UP FRONT on every strategy (r4 review: the join
-    fallback deduped as a side-effect of its shuffle-size pruning while
-    the broadcast path scored every input row, so output multiplicity
-    differed across the auto switch) — both paths now emit one row per
-    distinct surviving pair. Callers whose edges are already distinct
-    (the pair-listing pipelines run ``candidates.unique_pairs`` first)
-    pass ``pre_deduped=True`` to skip the redundant sort.
-    ``auto`` broadcasts the edge-endpoint subset when it fits in
-    ``broadcast_bytes_limit`` (measured while streaming — the collection
-    aborts the moment it can't fit) and otherwise falls back to two hash
-    joins shipping the payload as packed binary (``payload_dtype``
-    required for the join path's unpack). Callers that know the fixed
-    payload width pass ``payload_bytes_per_row`` to get the off-driver
-    fast path: the auto decision uses endpoint count x width and the
-    subset assembles in one task instead of streaming through the
-    driver heap."""
-    value_type = value_type or pa.float64()
-    edges = _distinct_pairs(edges) if not pre_deduped else _schema_safe_pairs(edges)
-
-    def _empty():
-        return pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                value_col: pa.array([], type=value_type),
-            }
-        )
-
-    lookup_ref = None
-    n_wanted = wanted_ref = None
-    if payload_bytes_per_row is None and strategy in ("auto", "broadcast"):
-        # derive the fixed payload width from a tiny prefix execution so
-        # callers with data-dependent widths (embedding dim) still get
-        # the off-driver fast path below instead of streaming the whole
-        # subset through the driver heap (_collect_payload_subset)
-        for b in table.limit(16).iter_batches(batch_size=16, batch_format="pyarrow"):
-            ids_p, pay_p = extract(b)
-            if len(ids_p):
-                payload_bytes_per_row = int(pay_p.shape[1] * pay_p.dtype.itemsize)
-                break
-    if payload_bytes_per_row is not None and strategy in ("auto", "broadcast"):
-        # off-driver fast path: decide by endpoint COUNT x payload width
-        # (known up front), assemble the subset in one task — the
-        # payload bytes never cross the driver heap
-        n_wanted, wanted_ref = _edge_doc_ids_ref(edges)
-        if (
-            strategy == "broadcast"
-            or n_wanted * payload_bytes_per_row <= broadcast_bytes_limit
-        ):
-            sub = table.map_batches(
-                filter_to_ids(id_col, wanted_ref), batch_format="pyarrow"
-            )
-            refs = sub.to_arrow_refs()
-
-            @ray.remote
-            def _assemble(*tabs):
-                ids_out, pay_out = [], []
-                for t in tabs:
-                    if len(t) == 0:
-                        continue
-                    i, p = extract(t)
-                    if len(i) == 0:
-                        # extract may drop every row of a block (e.g.
-                        # all-null payloads); a width-0 empty matrix
-                        # would break the concatenate below
-                        continue
-                    ids_out.append(i)
-                    pay_out.append(p)
-                if not ids_out:
-                    return np.empty(0, dtype=np.int64), np.empty((0, 0))
-                ids_all = np.concatenate(ids_out)
-                pay_all = np.concatenate(pay_out, axis=0)
-                order = np.argsort(ids_all)
-                return ids_all[order], pay_all[order]
-
-            lookup_ref = (
-                _assemble.remote(*refs)
-                if refs
-                else ray.put((np.empty(0, dtype=np.int64), np.empty((0, 0))))
-            )
-    elif strategy in ("auto", "broadcast"):
-        wanted = _edge_doc_ids(edges)
-        subset = _collect_payload_subset(
-            table,
-            id_col,
-            wanted,
-            extract,
-            bytes_limit=broadcast_bytes_limit if strategy == "auto" else None,
-        )
-        if subset is not None:
-            lookup_ref = ray.put(subset)
-    if lookup_ref is not None:
-
-        def score_b(batch: pa.Table) -> pa.Table:
-            ids_s, pay = ray.get(lookup_ref)
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b = batch["b"].to_numpy(zero_copy_only=False)
-            if len(a) == 0 or len(ids_s) == 0:
-                return _empty()
-            ia, fa = lookup_sorted(ids_s, a)
-            ib, fb = lookup_sorted(ids_s, b)
-            vals, keep = score(pay[ia], pay[ib])
-            keep = keep & fa & fb  # endpoints without a payload row drop
-            return pa.table(
-                {
-                    "a": pa.array(a[keep], type=pa.int64()),
-                    "b": pa.array(b[keep], type=pa.int64()),
-                    value_col: pa.array(vals[keep], type=value_type),
-                }
-            )
-
-        return edges.map_batches(score_b, batch_format="pyarrow")
-
-    # join fallback: payload rows ride the shuffle as packed binary
-    if payload_dtype is None:
-        raise ValueError("payload_dtype is required for the join strategy")
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
-    edges = _nonempty_or_none(edges)
-    if edges is None or table.limit(1).count() == 0:
-        # an all-empty side crashes the Ray 2.49 hash join (see
-        # _nonempty_or_none); the empty-payload probe is a one-row
-        # prefix execution, cheap for any non-empty table
-        return rd.from_arrow(_empty())
-    edges, table = _dedupe_and_prune(
-        edges, table, id_col,
-        n_wanted=n_wanted, wanted_ref=wanted_ref,
-        id_bytes_limit=broadcast_bytes_limit,
-        dedupe=False,  # already distinct (hoisted above, all strategies)
-    )
-    itemsize = np.dtype(payload_dtype).itemsize
+    payload rows out of a ``table`` batch (it may drop rows, e.g. null
+    embeddings); rows ship packed as ``payload_dtype`` and ``score(pa,
+    pb) -> (values ndarray, keep bool mask)`` scores the aligned
+    unpacked matrices. Strategy and multiplicity semantics are the
+    core's (``_verify_core``): one row per distinct surviving pair."""
+    dtype = np.dtype(payload_dtype)
 
     def pack(batch: pa.Table) -> pa.Table:
-        ids, pay = extract(batch)
-        n, w = pay.shape
-        if n == 0 or w == 0:
-            # empty block: extractors report width 0, and np.arange
-            # with step w*itemsize == 0 would raise ZeroDivisionError
-            return pa.table(
-                {"doc_id": pa.array([], type=pa.int64()),
-                 "payload": pa.array([], type=pa.large_binary())}
-            )
-        flat = np.ascontiguousarray(pay).view(np.uint8).reshape(n, w * itemsize)
-        offs = np.arange(0, (n + 1) * w * itemsize, w * itemsize, dtype=np.int64)
-        bin_col = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), n,
-            [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(flat.tobytes())],
-        )
-        return pa.table(
-            {"doc_id": pa.array(ids, type=pa.int64()), "payload": bin_col}
-        )
+        return _pack_fixed(*extract(batch), dtype)
 
-    # materialize ONCE: sa and sb are two independent lineages off
-    # packed, and Ray Data has no cross-branch CSE — un-materialized,
-    # the pack map (and the caller's table lineage) would execute twice
-    packed = table.map_batches(pack, batch_format="pyarrow").materialize()
-    if packed.count() == 0:
-        # the endpoint pre-filter can legitimately empty the payload
-        # side (edges may reference ids absent from the table); a
-        # globally-empty join side crashes the Ray 2.49 hash join, and
-        # the correct answer is "every edge drops"
-        return rd.from_arrow(_empty())
-    sa = packed.rename_columns({"doc_id": "a", "payload": "pay_a"})
-    sb = packed.rename_columns({"doc_id": "b", "payload": "pay_b"})
-    j = edges.select_columns(["a", "b"]).join(
-        sa, join_type="inner", num_partitions=num_partitions, on=("a",)
+    def score_packed(col_a, col_b):
+        return score(_unpack_fixed(col_a, dtype), _unpack_fixed(col_b, dtype))
+
+    return _verify_core(
+        edges,
+        table,
+        id_col=id_col,
+        pack=pack,
+        score=score_packed,
+        value_col=value_col,
+        value_type=value_type or pa.float64(),
+        strategy=strategy,
+        broadcast_bytes_limit=broadcast_bytes_limit,
+        num_partitions=num_partitions,
     )
-    # schema-preserving barrier: a hash partition of a chained join that
-    # receives zero left blocks finalizes as a zero-column table and the
-    # second join's key lookup fails (Ray 2.49 join aggregator builds
-    # empty partitions schema-less); repartition rebuilds every block
-    # with the schema attached
-    j = j.repartition(num_partitions)
-    j = j.join(sb, join_type="inner", num_partitions=num_partitions, on=("b",))
-
-    def _unpack(col) -> np.ndarray:
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        if n == 0:
-            return np.empty((0, 0), dtype=payload_dtype)
-        # rows are fixed-width and tightly packed (pack() wrote them;
-        # Arrow take/concat preserve dense value layout) -> one view
-        off_dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
-        offs = np.frombuffer(col.buffers()[1], dtype=off_dt)[
-            col.offset : col.offset + n + 1
-        ]
-        data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-        seg = np.ascontiguousarray(data[offs[0] : offs[-1]])
-        return seg.view(payload_dtype).reshape(n, -1)
-
-    def score_j(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _empty()
-        pa_ = _unpack(batch["pay_a"])
-        pb_ = _unpack(batch["pay_b"])
-        vals, keep = score(pa_, pb_)
-        return pa.table(
-            {
-                "a": batch["a"].filter(pa.array(keep)),
-                "b": batch["b"].filter(pa.array(keep)),
-                value_col: pa.array(vals[keep], type=value_type),
-            }
-        )
-
-    return j.map_batches(score_j, batch_format="pyarrow")
 
 
 def verify_edges(
@@ -504,81 +315,31 @@ def verify_edges(
     *,
     strategy: str = "auto",
     broadcast_bytes_limit: int = 2 << 30,
-    pre_deduped: bool = False,
 ):
     """edges(a, b, ...) x signatures(doc_id, sig) -> (a, b, est_sim) for
-    pairs whose estimated Jaccard clears the verification threshold.
-    Duplicate (a, b) rows are deduped up front on every strategy (one
-    output row per distinct surviving pair — see
-    ``verify_pairs_payload``); callers whose edges are already distinct
-    (the flagship passes ``dedupe_edges`` output) skip the redundant
-    sort with ``pre_deduped=True``.
-
-    ``auto`` decides by the actual broadcast payload — the dup-subset
-    signature matrix (#distinct endpoints x n_perms x 8 bytes) — not by
-    raw edge count: edges over-count the subset by the per-pair band
-    multiplicity, and the join fallback costs two full hash shuffles of
-    the signature table, so it should engage only when the subset
-    genuinely can't ride in one broadcast object. Endpoint-id and
-    subset assembly both run as single tasks over the materialized
-    blocks — the driver handles counts and refs only (round-3: the
-    driver-heap round trip was the dominant serial slice of a 2-CPU
-    run)."""
-    edges = _distinct_pairs(edges) if not pre_deduped else _schema_safe_pairs(edges)
-    if strategy == "auto":
-        n_wanted, wanted_ref = _edge_doc_ids_ref(edges)
-        if n_wanted * cfg.n_perms * 8 <= broadcast_bytes_limit:
-            return _verify_broadcast(edges, signatures, cfg, wanted_ref=wanted_ref)
-        return _verify_join(
-            edges, signatures, cfg, num_partitions,
-            n_wanted=n_wanted, wanted_ref=wanted_ref,
-            id_bytes_limit=broadcast_bytes_limit, dedupe=False,
-        )
-    if strategy == "broadcast":
-        return _verify_broadcast(edges, signatures, cfg)
-    return _verify_join(edges, signatures, cfg, num_partitions, dedupe=False)
-
-
-def _verify_broadcast(edges, signatures, cfg: DedupConfig, wanted_ref=None):
-    if wanted_ref is None:
-        _, wanted_ref = _edge_doc_ids_ref(edges)
-    lookup_ref = _collect_sig_subset_ref(signatures, wanted_ref, cfg.n_perms)
+    distinct pairs whose estimated Jaccard clears the verification
+    threshold."""
     thresh = cfg.verify_threshold
 
-    def score(batch: pa.Table) -> pa.Table:
-        ids_s, sigs = ray.get(lookup_ref)
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        if len(ids_s) == 0:  # no signatures -> every edge drops
-            a = b = np.empty(0, dtype=np.int64)
-        ia, fa = lookup_sorted(ids_s, a)
-        ib, fb = lookup_sorted(ids_s, b)
-        est = (sigs[ia] == sigs[ib]).mean(axis=1) if len(a) else np.empty(0)
-        # endpoints without a signature are dropped, not mis-scored
-        keep = (est >= thresh) & fa & fb
-        return pa.table(
-            {
-                "a": pa.array(a[keep], type=pa.int64()),
-                "b": pa.array(b[keep], type=pa.int64()),
-                "est_sim": pa.array(est[keep], type=pa.float64()),
-            }
-        )
+    def extract(batch: pa.Table):
+        return batch["doc_id"].to_numpy(zero_copy_only=False), sig_from_arrow(batch["sig"])
 
-    return edges.map_batches(score, batch_format="pyarrow")
+    def score(sa: np.ndarray, sb: np.ndarray):
+        est = (sa == sb).mean(axis=1)
+        return est, est >= thresh
 
-
-def _gather_var(flat: np.ndarray, offs: np.ndarray, idx: np.ndarray):
-    """Vectorized gather of variable-length slices ``flat[offs[i]:
-    offs[i+1]]`` for each i in idx -> (values, lengths)."""
-    lens = offs[idx + 1] - offs[idx]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat.dtype), lens
-    seg0 = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(seg0, lens) + np.repeat(
-        offs[idx], lens
+    return verify_pairs_payload(
+        edges,
+        signatures.select_columns(["doc_id", "sig"]),
+        id_col="doc_id",
+        extract=extract,
+        score=score,
+        value_col="est_sim",
+        payload_dtype=np.uint64,
+        strategy=strategy,
+        broadcast_bytes_limit=broadcast_bytes_limit,
+        num_partitions=num_partitions,
     )
-    return flat[pos], lens
 
 
 def _jaccard_batch(
@@ -605,94 +366,46 @@ def _jaccard_batch(
     return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
 
 
-def shingle_sets(docs, cfg: DedupConfig):
-    """docs -> (doc_id, shingles) with each doc's UNIQUE sorted shingle
-    hashes packed as one large_binary value (u64 little-endian) — the
-    exact-Jaccard payload, built distributed in map_batches."""
+def shingle_sets(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """docs batch (doc_id, norm_text) -> Table(doc_id, payload) with each
+    doc's UNIQUE sorted shingle hashes packed as one large_binary value
+    (u64 little-endian) — the exact-Jaccard payload."""
     from metacache_mpi_ray.functions.hashing import (
         arrow_string_buffer,
         shingle_hashes_from_buffer,
     )
 
-    def build(b: pa.Table) -> pa.Table:
-        data, starts, ends = arrow_string_buffer(b["norm_text"])
-        h, offs = shingle_hashes_from_buffer(
-            data, starts, ends, cfg.shingle_k, cfg.seed
-        )
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        # per-doc unique+sort without a per-doc loop: sort (doc, hash)
-        # pairs, drop adjacent dups, rebuild offsets
-        doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
-        order = np.lexsort((h, doc_of))
-        hs, ds_ = h[order], doc_of[order]
-        keep = np.empty(len(hs), dtype=bool)
-        if len(hs):
-            keep[0] = True
-            keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
-        hs, ds_ = hs[keep], ds_[keep]
-        counts = np.bincount(ds_, minlength=n)
-        byte_offs = np.concatenate([[0], np.cumsum(counts)]) * 8
-        bin_col = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), n,
-            [None,
-             pa.py_buffer(byte_offs.astype(np.int64).tobytes()),
-             pa.py_buffer(hs.tobytes())],
-        )
-        return pa.table(
-            {"doc_id": pa.array(ids, type=pa.int64()), "shingles": bin_col}
-        )
-
-    return docs.select_columns(["doc_id", "norm_text"]).map_batches(
-        build, batch_format="pyarrow"
+    data, starts, ends = arrow_string_buffer(batch["norm_text"])
+    h, offs = shingle_hashes_from_buffer(data, starts, ends, cfg.shingle_k, cfg.seed)
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+    n = len(ids)
+    # per-doc unique+sort without a per-doc loop: sort (doc, hash)
+    # pairs, drop adjacent dups, rebuild offsets
+    doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
+    order = np.lexsort((h, doc_of))
+    hs, ds_ = h[order], doc_of[order]
+    keep = np.empty(len(hs), dtype=bool)
+    if len(hs):
+        keep[0] = True
+        keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
+    hs, ds_ = hs[keep], ds_[keep]
+    counts = np.bincount(ds_, minlength=n)
+    byte_offs = np.concatenate([[0], np.cumsum(counts)]) * 8
+    bin_col = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), n,
+        [None,
+         pa.py_buffer(byte_offs.astype(np.int64).tobytes()),
+         pa.py_buffer(hs.tobytes())],
     )
+    return pa.table({"doc_id": pa.array(ids, type=pa.int64()), "payload": bin_col})
 
 
-def _unpack_bin_u64(col):
-    """Packed large_binary/binary column -> (flat u64 values, row offsets)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    off_dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
-    boffs = np.frombuffer(col.buffers()[1], dtype=off_dt)[
-        col.offset : col.offset + n + 1
-    ].astype(np.int64)
+def _unpack_bin_u64(col) -> tuple[np.ndarray, np.ndarray]:
+    """Packed binary column -> (flat u64 values, per-row lengths)."""
+    col, boffs = _binary_offsets(col)
     data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
     flat = np.ascontiguousarray(data[boffs[0] : boffs[-1]]).view(np.uint64)
-    return flat, (boffs - boffs[0]) // 8
-
-
-@ray.remote(num_returns=2)
-def _assemble_set_subset(*tabs):
-    """(payload nbytes, (ids_sorted, flat, offsets)) from filtered
-    shingle-set blocks — assembled off-driver in ONE task; the second
-    return object IS the broadcast, and the driver reads only the
-    nbytes scalar for the auto broadcast-vs-join decision."""
-    ids_out, flat_out, lens_out = [], [], []
-    for t in tabs:
-        if len(t) == 0:  # empty blocks can arrive schema-less
-            continue
-        flat, offs = _unpack_bin_u64(t["shingles"])
-        ids_out.append(t["doc_id"].to_numpy(zero_copy_only=False))
-        flat_out.append(flat)
-        lens_out.append(np.diff(offs))
-    if not ids_out:
-        return 0, (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint64),
-            np.zeros(1, dtype=np.int64),
-        )
-    ids_all = np.concatenate(ids_out)
-    lens_all = np.concatenate(lens_out)
-    flat_all = np.concatenate(flat_out)
-    order = np.argsort(ids_all)
-    offs_all = np.concatenate([[0], np.cumsum(lens_all)]).astype(np.int64)
-    v_sorted, lens_sorted = _gather_var(flat_all, offs_all, order)
-    return int(flat_all.nbytes), (
-        ids_all[order],
-        v_sorted,
-        np.concatenate([[0], np.cumsum(lens_sorted)]).astype(np.int64),
-    )
+    return flat, np.diff(boffs) // 8
 
 
 def verify_edges_exact_jaccard(
@@ -703,224 +416,30 @@ def verify_edges_exact_jaccard(
     strategy: str = "auto",
     broadcast_bytes_limit: int = 2 << 30,
     num_partitions: int = 16,
-    pre_deduped: bool = False,
 ):
     """Exact n-gram Jaccard verification of candidate pairs — the
     precision-grade alternative to MinHash-estimated verification.
-
-    Round-3 rewrite (round-2 built a driver-side dict of per-doc shingle
-    sets and scored edges in a per-edge Python loop): the sets are built
-    DISTRIBUTED (``shingle_sets``), the edge-endpoint subset broadcasts
-    as one (ids, flat values, offsets) object while it fits in
-    ``broadcast_bytes_limit``, and scoring is one lexsort + reduct per
-    edge batch (``_jaccard_batch``). Past the broadcast limit the packed
-    sets ship through the same two-hash-join fallback as
-    ``verify_pairs_payload``."""
-    # distinct pairs on EVERY strategy so broadcast and join paths emit
-    # identical multiplicity (see verify_pairs_payload); pre-deduped
-    # edges still get schema-safe blocks for the join fallback
-    edges = _distinct_pairs(edges) if not pre_deduped else _schema_safe_pairs(edges)
-    # one execution of the full-corpus shingle build serves every path:
-    # the subset filter, and (past the broadcast limit) both join sides
-    # (independent lineages — no CSE)
-    sets_ds = shingle_sets(docs, cfg).materialize()
+    ``docs(doc_id, norm_text)`` is filtered to the edge endpoints first,
+    so shingle sets (``shingle_sets``) are built only for those docs;
+    scoring is one lexsort + reduct per edge batch
+    (``_jaccard_batch``)."""
     thresh = cfg.sim_threshold
-    _unpack_bin = _unpack_bin_u64
 
-    def _empty():
-        return pa.table(
-            {"a": pa.array([], type=pa.int64()),
-             "b": pa.array([], type=pa.int64()),
-             "jaccard": pa.array([], type=pa.float64())}
-        )
+    def score(col_a, col_b):
+        va, la = _unpack_bin_u64(col_a)
+        vb, lb = _unpack_bin_u64(col_b)
+        sims = _jaccard_batch(va, la, vb, lb)
+        return sims, sims >= thresh
 
-    sref = None
-    n_wanted = wref = None
-    sub_refs = None
-    if strategy in ("auto", "broadcast"):
-        # off-driver subset assembly (round-3 review: the previous
-        # version streamed the whole subset through the driver heap via
-        # iter_batches and then double-buffered it with ray.put — the
-        # scale-killer pattern the MinHash path already removed): filter
-        # distributed, assemble in one task, read back only the nbytes
-        # scalar for the auto decision
-        n_wanted, wref = _edge_doc_ids_ref(edges)
-        sub = sets_ds.map_batches(filter_to_ids("doc_id", wref), batch_format="pyarrow")
-        refs = sub.to_arrow_refs()
-        if refs:
-            sub_refs = refs  # reused by the join fallback: the filter
-            # over the full shingle table already executed here
-            nb_ref, subset_ref = _assemble_set_subset.remote(*refs)
-            if strategy == "broadcast" or int(ray.get(nb_ref)) <= broadcast_bytes_limit:
-                sref = subset_ref
-        else:
-            sref = ray.put(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64),
-                 np.zeros(1, dtype=np.int64))
-            )
-
-    if sref is not None:
-
-        def score_b(batch: pa.Table) -> pa.Table:
-            ids_s, flat, offs = ray.get(sref)
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b_ = batch["b"].to_numpy(zero_copy_only=False)
-            if len(a) == 0 or len(ids_s) == 0:
-                return _empty()
-            ia, fa = lookup_sorted(ids_s, a)
-            ib, fb = lookup_sorted(ids_s, b_)
-            va, la = _gather_var(flat, offs, ia)
-            vb, lb = _gather_var(flat, offs, ib)
-            sims = _jaccard_batch(va, la, vb, lb)
-            keep = (sims >= thresh) & fa & fb
-            return pa.table(
-                {
-                    "a": pa.array(a[keep], type=pa.int64()),
-                    "b": pa.array(b_[keep], type=pa.int64()),
-                    "jaccard": pa.array(sims[keep], type=pa.float64()),
-                }
-            )
-
-        return edges.map_batches(score_b, batch_format="pyarrow")
-
-    # join fallback: packed sets ride the shuffle (sets_ds is already
-    # materialized above, so both join sides read the same blocks)
-    edges = _nonempty_or_none(edges)
-    if edges is None or sets_ds.count() == 0:
-        return rd.from_arrow(_empty())
-    # same two scale guards as verify_pairs_payload's join path (see
-    # _dedupe_and_prune): the joins attach a packed shingle set (KBs per
-    # doc — far wider than a signature) to every edge row
-    if sub_refs is not None:
-        # the endpoint filter over the full shingle table already
-        # executed for the broadcast probe — reuse its blocks instead of
-        # re-scanning the multi-GB set table; edges are already distinct
-        # (hoisted above, all strategies)
-        side = rd.from_arrow_refs(sub_refs)
-    else:
-        edges, side = _dedupe_and_prune(
-            edges, sets_ds, "doc_id",
-            n_wanted=n_wanted, wanted_ref=wref,
-            id_bytes_limit=broadcast_bytes_limit,
-            dedupe=False,  # already distinct (hoisted above)
-        )
-        side = side.materialize()  # both join sides read the same blocks
-    if side.count() == 0:
-        # the endpoint filter can legitimately drop every set row; an
-        # all-empty join side crashes the Ray 2.49 hash join, and the
-        # right answer is "every edge drops"
-        return rd.from_arrow(_empty())
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
-    sa = side.rename_columns({"doc_id": "a", "shingles": "set_a"})
-    sb = side.rename_columns({"doc_id": "b", "shingles": "set_b"})
-    j = edges.select_columns(["a", "b"]).join(
-        sa, join_type="inner", num_partitions=num_partitions, on=("a",)
+    return _verify_core(
+        edges,
+        docs.select_columns(["doc_id", "norm_text"]),
+        id_col="doc_id",
+        pack=partial(shingle_sets, cfg=cfg),
+        score=score,
+        value_col="jaccard",
+        value_type=pa.float64(),
+        strategy=strategy,
+        broadcast_bytes_limit=broadcast_bytes_limit,
+        num_partitions=num_partitions,
     )
-    j = j.repartition(num_partitions)  # schema barrier, see verify_pairs_payload
-    j = j.join(sb, join_type="inner", num_partitions=num_partitions, on=("b",))
-
-    def score_j(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _empty()
-        fa_, oa = _unpack_bin(batch["set_a"])
-        fb_, ob = _unpack_bin(batch["set_b"])
-        sims = _jaccard_batch(fa_, np.diff(oa), fb_, np.diff(ob))
-        keep = sims >= thresh
-        return pa.table(
-            {
-                "a": batch["a"].filter(pa.array(keep)),
-                "b": batch["b"].filter(pa.array(keep)),
-                "jaccard": pa.array(sims[keep], type=pa.float64()),
-            }
-        )
-
-    return j.map_batches(score_j, batch_format="pyarrow")
-
-
-def _verify_join(
-    edges,
-    signatures,
-    cfg: DedupConfig,
-    num_partitions: int,
-    *,
-    n_wanted: int | None = None,
-    wanted_ref=None,
-    id_bytes_limit: int = 2 << 30,
-    dedupe: bool = True,
-):
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-    from metacache_mpi_ray.stages.signatures import sig_from_binary, sig_to_binary
-
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
-    edges = _nonempty_or_none(edges)
-    if edges is None or signatures.limit(1).count() == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "est_sim": pa.array([], type=pa.float64()),
-                }
-            )
-        )
-
-    edges, signatures = _dedupe_and_prune(
-        edges, signatures.select_columns(["doc_id", "sig"]), "doc_id",
-        n_wanted=n_wanted, wanted_ref=wanted_ref,
-        id_bytes_limit=id_bytes_limit, dedupe=dedupe,
-    )
-
-    def pack(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "sigbin": sig_to_binary(sig_from_arrow(batch["sig"])),
-            }
-        )
-
-    # materialized once: sa/sb are independent lineages (no CSE), so an
-    # un-materialized pack map would run twice over every signature
-    sigs = signatures.select_columns(["doc_id", "sig"]).map_batches(
-        pack, batch_format="pyarrow"
-    ).materialize()
-    if sigs.count() == 0:
-        # the endpoint pre-filter can legitimately drop every signature
-        # (edges may reference absent ids); an all-empty join side
-        # crashes the Ray 2.49 hash join, and the right answer is
-        # "every edge drops"
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "est_sim": pa.array([], type=pa.float64()),
-                }
-            )
-        )
-    sa = sigs.rename_columns({"doc_id": "a", "sigbin": "sig_a"})
-    sb = sigs.rename_columns({"doc_id": "b", "sigbin": "sig_b"})
-    j = edges.join(sa, join_type="inner", num_partitions=num_partitions, on=("a",))
-    # schema-preserving barrier between chained joins (see
-    # verify_pairs_payload): guards against zero-block left partitions
-    j = j.repartition(num_partitions)
-    j = j.join(sb, join_type="inner", num_partitions=num_partitions, on=("b",))
-
-    thresh = cfg.verify_threshold
-    n_perms = cfg.n_perms
-
-    def score(batch: pa.Table) -> pa.Table:
-        A = sig_from_binary(batch["sig_a"], n_perms)
-        B = sig_from_binary(batch["sig_b"], n_perms)
-        est = (A == B).mean(axis=1) if len(A) else np.empty(0)
-        keep = est >= thresh
-        return pa.table(
-            {
-                "a": batch["a"].filter(pa.array(keep)),
-                "b": batch["b"].filter(pa.array(keep)),
-                "est_sim": pa.array(est[keep], type=pa.float64()),
-            }
-        )
-
-    return j.map_batches(score, batch_format="pyarrow")

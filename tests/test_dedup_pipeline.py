@@ -138,26 +138,81 @@ def test_pipeline_block_size_invariant(corpus_dir):
     assert (m["is_dup_x"] == m["is_dup_y"]).all()
 
 
-def test_flagship_only_claims_prededuped_when_it_deduped(monkeypatch, corpus_dir):
-    """r5 incident pin: with the default dedupe_pairs=False the
-    flagship's edges carry raw per-band multiplicity, and verify MUST
-    NOT be told they are distinct — that claim disables the join
-    fallback's distinct-pairs guard and re-creates the measured
-    payload-times-multiplicity spill at 4M docs. White-box: capture the
-    kwarg for both settings."""
-    import metacache_mpi_ray.pipelines.dedup as dd
+def _join_left_inputs():
+    """(entry-point name -> callable(edges, strategy)) over tiny inputs
+    for the three public verify adapters."""
+    import pyarrow as pa
 
-    seen = {}
-    real = dd.verify_edges
+    from metacache_mpi_ray.stages.signatures import sig_to_arrow
+    from metacache_mpi_ray.stages.verify import (
+        verify_edges,
+        verify_edges_exact_jaccard,
+        verify_pairs_payload,
+    )
 
-    def spy(edges, sigs, cfg, **kw):
-        seen[kw.get("pre_deduped", False)] = True
-        return real(edges, sigs, cfg, **kw)
+    n = 12
+    ids = pa.array(np.arange(n, dtype=np.int64))
+    cfg = DedupConfig(n_perms=16, n_bands=16, shingle_k=3)
+    sig_mat = np.random.default_rng(3).integers(0, 2**63, size=(n, 16)).astype(np.uint64)
+    sigs = rd.from_arrow(pa.table({"doc_id": ids, "sig": sig_to_arrow(sig_mat)}))
+    vals = rd.from_arrow(pa.table({"doc_id": ids, "v": pa.array(np.arange(n) % 3)}))
+    docs = rd.from_arrow(
+        pa.table({"doc_id": ids, "norm_text": [f"page {i % 3} body text" for i in range(n)]})
+    )
 
-    monkeypatch.setattr(dd, "verify_edges", spy)
-    docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")).materialize()
-    dd.near_dup_pipeline(docs, CFG, num_partitions=4, dedupe_pairs=False)
-    assert seen == {False: True}
-    seen.clear()
-    dd.near_dup_pipeline(docs, CFG, num_partitions=4, dedupe_pairs=True)
-    assert seen == {True: True}
+    def extract(b):
+        return (
+            b["doc_id"].to_numpy(zero_copy_only=False),
+            b["v"].to_numpy(zero_copy_only=False).reshape(-1, 1).astype(np.int64),
+        )
+
+    def score(x, y):
+        return x[:, 0] - y[:, 0], np.ones(len(x), dtype=bool)
+
+    return {
+        "minhash": lambda e, s: verify_edges(e, sigs, cfg, num_partitions=4, strategy=s),
+        "payload": lambda e, s: verify_pairs_payload(
+            e, vals, id_col="doc_id", extract=extract, score=score,
+            value_col="d", value_type=pa.int64(), payload_dtype=np.int64,
+            strategy=s, num_partitions=4,
+        ),
+        "exact_jaccard": lambda e, s: verify_edges_exact_jaccard(
+            e, docs, cfg, strategy=s, num_partitions=4
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", ["minhash", "payload", "exact_jaccard"])
+def test_verify_join_left_side_is_distinct_pairs(monkeypatch, entry):
+    """Spill pin: the join path attaches a payload row to every LEFT
+    row of its first join, so raw per-band edge multiplicity there
+    re-creates the measured payload-times-multiplicity spill at 4M docs.
+    Every entry point must hand the first join exactly one row per
+    distinct pair, however duplicated its input."""
+    import pyarrow as pa
+    import ray.data
+
+    pairs = [(0, 1), (2, 3), (4, 5), (1, 7), (0, 9)]
+    edges = rd.from_arrow(
+        pa.table(
+            {
+                "a": pa.array([p[0] for p in pairs] * 5, type=pa.int64()),
+                "b": pa.array([p[1] for p in pairs] * 5, type=pa.int64()),
+            }
+        )
+    ).repartition(3)
+    run = _join_left_inputs()[entry]
+    lefts = []
+    real = ray.data.Dataset.join
+
+    def spy(self, *args, **kw):
+        lefts.append(self)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "join", spy)
+    out = run(edges, "join").to_pandas()
+    assert lefts, "strategy='join' never reached Dataset.join"
+    left = lefts[0].to_pandas()
+    assert len(left) == len(pairs)
+    assert set(zip(left["a"], left["b"])) == set(pairs)
+    assert len(out) <= len(pairs)

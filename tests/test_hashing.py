@@ -14,10 +14,9 @@ from metacache_mpi_ray.functions.hashing import (
 from metacache_mpi_ray.stages.signatures import (
     minhash_matrix,
     sig_from_arrow,
-    sig_from_binary,
     sig_to_arrow,
-    sig_to_binary,
 )
+from metacache_mpi_ray.stages.verify import _pack_fixed, _unpack_fixed
 
 
 def test_mixers_deterministic_and_dispersive():
@@ -84,7 +83,10 @@ def test_sig_arrow_and_binary_roundtrip():
     a, b = minhash_perm_constants(cfg.n_perms, cfg.seed)
     sig = minhash_matrix([b"abc def ghi jkl mno pqr stu vwx", b"hello world " * 4], cfg, a, b)
     assert (sig_from_arrow(sig_to_arrow(sig)) == sig).all()
-    assert (sig_from_binary(sig_to_binary(sig), cfg.n_perms) == sig).all()
+    # verify ships signatures through its hash joins as packed binary
+    packed = _pack_fixed(np.arange(2), sig, np.dtype(np.uint64))["payload"]
+    assert (_unpack_fixed(packed, np.dtype(np.uint64)) == sig).all()
+    assert (_unpack_fixed(packed.slice(1), np.dtype(np.uint64)) == sig[1:]).all()
 
 
 def test_hash_str_column_stable():

@@ -8,8 +8,8 @@ query: the newest round with a green row, the check strength
 oracle hasn't been re-verified lately" visible at a glance.
 
 Usage: python tools/correctness_union.py [--write CORRECTNESS_UNION.md]
-Exit 1 if any query ever recorded a red (mismatch/error) in its newest
-round, or a registered query has no evidence and sits in the upcoming
+Exit 1 if any query recorded a red (mismatch/error) in its newest
+round, or a registered query has no evidence and is NOT in the upcoming
 window (first 50) — i.e. the rotation failed to schedule it.
 """
 import glob
