@@ -11,11 +11,11 @@ corpus index without re-processing the corpus.
 Ray-Data shape: the persisted artifacts are the band-key, signature and
 cluster Parquet checkpoints written by ``build_index`` (or by
 ``pipelines/checkpointed.run_dedup_checkpointed`` — same layout). The
-query side probes the persisted band table directly (one range shuffle
-of stored+new band rows — zero corpus-signature reads on the probe),
-then verifies candidate pairs against a FOOTER-PRUNED read of the
-doc_id-sorted signature checkpoint (only files whose id range
-intersects the candidate endpoints are touched), and resolves each
+query side probes the persisted band table directly (one hash exchange
+of stored+new band rows on the band key — zero corpus-signature reads
+on the probe), then verifies candidate pairs against a FOOTER-PRUNED
+read of the doc_id-sorted signature checkpoint (only files whose id
+range intersects the candidate endpoints are touched), and resolves each
 matched new doc to the minimum matched stored cluster. Each probe
 appends a telemetry row (candidate/verified/matched counts, files
 pruned) to the index root's metrics.jsonl.
@@ -34,15 +34,13 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Min
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import ensure_columns
+from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.stages.banding import compute_bands
 from metacache_mpi_ray.stages.candidates import (
     _combine_keys,
     segment_all_pairs,
-    split_edges_and_bridges,
     bucket_edges,
     dedupe_edges,
 )
@@ -395,11 +393,12 @@ class ReplIndex:
             np.concatenate(
                 # over-cap buckets are non-discriminative and dropped,
                 # matching the batch probe's hot-feature-removal policy
-                # (and bounding per-query work, the reference's maxcand)
+                # (and bounding per-query work, the reference's maxcand);
+                # like the batch probe, the bucket size counts the query
                 [
                     self.band_docs[l:h]
                     for l, h in zip(lo.tolist(), hi.tolist())
-                    if h - l <= cap
+                    if h - l + 1 <= cap
                 ]
                 or [np.empty(0, dtype=np.int64)]
             )
@@ -454,50 +453,63 @@ def _assemble_sorted_pairs(key_col: str, val_col: str, *tabs):
     return k[order], v[order]
 
 
+@ray.remote
+def _min_cluster_per_new(lookup, *tabs):
+    """Verified (a=new, b=stored) blocks -> (sorted new ids, minimum
+    stored cluster id per new id), as one task. ``lookup`` is the
+    (sorted doc ids, cluster ids) pair of the matched stored docs; a
+    stored doc absent from it (shouldn't happen) stands for itself."""
+    ids_s, cl = lookup
+    tabs = [t for t in tabs if len(t)]
+    if not tabs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    a = np.concatenate([t["a"].to_numpy(zero_copy_only=False) for t in tabs])
+    b = np.concatenate([t["b"].to_numpy(zero_copy_only=False) for t in tabs])
+    out = b.astype(np.int64)
+    if len(ids_s):
+        pos, found = lookup_sorted(ids_s, b)
+        out = np.where(found, cl[pos], out)
+    order = np.lexsort((out, a))
+    a_s, o_s = a[order].astype(np.int64), out[order]
+    change = np.empty(len(a_s), dtype=bool)
+    change[0] = True
+    np.not_equal(a_s[1:], a_s[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return a_s[starts], np.minimum.reduceat(o_s, starts)
+
+
 def probe_tagged_bands(
     tagged,
     cap: int,
     *,
-    probe_batch_size: int | None = None,
     num_partitions: int | None = None,
     emit_new_new: bool = False,
 ):
     """(bkey, id, side) rows -> (new x stored) candidate pairs (a=new,
-    b=stored) per band bucket: ONE ``sort("bkey")`` range shuffle, a
-    vectorized per-batch segment kernel, and the flagship's bridge-row
-    stitch (stages/candidates.py bucket_edges) so buckets split across
-    batch boundaries still meet across fragments — the round-2 version
-    probed per fragment, a systematic recall leak once the sorted stream
-    spans thousands of blocks.
-
-    Each batch emits its first and last bucket's members as side-tagged
-    bridge rows (<= 2 buckets/batch); any fragment of a split bucket is
-    necessarily one of those, so a tiny driver pass reassembles split
-    buckets and emits their full new x stored cross product (duplicates
-    of in-fragment pairs are fine — verification is idempotent and the
-    downstream aggregate is a min).
+    b=stored) per band bucket: ONE ``hash_exchange`` on ``bkey``
+    (functions/blocks.py), so every bucket lands whole in one partition
+    and the vectorized bucket kernel runs as that partition's reduce.
+    Buckets larger than ``cap`` (stored + new rows) emit nothing — the
+    reference's hot-feature removal, sketch_database.h:398-417.
 
     ``emit_new_new``: additionally emit all (new x new) pairs per
     surviving bucket — required by ``extend_index`` (the reference's
     ``modify`` mode), where the new batch must also dedup against
     itself; ``query_against_index`` keeps it off (queries never join
     each other). Columns stay (a, b); for new x new pairs both sides
-    are new ids with a < b."""
+    are new ids with a < b. A pair shared by several buckets is emitted
+    once per bucket; verify dedupes pairs."""
+    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     def probe(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        if n == 0:
+            return pa.table(
+                {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
+            )
         keys = t["bkey"].to_numpy(zero_copy_only=False)
         ids = t["id"].to_numpy(zero_copy_only=False)
         side = t["side"].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        empty = pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "bridge_key": pa.array([], type=pa.int64()),
-            }
-        )
-        if n == 0:
-            return empty
         order = np.lexsort((side, keys))
         keys, ids, side = keys[order], ids[order], side[order]
         change = np.empty(n, dtype=bool)
@@ -505,7 +517,6 @@ def probe_tagged_bands(
         np.not_equal(keys[1:], keys[:-1], out=change[1:])
         starts = np.flatnonzero(change)
         sizes = np.diff(np.append(starts, n))
-        nseg = len(starts)
         # per bucket: stored rows sort first (side 0), new rows after.
         # cross products emitted FULLY vectorized (no per-bucket Python,
         # round-3): for each mixed bucket with m stored and k new rows
@@ -539,86 +550,13 @@ def probe_tagged_bands(
                 )
                 a = np.concatenate([a, na])
                 b = np.concatenate([b, nb])
-        # bridge rows: every member of the batch's first and last bucket
-        # (potential split fragments), side riding in column b. EVERY
-        # boundary fragment also ships one size MARKER row (b = -1,
-        # a = fragment size) — over-cap fragments ship ONLY the marker,
-        # so the stitch can enforce the cap on the REASSEMBLED bucket
-        # total without the hot members ever crossing the driver
-        bridge_idx = [0] if nseg == 1 else [0, nseg - 1]
-        bk_l, bm_l, bs_l = [], [], []
-        for gi in bridge_idx:
-            if sizes[gi] <= cap:
-                sl = slice(starts[gi], starts[gi] + sizes[gi])
-                bm_l.append(ids[sl])
-                bs_l.append(side[sl].astype(np.int64))
-                bk_l.append(np.full(sizes[gi], keys[starts[gi]], dtype=np.int64))
-            bm_l.append(np.array([sizes[gi]], dtype=np.int64))
-            bs_l.append(np.array([-1], dtype=np.int64))
-            bk_l.append(np.array([keys[starts[gi]]], dtype=np.int64))
-        bm = np.concatenate(bm_l) if bm_l else np.empty(0, dtype=np.int64)
-        bs = np.concatenate(bs_l) if bs_l else np.empty(0, dtype=np.int64)
-        bk = np.concatenate(bk_l) if bk_l else np.empty(0, dtype=np.int64)
         return pa.table(
-            {
-                "a": pa.array(np.concatenate([a, bm]), type=pa.int64()),
-                "b": pa.array(np.concatenate([b, bs]), type=pa.int64()),
-                "bridge_key": pa.array(
-                    np.concatenate([np.zeros(len(a), dtype=np.int64), bk]),
-                    type=pa.int64(),
-                ),
-            }
+            {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64())}
         )
 
-    # coalesce before the sort: the band rows arrive in one block per
-    # checkpoint row group / signer task, and Ray's sort pays one sample
-    # + one reduce partition per INPUT block — over hundreds of tiny
-    # blocks that fixed cost dwarfs the shuffle itself (5x measured on
-    # the flagship's identical band sort, see pipelines/dedup.py)
-    if num_partitions is not None:
-        tagged = tagged.repartition(num_partitions)
-    emitted = (
-        tagged.sort("bkey")
-        .map_batches(probe, batch_format="pyarrow", batch_size=probe_batch_size)
-        .materialize()
-    )
-
-    pairs, bridges = split_edges_and_bridges(
-        emitted, ["a", "b"], ["a", "b", "bridge_key"]
-    )
-    if len(bridges):
-        extra_a, extra_b = [], []
-        for _, grp in bridges.groupby("bridge_key"):
-            ids_g = grp["a"].to_numpy(dtype=np.int64)
-            side_g = grp["b"].to_numpy(dtype=np.int64)
-            markers = side_g == -1
-            # the reassembled bucket's TRUE size is the sum of its
-            # fragment-size markers — including over-cap fragments whose
-            # members never shipped; the hot-feature-removal policy
-            # applies to that total, exactly like bucket_edges' bsz
-            if ids_g[markers].sum() > cap:
-                continue
-            new = ids_g[side_g == 1]
-            stored = ids_g[side_g == 0]
-            if len(new) and len(stored):
-                extra_a.append(np.repeat(new, len(stored)))
-                extra_b.append(np.tile(stored, len(new)))
-            if emit_new_new and len(new) >= 2:
-                i, j = np.triu_indices(len(new), 1)
-                lo = np.minimum(new[i], new[j])
-                hi = np.maximum(new[i], new[j])
-                keep = lo != hi
-                extra_a.append(lo[keep])
-                extra_b.append(hi[keep])
-        if extra_a:
-            extra = pa.table(
-                {
-                    "a": pa.array(np.concatenate(extra_a), type=pa.int64()),
-                    "b": pa.array(np.concatenate(extra_b), type=pa.int64()),
-                }
-            )
-            pairs = pairs.union(rd.from_arrow(extra))
-    return pairs
+    if num_partitions is None:
+        num_partitions = default_num_partitions()
+    return hash_exchange(tagged, ["bkey"], probe, num_partitions=num_partitions)
 
 
 def query_against_index(
@@ -627,7 +565,6 @@ def query_against_index(
     cfg: DedupConfig | None = None,
     *,
     num_partitions: int | None = None,
-    probe_batch_size: int | None = None,
 ):
     """Stream a new batch of canonical docs against a persisted index.
 
@@ -670,15 +607,12 @@ def query_against_index(
         )
     bands_new = _band_keys(sigs_new, cfg, "new_id")
 
-    # the probe: ONE sort-shuffle over the union of stored and new band
-    # rows (the shuffle-by-feature form of accumulate_matches), with a
-    # vectorized per-batch segment kernel that (a) drops overpopulated
-    # buckets — the reference's hot-feature removal,
-    # sketch_database.h:398-417 — and (b) emits (new x stored) pairs per
-    # surviving bucket. This replaces a census groupby + hash join
-    # (2 shuffles over every band row) with a single range shuffle;
-    # buckets split across batch boundaries are reassembled exactly by
-    # the bridge-row stitch in probe_tagged_bands.
+    # the probe: ONE hash exchange on bkey over the union of stored
+    # and new band rows (the shuffle-by-feature form of
+    # accumulate_matches); each bucket lands whole in one partition,
+    # whose kernel (a) drops overpopulated buckets — the reference's
+    # hot-feature removal, sketch_database.h:398-417 — and (b) emits
+    # (new x stored) pairs per surviving bucket
     def tag(side: int, id_col: str):
         def f(t: pa.Table) -> pa.Table:
             return pa.table(
@@ -696,15 +630,8 @@ def query_against_index(
     tagged = bands_idx.map_batches(tag(0, "idx_id"), batch_format="pyarrow").union(
         bands_new.map_batches(tag(1, "new_id"), batch_format="pyarrow")
     )
-    # pair dedup across bands is skipped, like the flagship: scoring is
-    # vectorized and idempotent, so re-verifying a pair found by k bands
-    # costs less than a (new_id, idx_id) shuffle
-    pairs = probe_tagged_bands(
-        tagged,
-        cfg.bucket_cap,
-        probe_batch_size=probe_batch_size,
-        num_partitions=num_partitions,
-    ).materialize()
+    # a pair found by k bands arrives k times; verify dedupes it
+    pairs = probe_tagged_bands(tagged, cfg.bucket_cap, num_partitions=num_partitions)
     n_pairs = pairs.count()
 
     # verify reads ONLY the signature files whose footer id range
@@ -738,9 +665,8 @@ def query_against_index(
     # matched subset of the clusters checkpoint (dup-subset pattern);
     # both assemblies run as single tasks over the materialized blocks —
     # only refs touch the driver (round-3 serial-overhead trim)
-    mref = _assemble_sorted_unique.remote(
-        "b", *(verified.to_arrow_refs() or [])
-    )
+    v_refs = verified.to_arrow_refs() or []
+    mref = _assemble_sorted_unique.remote("b", *v_refs)
     clusters_idx = _read_stage(ckpt_root, "clusters", columns=["doc_id", "cluster_id"])
 
     sub = clusters_idx.map_batches(
@@ -750,60 +676,26 @@ def query_against_index(
         "doc_id", "cluster_id", *(sub.to_arrow_refs() or [])
     )
 
-    def to_cluster(t: pa.Table) -> pa.Table:
-        ids_s, cl = ray.get(cref)
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        if len(a) == 0:
-            return pa.table(
-                {"new_id": pa.array([], type=pa.int64()),
-                 "cluster_id": pa.array([], type=pa.int64())}
-            )
-        if len(ids_s):
-            pos, found = lookup_sorted(ids_s, b)
-            out = np.where(found, cl[pos], b)  # stored doc absent from
-            # clusters artifact (shouldn't happen) -> fall back to its own id
-        else:
-            out = b.astype(np.int64)
-        # partial per-batch min (combiner): one row per new_id per batch
-        order = np.lexsort((out, a))
-        a_s, o_s = a[order], out[order]
-        change = np.empty(len(a_s), dtype=bool)
-        change[0] = True
-        np.not_equal(a_s[1:], a_s[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        return pa.table(
-            {
-                "new_id": pa.array(a_s[starts], type=pa.int64()),
-                "cluster_id": pa.array(
-                    np.minimum.reduceat(o_s, starts), type=pa.int64()
-                ),
-            }
-        )
+    # one task resolves every verified pair to its stored cluster and
+    # keeps the minimum per new doc (the result is batch-sized and the
+    # driver reads it anyway; a Ray Data groupby would add a shuffle)
+    match_ref = _min_cluster_per_new.remote(cref, *v_refs)
+    m_ids, _ = ray.get(match_ref)
 
-    match_tbl = (
-        verified.map_batches(to_cluster, batch_format="pyarrow")
-        .groupby("new_id")
-        .aggregate(Min("cluster_id", alias_name="matched_cluster_id"))
-        .to_pandas()
-    )
-    # nothing matched -> the empty groupby loses its schema on
-    # to_pandas(); rebuild the expected columns
-    match_tbl = ensure_columns(match_tbl, ["new_id", "matched_cluster_id"])
     # telemetry (r3 verdict item 9): one metrics.jsonl row per probe
     # with the band-overlap/verified/matched counts, so any recurrence
     # of the session-9 anomaly (verified pairs present, zero match
     # rows) is diagnosable post-hoc from the index root alone
     n_verified = verified.count()
-    status = "inconsistent" if (len(match_tbl) == 0 and n_verified > 0) else "ok"
+    status = "inconsistent" if (len(m_ids) == 0 and n_verified > 0) else "ok"
     try:
         row = metrics.record(
             "query_probe",
-            rows_out=len(match_tbl),
+            rows_out=len(m_ids),
             t_start=t0,
             n_candidate_pairs=n_pairs,
             n_verified=n_verified,
-            n_matched_new_docs=len(match_tbl),
+            n_matched_new_docs=len(m_ids),
             sig_files_read=sig_files_read,
             sig_files_total=sig_files_total,
             status=status,
@@ -824,14 +716,9 @@ def query_against_index(
             "cluster resolution produced no matches; re-run the query "
             f"(metrics.jsonl run_id={metrics.run_id})"
         )
-    m_ids = match_tbl["new_id"].to_numpy(dtype=np.int64)
-    order = np.argsort(m_ids)
-    m_ids = m_ids[order]
-    m_cl = match_tbl["matched_cluster_id"].to_numpy(dtype=np.int64)[order]
-    lref = ray.put((m_ids, m_cl))
 
     def finish(t: pa.Table) -> pa.Table:
-        ids_s, cl = ray.get(lref)
+        ids_s, cl = ray.get(match_ref)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         if len(ids_s):
             pos, found = lookup_sorted(ids_s, ids)

@@ -24,9 +24,8 @@ Design (scale notes):
   (~12 GB at fpp 1%). Past ``bitmap_broadcast_limit`` the build and
   probe degrade automatically to the shard-keyed path
   (``ShardedBloomFilter``): slices live as separate object refs and
-  probe rows are range-shuffled to their shard — the incremental
-  band-table probe topology, with per-task memory bounded by the
-  slices a batch touches.
+  probe rows are range-shuffled to their shard, with per-task memory
+  bounded by the slices a batch touches.
 - **Exactness**: ``filter_unseen`` uses the filter only to PRUNE. A
   bloom negative is definitely-new; the (rare) positives are
   exact-verified against the corpus keys with a broadcast semi-join
@@ -122,8 +121,7 @@ class ShardedBloomFilter:
     bitmap slices stay in the object store as SEPARATE refs — the full
     bitmap is never assembled on the driver or shipped as one object.
     Probes route rows to their shard (one range shuffle on the shard
-    key, the incremental band-probe topology) so each probe task pulls
-    only the slices its rows touch."""
+    key) so each probe task pulls only the slices its rows touch."""
 
     shard_refs: tuple  # ObjectRef per shard -> (m_shard // 64,) uint64
     m_shard: int

@@ -11,8 +11,11 @@ Semantics per bucket (band_id, band_hash):
   * bucket fragments larger than ``cap`` are dropped — the analog of the
     reference's overpopulated-feature removal / uint8 location cap
     (/root/reference/src/sketch_database.h:356-417, config.h:77); hot
-    boilerplate buckets are non-discriminative. Like the reference's
-    per-rank cap, ours applies per partition fragment.
+    boilerplate buckets are non-discriminative. In ``bucket_edges`` the
+    cap applies to each sorted-batch fragment, and a split bucket whose
+    reassembled size exceeds it also gets no cross-fragment edges; the
+    index probe (pipelines/incremental.py) sees every bucket whole, so
+    there the cap applies to the whole bucket.
   * surviving buckets emit star edges (min_doc_id, other_doc_id) —
     |bucket|-1 edges preserve union-find connectivity without the
     O(m^2) pair explosion (SURVEY.md §7.3).
@@ -25,7 +28,8 @@ boundaries is stitched by *bridge rows*: each batch also emits its
 first and last group as (bkey, fragment_min); any fragment of a split
 bucket is necessarily the first or last group of its batch, so a tiny
 driver-side pass over bridge rows adds the missing cross-fragment
-edges.
+edges. Pair dedup (``dedupe_edges`` / ``unique_pairs``) needs no
+order, so it runs on ``functions/blocks.hash_exchange`` instead.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count
 
+from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
 
 
@@ -284,11 +289,11 @@ def split_final_and_frags(emitted, flag_col: str, final_schema, frag_schema):
 
 def bridge_split(want_bridge: bool, cols: list[str]):
     """Batch filter routing the bridge-stitch convention shared by every
-    bucket-emission stage (flagship edges, all-pairs buckets, the
-    incremental probe, substring anchors): rows with ``bridge_key != 0``
-    are bucket fragments shipped to the driver stitch; rows with 0 are
-    in-batch results. ONE helper so a change to the sentinel scheme
-    cannot silently miss a stage (r3 review finding)."""
+    bucket-emission stage (flagship edges, all-pairs buckets, substring
+    anchors): rows with ``bridge_key != 0`` are bucket fragments shipped
+    to the driver stitch; rows with 0 are in-batch results. ONE helper
+    so a change to the sentinel scheme cannot silently miss a stage (r3
+    review finding)."""
 
     def f(t: pa.Table) -> pa.Table:
         bkv = t["bridge_key"].to_numpy(zero_copy_only=False)
@@ -473,81 +478,65 @@ def bucket_all_pairs(
     return edges
 
 
+def _pair_runs(count: bool, weight: str | None = None):
+    """lexsort + run-length kernel over (a, b): one row per distinct
+    pair, sorted. With ``count`` it adds ``n_bands_hit`` = the run's
+    row count (``weight=None``) or the sum of its ``weight`` column —
+    the map-side combine counts raw edges, the reduce sums partials."""
+
+    def kernel(t: pa.Table) -> pa.Table:
+        out = {"a": pa.int64(), "b": pa.int64()}
+        if count:
+            out["n_bands_hit"] = pa.int64()
+        if t.num_rows == 0:
+            return pa.schema(out).empty_table()
+        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        change = np.empty(len(a), dtype=bool)
+        change[0] = True
+        change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        starts = np.flatnonzero(change)
+        cols = [a[starts], b[starts]]
+        if count:
+            if weight is None:
+                cols.append(np.diff(np.append(starts, len(a))))
+            else:
+                w = t[weight].to_numpy(zero_copy_only=False).astype(np.int64)
+                cols.append(np.add.reduceat(w[order], starts))
+        return pa.table(
+            {name: pa.array(c, type=pa.int64()) for name, c in zip(out, cols)}
+        )
+
+    return kernel
+
+
 def dedupe_edges(edges, num_partitions: int = 32):
     """Collapse the same (a, b) edge found in multiple bands; keep the
     number of agreeing bands as a signal column ``n_bands_hit``.
 
-    Round-3 rewrite: sort(["a", "b"]) + per-whole-block run-length
-    kernel + two-fragment-rows-per-block driver stitch (the
-    windows-family pattern) replaced the hash-aggregate groupby, which
-    measured 119 s on a 34M-row / 32M-distinct edge list where the
-    narrow sort costs ~10 s. Equal pairs are contiguous after the sort,
-    so interior run lengths ARE the band counts; the first/last run of
-    each block may continue into a neighbor and ships as a fragment,
-    re-summed in a tiny driver pass."""
-    from metacache_mpi_ray.stages.windows import _split_frag
-
-    ds = edges.select_columns(["a", "b"])
-    sorted_ds = ds.sort(["a", "b"]).materialize()
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {
-                    "a": t["a"],
-                    "b": t["b"],
-                    "n_bands_hit": pa.array([], type=pa.int64()),
-                    "__frag": pa.array([], type=pa.bool_()),
-                }
-            )
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(a[1:], a[:-1], out=change[1:])
-        change[1:] |= b[1:] != b[:-1]
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n)).astype(np.int64)
-        nseg = len(starts)
-        # first/last runs may continue into the neighboring sorted block
-        frag = np.zeros(nseg, dtype=bool)
-        frag[0] = frag[-1] = True
-        sub = t.take(pa.array(starts))
-        return pa.table(
-            {
-                "a": sub["a"],
-                "b": sub["b"],
-                "n_bands_hit": pa.array(sizes, type=pa.int64()),
-                "__frag": pa.array(frag),
-            }
-        )
-
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        ["a", "b", "n_bands_hit"],
+    One ``hash_exchange`` on (a, b) with a map-side combine: each input
+    block collapses its own duplicates first (multiplicity is high — a
+    pair shared by k bands arrives k times), then every pair lands whole
+    in one of ``num_partitions`` partitions, where the same run-length
+    kernel sums the partial counts. No range sort, no boundary stitch."""
+    return hash_exchange(
+        edges,
+        ["a", "b"],
+        _pair_runs(True, "n_bands_hit"),
+        num_partitions=num_partitions,
+        combine=_pair_runs(True),
     )
-    if len(frags):
-        frags = (
-            frags.groupby(["a", "b"], as_index=False, sort=False)["n_bands_hit"]
-            .sum()
-        )
-        final = final.union(
-            ray.data.from_arrow(
-                pa.Table.from_pandas(
-                    frags[["a", "b", "n_bands_hit"]].reset_index(drop=True),
-                    preserve_index=False,
-                )
-            )
-        )
-    return final
 
 
-def unique_pairs(edges):
+def unique_pairs(edges, num_partitions: int = 32):
     """Distinct (a, b) rows, multiplicity dropped — ``dedupe_edges``
-    minus the count column (same sorted-run kernel; see there for the
-    groupby-vs-sort measurements)."""
-    return dedupe_edges(edges).select_columns(["a", "b"])
+    without the count column."""
+    distinct = _pair_runs(False)
+    return hash_exchange(
+        edges, ["a", "b"], distinct, num_partitions=num_partitions, combine=distinct
+    )
 
 
 def ambiguity_filter(ds, key_col: str, source_col: str, max_sources: int):

@@ -161,7 +161,7 @@ def _verify_core(
     # payloads, so multiplicity is pure cost; drop_empty_blocks keeps
     # the Ray 2.49 hash join off schema-less empty blocks
     # (functions/blocks.py)
-    edges = drop_empty_blocks(unique_pairs(edges).materialize(), schema=_PAIRS)
+    edges = drop_empty_blocks(unique_pairs(edges, num_partitions), schema=_PAIRS)
     if edges.count() == 0:
         # a globally-empty join side crashes the Ray 2.49 hash join
         # ("No match ... for key field reference"); nothing to score

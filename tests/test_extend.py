@@ -370,3 +370,31 @@ def test_extend_records_phase_timings(built_a):
             "rewrite_clusters", "commit"} <= set(ph)
     assert ext[-1]["n_new"] == 20
     assert abs(sum(ph.values()) - ext[-1]["seconds"]) < 1.5
+
+
+def test_query_and_extend_run_no_keyed_range_sort_or_groupby(built_a, monkeypatch):
+    """The per-batch query and extend paths run their keyed steps (pair
+    dedup, the band probe, cluster resolution) as hash exchanges: no
+    Ray Data sort on the band key or on (a, b), and no groupby. Extend's
+    doc_id sort of the batch signatures (the footer-pruned layout) is
+    the one sort allowed."""
+    sorts, groupbys = [], []
+    orig_sort = rd.Dataset.sort
+
+    def sort(self, key=None, *args, **kwargs):
+        sorts.append(key)
+        return orig_sort(self, key, *args, **kwargs)
+
+    def groupby(self, key, *args, **kwargs):
+        groupbys.append(key)
+        raise AssertionError(f"groupby({key!r}) on the per-batch path")
+
+    monkeypatch.setattr(rd.Dataset, "sort", sort)
+    monkeypatch.setattr(rd.Dataset, "groupby", groupby)
+    root, _, _ = built_a
+    b_ids, b_src = _b_batch()
+    res = query_against_index(_token_docs(b_ids, b_src), root, num_partitions=4)
+    assert res.to_pandas()["matched"].sum() == 3  # copies of 0, 3, 30
+    extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4).to_pandas()
+    assert groupbys == []
+    assert sorts and all(k == "doc_id" for k in sorts), sorts

@@ -309,14 +309,17 @@ def test_incremental_agrees_with_full_recompute(tmp_path, corpus_dir):
         assert bool(got.loc[bid]) == has_a_partner, bid
 
 
+BLOCKS_X_PARTITIONS = [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
+
+
 def test_probe_bridge_stitch_across_batch_boundary():
-    """A band bucket split across probe batches must still emit its
-    cross-fragment new x stored pairs (round-2 probed per fragment)."""
+    """A band bucket spread over many input blocks must emit its full
+    new x stored cross product at every partition count, and a bucket
+    over the cap (stored + new rows) must emit nothing."""
     from metacache_mpi_ray.pipelines.incremental import probe_tagged_bands
 
     # bucket bkey=5: stored {1,2,3} + new {11,12,13}; bucket bkey=9:
-    # stored {4} + new {14}. batch_size=4 splits bucket 5 into a 4-row
-    # and a 2-row fragment whatever the within-key order is.
+    # stored {4} + new {14}
     tab = pa.table(
         {
             "bkey": pa.array([5] * 6 + [9] * 2, type=pa.int64()),
@@ -324,30 +327,23 @@ def test_probe_bridge_stitch_across_batch_boundary():
             "side": pa.array([0, 0, 0, 1, 1, 1, 0, 1], type=pa.int8()),
         }
     )
-    pairs = probe_tagged_bands(
-        rd.from_arrow(tab), cap=256, probe_batch_size=4
-    ).to_pandas()
-    got = set(zip(pairs["a"], pairs["b"]))
     want = {(n, s) for n in (11, 12, 13) for s in (1, 2, 3)} | {(14, 4)}
-    assert got == want
-
-    # over-cap reassembled bucket: no cross-fragment pairs added
-    pairs_capped = probe_tagged_bands(
-        rd.from_arrow(tab), cap=4, probe_batch_size=4
-    ).to_pandas()
-    got_capped = set(zip(pairs_capped["a"], pairs_capped["b"]))
-    # bucket 5 has 6 members > cap=4: only per-fragment emission of
-    # fragments <= cap may appear, and never pairs requiring the full
-    # bucket; bucket 9 (2 members) survives intact
-    assert (14, 4) in got_capped
-    assert not {(11, 1), (12, 2), (13, 3)} <= got_capped
+    for k, p in BLOCKS_X_PARTITIONS:
+        ds = rd.from_arrow(tab).repartition(k)
+        pairs = probe_tagged_bands(ds, cap=256, num_partitions=p).to_pandas()
+        assert set(zip(pairs["a"], pairs["b"])) == want, (k, p)
+        assert len(pairs) == len(want), (k, p)
+        # bucket 5 has 6 members > cap=4: none of its pairs; bucket 9
+        # (2 members) survives intact
+        capped = probe_tagged_bands(ds, cap=4, num_partitions=p).to_pandas()
+        assert set(zip(capped["a"], capped["b"])) == {(14, 4)}, (k, p)
 
 
 def test_probe_emit_new_new_across_batch_boundaries():
-    """emit_new_new (the extend-mode probe): every (new x new) pair of a
-    surviving bucket must be emitted even when the bucket is split
-    across probe batches — compared against a brute-force enumeration
-    over several forced batch sizes."""
+    """emit_new_new (the extend-mode probe): every (new x new) and
+    (new x stored) pair of a bucket within the cap is emitted, and no
+    pair of an over-cap bucket, whatever the input block count and
+    partition count — compared against a brute-force enumeration."""
     import itertools
 
     from metacache_mpi_ray.pipelines.incremental import probe_tagged_bands
@@ -371,12 +367,8 @@ def test_probe_emit_new_new_across_batch_boundaries():
             "side": pa.array([rows[i][2] for i in perm], type=pa.int8()),
         }
     )
-    # brute force: buckets <= cap must emit EVERY pair (want_min);
-    # over-cap buckets may leak a SUBSET of their pairs from
-    # per-fragment emission (the documented cap-leniency direction —
-    # fragments <= cap emit in-kernel before the stitch sees the
-    # reassembled total; same behavior as the flagship's bucket_edges)
-    want_min, allowed_extra = set(), set()
+    # brute force: buckets <= cap emit EVERY pair, over-cap buckets none
+    want_min = set()
     cap = 8
     by_key: dict[int, list[tuple[int, int]]] = {}
     for bkey, i, side in rows:
@@ -384,45 +376,42 @@ def test_probe_emit_new_new_across_batch_boundaries():
     for bkey, members in by_key.items():
         new = sorted(i for i, s in members if s == 1)
         stored = sorted(i for i, s in members if s == 0)
-        bucket_pairs = {(n, s) for n in new for s in stored} | {
-            (a, b) for a, b in itertools.combinations(new, 2)
-        }
-        if len(members) > cap:
-            allowed_extra |= bucket_pairs
-        else:
-            want_min |= bucket_pairs
-    for bs in (2, 3, 5, None):
+        if len(members) <= cap:
+            want_min |= {(n, s) for n in new for s in stored}
+            want_min |= set(itertools.combinations(new, 2))
+    assert len(by_key[21]) > cap  # the over-cap bucket is exercised
+    for k, p in BLOCKS_X_PARTITIONS:
         pairs = probe_tagged_bands(
-            rd.from_arrow(tab), cap=cap, probe_batch_size=bs, emit_new_new=True
+            rd.from_arrow(tab).repartition(k),
+            cap=cap,
+            num_partitions=p,
+            emit_new_new=True,
         ).to_pandas()
         got = set(zip(pairs["a"], pairs["b"]))
-        assert want_min <= got, f"batch_size={bs}: missing {want_min - got}"
-        assert got <= want_min | allowed_extra, (
-            f"batch_size={bs}: invented {got - want_min - allowed_extra}"
-        )
-        if bs is None:  # one batch: every bucket whole, exact semantics
-            assert got == want_min
+        assert got == want_min, (k, p, got ^ want_min)
 
 
 def test_query_with_tiny_probe_batches_matches_default(index_root):
-    """End-to-end: forcing many probe-batch boundaries must not lose
-    matches vs the default batch size."""
+    """End-to-end: the query result must not depend on how the batch is
+    split into blocks or on the probe's partition count."""
     from metacache_mpi_ray.pipelines.incremental import query_against_index
 
     root, _, corpus_dir = index_root
     pages = rd.read_parquet(f"{corpus_dir}/pages").to_pandas()
     sub = pages.head(12).copy()
     sub["url"] = "http://q.example/" + sub.index.astype(str)
-    new_docs = ingest_pages(rd.from_pandas(sub))
+    new_docs = ingest_pages(rd.from_pandas(sub)).materialize()
     base = query_against_index(new_docs, root, num_partitions=4).to_pandas()
-    tiny = query_against_index(
-        new_docs, root, num_partitions=4, probe_batch_size=3
-    ).to_pandas()
     b = base.sort_values("doc_id").reset_index(drop=True)
-    t = tiny.sort_values("doc_id").reset_index(drop=True)
-    assert (b["matched"] == t["matched"]).all()
-    assert (b["matched_cluster_id"] == t["matched_cluster_id"]).all()
     assert b["matched"].any()
+    for k, p in BLOCKS_X_PARTITIONS:
+        got = query_against_index(
+            new_docs.repartition(k), root, num_partitions=p
+        ).to_pandas()
+        t = got.sort_values("doc_id").reset_index(drop=True)
+        assert (b["doc_id"] == t["doc_id"]).all(), (k, p)
+        assert (b["matched"] == t["matched"]).all(), (k, p)
+        assert (b["matched_cluster_id"] == t["matched_cluster_id"]).all(), (k, p)
 
 
 def test_repl_index_agrees_with_batch_query(index_root):
@@ -522,6 +511,42 @@ def test_repl_index_honors_bucket_cap(tmp_path):
     # must agree the probe matches nothing
     assert not batch["matched"].iloc[0]
     assert repl["matched"] is False or repl["matched"] == False  # noqa: E712
+
+
+@pytest.mark.parametrize("n_stored, matched", [(2, True), (3, False)])
+def test_repl_index_cap_counts_the_query_doc(tmp_path, n_stored, matched):
+    """A bucket's size includes the query doc on both paths: with
+    bucket_cap=3, 2 identical stored docs + the query fit the cap and
+    match, 3 + the query do not (the repl used to keep a bucket of
+    exactly ``cap`` stored docs that the batch probe drops)."""
+    from metacache_mpi_ray.pipelines.incremental import ReplIndex
+
+    cfg = DedupConfig(bucket_cap=3)
+    body = "identical boilerplate body repeated " * 20
+    corpus = ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(n_stored), type=pa.int64()),
+                    "text": pa.array([body] * n_stored, type=pa.string()),
+                }
+            )
+        )
+    )
+    root = str(tmp_path / "capidx")
+    build_index(corpus, cfg, root, num_partitions=2)
+    probe_doc = ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {"doc_id": pa.array([999], type=pa.int64()),
+                 "text": pa.array([body], type=pa.string())}
+            )
+        )
+    )
+    batch = query_against_index(probe_doc, root, num_partitions=2).to_pandas()
+    repl = ReplIndex(root).query(body)
+    assert bool(batch["matched"].iloc[0]) is matched
+    assert repl["matched"] is matched
 
 
 def test_repl_index_ram_guard(index_root):

@@ -283,9 +283,10 @@ def test_auto_planes_scaling():
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 17])
 def test_dedupe_edges_counts_match_pandas(n_blocks):
-    """Sorted-run band counting must equal the pandas groupby count at
-    every block count, including when one pair's run straddles sorted
-    block boundaries (heavy multiplicity, many small blocks)."""
+    """Band counting must equal the pandas groupby count at every block
+    and partition count, including when one pair's rows are spread over
+    many input blocks (heavy multiplicity, many small blocks, so the
+    map-side partial counts must be summed)."""
     from metacache_mpi_ray.stages.candidates import dedupe_edges
 
     rng = np.random.default_rng(13)
@@ -295,12 +296,6 @@ def test_dedupe_edges_counts_match_pandas(n_blocks):
             "b": rng.integers(0, 25, size=4000).astype(np.int64),
         }
     )
-    got = (
-        dedupe_edges(rd.from_pandas(df).repartition(n_blocks))
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
     want = (
         df.groupby(["a", "b"], as_index=False)
         .size()
@@ -309,32 +304,43 @@ def test_dedupe_edges_counts_match_pandas(n_blocks):
         .sort_values(["a", "b"])
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got, want)
+    ds = rd.from_pandas(df).repartition(n_blocks)
+    for num_partitions in (1, 2, 5):
+        got = (
+            dedupe_edges(ds, num_partitions=num_partitions)
+            .to_pandas()
+            .sort_values(["a", "b"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want)
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 17])
 def test_unique_pairs_matches_pandas(n_blocks):
-    """Sorted-run dedup must equal pandas drop_duplicates at every block
-    count, including when an equal-pair run straddles block boundaries
-    (forced by heavy per-pair multiplicity + many small blocks)."""
+    """Pair dedup must equal pandas drop_duplicates at every block and
+    partition count, including when one pair's rows are spread over
+    many input blocks (heavy per-pair multiplicity + many small
+    blocks)."""
     from metacache_mpi_ray.stages.candidates import unique_pairs
 
     rng = np.random.default_rng(7)
     a = rng.integers(0, 40, size=5000)
     b = rng.integers(0, 40, size=5000)
     df = pd.DataFrame({"a": a.astype(np.int64), "b": b.astype(np.int64)})
-    got = (
-        unique_pairs(rd.from_pandas(df).repartition(n_blocks))
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
     want = (
         df.drop_duplicates(["a", "b"])
         .sort_values(["a", "b"])
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got, want)
+    ds = rd.from_pandas(df).repartition(n_blocks)
+    for num_partitions in (1, 2, 5):
+        got = (
+            unique_pairs(ds, num_partitions=num_partitions)
+            .to_pandas()
+            .sort_values(["a", "b"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want)
 
 
 # ----------------------------------------- shared verify strategy switch
