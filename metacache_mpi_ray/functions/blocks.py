@@ -8,9 +8,11 @@ and later poison an acero join whose partition sees only them
 ("No match ... for key field reference"). Pruning by block ref is
 metadata-only — no data moves.
 
-``hash_exchange`` is the keyed all-to-all for per-batch data: plain
-Ray tasks instead of a Ray Data ``sort``/``groupby``, whose fixed cost
-per execution dwarfs the work on a small input.
+``hash_exchange`` is the engine's keyed all-to-all (pair dedup, the
+index probe, every bucket and segment stage): plain Ray tasks instead
+of a Ray Data ``sort``/``groupby``, whose fixed cost per execution
+dwarfs the work on a small input, and whose sorted blocks split key
+groups that then need a boundary stitch.
 """
 
 from __future__ import annotations

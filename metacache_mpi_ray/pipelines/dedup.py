@@ -56,11 +56,10 @@ def near_dup_pipeline(
     # coalesce the signer output to ~num_partitions blocks inside the
     # same execution: the read stage typically hands down hundreds of
     # row-group-sized blocks, and every downstream pass inherits that
-    # count — Ray's sort shuffles with one sample + one reduce partition
-    # PER INPUT BLOCK, so the banding sort over 208 tiny blocks measured
-    # 5.3 s against 1.0 s over 32 coalesced blocks (same rows, matched
-    # healthy-probe A/B at 120k docs). At real scale the caller sizes
-    # num_partitions to the cluster, which keeps blocks near the
+    # count — the bucket hash exchange runs one split task per INPUT
+    # block (each returning num_partitions pieces), so the coalesce
+    # bounds its task count at num_partitions. At real scale the caller
+    # sizes num_partitions to the cluster, which keeps blocks near the
     # object-store target size instead of row-group crumbs.
     sigs = (
         compute_signatures(docs, cfg, concurrency=signer_concurrency, batch_size=128)

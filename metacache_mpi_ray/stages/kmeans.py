@@ -20,7 +20,7 @@ Ray Data shapes:
 * ``kmeans_assign`` — stateless ``map_batches`` argmax/argmin against
   the broadcast centroids (ties -> lowest cell id, deterministic).
 * ``semantic_dedup`` — assign cells, emit capped all-pairs per cell
-  (the flagship's exact bucket machinery with fragment bridges),
+  (``bucket_all_pairs``: the flagship's bucket hash exchange),
   verify pairs by exact cosine through the shared payload-sized
   broadcast-vs-join switch, union-find the surviving edges, and keep
   min-id per component. Identical vectors always share a cell (the

@@ -8,16 +8,21 @@ Two layers:
 1. ``anchor_candidates`` — corpus-wide: every doc emits sampled exact
    ``anchor_len``-char anchors (keep a window's rolling hash when
    ``hash % anchor_mod == 0`` — winnowing-style deterministic sampling);
-   a groupby on the anchor hash yields docs sharing an exact span,
-   star-edges like the LSH stage. Because the anchor is an exact
+   bucketing on the anchor hash (``bucket_edges``) yields docs sharing
+   an exact span, star-edges like the LSH stage. Because the anchor is an exact
    64-char substring, a shared key IS an exact long match (up to 64-bit
    hash collision, same risk class as the reference's feature hash).
 
 2. ``cluster_lcs_report`` — per-cluster exact refinement: the longest
    common substring of each member against the cluster representative
    via the ``lcs_len_hashed`` binary-search rolling-hash kernel,
-   dispatched as one sort + per-batch segment kernel (round-3; the
-   suffix-array machinery below remains as the cross-check oracle).
+   dispatched as one hash exchange on ``cluster_id`` (the suffix-array
+   machinery below remains as the cross-check oracle).
+
+``scored_substring_edges`` (the contiguous-run scorer) and
+``cluster_lcs_report`` run every keyed step on
+``functions/blocks.hash_exchange``: each reduce sees its key groups
+whole, so no stage range-sorts or stitches boundary fragments.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.hashing import U64, splitmix64
+from metacache_mpi_ray.functions.blocks import hash_exchange
+from metacache_mpi_ray.functions.hashing import U64
 from metacache_mpi_ray.stages.candidates import (
-    split_edges_and_bridges,
     bucket_edges,
     dedupe_edges,
+    run_bounds,
+    segment_all_pairs,
 )
 
 
@@ -118,7 +125,9 @@ def anchor_rows(
         keep[0] = True
         keep[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
         hh = (hs[keep] >> np.uint64(1)).astype(np.int64)
-        hh[hh == 0] = 1  # 0 is the bridge-row sentinel (2^-63 event)
+        # 0 -> 1 (a 2^-63 event): 0 was once a sentinel; the fold stays
+        # so anchor keys, like band keys, keep their earlier values
+        hh[hh == 0] = 1
         out = {
             "anchor_hash": pa.array(hh),
             "doc_id": pa.array(ds[keep], type=pa.int64()),
@@ -197,108 +206,61 @@ def positional_anchor_rows(cfg: DedupConfig):
     return anchor_rows(cfg, include_pos=True)
 
 
-def _pairs_from_group(g_ids: np.ndarray, g_pos: np.ndarray, pair_cap: int):
-    """All distinct (a<b) pairs of one anchor bucket with diagonal and
-    a-side position — one segment through the shared vectorized kernel
-    (``segment_all_pairs``), so the cross-fragment stitch uses exactly
-    the in-batch cap-sampling rule and a split bucket reassembles to
-    the same pair set a one-batch bucket would emit."""
-    from metacache_mpi_ray.stages.candidates import segment_all_pairs
-
-    a, b, ea, eb = segment_all_pairs(
-        g_ids,
-        np.zeros(1, dtype=np.int64),
-        np.array([len(g_ids)], dtype=np.int64),
-        np.ones(1, dtype=bool),
-        extra=g_pos,
-        sample_cap=pair_cap,
-    )
-    return a, b, ea - eb, ea
+_PAIR_SCHEMA = pa.schema(
+    [("a", pa.int64()), ("b", pa.int64()), ("diag", pa.int64()), ("pos_a", pa.int64())]
+)
 
 
-def _emit_bucket_pairs(pair_cap: int):
-    """Sorted (anchor_hash, doc_id, pos) batch -> (a, b, diag, pos_a)
-    pair rows per bucket (all pairs, bucket capped at ``pair_cap``
-    deterministically-sampled members). Buckets split across batch
-    boundaries ship their first/last-segment members as bridge rows
-    (bridge_key = anchor_hash, pos riding in pos_a) for the driver
-    stitch in ``scored_substring_edges`` — exact reassembly, replacing
-    round-2's per-fragment (recall-lenient) scoring."""
+def _bucket_pairs(pair_cap: int):
+    """Reduce over whole anchor buckets: (anchor_hash, doc_id, pos) ->
+    (a, b, diag, pos_a), all pairs of each bucket; a bucket larger than
+    ``pair_cap`` pairs up its ``pair_cap`` smallest-splitmix64(id)
+    members (``segment_all_pairs``'s deterministic sample)."""
 
-    def emit(t: pa.Table) -> pa.Table:
+    def reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return _PAIR_SCHEMA.empty_table()
         keys = t["anchor_hash"].to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        pos = t["pos"].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        empty = pa.table(
-            {"a": pa.array([], type=pa.int64()),
-             "b": pa.array([], type=pa.int64()),
-             "diag": pa.array([], type=pa.int64()),
-             "pos_a": pa.array([], type=pa.int64()),
-             "bridge_key": pa.array([], type=pa.int64())}
-        )
-        if n == 0:
-            return empty
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n))
-        nseg = len(starts)
-        from metacache_mpi_ray.stages.candidates import segment_all_pairs
-
-        # boundary segments LARGER than the cap are excluded from
-        # in-batch emission: their per-fragment sample differs from the
-        # reassembled bucket's global sample, so emitting both would
-        # make the pair set depend on batch layout (round-3 review).
-        # The stitch re-emits them from the global min-mix sample; an
-        # over-cap bucket fully interior to a batch samples over its
-        # complete membership, which IS the global sample.
-        mask = sizes > 1
-        boundary = np.zeros(nseg, dtype=bool)
-        boundary[0] = boundary[-1] = True
-        mask &= ~(boundary & (sizes > pair_cap))
+        order = np.argsort(keys, kind="stable")
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)[order]
+        pos = t["pos"].to_numpy(zero_copy_only=False)[order]
+        starts, sizes = run_bounds(keys[order])
         a, b, ea, eb = segment_all_pairs(
-            ids, starts, sizes, mask, extra=pos, sample_cap=pair_cap
+            ids, starts, sizes, sizes > 1, extra=pos, sample_cap=pair_cap
         )
-        d = ea - eb
-        p = ea
-        # bridge rows: members of the batch's first and last segment.
-        # HOT-BUCKET BOUND: a fragment larger than pair_cap ships only
-        # its pair_cap smallest-splitmix64(id) rows — the stitch's
-        # _pairs_from_group applies that SAME deterministic sampling to
-        # the reassembled bucket, and the global sample is always a
-        # subset of the union of per-fragment samples, so the stitched
-        # pair set is unchanged while a boilerplate anchor shared by
-        # 100k docs no longer floods the driver (r3 review finding).
-        bridge_idx = [0] if nseg == 1 else [0, nseg - 1]
-        bm_l, bp_l, bk_l = [], [], []
-        for gi in bridge_idx:
-            sl = slice(starts[gi], starts[gi] + sizes[gi])
-            f_ids, f_pos = ids[sl], pos[sl]
-            if sizes[gi] > pair_cap:
-                mix = splitmix64(f_ids.astype(np.int64).view(U64))
-                pick = np.argsort(mix, kind="stable")[:pair_cap]
-                f_ids, f_pos = f_ids[pick], f_pos[pick]
-            bm_l.append(f_ids)
-            bp_l.append(f_pos)
-            bk_l.append(np.full(len(f_ids), keys[starts[gi]], dtype=np.int64))
-        bm = np.concatenate(bm_l)
-        bp = np.concatenate(bp_l)
-        bk = np.concatenate(bk_l)
-        zero = np.zeros(len(a), dtype=np.int64)
-        zb = np.zeros(len(bm), dtype=np.int64)
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate([a, bm]), type=pa.int64()),
-                "b": pa.array(np.concatenate([b, zb]), type=pa.int64()),
-                "diag": pa.array(np.concatenate([d, zb]), type=pa.int64()),
-                "pos_a": pa.array(np.concatenate([p, bp]), type=pa.int64()),
-                "bridge_key": pa.array(np.concatenate([zero, bk]), type=pa.int64()),
-            }
-        )
+        return pa.Table.from_arrays([a, b, ea - eb, ea], schema=_PAIR_SCHEMA)
 
-    return emit
+    return reduce
+
+
+def _diagonal_runs(anchor_len: int, max_gap: int, min_match_len: int):
+    """Reduce over whole (a, b) pairs: (a, b, diag, pos_a) -> (a, b,
+    est_span). Per diagonal, positions split into runs at gaps above
+    ``max_gap``; a run spans last - first + ``anchor_len`` chars; each
+    pair keeps its longest run if it reaches ``min_match_len``."""
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_span", pa.int64())])
+
+    def reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return schema.empty_table()
+        a, b, d, p = (
+            t[c].to_numpy(zero_copy_only=False) for c in ("a", "b", "diag", "pos_a")
+        )
+        order = np.lexsort((p, d, b, a))
+        a, b, d, p = a[order], b[order], d[order], p[order]
+        brk = np.zeros(len(a), dtype=bool)
+        brk[run_bounds(a, b, d)[0]] = True
+        brk[1:] |= (p[1:] - p[:-1]) > max_gap
+        first = np.flatnonzero(brk)
+        last = np.append(first[1:], len(a)) - 1
+        span = p[last] - p[first] + anchor_len
+        pair_starts, _ = run_bounds(a[first], b[first])
+        best = np.maximum.reduceat(span, pair_starts)
+        ok = best >= min_match_len
+        firsts = first[pair_starts[ok]]
+        return pa.Table.from_arrays([a[firsts], b[firsts], best[ok]], schema=schema)
+
+    return reduce
 
 
 def scored_substring_edges(
@@ -308,7 +270,6 @@ def scored_substring_edges(
     num_partitions: int = 16,
     pair_cap: int = 16,
     max_gap: int | None = None,
-    pair_batch_size: int | None = None,
 ):
     """Candidate pairs scored by the longest CONTIGUOUS anchor run on a
     shared diagonal (pos_a - pos_b constant): est_span ≈ the longest
@@ -316,12 +277,11 @@ def scored_substring_edges(
     ``substring_dup_edges`` heuristic. Returns (a, b, est_span) with
     est_span >= cfg.min_match_len.
 
-    Two sort-shuffles, both vectorized per batch: anchors bucket by
-    hash (pairs per bucket), then pairs order by (a, b, diag, pos_a)
-    for run detection via gap thresholds + reduceat.
+    Two hash exchanges over ``num_partitions`` partitions: anchors key
+    on ``anchor_hash`` (all pairs per whole bucket), then pairs key on
+    (a, b), whose reduce scores gap-split runs per diagonal and keeps
+    each pair's longest.
     """
-    from ray.data.aggregate import Max
-
     cfg = cfg or DedupConfig()
     if max_gap is None:
         # anchors sample ~1/anchor_mod of positions; a gap beyond
@@ -329,161 +289,15 @@ def scored_substring_edges(
         # probability (1-1/mod)^gap ~ e^-8 — treat as a region break
         max_gap = cfg.anchor_len + 8 * cfg.anchor_mod
     rows = docs.map_batches(positional_anchor_rows(cfg), batch_format="pyarrow")
-    # coalesce before the sort: Ray's sort pays one sample task + one
-    # reduce partition per INPUT block (see pipelines/dedup.py — 5x
-    # measured on the flagship's band sort); this is also what
-    # num_partitions controls here
-    emitted = (
-        rows.repartition(num_partitions)
-        .sort("anchor_hash")
-        .map_batches(
-            _emit_bucket_pairs(pair_cap),
-            batch_format="pyarrow",
-            batch_size=pair_batch_size,
-        )
-        .materialize()
+    pairs = hash_exchange(
+        rows, ["anchor_hash"], _bucket_pairs(pair_cap), num_partitions=num_partitions
     )
-
-    # stitch buckets split across batch boundaries: reassemble members
-    # from the bridge rows (<= 2 segments/batch) and emit the full pair
-    # set under the shared cap-sampling rule; duplicates of in-fragment
-    # pairs collapse in the runs kernel (equal positions -> same span)
-    pairs, bridges = split_edges_and_bridges(
-        emitted, ["a", "b", "diag", "pos_a"], ["a", "pos_a", "bridge_key"]
+    return hash_exchange(
+        pairs,
+        ["a", "b"],
+        _diagonal_runs(cfg.anchor_len, max_gap, cfg.min_match_len),
+        num_partitions=num_partitions,
     )
-    if len(bridges):
-        ex_a, ex_b, ex_d, ex_p = [], [], [], []
-        for _, grp in bridges.groupby("bridge_key"):
-            g_ids = grp["a"].to_numpy(dtype=np.int64)
-            g_pos = grp["pos_a"].to_numpy(dtype=np.int64)
-            if len(g_ids) < 2:
-                continue
-            a2, b2, d2, p2 = _pairs_from_group(g_ids, g_pos, pair_cap)
-            ex_a.append(a2)
-            ex_b.append(b2)
-            ex_d.append(d2)
-            ex_p.append(p2)
-        if ex_a and sum(len(x) for x in ex_a):
-            import ray.data as rd
-
-            extra = pa.table(
-                {
-                    "a": pa.array(np.concatenate(ex_a), type=pa.int64()),
-                    "b": pa.array(np.concatenate(ex_b), type=pa.int64()),
-                    "diag": pa.array(np.concatenate(ex_d), type=pa.int64()),
-                    "pos_a": pa.array(np.concatenate(ex_p), type=pa.int64()),
-                }
-            )
-            pairs = pairs.union(rd.from_arrow(extra))
-
-    def runs(t: pa.Table) -> pa.Table:
-        """Interior (a, b, diag) segments score their gap-split runs in
-        place; the batch's first and last segment ship raw (pos riding
-        in est_span, is_frag=1) to a driver stitch, so a diagonal run
-        split across batch boundaries scores over its full position set
-        instead of per fragment (round-2's lenient under-estimate)."""
-        n = len(t)
-        empty = pa.table(
-            {"a": pa.array([], type=pa.int64()),
-             "b": pa.array([], type=pa.int64()),
-             "diag": pa.array([], type=pa.int64()),
-             "est_span": pa.array([], type=pa.int64()),
-             "is_frag": pa.array([], type=pa.bool_())}
-        )
-        if n == 0:
-            return empty
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        d = t["diag"].to_numpy(zero_copy_only=False)
-        p = t["pos_a"].to_numpy(zero_copy_only=False)
-        seg = np.empty(n, dtype=bool)
-        seg[0] = True
-        seg[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (d[1:] != d[:-1])
-        seg_starts = np.flatnonzero(seg)
-        seg_sizes = np.diff(np.append(seg_starts, n))
-        nseg = len(seg_starts)
-        seg_idx = np.repeat(np.arange(nseg), seg_sizes)
-        edge_row = (seg_idx == 0) | (seg_idx == nseg - 1)
-        # interior rows: gap-split runs, vectorized
-        brk = seg.copy()
-        brk[1:] |= (p[1:] - p[:-1]) > max_gap
-        interior = ~edge_row
-        cols = {"a": [], "b": [], "d": [], "v": [], "frag": []}
-        if interior.any():
-            ii = np.flatnonzero(interior)
-            bi = brk[ii].copy()
-            bi[0] = True
-            starts_i = ii[np.flatnonzero(bi)]
-            sizes_i = np.diff(np.append(np.flatnonzero(bi), len(ii)))
-            last_i = ii[np.flatnonzero(bi) + sizes_i - 1]
-            span = p[last_i] - p[starts_i] + cfg.anchor_len
-            cols["a"].append(a[starts_i])
-            cols["b"].append(b[starts_i])
-            cols["d"].append(d[starts_i])
-            cols["v"].append(span)
-            cols["frag"].append(np.zeros(len(starts_i), dtype=bool))
-        if edge_row.any():
-            ei = np.flatnonzero(edge_row)
-            cols["a"].append(a[ei])
-            cols["b"].append(b[ei])
-            cols["d"].append(d[ei])
-            cols["v"].append(p[ei])  # raw positions for the stitch
-            cols["frag"].append(np.ones(len(ei), dtype=bool))
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate(cols["a"]), type=pa.int64()),
-                "b": pa.array(np.concatenate(cols["b"]), type=pa.int64()),
-                "diag": pa.array(np.concatenate(cols["d"]), type=pa.int64()),
-                "est_span": pa.array(np.concatenate(cols["v"]), type=pa.int64()),
-                "is_frag": pa.array(np.concatenate(cols["frag"]), type=pa.bool_()),
-            }
-        )
-
-    emitted2 = (
-        pairs.repartition(num_partitions)
-        .sort(["a", "b", "diag", "pos_a"])
-        .map_batches(runs, batch_format="pyarrow", batch_size=pair_batch_size)
-        .materialize()
-    )
-
-    from metacache_mpi_ray.stages.candidates import split_final_and_frags
-
-    scored_rows, frags = split_final_and_frags(
-        emitted2,
-        "is_frag",
-        pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_span", pa.int64())]),
-        pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("diag", pa.int64()),
-             ("est_span", pa.int64())]
-        ),
-    )
-    if len(frags):
-        fa, fb, fv = [], [], []
-        for (ga, gb, _gd), grp in frags.groupby(["a", "b", "diag"]):
-            ps = np.sort(np.unique(grp["est_span"].to_numpy(dtype=np.int64)))
-            gaps = np.flatnonzero(np.diff(ps) > max_gap)
-            rs = np.concatenate([[0], gaps + 1])
-            re = np.concatenate([gaps, [len(ps) - 1]])
-            span = (ps[re] - ps[rs] + cfg.anchor_len).max()
-            fa.append(ga)
-            fb.append(gb)
-            fv.append(int(span))
-        if fa:
-            extra2 = pa.table(
-                {
-                    "a": pa.array(fa, type=pa.int64()),
-                    "b": pa.array(fb, type=pa.int64()),
-                    "est_span": pa.array(fv, type=pa.int64()),
-                }
-            )
-            import ray.data as rd
-
-            scored_rows = scored_rows.union(rd.from_arrow(extra2))
-
-    scored = scored_rows.groupby(["a", "b"]).aggregate(
-        Max("est_span", alias_name="est_span")
-    )
-    return scored.filter(expr=f"est_span >= {cfg.min_match_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -617,143 +431,72 @@ def _lcs_rows_for_cluster(
     return out_c, out_d, out_l
 
 
+def _cluster_heads(head: int):
+    """The ``head`` smallest-doc_id rows of each cluster, sorted by
+    (cluster_id, doc_id) — the exchange's combine, and the reduce's
+    first step: a cluster's global head lies inside the union of its
+    per-block heads, so truncating map-side is exact."""
+
+    def kernel(t: pa.Table) -> pa.Table:
+        cl = t["cluster_id"].to_numpy(zero_copy_only=False)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, cl))
+        starts, sizes = run_bounds(cl[order])
+        rank = np.arange(len(order)) - np.repeat(starts, sizes)
+        return t.take(pa.array(order[rank < head]))
+
+    return kernel
+
+
 def cluster_lcs_report(
     docs_with_clusters,
     *,
     min_cluster: int = 2,
     max_members: int = 16,
-    batch_size: int | None = None,
 ):
     """Longest common substring between each cluster's representative
     (min doc_id) and its first ``max_members`` members — per-cluster
     exact refinement.
 
-    Dispatch is ONE ``sort(["cluster_id", "doc_id"])`` range shuffle +
-    a per-batch segment kernel (the windows.py pattern), replacing
-    round-2's ``groupby.map_groups`` + ``iterrows`` — one Python call
-    and DataFrame per cluster dominated at many clusters. The two
-    boundary segments of each batch ship raw (id, text) fragment rows
-    to an O(#blocks) driver stitch. Per-pair LCS cost is the
-    ``lcs_len_hashed`` kernel either way."""
-    sorted_ds = (
-        docs_with_clusters.select_columns(["cluster_id", "doc_id", "norm_text"])
-        .sort(["cluster_id", "doc_id"])
-        .materialize()
+    One ``hash_exchange`` on ``cluster_id`` over
+    ``joins.default_num_partitions()`` partitions: the map-side combine
+    keeps each cluster's ``max(max_members, min_cluster)`` smallest-
+    doc_id rows per block (enough to check ``min_cluster`` and score
+    ``max_members``), so a huge cluster does not ship all its text; the
+    reduce sees each cluster's head whole. Per-pair LCS cost is the
+    ``lcs_len_hashed`` kernel."""
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    heads = _cluster_heads(max(max_members, min_cluster))
+    schema = pa.schema(
+        [("cluster_id", pa.int64()), ("doc_id", pa.int64()),
+         ("lcs_with_rep", pa.int64())]
     )
 
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        empty = pa.table(
-            {"cluster_id": pa.array([], type=pa.int64()),
-             "doc_id": pa.array([], type=pa.int64()),
-             "lcs_with_rep": pa.array([], type=pa.int64()),
-             "text": pa.array([], type=pa.string()),
-             "is_frag": pa.array([], type=pa.bool_())}
-        )
-        if n == 0:
-            return empty
+    def reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return schema.empty_table()
+        t = heads(t)
         cl = t["cluster_id"].to_numpy(zero_copy_only=False)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(cl[1:], cl[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n))
-        nseg = len(starts)
-        texts = None  # decoded lazily: interior work may be empty
+        texts = t["norm_text"].to_pylist()
         out_c, out_d, out_l = [], [], []
-        for gi in range(1, nseg - 1):
-            if sizes[gi] < min_cluster:
-                continue
-            if texts is None:
-                texts = t["norm_text"].to_pylist()
-            s, z = starts[gi], sizes[gi]
+        for s, z in zip(*run_bounds(cl)):
             c, d_, l_ = _lcs_rows_for_cluster(
                 cl[s], ids[s : s + z], texts[s : s + z], min_cluster, max_members
             )
             out_c.extend(c)
             out_d.extend(d_)
             out_l.extend(l_)
-        # boundary segments -> fragment rows (only first max_members per
-        # fragment need to travel: rep + members are doc_id-minimal, and
-        # a cluster has at most 2 boundary fragments + interior rows
-        # already ordered, so the stitch sees a superset of its head)
-        # ship enough rows that the stitch can both CHECK min_cluster
-        # and score max_members — with min_cluster > max_members, a
-        # boundary cluster used to be skipped while the identical
-        # interior cluster was scored (round-3 review)
-        ship_cap = max(max_members, min_cluster)
-        frag_sel = []
-        for gi in ([0] if nseg == 1 else [0, nseg - 1]):
-            s, z = starts[gi], sizes[gi]
-            frag_sel.extend(range(s, s + min(z, ship_cap)))
-        ftab = t.take(pa.array(frag_sel, type=pa.int64()))
-        n_int = len(out_c)
-        n_frag = len(frag_sel)
-        return pa.table(
-            {
-                "cluster_id": pa.array(
-                    out_c + ftab["cluster_id"].to_pylist(), type=pa.int64()
-                ),
-                "doc_id": pa.array(
-                    out_d + ftab["doc_id"].to_pylist(), type=pa.int64()
-                ),
-                "lcs_with_rep": pa.array(
-                    out_l + [0] * n_frag, type=pa.int64()
-                ),
-                "text": pa.array(
-                    [""] * n_int + ftab["norm_text"].to_pylist(), type=pa.string()
-                ),
-                "is_frag": pa.array(
-                    [False] * n_int + [True] * n_frag, type=pa.bool_()
-                ),
-            }
+        return pa.Table.from_arrays(
+            [pa.array(v, type=pa.int64()) for v in (out_c, out_d, out_l)],
+            schema=schema,
         )
 
-    emitted = sorted_ds.map_batches(
-        kernel, batch_format="pyarrow", batch_size=batch_size
-    ).materialize()
-
-    from metacache_mpi_ray.stages.candidates import split_final_and_frags
-
-    final, frags = split_final_and_frags(
-        emitted,
-        "is_frag",
-        pa.schema(
-            [("cluster_id", pa.int64()), ("doc_id", pa.int64()),
-             ("lcs_with_rep", pa.int64())]
-        ),
-        pa.schema(
-            [("cluster_id", pa.int64()), ("doc_id", pa.int64()),
-             ("text", pa.string())]
-        ),
+    return hash_exchange(
+        docs_with_clusters.select_columns(["cluster_id", "doc_id", "norm_text"]),
+        ["cluster_id"],
+        reduce,
+        num_partitions=default_num_partitions(),
+        combine=heads,
     )
-    if len(frags):
-        out_c, out_d, out_l = [], [], []
-        for cid, grp in frags.groupby("cluster_id"):
-            grp = grp.sort_values("doc_id").head(max(max_members, min_cluster))
-            c, d_, l_ = _lcs_rows_for_cluster(
-                cid,
-                grp["doc_id"].to_numpy(dtype=np.int64),
-                grp["text"].tolist(),
-                min_cluster,
-                max_members,
-            )
-            out_c.extend(c)
-            out_d.extend(d_)
-            out_l.extend(l_)
-        if out_c:
-            import ray.data as rd
-
-            final = final.union(
-                rd.from_arrow(
-                    pa.table(
-                        {
-                            "cluster_id": pa.array(out_c, type=pa.int64()),
-                            "doc_id": pa.array(out_d, type=pa.int64()),
-                            "lcs_with_rep": pa.array(out_l, type=pa.int64()),
-                        }
-                    )
-                )
-            )
-    return final

@@ -116,9 +116,10 @@ def test_pipeline_deterministic(corpus_dir):
     assert (m["cluster_id_x"] == m["cluster_id_y"]).all()
     assert (m["is_dup_x"] == m["is_dup_y"]).all()
 def test_pipeline_block_size_invariant(corpus_dir):
-    """~16 KB blocks force hundreds of sorted-stream fragments; every
-    bucket/segment stitch must reassemble them to the identical result
-    (the at-scale regime where buckets straddle block boundaries)."""
+    """~16 KB blocks spread every bucket over hundreds of input blocks;
+    the bucket and pair hash exchanges must still see each key group
+    whole and give the identical clusters (the at-scale regime where a
+    bucket's rows come from many blocks)."""
     from ray.data import DataContext
 
     pages = rd.read_parquet(f"{corpus_dir}/pages")

@@ -1,5 +1,6 @@
 """functions/blocks.hash_exchange — the keyed all-to-all over plain Ray
-tasks that pair dedup and the index probe run on."""
+tasks that pair dedup, the index probe and the bucket and segment
+stages run on."""
 
 import numpy as np
 import pyarrow as pa
@@ -119,3 +120,103 @@ def test_hash_exchange_multi_key_and_combine():
     ).to_pandas()
     got = {(r.a, r.b): r.n for r in out.itertuples()}
     assert got == {(1, 7): 2, (1, 8): 1, (2, 7): 1}
+
+
+def test_bucket_stats_counts_and_empty_schema():
+    """The census sums per-block counts to the exact bucket sizes, and
+    an empty input still yields key_cols + ["bucket_size"]."""
+    from metacache_mpi_ray.stages.candidates import bucket_stats
+
+    rng = np.random.default_rng(4)
+    band_id = rng.integers(0, 3, 500)
+    band_hash = rng.integers(0, 40, 500)
+    tab = pa.table(
+        {
+            "band_id": pa.array(band_id, type=pa.int64()),
+            "band_hash": pa.array(band_hash, type=pa.int64()),
+            "doc_id": pa.array(np.arange(500), type=pa.int64()),
+        }
+    )
+    got = bucket_stats(rd.from_arrow(tab).repartition(4), ["band_id", "band_hash"])
+    got = got.to_pandas()
+    assert list(got.columns) == ["band_id", "band_hash", "bucket_size"]
+    want = tab.to_pandas().groupby(["band_id", "band_hash"]).size()
+    assert dict(zip(zip(got["band_id"], got["band_hash"]), got["bucket_size"])) == {
+        k: int(v) for k, v in want.items()
+    }
+    empty = bucket_stats(rd.from_arrow(tab.slice(0, 0)), ["band_id", "band_hash"])
+    assert empty.count() == 0
+    assert empty.schema().names == ["band_id", "band_hash", "bucket_size"]
+
+
+def test_bucket_and_segment_stages_run_no_sort_or_groupby(monkeypatch):
+    """Every bucket and segment stage keys its groups through
+    hash_exchange: the flagship, all-pairs bucketing, anchor candidates,
+    the scored substring stages, the cluster LCS report and the bucket
+    census call neither ``Dataset.sort`` nor ``Dataset.groupby``."""
+    from metacache_mpi_ray.config import DedupConfig
+    from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
+    from metacache_mpi_ray.stages.candidates import bucket_all_pairs, bucket_stats
+    from metacache_mpi_ray.stages.ingest import ingest_documents
+    from metacache_mpi_ray.stages.substring import (
+        anchor_candidates,
+        cluster_lcs_report,
+        scored_substring_edges,
+    )
+
+    calls = []
+
+    def forbid(name):
+        def f(self, key=None, *args, **kwargs):
+            calls.append((name, key))
+            raise AssertionError(f"{name}({key!r}) on a keyed-bucket stage")
+
+        return f
+
+    monkeypatch.setattr(rd.Dataset, "sort", forbid("sort"))
+    monkeypatch.setattr(rd.Dataset, "groupby", forbid("groupby"))
+
+    cfg = DedupConfig()
+    rng = np.random.default_rng(8)
+    words = [f"w{i}" for i in range(300)]
+
+    def mk(n):
+        return " ".join(words[int(rng.integers(0, 300))] for _ in range(n))
+
+    shared = mk(150)
+    texts = [mk(60) + " " + shared for _ in range(4)] + [mk(200) for _ in range(8)]
+    texts += texts[:3]  # exact copies
+    docs = ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+                    "text": pa.array(texts, type=pa.string()),
+                }
+            )
+        )
+    ).materialize()
+
+    clusters = near_dup_pipeline(docs, cfg, num_partitions=2).clusters.to_pandas()
+    assert len(clusters) == len(texts)
+    assert clusters["is_dup"].sum() >= 3
+    keyed = rd.from_arrow(
+        pa.table(
+            {
+                "k": pa.array([1, 1, 2, 2, 2, 3], type=pa.int64()),
+                "doc_id": pa.array(range(6), type=pa.int64()),
+            }
+        )
+    )
+    assert bucket_all_pairs(keyed, ["k"], cap=8).count() == 1 + 3
+    assert bucket_stats(keyed, ["k"]).count() == 3
+    assert anchor_candidates(docs, cfg, num_partitions=2, max_hosts=None).count() > 0
+    assert scored_substring_edges(docs, cfg, num_partitions=2).count() > 0
+    with_clusters = docs.map_batches(
+        lambda t: t.append_column(
+            "cluster_id", pa.array(t["doc_id"].to_numpy() % 3, type=pa.int64())
+        ),
+        batch_format="pyarrow",
+    )
+    assert cluster_lcs_report(with_clusters, min_cluster=2, max_members=4).count() > 0
+    assert calls == []

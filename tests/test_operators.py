@@ -771,60 +771,63 @@ def test_verify_join_paths_empty_signatures():
     )
     out = verify_edges(edges, no_sigs, cfg, num_partitions=2, strategy="join")
     assert out.count() == 0 and out.schema().names == ["a", "b", "est_sim"]
-def test_bucket_all_pairs_hidden_overcap_fragment():
-    """A bucket whose TOTAL size exceeds the cap must emit no stitched
-    cross-fragment pairs even when an over-cap fragment's members never
-    shipped (size markers carry the true total — r3 review finding).
-
-    Layout: filler bucket A (7 rows) sorts before hot bucket H (20
-    rows); batch_size=12 cuts H into fragments of 5, 12, 3. The 12er is
-    over cap=10 (members unshipped); without markers the stitch saw
-    5+3=8 <= cap members and emitted 15 cross-fragment H pairs."""
-    from metacache_mpi_ray.stages.candidates import _combine_keys, bucket_all_pairs
-
+def _overcap_layout_rows():
+    """Filler bucket (7 rows), hot bucket H (20 rows) and filler bucket
+    (9 rows), ids disjoint per bucket."""
     h_ids = list(range(100, 120))
-    # the sort is on the FOLDED bkey, so order the three source keys by
-    # their folded values: filler1 < hot < filler2 in bkey order
-    probe = pa.table(
-        {"k": pa.array([1, 2, 3], type=pa.int64()),
-         "doc_id": pa.array([0, 0, 0], type=pa.int64())}
-    )
-    folded = _combine_keys(probe, ["k"], "doc_id")["bkey"].to_numpy(
-        zero_copy_only=False
-    )
-    k_filler1, k_hot, k_filler2 = [
-        int(k) for _, k in sorted(zip(folded.tolist(), [1, 2, 3]))
-    ]
-    n_f1, n_f2 = 7, 9
-    docs1 = list(range(10, 10 + n_f1))
-    docs2 = list(range(300, 300 + n_f2))
+    docs1 = list(range(10, 17))
+    docs2 = list(range(300, 309))
     rows = pa.table(
         {
-            "k": pa.array(
-                [k_filler1] * n_f1 + [k_hot] * 20 + [k_filler2] * n_f2,
-                type=pa.int64(),
-            ),
+            "k": pa.array([1] * 7 + [2] * 20 + [3] * 9, type=pa.int64()),
             "doc_id": pa.array(docs1 + h_ids + docs2, type=pa.int64()),
         }
     )
-    pairs = (
-        bucket_all_pairs(
-            rd.from_arrow(rows), key_cols=["k"], id_col="doc_id", cap=10,
-            batch_size=12,
-        )
-        .to_pandas()
-        .drop_duplicates(["a", "b"])
-    )
-    hset = set(h_ids)
-    h_pairs = pairs[pairs["a"].isin(hset) & pairs["b"].isin(hset)]
-    # fragments of H are 5, 12, 3 rows: only the 5er and 3er are under
-    # the per-fragment cap, so in-batch pairs are C(5,2)+C(3,2)=13; the
-    # stitch must add NOTHING because H's true size 20 > cap 10
-    assert len(h_pairs) == 13, len(h_pairs)
-    # filler buckets (7 and 9 rows, under cap) emit their full pair sets
-    f1 = pairs[pairs["a"].isin(set(docs1))]
-    f2 = pairs[pairs["a"].isin(set(docs2))]
-    assert len(f1) == 21 and len(f2) == 36
+    return rows, set(h_ids), set(docs1), set(docs2)
+
+
+def _layouts():
+    """Input block count x exchange partition count."""
+    return [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
+
+
+def test_bucket_all_pairs_hidden_overcap_fragment(monkeypatch):
+    """A bucket whose TOTAL size exceeds the cap emits no pairs at any
+    block layout: every bucket reaches the reduce whole, so no fragment
+    of the 20-row bucket can slip under cap=10. Filler buckets (7 and 9
+    rows, under cap) emit their full pair sets."""
+    from metacache_mpi_ray.stages import joins
+    from metacache_mpi_ray.stages.candidates import bucket_all_pairs
+
+    rows, hset, docs1, docs2 = _overcap_layout_rows()
+    for k, parts in _layouts():
+        monkeypatch.setattr(joins, "default_num_partitions", lambda: parts)
+        pairs = bucket_all_pairs(
+            rd.from_arrow(rows).repartition(k), key_cols=["k"], id_col="doc_id", cap=10
+        ).to_pandas()
+        assert not pairs.duplicated(["a", "b"]).any(), (k, parts)
+        h_pairs = pairs[pairs["a"].isin(hset) | pairs["b"].isin(hset)]
+        assert len(h_pairs) == 0, (k, parts, len(h_pairs))
+        f1 = pairs[pairs["a"].isin(docs1)]
+        f2 = pairs[pairs["a"].isin(docs2)]
+        assert len(f1) == 21 and len(f2) == 36, (k, parts)
+
+
+def test_bucket_edges_overcap_bucket_emits_nothing_at_any_layout():
+    """Star edges obey the same whole-bucket cap: the 20-row bucket at
+    cap=10 emits nothing at any block layout, and each filler bucket
+    emits its exact star (min id -> every other member)."""
+    from metacache_mpi_ray.stages.candidates import bucket_edges
+
+    rows, hset, docs1, docs2 = _overcap_layout_rows()
+    want = {(min(g), d) for g in (docs1, docs2) for d in g if d != min(g)}
+    for k, parts in _layouts():
+        edges = bucket_edges(
+            rd.from_arrow(rows).repartition(k), ["k"], cap=10, num_partitions=parts
+        ).to_pandas()
+        got = set(zip(edges["a"].tolist(), edges["b"].tolist()))
+        assert len(edges) == len(got), (k, parts)
+        assert got == want, (k, parts)
 
 
 def test_ann_layout_recall_at_threshold_two_sizes():

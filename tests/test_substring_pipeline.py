@@ -1,4 +1,4 @@
-"""Substring-dedup integration + hot-bucket policies + verify-strategy
+"""Substring-dedup integration + hot-bucket cap + verify-strategy
 parity."""
 
 import numpy as np
@@ -54,18 +54,8 @@ def test_hot_bucket_policies():
     from metacache_mpi_ray.stages.candidates import bucket_edges
 
     ds = _hot_bucket_ds()
-    drop = bucket_edges(ds, ["k"], cap=50, hot_policy="drop").to_pandas()
+    drop = bucket_edges(ds, ["k"], cap=50).to_pandas()
     assert len(drop) == 0  # reference semantics: overpopulated key cleared
-
-    star = bucket_edges(ds, ["k"], cap=50, hot_policy="star").to_pandas()
-    assert len(star) == 199  # full star, linear in bucket size
-    assert (star["a"] == 0).all()
-
-    samp = bucket_edges(ds, ["k"], cap=50, hot_policy="sample").to_pandas()
-    assert 0 < len(samp) <= 50
-    # deterministic across runs
-    samp2 = bucket_edges(_hot_bucket_ds(), ["k"], cap=50, hot_policy="sample").to_pandas()
-    assert sorted(samp["b"]) == sorted(samp2["b"])
 
 
 def test_verify_join_strategy_matches_broadcast(corpus_dir):
@@ -210,10 +200,16 @@ def test_anchor_ambiguity_filter_drops_cross_host_boilerplate():
     assert all(host_of[r["a"]] == host_of[r["b"]] for _, r in strict.iterrows())
 
 
+def _layouts():
+    """Input block count x exchange partition count."""
+    return [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
+
+
 def test_scored_substring_pair_bridge_stitch():
-    """pair_batch_size=1 splits EVERY anchor bucket into single-row
-    fragments: round-2's per-fragment scoring emitted nothing; the
-    bridge stitch must recover the full planted pair."""
+    """The planted pair and its span estimate are identical at every
+    block layout: both exchanges (anchor buckets, then (a, b) pairs)
+    see their key groups whole, so no split bucket or diagonal run is
+    scored per fragment."""
     from metacache_mpi_ray.stages.ingest import ingest_documents
     from metacache_mpi_ray.stages.substring import scored_substring_edges
 
@@ -233,20 +229,26 @@ def test_scored_substring_pair_bridge_stitch():
             ),
         }
     )
-    docs = ingest_documents(rd.from_arrow(tab))
-    base = scored_substring_edges(docs, CFG, num_partitions=4).to_pandas()
-    tiny = scored_substring_edges(
-        docs, CFG, num_partitions=4, pair_batch_size=1
-    ).to_pandas()
-    assert set(zip(tiny["a"], tiny["b"])) == set(zip(base["a"], base["b"])) == {(1, 2)}
-    # spans come from the same stitched pair set -> identical estimate
-    assert int(tiny["est_span"][0]) == int(base["est_span"][0])
+    docs = ingest_documents(rd.from_arrow(tab)).materialize()
+
+    def run(k, parts):
+        out = scored_substring_edges(
+            docs.repartition(k), CFG, num_partitions=parts
+        ).to_pandas()
+        return sorted(zip(out["a"], out["b"], out["est_span"]))
+
+    base = run(1, 1)
+    assert [(a, b) for a, b, _ in base] == [(1, 2)]
+    for k, parts in _layouts():
+        assert run(k, parts) == base, (k, parts)
 
 
-def test_cluster_lcs_report_matches_pandas_reference_across_batch_sizes():
-    """The sort+segment dispatch (round-3 rewrite of the map_groups
-    version) must reproduce the per-cluster rep-vs-member LCS exactly,
-    including clusters split across batch boundaries."""
+def test_cluster_lcs_report_matches_pandas_reference_across_batch_sizes(monkeypatch):
+    """The cluster_id hash exchange must reproduce the per-cluster
+    rep-vs-member LCS exactly at every block layout, including clusters
+    spread over several input blocks (the map-side head truncation is
+    exact)."""
+    from metacache_mpi_ray.stages import joins
     from metacache_mpi_ray.stages.substring import (
         cluster_lcs_report,
         lcs_len_hashed,
@@ -279,12 +281,13 @@ def test_cluster_lcs_report_matches_pandas_reference_across_batch_sizes():
             )
 
     ds = rd.from_pandas(df.sample(frac=1.0, random_state=7))  # shuffled input
-    for bs in (None, 3):
-        got_df = cluster_lcs_report(ds, min_cluster=2, max_members=8, batch_size=bs)
+    for k, parts in _layouts():
+        monkeypatch.setattr(joins, "default_num_partitions", lambda: parts)
+        got_df = cluster_lcs_report(ds.repartition(k), min_cluster=2, max_members=8)
         got = set(
             zip(*[got_df.to_pandas()[c] for c in ["cluster_id", "doc_id", "lcs_with_rep"]])
         )
-        assert got == want, bs
+        assert got == want, (k, parts)
 
 
 def test_exact_jaccard_join_strategy_matches_broadcast(corpus_dir):
@@ -311,17 +314,13 @@ def test_exact_jaccard_join_strategy_matches_broadcast(corpus_dir):
 
 
 def test_emit_bucket_pairs_bridge_rows_bounded_and_stitch_exact():
-    """r3 review regression: a hot anchor bucket at a batch boundary
-    ships at most pair_cap bridge rows per fragment, and the capped
-    bridge still stitches to the same pair set as shipping every row
-    (both reduce through the same deterministic min-mix sampling)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from metacache_mpi_ray.stages.substring import (
-        _emit_bucket_pairs,
-        _pairs_from_group,
-    )
+    """A 100-member anchor bucket at pair_cap=4 yields exactly the pairs
+    of its 4 smallest-splitmix64(id) members, with their diagonals and
+    a-side positions, at every block layout (the bucket is sampled
+    whole, never per fragment)."""
+    from metacache_mpi_ray.functions.blocks import hash_exchange
+    from metacache_mpi_ray.functions.hashing import U64, splitmix64
+    from metacache_mpi_ray.stages.substring import _bucket_pairs
 
     cap = 4
     n_hot = 100
@@ -331,94 +330,21 @@ def test_emit_bucket_pairs_bridge_rows_bounded_and_stitch_exact():
         {"anchor_hash": pa.array(np.full(n_hot, 77, dtype=np.int64)),
          "doc_id": pa.array(ids), "pos": pa.array(pos)}
     )
-    out = _emit_bucket_pairs(cap)(t)
-    bk = out["bridge_key"].to_numpy(zero_copy_only=False)
-    n_bridge = int((bk != 0).sum())
-    assert n_bridge <= cap  # single segment -> one capped fragment
-
-    # stitch parity: pairs from the capped fragment == pairs from the
-    # full member list (global sample is a subset of the capped union)
-    bm = out.filter(pa.array(bk != 0))
-    a_c, b_c, d_c, p_c = _pairs_from_group(
-        bm["a"].to_numpy(zero_copy_only=False),
-        bm["pos_a"].to_numpy(zero_copy_only=False), cap,
-    )
-    a_f, b_f, d_f, p_f = _pairs_from_group(ids, pos, cap)
-    assert set(zip(a_c, b_c, d_c, p_c)) == set(zip(a_f, b_f, d_f, p_f))
-def test_cap_sampling_rule_parity():
-    """The bridge-row hot-bucket sample in _emit_bucket_pairs and the
-    sample_cap branch of segment_all_pairs must pick the SAME members
-    (the stitch-reassembly invariant rests on the two rules being
-    byte-identical)."""
-    from metacache_mpi_ray.functions.hashing import U64, splitmix64
-    from metacache_mpi_ray.stages.candidates import segment_all_pairs
-
-    rng = np.random.default_rng(5)
-    ids = rng.choice(np.arange(1, 10_000_000), size=50, replace=False).astype(
-        np.int64
-    )
-    pos = rng.integers(0, 1000, size=50).astype(np.int64)
-    cap = 16
-    # bridge-path rule (substring _emit_bucket_pairs lines ~290)
-    mix = splitmix64(ids.view(U64))
-    pick = np.argsort(mix, kind="stable")[:cap]
-    bridge_members = set(ids[pick].tolist())
-    # segment_all_pairs rule: run one over-cap segment and collect the
-    # distinct endpoints of the emitted pairs
-    a, b = segment_all_pairs(
-        ids,
-        np.zeros(1, dtype=np.int64),
-        np.array([50], dtype=np.int64),
-        np.ones(1, dtype=bool),
-        sample_cap=cap,
-    )
-    seg_members = set(a.tolist()) | set(b.tolist())
-    assert seg_members == bridge_members
-
-
-def test_hot_sample_vectorized_matches_per_group_loop():
-    """The segmented-lexsort hot-group sampler (r5, replaces the
-    per-hot-group Python loop) must emit exactly the per-group
-    cap-smallest-mixed-id star the loop produced — many hot groups of
-    varying size in one batch, interleaved with in-cap groups."""
-    import numpy as np
-
-    from metacache_mpi_ray.functions.hashing import U64, splitmix64
-    from metacache_mpi_ray.stages.candidates import _make_edge_emitter
-
-    rng = np.random.default_rng(99)
-    cap = 8
-    keys, ids = [], []
-    next_id = 1000
-    group_sizes = [3, 40, 2, 25, 8, 100, 5, 60]  # mix of hot and in-cap
-    for g, size in enumerate(group_sizes):
-        members = rng.permutation(np.arange(next_id, next_id + size))
-        keys += [g + 1] * size
-        ids += list(members)
-        next_id += size + 17
-    t = pa.table(
-        {
-            "bkey": pa.array(np.array(keys, dtype=np.int64)),
-            "doc_id": pa.array(np.array(ids, dtype=np.int64)),
-        }
-    )
-    out = _make_edge_emitter("doc_id", cap, "sample")(t).to_pandas()
-    edges = out[out["bridge_key"] == 0]
-    got = set(zip(edges["a"], edges["b"]))
-
-    # reference: per-group loop semantics
-    expect = set()
-    arr_k = np.array(keys)
-    arr_i = np.array(ids, dtype=np.int64)
-    for g, size in enumerate(group_sizes):
-        grp = arr_i[arr_k == g + 1]
-        if size > cap:
-            mix = splitmix64(grp.view(U64))
-            pick = grp[np.argsort(mix)[:cap]]
-        elif size > 1:
-            pick = grp
-        else:
-            continue
-        m = pick.min()
-        expect |= {(m, x) for x in pick if x != m}
-    assert got == expect
+    sample = ids[np.argsort(splitmix64(ids.view(U64)))[:cap]]
+    pos_of = dict(zip(ids.tolist(), pos.tolist()))
+    want = {
+        (a, b, pos_of[a] - pos_of[b], pos_of[a])
+        for a in sample.tolist()
+        for b in sample.tolist()
+        if a < b
+    }
+    assert len(want) == cap * (cap - 1) // 2
+    for k, parts in _layouts():
+        out = hash_exchange(
+            rd.from_arrow(t).repartition(k),
+            ["anchor_hash"],
+            _bucket_pairs(cap),
+            num_partitions=parts,
+        ).to_pandas()
+        got = list(zip(*[out[c].tolist() for c in ["a", "b", "diag", "pos_a"]]))
+        assert sorted(got) == sorted(want), (k, parts)
