@@ -408,6 +408,23 @@ def hw_ceiling(lo: int, hi: int, total=160_000_000, reps=4) -> dict:
     }
 
 
+def _run_leg(env: dict, what: str) -> dict:
+    """Run this script in a child process and return its last stdout
+    line as JSON; a failed leg raises with the child's stderr tail."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__)],
+        env=env, capture_output=True, text=True, cwd=os.path.dirname(os.path.abspath(__file__)),
+    )
+    try:
+        proc.check_returncode()
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (subprocess.CalledProcessError, IndexError, json.JSONDecodeError) as e:
+        raise RuntimeError(
+            f"{what} failed ({e!r}); stderr tail:\n"
+            + "\n".join(proc.stderr.splitlines()[-40:])
+        ) from e
+
+
 def run_scaling() -> dict:
     # corpus size for the scaling pair (defaults to the bench corpus;
     # a larger one amortizes fixed orchestration but also shifts more
@@ -424,11 +441,7 @@ def run_scaling() -> dict:
             GRAFT_ABORT_ON_THROTTLED_START="1" if allow_abort else "0",
             GRAFT_ABORT_GATE_SEC=f"{abort_gate_sec:.2f}",
         )
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True, cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
+        return _run_leg(env, f"scaling leg at {ncpu} CPUs")
 
     _corpus_dir(scale_docs)  # generate + warm once, outside timing
     lo, hi = SCALE_LO, SCALE_HI
@@ -666,18 +679,7 @@ def run_evidence() -> dict:
             GRAFT_HEADLINE_ONLY="1",
             RAY_GRAFT_CPUS=str(NUM_CPUS),
         )
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, cwd=here,
-        )
-        try:
-            proc.check_returncode()
-            r = json.loads(proc.stdout.strip().splitlines()[-1])
-        except (subprocess.CalledProcessError, IndexError, json.JSONDecodeError) as e:
-            raise RuntimeError(
-                f"soak leg at {n} docs failed ({e!r}); stderr tail:\n"
-                + "\n".join(proc.stderr.splitlines()[-40:])
-            ) from e
+        r = _run_leg(env, f"soak leg at {n} docs")
         soak.append(
             {
                 "n_docs": r["n_docs"],

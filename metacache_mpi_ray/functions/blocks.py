@@ -1,18 +1,14 @@
 """Block-level dataset utilities.
 
-``drop_empty_blocks`` works around a Ray 2.49 hash-shuffle quirk: join /
-groupby operators emit zero-row blocks carrying the operator's INTERNAL
-schema (the join's pre-projection columns, or no columns at all).
-Projections skip empty blocks, so the stowaways survive select/rename
-and later poison an acero join whose partition sees only them
-("No match ... for key field reference"). Pruning by block ref is
-metadata-only — no data moves.
-
-``hash_exchange`` is the engine's keyed all-to-all (pair dedup, the
-index probe, every bucket and segment stage): plain Ray tasks instead
-of a Ray Data ``sort``/``groupby``, whose fixed cost per execution
-dwarfs the work on a small input, and whose sorted blocks split key
-groups that then need a boundary stitch.
+``hash_exchange`` is the engine's keyed all-to-all (every join, pair
+dedup, the index probe, every bucket and segment stage and the
+connected-components rounds): plain Ray tasks instead of a Ray Data
+``sort``/``groupby``/``join``, whose fixed cost per execution dwarfs the
+work on a small input, whose sorted blocks split key groups that then
+need a boundary stitch, and whose join emits zero-row blocks with the
+operator's internal schema. One exchange moves one or several keyed
+inputs, so a join is one exchange whose reduce sees both sides of each
+key whole.
 """
 
 from __future__ import annotations
@@ -22,40 +18,6 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-
-
-def drop_empty_blocks(mat, schema: pa.Schema | None = None):
-    """Prune zero-row blocks from a MATERIALIZED dataset.
-
-    Returns a dataset over only the non-empty block refs. If EVERY
-    block is empty, returns an empty single-block dataset with
-    ``schema`` — pass the expected Arrow schema whenever the input
-    came through a hash-shuffle projection, because in the all-empty
-    case ``mat.schema()`` reports the very stowaway schema this
-    function exists to discard. Without ``schema`` the fallback is
-    ``mat.schema()`` (fine for inputs whose kernels emit typed empty
-    tables, e.g. map_batches stages with explicit empty branches).
-    """
-    refs = [
-        ref
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in zip(bundle.block_refs, bundle.metadata)
-        if meta.num_rows
-    ]
-    if not refs:
-        if schema is None:
-            got = mat.schema()
-            if got is None:
-                # e.g. the materialized sort of an empty dataset has
-                # ZERO blocks and no schema at all — without the
-                # caller-supplied fallback there is nothing to build
-                raise ValueError(
-                    "drop_empty_blocks: dataset has no blocks and no "
-                    "schema; pass the expected schema explicitly"
-                )
-            schema = got.base_schema
-        return rd.from_arrow(schema.empty_table())
-    return rd.from_arrow_refs(refs)
 
 
 def ensure_columns(df, columns: list[str]):
@@ -106,6 +68,23 @@ def _as_table(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
+def _key_u64(col) -> np.ndarray:
+    """u64 view of one key column: integer-like values as their int64
+    bits, strings and binaries as a content hash."""
+    from metacache_mpi_ray.functions.hashing import (
+        U64,
+        arrow_string_buffer,
+        doc_hashes_from_buffer,
+    )
+
+    t = col.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or (
+        pa.types.is_binary(t) or pa.types.is_large_binary(t)
+    ):
+        return doc_hashes_from_buffer(*arrow_string_buffer(col))
+    return col.to_numpy(zero_copy_only=False).astype(np.int64).view(U64)
+
+
 @ray.remote
 def _exchange_split(block, key_cols, num_partitions, combine):
     """One input block -> ``num_partitions`` pieces keyed by the hash of
@@ -121,7 +100,7 @@ def _exchange_split(block, key_cols, num_partitions, combine):
             t = combine(t)
         h = None
         for c in key_cols:
-            v = t[c].to_numpy(zero_copy_only=False).astype(np.int64).view(U64)
+            v = _key_u64(t[c])
             h = splitmix64(v) if h is None else mix2(h, v)
         part = (h % U64(num_partitions)).astype(np.int64)
         order = np.argsort(part, kind="stable")
@@ -133,43 +112,68 @@ def _exchange_split(block, key_cols, num_partitions, combine):
     return pieces[0] if num_partitions == 1 else tuple(pieces)
 
 
-@ray.remote
-def _exchange_reduce(reduce, *pieces):
+def _concat_pieces(pieces) -> pa.Table:
+    """One input's pieces of a partition as one table. With no rows the
+    result keeps the schema of the input's non-empty blocks (their empty
+    slices carry it), or has no columns when the whole input was empty."""
     parts = [p for p in pieces if p.num_rows]
-    if not parts:
-        return reduce(pa.table({}))
-    return reduce(pa.concat_tables(parts, promote_options="default"))
+    if parts:
+        return pa.concat_tables(parts, promote_options="default")
+    return next((p for p in pieces if p.num_columns), pa.table({}))
+
+
+@ray.remote
+def _exchange_reduce(reduce, sizes, *pieces):
+    tables, lo = [], 0
+    for n in sizes:
+        tables.append(_concat_pieces(pieces[lo : lo + n]))
+        lo += n
+    return reduce(*tables)
 
 
 def hash_exchange(ds, key_cols: list[str], reduce, *, num_partitions: int, combine=None):
     """Keyed all-to-all over plain Ray tasks -> a ref-backed Dataset of
     ``num_partitions`` blocks, one per partition.
 
-    One task per input block applies ``combine`` (map-side
-    pre-aggregation, Table -> Table) and splits its rows into
-    ``num_partitions`` pieces by a splitmix64/mix2 hash of
-    ``key_cols`` (int64-valued); one task per partition concatenates
-    its pieces and returns ``reduce(table)``. Every row of one key lands
-    in ONE partition, so ``reduce`` sees each key group whole and no
-    boundary stitch is needed. ``reduce`` must accept a zero-row table
-    that may have no columns (a partition no row hashed to) and return
-    its output schema for it.
+    ``ds`` is one Dataset, or a list of Datasets that all carry
+    ``key_cols``. One task per input block applies ``combine``
+    (map-side pre-aggregation, Table -> Table; with several inputs a
+    list holds one per input, ``None`` for none) and splits its rows
+    into ``num_partitions`` pieces by a splitmix64/mix2 hash of
+    ``key_cols`` (integer-valued, or strings, which hash by content).
+    One task per partition concatenates each input's pieces and returns
+    ``reduce(table)``, or ``reduce(table_0, table_1, ...)`` with one
+    table per input. Every row of one key, from every input, lands in
+    ONE partition, so ``reduce`` sees each key group whole — a join, a
+    group aggregate or both at once — and no boundary stitch is needed.
+    ``reduce`` must accept zero-row tables (a partition no row of an
+    input hashed to); such a table keeps the input's schema, or has no
+    columns when the whole input was empty. For a zero-row partition
+    ``reduce`` returns its output schema.
 
-    ``ds`` executes once; there is no Ray Data shuffle, so no sort
+    Each input executes once; there is no Ray Data shuffle, so no sort
     sample, no shuffle operator start-up and no extra execution.
     """
     num_partitions = max(1, int(num_partitions))
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    combines = combine if isinstance(combine, (list, tuple)) else [combine] * len(inputs)
     split = _exchange_split.options(num_returns=num_partitions)
     pieces = [
-        split.remote(ref, key_cols, num_partitions, combine)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref, meta in zip(bundle.block_refs, bundle.metadata)
-        if meta.num_rows != 0
+        [
+            split.remote(ref, key_cols, num_partitions, comb)
+            for bundle in d.iter_internal_ref_bundles()
+            for ref, meta in zip(bundle.block_refs, bundle.metadata)
+            if meta.num_rows != 0
+        ]
+        for d, comb in zip(inputs, combines)
     ]
     if num_partitions == 1:
-        pieces = [[p] for p in pieces]
+        pieces = [[[p] for p in side] for side in pieces]
+    sizes = [len(side) for side in pieces]
     out = [
-        _exchange_reduce.remote(reduce, *[p[i] for p in pieces])
+        _exchange_reduce.remote(
+            reduce, sizes, *[p[i] for side in pieces for p in side]
+        )
         for i in range(num_partitions)
     ]
     return rd.from_arrow_refs(out)

@@ -22,6 +22,10 @@ from metacache_mpi_ray.stages.cluster import assign_clusters
 from metacache_mpi_ray.stages.signatures import compute_signatures
 from metacache_mpi_ray.stages.verify import verify_edges
 
+# verified-edge count past which components come from distributed
+# min-label propagation instead of the driver DSU
+CLUSTER_DRIVER_EDGE_LIMIT = 50_000_000
+
 
 @dataclass
 class DedupResult:
@@ -37,8 +41,6 @@ def near_dup_pipeline(
     num_partitions: int | None = None,
     signer_concurrency: int | None = None,
     include_substring: bool = False,
-    cluster_method: str = "auto",
-    cluster_driver_edge_limit: int = 50_000_000,
 ) -> DedupResult:
     """Run the full MinHash/LSH dedup over a canonical ``docs`` dataset.
 
@@ -104,7 +106,7 @@ def near_dup_pipeline(
     ids_thread = threading.Thread(target=_project_ids, daemon=True)
     ids_thread.start()
     # auto strategy: verify_edges dedupes the raw per-band edges, sizes
-    # the endpoint signature subset, and falls back to the two-hash-join
+    # the endpoint signature subset, and falls back to the two-exchange join
     # path only when that subset outgrows one broadcast object — at
     # web-scale dup rates the broadcast would otherwise become a
     # driver-memory scale-killer
@@ -141,23 +143,15 @@ def near_dup_pipeline(
     # assign over the materialized signatures (same doc_id set as docs);
     # re-running the ingest lineage just to read doc_id would re-parse
     # the whole input a second time.
-    # cluster_method: "driver" = DSU over the streamed edge list +
-    # broadcast labels (edges are small after verification);
-    # "distributed" = min-label propagation + hash join (the scale path
-    # when the dup subset outgrows one process); "auto" picks by the
-    # materialized verified-edge count.
     # the driver DSU streams the edge list once (vectorized pointer
-    # jumping, ~16 bytes/edge resident) — switch to distributed
-    # min-label propagation only when even that outgrows one process
-    if cluster_method == "auto":
-        cluster_method = (
-            "driver"
-            if verified.count() <= cluster_driver_edge_limit
-            else "distributed"
-        )
+    # jumping, ~16 bytes/edge resident) and broadcasts the labels;
+    # past CLUSTER_DRIVER_EDGE_LIMIT verified edges even that outgrows
+    # one process, and components come from distributed min-label
+    # propagation (rounds of the keyed exchange) instead
+    distributed = verified.count() > CLUSTER_DRIVER_EDGE_LIMIT
     ids_thread.join()
     assign_src = ids_holder.get("ds", sigs)
-    if cluster_method == "distributed":
+    if distributed:
         from metacache_mpi_ray.stages.cluster import assign_clusters_distributed
 
         clusters = assign_clusters_distributed(

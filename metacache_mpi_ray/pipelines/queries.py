@@ -274,8 +274,8 @@ def q_orders_customer_join(sf_dir: str):
 
 
 def q_lineitem_orders_join(sf_dir: str):
-    """Large-large hash-partitioned join (Dataset.join; both sides
-    shuffle on the key)."""
+    """Large-large join (``large_join``: one keyed exchange moves both
+    sides on the key, each partition joined in its reduce)."""
     from metacache_mpi_ray.stages.joins import large_join
 
     li = rd.read_parquet(

@@ -9,7 +9,8 @@ rows at most) — parsed vectorized via pyarrow.csv on the driver and
 broadcast, the same pattern as every other small side in the engine.
 accession2taxid mappings can be tens of GB, so that reader returns a
 streaming ``ray.data.Dataset`` suitable for ``broadcast_join`` (small
-slice) or ``large_join`` (full file).
+slice) or ``large_join``, the keyed-exchange join (full file; string
+keys hash by content).
 
 Format notes (NCBI taxdump): fields are separated by ``\t|\t`` and
 rows terminated by ``\t|``; parsing splits on ``|`` and strips tabs,
@@ -265,7 +266,7 @@ def read_accession2taxid(path: str):
     reader (taxonomy_io.cpp:190-310). Column positions come from the
     header sniff; a headerless two-column file works too. Feed the
     result (or a filtered slice) to ``stages/joins.broadcast_join`` or
-    ``large_join`` depending on its size."""
+    the keyed-exchange ``large_join`` depending on its size."""
     import ray.data as rd
 
     keycol, taxcol, has_header, n_comments, n_cols = _sniff_mapping_header(path)

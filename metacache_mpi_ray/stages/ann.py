@@ -483,7 +483,7 @@ def embedding_near_dup(
     # exact cosine verification through the shared payload-sized
     # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
     # the endpoint vector matrix (d x 8 bytes/doc) rides one broadcast
-    # object while it fits, and ships through two hash joins as packed
+    # object while it fits, and ships through two keyed exchanges as packed
     # binary past that — the 100-TB dup-rate scale path
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 

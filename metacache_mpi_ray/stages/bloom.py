@@ -421,8 +421,6 @@ def filter_unseen(
             est = n_new if n_new is not None else new_ds.count()
             strategy = "broadcast" if est * 8 <= broadcast_bytes_limit else "join"
         if strategy == "join":
-            from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
             out_cols = [c for c in marked.schema().names if c != "__might"]
             neg = marked.map_batches(
                 lambda t: t.filter(pc.invert(t["__might"])).drop_columns(
@@ -436,13 +434,7 @@ def filter_unseen(
                 h1, _ = key_hashes(t, col, seed)
                 return t.append_column("_h1", pa.array(h1.view(np.int64)))
 
-            base = pa.schema(
-                [marked.schema().base_schema.field(c) for c in out_cols]
-            )
-            pos_ds = drop_empty_blocks(
-                marked.map_batches(pos_h1, batch_format="pyarrow").materialize(),
-                schema=base.append(pa.field("_h1", pa.int64())),
-            )
+            pos_ds = marked.map_batches(pos_h1, batch_format="pyarrow").materialize()
             return _anti_join_positives(neg, pos_ds, corpus_ds, col, seed, out_cols)
 
         def emit_pos_sharded(t: pa.Table) -> pa.Table:
@@ -543,10 +535,8 @@ def _verify_positives_broadcast(new_ds, corpus_ds, col: str, seed: int, pos: np.
 
 def _filter_unseen_join(new_ds, corpus_ds, col: str, seed: int, bref):
     """Distributed exact path: negatives stream through untouched;
-    positives anti-join the distinct corpus keys (8-byte rows, one
-    groupby + one hash join, nothing on the driver)."""
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
+    positives anti-join the corpus keys (8-byte rows, one keyed
+    exchange, nothing on the driver)."""
     out_cols = list(new_ds.schema().names)
 
     def split(keep_positive: bool):
@@ -562,25 +552,18 @@ def _filter_unseen_join(new_ds, corpus_ds, col: str, seed: int, bref):
         return f
 
     neg = new_ds.map_batches(split(False), batch_format="pyarrow")
-    base = new_ds.schema().base_schema
-    pos_schema = base.append(pa.field("_h1", pa.int64()))
-    # filters emit zero-row blocks whose schema a later hash join
-    # rejects ("No match for key field reference") — prune them
-    pos = drop_empty_blocks(
-        new_ds.map_batches(split(True), batch_format="pyarrow").materialize(),
-        schema=pos_schema,
-    )
+    pos = new_ds.map_batches(split(True), batch_format="pyarrow").materialize()
     return _anti_join_positives(neg, pos, corpus_ds, col, seed, out_cols)
 
 
 def _anti_join_positives(neg, pos, corpus_ds, col: str, seed: int, out_cols):
     """Shared tail of the join strategy: ``pos`` rows (carrying their
-    key hash in ``_h1``) anti-join the distinct corpus keys; survivors
-    union with the untouched negatives."""
-    from ray.data.aggregate import Count
-
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-    from metacache_mpi_ray.stages.joins import large_join
+    key hash in ``_h1``) meet the raw corpus key hashes in ONE two-input
+    ``hash_exchange`` on ``_h1``, whose reduce keeps the positives no
+    corpus key matches; survivors union with the untouched negatives."""
+    from metacache_mpi_ray.functions.blocks import hash_exchange
+    from metacache_mpi_ray.stages.corpus_clean import _is_in_sorted
+    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     if pos.count() == 0:
         return neg  # nothing bloom-positive: every row is new
@@ -589,21 +572,17 @@ def _anti_join_positives(neg, pos, corpus_ds, col: str, seed: int, out_cols):
         h1, _ = key_hashes(t, col, seed)
         return pa.table({"_h1": pa.array(np.unique(h1).view(np.int64))})
 
-    marked = drop_empty_blocks(
-        corpus_ds.map_batches(corpus_keys, batch_format="pyarrow")
-        .groupby("_h1")
-        .aggregate(Count(alias_name="_hit"))
-        .materialize(),
-        schema=pa.schema([("_h1", pa.int64()), ("_hit", pa.int64())]),
-    )
-    joined = large_join(pos, marked, on=("_h1",), join_type="left_outer")
+    def unseen(p: pa.Table, keys: pa.Table) -> pa.Table:
+        if p.num_rows == 0 or keys.num_rows == 0:
+            return p.select(out_cols)
+        k = np.sort(keys["_h1"].to_numpy(zero_copy_only=False))
+        seen = _is_in_sorted(k, p["_h1"].to_numpy(zero_copy_only=False))
+        return p.filter(pa.array(~seen)).select(out_cols)
 
-    def unseen_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_null(t["_hit"])).select(out_cols)
-
-    anti = joined.map_batches(unseen_only, batch_format="pyarrow")
-    base = pa.schema(
-        [pos.schema().base_schema.field(c) for c in out_cols]
+    anti = hash_exchange(
+        [pos, corpus_ds.map_batches(corpus_keys, batch_format="pyarrow")],
+        ["_h1"],
+        unseen,
+        num_partitions=default_num_partitions(minimum=2),
     )
-    anti = drop_empty_blocks(anti.materialize(), schema=base)
     return neg.union(anti)

@@ -7,10 +7,13 @@ Two interchangeable implementations of connected components:
   doc batch (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
 * ``propagate_min_labels`` — fully distributed iterative min-label
   propagation over the edge list (for edge lists too large for one
-  process): each round joins current labels onto edges, takes per-node
-  min of neighbor labels, repeats to fixpoint. The analog of the
-  reference's tree-reduction candidate merge (/root/reference/src/
-  querying.h:892-1071) without the rank-0 bottleneck.
+  process): each round is ONE ``hash_exchange`` on the node id whose
+  reduce applies the incoming label messages (a segmented min) and
+  sends each node's label to its neighbours and label pointers, until
+  no label drops. The analog of the reference's tree-reduction
+  candidate merge (querying.h:892-1071) without the
+  rank-0 bottleneck; the rounds follow BTS (ICDE 2024), connected
+  components as rounds of a keyed exchange.
 """
 
 from __future__ import annotations
@@ -20,35 +23,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
 
-from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-from metacache_mpi_ray.stages.windows import _segments, _split_frag
-
-
-def _exact_label_sum(ds) -> int:
-    """Overflow-free sum of the int63 ``lab`` column.
-
-    Summed as three 21-bit limbs (each partial sum stays < 2^63 for up
-    to 2^42 rows) and reassembled with Python bignums — exact where a
-    plain int64 sum of content-hash-scale labels wraps.
-    """
-    mask = (1 << 21) - 1
-
-    def limbs(t: pa.Table) -> pa.Table:
-        lab = t["lab"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "lo": pa.array(lab & mask, type=pa.int64()),
-                "mid": pa.array((lab >> 21) & mask, type=pa.int64()),
-                "hi": pa.array(lab >> 42, type=pa.int64()),
-            }
-        )
-
-    s = ds.map_batches(limbs, batch_format="pyarrow").sum(["lo", "mid", "hi"])
-    if s is None:  # empty dataset
-        return 0
-    return int(s["sum(lo)"]) + (int(s["sum(mid)"]) << 21) + (int(s["sum(hi)"]) << 42)
+from metacache_mpi_ray.functions.blocks import hash_exchange
+from metacache_mpi_ray.stages.verify import lookup_sorted
 
 
 @ray.remote
@@ -142,202 +119,173 @@ def assign_clusters_distributed(
     docs, edges, *, id_col: str = "doc_id", num_partitions: int = 32
 ):
     """Fully distributed cluster assignment: connected components via
-    min-label propagation, then a left-outer hash join of the label
-    table onto docs. The scale path when the dup subset itself is too
-    large for one driver-side DSU / one broadcast object."""
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
+    min-label propagation, then one two-input exchange on the doc id
+    that left-joins the labels onto docs. The scale path when the dup
+    subset itself is too large for one driver-side DSU / one broadcast
+    object."""
     labels = propagate_min_labels(edges, num_partitions=num_partitions)
-    if labels.count() == 0:
-        # zero edges -> every doc is its own singleton; Ray 2.49's hash
-        # join breaks on a globally-empty side (each partition
-        # reconstructs a schema-less empty right table), so skip it
-        def singleton(batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].cast(pa.int64())
-            return pa.table(
-                {
-                    "doc_id": ids,
-                    "cluster_id": ids,
-                    "is_dup": pa.array(
-                        np.zeros(len(batch), dtype=bool), type=pa.bool_()
-                    ),
-                }
-            )
 
-        return docs.select_columns([id_col]).map_batches(
-            singleton, batch_format="pyarrow"
-        )
-    joined = docs.select_columns([id_col]).join(
-        labels,
-        join_type="left_outer",
-        num_partitions=num_partitions,
-        on=(id_col,),
-    )
+    def ids(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t[id_col].cast(pa.int64())})
 
-    def finish(batch: pa.Table) -> pa.Table:
-        # nullable int64 must stay in Arrow: a numpy conversion would go
-        # through float64 and round doc_ids above 2**53
-        lab = batch["cluster_id"]
+    def finish(d: pa.Table, lt: pa.Table) -> pa.Table:
+        node = _np(d, "doc_id") if d.num_rows else np.empty(0, dtype=np.int64)
+        lab, dup = node, np.zeros(len(node), dtype=bool)
+        if lt.num_rows:
+            lt = lt.sort_by("doc_id")
+            pos, dup = lookup_sorted(_np(lt, "doc_id"), node)
+            lab = np.where(dup, _np(lt, "cluster_id")[pos], node)
         return pa.table(
             {
-                "doc_id": batch[id_col].cast(pa.int64()),
-                "cluster_id": pc.coalesce(lab, batch[id_col]).cast(pa.int64()),
-                "is_dup": pc.is_valid(lab),
+                "doc_id": pa.array(node, type=pa.int64()),
+                "cluster_id": pa.array(lab, type=pa.int64()),
+                "is_dup": pa.array(dup, type=pa.bool_()),
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return hash_exchange(
+        [docs.map_batches(ids, batch_format="pyarrow"), labels],
+        ["doc_id"],
+        finish,
+        num_partitions=num_partitions,
+    )
+
+
+# rows of the connected-components state, one tagged table keyed on
+# ``node``: a node's current label, a label message sent to a node, and
+# a send request (``node`` sends its label to ``lab``) — the pointer
+# edge (lab(v), v) that makes the next round deliver lab(lab(v)) to v
+_LABEL, _MSG, _SEND = 0, 1, 2
+_STATE = pa.schema([("node", pa.int64()), ("lab", pa.int64()), ("kind", pa.int8())])
+
+
+def _np(t: pa.Table, c: str) -> np.ndarray:
+    return t[c].to_numpy(zero_copy_only=False)
+
+
+def _state(node, lab, kind: int) -> pa.Table:
+    return pa.table(
+        {
+            "node": pa.array(node, type=pa.int64()),
+            "lab": pa.array(lab, type=pa.int64()),
+            "kind": pa.array(np.full(len(node), kind, dtype=np.int8)),
+        },
+        schema=_STATE,
+    )
+
+
+def _seg_min(node: np.ndarray, lab: np.ndarray):
+    """(distinct nodes sorted, min lab per node)."""
+    order = np.lexsort((lab, node))
+    node, lab = node[order], lab[order]
+    first = np.ones(len(node), dtype=bool)
+    first[1:] = node[1:] != node[:-1]
+    return node[first], lab[first]
+
+
+def _min_combine(t: pa.Table) -> pa.Table:
+    """Map-side combine: a block's label messages shrink to one (the
+    min) per target node; labels and send requests pass through."""
+    kind = _np(t, "kind")
+    m = kind == _MSG
+    if m.sum() < 2:
+        return t
+    node, lab = _seg_min(_np(t, "node")[m], _np(t, "lab")[m])
+    return pa.concat_tables([t.filter(pa.array(~m)), _state(node, lab, _MSG)])
+
+
+@ray.remote
+def _lowered(t: pa.Table) -> int:
+    return int((t.schema.metadata or {}).get(b"lowered", 0))
+
+
+def _cc_round(st: pa.Table, ed: pa.Table) -> pa.Table:
+    """One round over a partition: ``st`` holds the state rows of its
+    nodes, ``ed`` the symmetrized edges (node=src, dst) leaving them.
+    New label = min(label, messages); then every node sends its new
+    label along its edges and to each node that asked for it, and asks
+    its own label for that label's label. The count of labels that dropped
+    rides in the schema metadata (``lowered``)."""
+    if st.num_rows == 0:
+        return _STATE.empty_table().replace_schema_metadata({"lowered": "0"})
+    node, lab, kind = _np(st, "node"), _np(st, "lab"), _np(st, "kind")
+    cur = kind == _LABEL
+    upd = kind <= _MSG
+    nodes, new = _seg_min(node[upd], lab[upd])
+    old = np.full(len(nodes), np.iinfo(np.int64).max, dtype=np.int64)
+    pos, _ = lookup_sorted(nodes, node[cur])
+    old[pos] = lab[cur]
+    lowered = int((new < old).sum())
+    send = kind == _SEND
+    src = node[send]
+    dst = lab[send]
+    if ed.num_rows:
+        src = np.concatenate([_np(ed, "node"), src])
+        dst = np.concatenate([_np(ed, "dst"), dst])
+    pos, found = lookup_sorted(nodes, src)
+    ptr = new != nodes  # a root's label is itself: nothing to ask
+    out = pa.concat_tables(
+        [
+            _state(nodes, new, _LABEL),
+            _state(dst[found], new[pos[found]], _MSG),
+            _state(new[ptr], nodes[ptr], _SEND),
+        ]
+    )
+    return out.replace_schema_metadata({"lowered": str(lowered)})
 
 
 def propagate_min_labels(edges, max_iters: int = 50, num_partitions: int = 32):
     """Distributed connected components over an edge list.
 
     Returns a Dataset (doc_id, cluster_id) covering every id that occurs
-    in an edge. Rounds: label(v) = min(label(v), min over neighbors u of
-    label(u), label(label(v))) until no label changes. The label(label(v))
-    term is pointer-jumping, which makes the round count O(log diameter)
-    instead of O(diameter) — without it a chain-shaped component longer
-    than ``max_iters`` hops would silently mislabel. It costs no extra
-    shuffle: from round 3 the current (label -> node) pairs are unioned
-    into the join's edge side, so the one hash join per round propagates
-    along graph edges AND label pointers at once. Dedup clusters are
-    near-cliques (2-3 rounds; the pointer edges never engage).
-
-    The per-round min-aggregate uses sort + per-block segmented min with
-    a driver stitch of block-edge groups (the A2 topk_per_group pattern)
-    instead of ``groupby().aggregate(Min)``: at 1M distinct nodes the
-    hash aggregate measured 13-24 s/round against 1.5 s for the sorted
-    kernel; only two rows per block cross the driver.
+    in an edge. Each round is one ``hash_exchange`` on the node id over
+    two inputs: the state rows (labels, label messages, send requests)
+    and the symmetrized edges. Its reduce sets label(v) = min(label(v),
+    messages to v), sends the new label along v's edges and to every
+    node that asked for it, and asks label(v) for its own label: that
+    pointer-jumping term delivers label(label(v)) a round later, which
+    makes the round count O(log diameter) instead of O(diameter) —
+    without it a chain longer than ``max_iters`` hops would mislabel.
+    The split's map-side combine keeps one message (the min) per target
+    node and block. Each reduce counts the labels it lowered; labels
+    only drop, so a round whose total is 0 is the exact fixpoint.
     Raises if the fixpoint is not reached within ``max_iters`` rounds.
     """
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
 
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
+    def seed(t: pa.Table) -> pa.Table:
+        a, b = _np(t, "a"), _np(t, "b")
+        m = np.minimum(a, b)
+        return _state(np.concatenate([a, b]), np.concatenate([m, m]), _MSG)
 
-    def seed(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        node = np.concatenate([a, b])
-        lab = np.concatenate([np.minimum(a, b), np.minimum(a, b)])
-        return pa.table({"node": pa.array(node), "lab": pa.array(lab)})
-
-    # undirected edge list, symmetrized once
-    def sym(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
+    def sym(t: pa.Table) -> pa.Table:
+        a, b = _np(t, "a"), _np(t, "b")
         return pa.table(
             {
-                "src": pa.array(np.concatenate([a, b])),
-                "dst": pa.array(np.concatenate([b, a])),
+                "node": pa.array(np.concatenate([a, b]), type=pa.int64()),
+                "dst": pa.array(np.concatenate([b, a]), type=pa.int64()),
             }
         )
 
-    label_schema = pa.schema([("node", pa.int64()), ("lab", pa.int64())])
-
-    def seg_min_kernel(t: pa.Table) -> pa.Table:
-        # per-block (node -> min lab) over globally-sorted rows; the
-        # first and last node of each block may continue in a neighbor
-        # block, so they are flagged as fragments for the driver stitch
-        empty_i64 = pa.array([], type=pa.int64())
-        if t.num_rows == 0:
-            return pa.table(
-                {"node": empty_i64, "lab": empty_i64,
-                 "__frag": pa.array([], type=pa.bool_())}
-            )
-        node = t["node"].to_numpy(zero_copy_only=False)
-        lab = t["lab"].to_numpy(zero_copy_only=False)
-        starts, _ = _segments(node)
-        frag = np.zeros(len(starts), dtype=bool)
-        frag[0] = frag[-1] = True
-        return pa.table(
-            {
-                "node": pa.array(node[starts], type=pa.int64()),
-                "lab": pa.array(
-                    np.minimum.reduceat(lab, starts), type=pa.int64()
-                ),
-                "__frag": pa.array(frag),
-            }
-        )
-
-    def grouped_min(ds):
-        srt = ds.sort("node")
-        final, frags = _split_frag(
-            # batch_size=None: whole sorted blocks, so exactly two
-            # fragment rows per BLOCK reach the driver stitch (the
-            # default 1024-row batches would ship 2 rows per ~1024)
-            srt.map_batches(
-                seg_min_kernel, batch_format="pyarrow", batch_size=None
-            ),
-            ["node", "lab"],
-        )
-        if len(frags):
-            stitched = (
-                frags.groupby("node", as_index=False)["lab"].min()
-                .astype({"node": "int64", "lab": "int64"})
-            )
-            final = final.union(
-                rd.from_arrow(pa.Table.from_pandas(stitched, preserve_index=False))
-            )
-        return drop_empty_blocks(final.materialize(), schema=label_schema)
+    def labels(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["kind"], _LABEL))
+        return pa.table({"doc_id": t["node"], "cluster_id": t["lab"]})
 
     sym_edges = edges.map_batches(sym, batch_format="pyarrow").materialize()
-    labels = grouped_min(edges.map_batches(seed, batch_format="pyarrow"))
-    if labels.count() == 0:
-        # zero edges: nothing to propagate, and an all-empty dataset on
-        # either side of the per-round hash join would surface the
-        # schema-less-empty-partition acero error this module documents.
-        # Build the output-schema empty table directly — rename_columns
-        # is a projection and projections SKIP empty blocks
-        return rd.from_arrow(
-            pa.schema(
-                [("doc_id", pa.int64()), ("cluster_id", pa.int64())]
-            ).empty_table()
+    state = edges.map_batches(seed, batch_format="pyarrow")
+    for _ in range(max_iters):
+        state = hash_exchange(
+            [state, sym_edges],
+            ["node"],
+            _cc_round,
+            num_partitions=num_partitions,
+            combine=[_min_combine, None],
         )
-
-    old_sum = None
-    for rnd in range(max_iters):
-        # neighbor (and, from round 3, label-pointer) propagation: one
-        # hash join per round over the combined edge set
-        join_edges = sym_edges
-        if rnd >= 2:
-            # pointer jumping as EDGES: (src=lab(v), dst=v) rows make the
-            # join deliver lab(lab(v)) to v. Engaged only once the
-            # near-clique common case (2-3 rounds) has had its chance to
-            # converge without them; from here reach doubles per round.
-            def ptr_edges(t: pa.Table) -> pa.Table:
-                return pa.table({"src": t["lab"], "dst": t["node"]})
-
-            join_edges = sym_edges.union(
-                labels.map_batches(ptr_edges, batch_format="pyarrow")
-            )
-        lsrc = labels.rename_columns({"node": "src"})
-        prop = drop_empty_blocks(
-            join_edges.join(
-                lsrc, join_type="inner", num_partitions=num_partitions, on=("src",)
-            ).select_columns(["dst", "lab"]).rename_columns({"dst": "node"})
-            .materialize(),
-            schema=label_schema,
-        )
-        new_labels = grouped_min(labels.union(prop))
-        # fixpoint check: any label decreased? Labels only ever
-        # decrease and the node set is fixed, so an unchanged EXACT sum
-        # means an unchanged table. int64 sum("lab") would wrap for
-        # 2^62-scale content-hash ids at >2 rows, so the sum is taken
-        # over three 21-bit limbs and reassembled in Python ints — one
-        # pass over labels per round, same as the naive sum. The
-        # previous round's sum is carried, not recomputed.
-        if old_sum is None:
-            old_sum = _exact_label_sum(labels)
-        new_sum = _exact_label_sum(new_labels)
-        labels = new_labels
-        if old_sum == new_sum:
-            break
-        old_sum = new_sum
-    else:
-        raise RuntimeError(
-            f"propagate_min_labels: no fixpoint within {max_iters} rounds "
-            "(component diameter > 2**rounds should be impossible — "
-            "check the edge list for non-integer or null ids)"
-        )
-    return labels.rename_columns({"node": "doc_id", "lab": "cluster_id"})
+        # labels only drop and the node set is fixed, so a round in
+        # which no label dropped is the exact fixpoint
+        if sum(ray.get([_lowered.remote(r) for r in state.to_arrow_refs()])) == 0:
+            return state.map_batches(labels, batch_format="pyarrow")
+    raise RuntimeError(
+        f"propagate_min_labels: no fixpoint within {max_iters} rounds "
+        "(the round count is logarithmic in the component diameter — "
+        "check the edge list for non-integer or null ids)"
+    )

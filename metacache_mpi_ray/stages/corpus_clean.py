@@ -10,9 +10,9 @@ Gopher style) that sit beside the dedup family:
   removal (/root/reference/src/sketch_database.h:356-417 and the
   distributed census at mode_build.cpp:847-1074: census -> threshold ->
   broadcast removal set) with a literal text line as the feature, and
-  it reuses the same Ray Data shape as the band census: partial counts
-  inside ``map_batches``, ONE groupby-sum shuffle, then a
-  broadcast-vs-join auto switch for the removal set.
+  it reuses the same shape as the band census: partial counts inside
+  ``map_batches``, ONE keyed sum exchange, then a broadcast-vs-join
+  auto switch for the removal set.
 * ``redact_pii_batch`` — vectorized RE2 scrubbing of emails / phone
   numbers (Arrow ``replace_substring_regex``; DuckDB's regexp engine is
   RE2 too, so the oracle patterns are byte-identical).
@@ -22,15 +22,15 @@ Gopher style) that sit beside the dedup family:
 
 Scale notes: the census never materializes the exploded line table —
 within-batch (row, line) dedup happens in numpy before the ONE
-sort("line_hash") shuffle (sort + per-block segment sums + fragment
-stitch; measured 4x faster than groupby-aggregate at 4M partial rows),
-so the shuffled table is one row per
-distinct (batch, line), not per line occurrence. The removal set is
-broadcast when ``count * 8 bytes`` fits ``broadcast_limit`` (boilerplate
-vocabularies are small by construction — a line must repeat across
-``min_docs`` docs to qualify); otherwise the filter runs as a
-hash-partitioned anti-join over the exploded lines with a sort+segment
-reassembly (same fragment-stitch machinery as stages/windows.py).
+``hash_exchange`` on ``line_hash`` (functions/blocks.py; a map-side sum
+per block, a sum per key in the reduce), so the exchanged table is one
+row per distinct (block, line), not per line occurrence. The removal
+set is broadcast when ``count * 8 bytes`` fits ``broadcast_limit``
+(boilerplate vocabularies are small by construction — a line must
+repeat across ``min_docs`` docs to qualify); otherwise the filter runs
+as two exchanges: the exploded lines meet the hot set on
+``line_hash``, and the kept lines meet the documents on ``doc_id``,
+where each reduce reassembles its documents whole.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
 
+from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
 from metacache_mpi_ray.functions.hashing import (
     arrow_string_buffer,
     doc_hashes_from_buffer,
 )
+from metacache_mpi_ray.stages.verify import lookup_sorted
 
 LINE_SEED = 41
 
@@ -95,13 +96,11 @@ def line_census(docs, *, text_col: str = "text", seed: int = LINE_SEED):
 
     Exact (not approximate): each batch emits one row per distinct
     (document, line) — a document is never split across batch rows —
-    so summing per-batch partials counts each (doc, line) once.
-
-    The merge is a sort + per-block segment sum with boundary-fragment
-    stitching, NOT a groupby-aggregate: measured 34 s -> ~8 s at 200k
-    docs x 26 lines (4.2M partial rows) — the same sort-beats-hash
-    finding as the flagship's band shuffle.
+    so summing per-batch partials counts each (doc, line) once. The
+    merge is one ``hash_exchange`` on ``line_hash`` that sums per key
+    on the map side and again in the reduce.
     """
+    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         flat, sizes = _split_lines(t[text_col])
@@ -127,73 +126,27 @@ def line_census(docs, *, text_col: str = "text", seed: int = LINE_SEED):
         return pa.table(
             {
                 "line_hash": pa.array(uh, type=pa.int64()),
-                "nd": pa.array(cnt.astype(np.int64), type=pa.int64()),
+                "n_docs": pa.array(cnt.astype(np.int64), type=pa.int64()),
             }
         )
 
-    from metacache_mpi_ray.stages.windows import _split_frag
-
-    empty = pa.table(
-        {
-            "line_hash": pa.array([], type=pa.int64()),
-            "n_docs": pa.array([], type=pa.int64()),
-        }
+    return hash_exchange(
+        docs.map_batches(partial, batch_format="pyarrow"),
+        ["line_hash"],
+        _sum_per_line,
+        num_partitions=default_num_partitions(minimum=2),
+        combine=_sum_per_line,
     )
-    sorted_ds = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .sort("line_hash")
-        .materialize()
-    )
-    if sorted_ds.count() == 0:
-        return rd.from_arrow(empty)
 
-    def ksum(t: pa.Table) -> pa.Table:
-        h = t["line_hash"].to_numpy(zero_copy_only=False)
-        v = t["nd"].to_numpy(zero_copy_only=False)
-        n = len(h)
-        if n == 0:
-            return empty.append_column("__frag", pa.array([], type=pa.bool_()))
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = h[1:] != h[:-1]
-        starts = np.flatnonzero(change)
-        sums = np.add.reduceat(v, starts)
-        frag = np.zeros(len(starts), dtype=bool)
-        frag[0] = True
-        frag[-1] = True
-        return pa.table(
-            {
-                "line_hash": pa.array(h[starts], type=pa.int64()),
-                "n_docs": pa.array(sums.astype(np.int64), type=pa.int64()),
-                "__frag": pa.array(frag, type=pa.bool_()),
-            }
-        )
 
-    final, frags = _split_frag(
-        sorted_ds.map_batches(ksum, batch_format="pyarrow", batch_size=None),
-        ["line_hash", "n_docs"],
-    )
-    if len(frags):
-        agg = (
-            frags.groupby("line_hash", sort=False)["n_docs"]
-            .sum()
-            .reset_index()
-        )
-        final = final.union(
-            rd.from_arrow(
-                pa.Table.from_pandas(
-                    agg[["line_hash", "n_docs"]], preserve_index=False
-                ).cast(
-                    pa.schema(
-                        [
-                            pa.field("line_hash", pa.int64()),
-                            pa.field("n_docs", pa.int64()),
-                        ]
-                    )
-                )
-            )
-        )
-    return final
+_CENSUS = pa.schema([("line_hash", pa.int64()), ("n_docs", pa.int64())])
+
+
+def _sum_per_line(t: pa.Table) -> pa.Table:
+    if t.num_rows == 0:
+        return _CENSUS.empty_table()
+    g = t.group_by("line_hash").aggregate([("n_docs", "sum")])
+    return pa.table([g["line_hash"], g["n_docs_sum"]], schema=_CENSUS)
 
 
 def _is_in_sorted(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -223,9 +176,10 @@ def remove_boilerplate_lines(
 
     ``strategy``: 'broadcast' ships the sorted hot-hash array via the
     object store (assembled in ONE off-driver task from the census
-    block refs — the hashes never cross the driver heap); 'join' runs a
-    hash-partitioned left-outer join of the exploded lines against the
-    hot table and reassembles with a sort + segment kernel; 'auto'
+    block refs — the hashes never cross the driver heap); 'join' drops
+    the hot lines in one exchange of the exploded lines against the hot
+    table on ``line_hash`` and reassembles each document in one exchange
+    on ``doc_id``; 'auto'
     picks by removal-set size (count x 8 bytes vs ``broadcast_limit``).
 
     ``docs`` is consumed TWICE (line census + rewrite) and is
@@ -239,21 +193,13 @@ def remove_boilerplate_lines(
         raise ValueError(
             f"strategy must be 'auto', 'broadcast' or 'join', got {strategy!r}"
         )
-    hot_raw = line_census(docs, text_col=text_col, seed=seed).filter(
+    hot = line_census(docs, text_col=text_col, seed=seed).filter(
         expr=f"n_docs >= {int(min_docs)}"
-    )
-    # prune hash-shuffle stowaway blocks (see functions/blocks.py)
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
-    hot_schema = pa.schema(
-        [pa.field("line_hash", pa.int64()), pa.field("n_docs", pa.int64())]
-    )
-    hot_mat = drop_empty_blocks(hot_raw.materialize(), hot_schema).materialize()
-    n_hot = hot_mat.count()
+    ).materialize()
+    n_hot = hot.count()
 
     if n_hot == 0:
-        # nothing to remove: pass-through (and an empty join side would
-        # crash the Ray 2.49 hash join anyway)
+        # nothing to remove: pass-through
         def passthrough(t: pa.Table) -> pa.Table:
             _, sizes = _split_lines(t[text_col])
             txt = t[text_col]
@@ -277,226 +223,114 @@ def remove_boilerplate_lines(
     if strategy == "broadcast" or (
         strategy == "auto" and n_hot * 8 <= broadcast_limit
     ):
-        from metacache_mpi_ray.functions.blocks import assemble_sorted_i64
-
-        hot_ref = assemble_sorted_i64(hot_mat, "line_hash")
+        hot_ref = assemble_sorted_i64(hot, "line_hash")
 
         def clean(t: pa.Table) -> pa.Table:
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             flat, sizes = _split_lines(t[text_col])
             h = _line_hashes(flat, seed)
-            hot = ray.get(hot_ref)  # zero-copy shared-memory read
-            keep = ~_is_in_sorted(hot, h)
+            keep = ~_is_in_sorted(ray.get(hot_ref), h)  # zero-copy read
             row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-            n_kept = np.bincount(
-                row[keep], minlength=len(sizes)
-            ).astype(np.int64)
-            idx = np.flatnonzero(keep)
-            vals = flat.take(pa.array(idx, type=pa.int64()))
-            offsets = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(n_kept)]
-            )
-            lst = pa.ListArray.from_arrays(
-                pa.array(offsets, type=pa.int32()), vals
-            )
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, type=pa.int64()),
-                    "clean_text": pc.binary_join(lst, "\n"),
-                    "n_kept": pa.array(n_kept, type=pa.int64()),
-                    "n_removed": pa.array(sizes - n_kept, type=pa.int64()),
-                }
-            )
+            n_kept = np.bincount(row[keep], minlength=len(sizes)).astype(np.int64)
+            return _cleaned(ids, flat.filter(pa.array(keep)), n_kept, sizes)
 
         return docs.map_batches(clean, batch_format="pyarrow")
 
     # ---- join path: exploded lines anti-join the hot table ----------
-    from metacache_mpi_ray.stages.joins import large_join
-    from metacache_mpi_ray.stages.windows import _segments, _split_frag
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    if num_partitions is None:
+        num_partitions = default_num_partitions(minimum=2)
 
     def explode(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         flat, sizes = _split_lines(t[text_col])
-        h = _line_hashes(flat, seed)
         row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         seg0 = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        ord_ = np.arange(len(h), dtype=np.int64) - seg0
         return pa.table(
             {
                 "doc_id": pa.array(ids[row], type=pa.int64()),
-                "ord": pa.array(ord_, type=pa.int64()),
+                "ord": pa.array(np.arange(len(flat), dtype=np.int64) - seg0),
                 "line": flat,
-                "line_hash": pa.array(h, type=pa.int64()),
+                "line_hash": pa.array(_line_hashes(flat, seed), type=pa.int64()),
             }
         )
 
-    lines = docs.map_batches(explode, batch_format="pyarrow")
-    hot_flagged = hot_mat.map_batches(
-        lambda t: pa.table(
-            {
-                "line_hash": t["line_hash"].cast(pa.int64()),
-                "hot_flag": pa.array(
-                    np.ones(len(t), dtype=np.int64), type=pa.int64()
-                ),
-            }
-        ),
-        batch_format="pyarrow",
+    kept_schema = pa.schema(
+        [("doc_id", pa.int64()), ("ord", pa.int64()), ("line", pa.string())]
     )
-    joined = large_join(
-        lines,
-        hot_flagged,
-        on=("line_hash",),
-        join_type="left_outer",
+
+    def drop_hot(lines: pa.Table, hot_p: pa.Table) -> pa.Table:
+        if lines.num_rows == 0:
+            return kept_schema.empty_table()
+        if hot_p.num_rows:
+            hot_h = np.sort(hot_p["line_hash"].to_numpy(zero_copy_only=False))
+            is_hot = _is_in_sorted(hot_h, lines["line_hash"].to_numpy(zero_copy_only=False))
+            lines = lines.filter(pa.array(~is_hot))
+        return lines.select(kept_schema.names)
+
+    kept = hash_exchange(
+        [docs.map_batches(explode, batch_format="pyarrow"), hot.select_columns(["line_hash"])],
+        ["line_hash"],
+        drop_hot,
         num_partitions=num_partitions,
     )
-    kept = joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["hot_flag"])).select(
-            ["doc_id", "ord", "line"]
-        ),
-        batch_format="pyarrow",
-    )
-    kept_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("ord", pa.int64()),
-            pa.field("line", pa.string()),
-        ]
-    )
-    kept = drop_empty_blocks(kept.materialize(), kept_schema)
 
-    sorted_ds = kept.sort(["doc_id", "ord"]).materialize()
-    out_cols = ["doc_id", "clean_text", "n_kept", "ord0"]
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "clean_text": pa.array([], type=pa.string()),
-                    "n_kept": pa.array([], type=pa.int64()),
-                    "ord0": pa.array([], type=pa.int64()),
-                    "__frag": pa.array([], type=pa.bool_()),
-                }
-            )
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        ords = t["ord"].to_numpy(zero_copy_only=False)
-        flat = t["line"]
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        if pa.types.is_large_string(flat.type):
-            flat = flat.cast(pa.string())
-        starts, sizes = _segments(ids)
-        nseg = len(starts)
-        offsets = np.concatenate([starts, starts[-1:] + sizes[-1:]])
-        texts = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat),
-            "\n",
-        )
-        frag = np.zeros(nseg, dtype=bool)
-        frag[0] = True
-        frag[-1] = True
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[starts], type=pa.int64()),
-                "clean_text": texts,
-                "n_kept": pa.array(sizes.astype(np.int64), type=pa.int64()),
-                "ord0": pa.array(ords[starts], type=pa.int64()),
-                "__frag": pa.array(frag, type=pa.bool_()),
-            }
-        )
-
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        out_cols,
-    )
-    if len(frags):
-        f = frags.sort_values(["doc_id", "ord0"], kind="mergesort")
-        agg = (
-            f.groupby("doc_id", sort=False)
-            .agg(
-                clean_text=("clean_text", "\n".join),
-                n_kept=("n_kept", "sum"),
-                ord0=("ord0", "min"),
-            )
-            .reset_index()
-        )
-        final = final.union(
-            rd.from_arrow(pa.Table.from_pandas(agg[out_cols], preserve_index=False))
-        )
-    # when every line was hot the sorted dataset has zero typed blocks;
-    # normalize to an empty Dataset with the join-facing schema so the
-    # outer join below still sees a doc_id column
-    reassembled = drop_empty_blocks(
-        final.select_columns(["doc_id", "clean_text", "n_kept"]).materialize(),
-        pa.schema(
-            [
-                pa.field("doc_id", pa.int64()),
-                pa.field("clean_text", pa.string()),
-                pa.field("n_kept", pa.int64()),
-            ]
-        ),
-    )
-
-    # docs whose every line was hot have NO kept row: left-join the full
-    # id + line-count table and fill ''/0
+    # docs whose every line was hot have NO kept row: the reduce keys
+    # on doc_id, so it sees every kept line of its docs and the docs
+    # themselves, rebuilds each text in line order and fills ''/0
     def id_counts(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         _, sizes = _split_lines(t[text_col])
         return pa.table(
             {
-                "doc_id": pa.array(ids, type=pa.int64()),
+                "doc_id": t[id_col].cast(pa.int64()),
                 "n_lines": pa.array(sizes, type=pa.int64()),
             }
         )
 
-    base = docs.map_batches(id_counts, batch_format="pyarrow")
-    if reassembled.limit(1).count() == 0:
-        # every line in the corpus was hot: an all-empty join side
-        # crashes the Ray 2.49 hash join (see verify._verify_core),
-        # and the answer needs no join at all
-        def all_removed(t: pa.Table) -> pa.Table:
-            n = len(t)
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"].cast(pa.int64()),
-                    "clean_text": pa.array([""] * n, type=pa.string()),
-                    "n_kept": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                    "n_removed": t["n_lines"].cast(pa.int64()),
-                }
-            )
+    def reassemble(d: pa.Table, k: pa.Table) -> pa.Table:
+        if d.num_rows == 0:
+            none = np.empty(0, dtype=np.int64)
+            return _cleaned(none, pa.array([], type=pa.string()), none, none)
+        # docs and their kept lines both in doc_id order, lines in line
+        # order within a doc: the kept lines lay out doc after doc
+        d = d.sort_by("doc_id")
+        ids = d["doc_id"].to_numpy(zero_copy_only=False)
+        n_kept = np.zeros(len(ids), dtype=np.int64)
+        lines = pa.array([], type=pa.string())
+        if k.num_rows:
+            kid = k["doc_id"].to_numpy(zero_copy_only=False)
+            order = np.lexsort((k["ord"].to_numpy(zero_copy_only=False), kid))
+            u, cnt = np.unique(kid, return_counts=True)
+            pos, found = lookup_sorted(u, ids)
+            n_kept[found] = cnt[pos[found]]
+            lines = k["line"].take(pa.array(order))
+        return _cleaned(ids, lines, n_kept, d["n_lines"].to_numpy(zero_copy_only=False))
 
-        return base.map_batches(all_removed, batch_format="pyarrow")
-    out = large_join(
-        base,
-        reassembled,
-        on=("doc_id",),
-        join_type="left_outer",
+    return hash_exchange(
+        [docs.map_batches(id_counts, batch_format="pyarrow"), kept],
+        ["doc_id"],
+        reassemble,
         num_partitions=num_partitions,
     )
 
-    def fill(t: pa.Table) -> pa.Table:
-        n_lines = t["n_lines"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n_kept = pc.fill_null(t["n_kept"], 0).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].cast(pa.int64()),
-                "clean_text": pc.fill_null(t["clean_text"], ""),
-                "n_kept": pa.array(n_kept, type=pa.int64()),
-                "n_removed": pa.array(n_lines - n_kept, type=pa.int64()),
-            }
-        )
 
-    out_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("n_lines", pa.int64()),
-            pa.field("clean_text", pa.string()),
-            pa.field("n_kept", pa.int64()),
-        ]
-    )
-    return drop_empty_blocks(out.materialize(), out_schema).map_batches(
-        fill, batch_format="pyarrow"
+def _cleaned(ids, kept_lines, n_kept: np.ndarray, n_lines: np.ndarray) -> pa.Table:
+    """(doc_id, clean_text, n_kept, n_removed) from each doc's kept
+    lines, laid out doc after doc in line order."""
+    if isinstance(kept_lines, pa.ChunkedArray):
+        kept_lines = kept_lines.combine_chunks()
+    if pa.types.is_large_string(kept_lines.type):
+        kept_lines = kept_lines.cast(pa.string())
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(n_kept)])
+    lst = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), kept_lines)
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "clean_text": pc.binary_join(lst, "\n"),
+            "n_kept": pa.array(n_kept, type=pa.int64()),
+            "n_removed": pa.array(n_lines - n_kept, type=pa.int64()),
+        }
     )
 
 

@@ -15,8 +15,10 @@ and it reuses the repo's broadcast-vs-join auto switch:
   broadcast once via the object store, and every corpus batch does a
   vectorized ``searchsorted`` membership test — no shuffle at all;
 * when the gram table outgrows the object store the same semantics run
-  as a hash-partitioned inner join of exploded ``(doc_id, gram)`` rows
-  against the distinct benchmark grams, aggregated back per document.
+  as two keyed exchanges (functions/blocks.hash_exchange): exploded
+  ``(doc_id, gram)`` rows meet the distinct benchmark grams on the gram
+  key and count hits per document, then the hit counts meet the
+  documents on the document key.
 
 Hashing: each token gets a content hash (zero-copy from the Arrow
 buffer), and an n-gram's hash is a position-normalized polynomial over
@@ -34,8 +36,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Count
 
+from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
 from metacache_mpi_ray.functions.hashing import (
     U64,
     _pow_seq,
@@ -45,6 +47,7 @@ from metacache_mpi_ray.functions.hashing import (
     murmur3_fmix64,
 )
 from metacache_mpi_ray.stages.corpus_clean import _is_in_sorted
+from metacache_mpi_ray.stages.verify import lookup_sorted
 
 DECON_SEED = 67
 
@@ -103,34 +106,39 @@ def _batch_grams(t: pa.Table, text_col: str, n: int, seed: int):
     return token_ngram_hashes(flat, sizes, n, seed)
 
 
+_GRAMS = pa.schema([("g", pa.int64())])
+_HITS = pa.schema([("doc_id", pa.int64()), ("n_hits", pa.int64())])
+_FLAGS = _HITS.append(pa.field("is_contaminated", pa.int64()))
+
+
+def _distinct_grams(t: pa.Table) -> pa.Table:
+    if t.num_rows == 0:
+        return _GRAMS.empty_table()
+    return pa.table({"g": np.unique(t["g"].to_numpy(zero_copy_only=False))}, schema=_GRAMS)
+
+
 def benchmark_grams(bench, *, n: int = 5, text_col: str = "text", seed: int = DECON_SEED):
     """Dataset of the benchmark's distinct gram hashes: (g:int64).
 
-    Per-batch unique in numpy first, then ONE groupby shuffle for the
-    global distinct — the benchmark side is small, but the shape stays
-    correct if it isn't. Hashes are carried as int64 via a bijective
-    u64->i64 view (order differs, equality doesn't).
+    Per-batch unique in numpy first, then ONE keyed exchange whose
+    combine and reduce keep the distinct grams per key — the benchmark
+    side is small, but the shape stays correct if it isn't. Hashes are
+    carried as int64 via a bijective u64->i64 view (order differs,
+    equality doesn't).
     """
+    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         h, _ = _batch_grams(t, text_col, n, seed)
-        return pa.table({"g": pa.array(np.unique(h).view(np.int64), type=pa.int64())})
+        return pa.table({"g": pa.array(h.view(np.int64), type=pa.int64())})
 
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
-    distinct = (
-        bench.map_batches(partial, batch_format="pyarrow")
-        .groupby("g")
-        .aggregate(Count())
+    return hash_exchange(
+        bench.map_batches(partial, batch_format="pyarrow"),
+        ["g"],
+        _distinct_grams,
+        num_partitions=default_num_partitions(minimum=2),
+        combine=_distinct_grams,
     )
-
-    def project(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "g" not in t.column_names:
-            return pa.table({"g": pa.array([], type=pa.int64())})
-        return pa.table({"g": t["g"].cast(pa.int64())})
-
-    out = distinct.map_batches(project, batch_format="pyarrow").materialize()
-    return drop_empty_blocks(out, pa.schema([pa.field("g", pa.int64())]))
 
 
 def decontaminate(
@@ -156,8 +164,9 @@ def decontaminate(
 
     ``strategy``: 'broadcast' ships the sorted benchmark gram array
     (assembled off-driver from block refs); 'join' explodes corpus
-    grams and inner-joins the distinct benchmark grams, aggregating
-    hits per doc; 'auto' picks by benchmark gram count x 8 bytes vs
+    grams, matches them against the distinct benchmark grams in one
+    exchange on the gram and sums the hits onto the docs in one
+    exchange on the doc id; 'auto' picks by benchmark gram count x 8 bytes vs
     ``broadcast_limit``.
     """
     if mode not in ("flag", "filter"):
@@ -166,10 +175,6 @@ def decontaminate(
         raise ValueError(
             f"strategy must be 'auto', 'broadcast' or 'join', got {strategy!r}"
         )
-    from metacache_mpi_ray.functions.blocks import (
-        assemble_sorted_i64,
-        drop_empty_blocks,
-    )
 
     def zero_flags(t: pa.Table) -> pa.Table:
         z = np.zeros(len(t), dtype=np.int64)
@@ -185,8 +190,7 @@ def decontaminate(
     n_grams = bg.count()
 
     if n_grams == 0:
-        # empty benchmark: nothing is contaminated (and an empty join
-        # side would crash the Ray 2.49 hash join)
+        # empty benchmark: nothing is contaminated
         if mode == "filter":
             return docs
         return docs.map_batches(zero_flags, batch_format="pyarrow")
@@ -194,7 +198,7 @@ def decontaminate(
     if strategy == "broadcast" or (
         strategy == "auto" and n_grams * 8 <= broadcast_limit
     ):
-        gram_ref = assemble_sorted_i64(bg.materialize(), "g")
+        gram_ref = assemble_sorted_i64(bg, "g")
 
         def score(t: pa.Table) -> pa.Table:
             h, row = _batch_grams(t, text_col, n, seed)
@@ -216,7 +220,10 @@ def decontaminate(
         return docs.map_batches(score, batch_format="pyarrow")
 
     # ---- join path: exploded corpus grams x distinct benchmark grams
-    from metacache_mpi_ray.stages.joins import large_join
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    if num_partitions is None:
+        num_partitions = default_num_partitions(minimum=2)
 
     def explode(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -228,94 +235,71 @@ def decontaminate(
             }
         )
 
-    corpus_grams = docs.map_batches(explode, batch_format="pyarrow")
-    hits = large_join(
-        corpus_grams,
-        bg,
-        on=("g",),
-        join_type="inner",
+    def hits_per_doc(cg: pa.Table, grams: pa.Table) -> pa.Table:
+        """This gram partition's hit count per doc (a doc's grams spread
+        over every partition, so these are partial counts)."""
+        if cg.num_rows == 0 or grams.num_rows == 0:
+            return _HITS.empty_table()
+        hit = _is_in_sorted(
+            np.sort(grams["g"].to_numpy(zero_copy_only=False)),
+            cg["g"].to_numpy(zero_copy_only=False),
+        )
+        ids, cnt = np.unique(
+            cg["doc_id"].to_numpy(zero_copy_only=False)[hit], return_counts=True
+        )
+        return pa.table([ids, cnt.astype(np.int64)], schema=_HITS)
+
+    hits = hash_exchange(
+        [docs.map_batches(explode, batch_format="pyarrow"), bg],
+        ["g"],
+        hits_per_doc,
         num_partitions=num_partitions,
     )
-    agg = hits.groupby("doc_id").aggregate(Count())
 
-    def hit_counts(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "doc_id" not in t.column_names:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "n_hits": pa.array([], type=pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].cast(pa.int64()),
-                "n_hits": t["count()"].cast(pa.int64()),
-            }
-        )
-
-    hit_schema = pa.schema(
-        [pa.field("doc_id", pa.int64()), pa.field("n_hits", pa.int64())]
-    )
-    flagged = drop_empty_blocks(
-        agg.map_batches(hit_counts, batch_format="pyarrow").materialize(),
-        hit_schema,
-    )
-    if flagged.limit(1).count() == 0:
-        # grams existed but none matched: every doc is clean
-        if mode == "filter":
-            return docs
-        return docs.map_batches(zero_flags, batch_format="pyarrow")
+    # the hit counts meet the documents on the document key: the reduce
+    # sums each doc's partial counts and left-joins them onto its rows
+    def doc_hits(d: pa.Table, h: pa.Table, key: str) -> np.ndarray:
+        ids = d[key].to_numpy(zero_copy_only=False).astype(np.int64)
+        out = np.zeros(len(ids), dtype=np.int64)
+        if h.num_rows:
+            hit_ids, inv = np.unique(h[key].to_numpy(), return_inverse=True)
+            total = np.bincount(inv, weights=h["n_hits"].to_numpy()).astype(np.int64)
+            pos, found = lookup_sorted(hit_ids, ids)
+            out[found] = total[pos[found]]
+        return out
 
     if mode == "filter":
-        # flagged's key column is named 'doc_id' but holds id_col
-        # values; rename so the join keys on the caller's id column
-        flagged_keyed = (
-            flagged
-            if id_col == "doc_id"
-            else flagged.map_batches(
-                lambda t: t.rename_columns([id_col, "n_hits"]),
-                batch_format="pyarrow",
-            )
-        )
-        joined = large_join(
-            docs,
-            flagged_keyed,
-            on=(id_col,),
-            join_type="left_outer",
+        # filter keeps the caller's rows and id column name
+        def clean_rows(d: pa.Table, h: pa.Table) -> pa.Table:
+            if d.num_rows == 0:
+                return d
+            return d.filter(pa.array(doc_hits(d, h, id_col) == 0))
+
+        return hash_exchange(
+            [docs, hits.rename_columns({"doc_id": id_col})],
+            [id_col],
+            clean_rows,
             num_partitions=num_partitions,
-        )
-        return joined.map_batches(
-            lambda t: t.filter(pc.is_null(t["n_hits"])).drop_columns(["n_hits"]),
-            batch_format="pyarrow",
         )
 
     def ids_only(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t[id_col].cast(pa.int64())})
 
-    base = docs.map_batches(ids_only, batch_format="pyarrow")
-    joined = large_join(
-        base,
-        flagged,
-        on=("doc_id",),
-        join_type="left_outer",
-        num_partitions=num_partitions,
-    )
-
-    def fill(t: pa.Table) -> pa.Table:
-        nh = pc.fill_null(t["n_hits"], 0).to_numpy(zero_copy_only=False).astype(np.int64)
+    def flags(d: pa.Table, h: pa.Table) -> pa.Table:
+        if d.num_rows == 0:
+            return _FLAGS.empty_table()
+        nh = doc_hits(d, h, "doc_id")
         return pa.table(
             {
-                "doc_id": t["doc_id"].cast(pa.int64()),
+                "doc_id": d["doc_id"],
                 "n_hits": pa.array(nh, type=pa.int64()),
-                "is_contaminated": pa.array(
-                    (nh > 0).astype(np.int64), type=pa.int64()
-                ),
+                "is_contaminated": pa.array((nh > 0).astype(np.int64), type=pa.int64()),
             }
         )
 
-    out_schema = pa.schema(
-        [pa.field("doc_id", pa.int64()), pa.field("n_hits", pa.int64())]
-    )
-    return drop_empty_blocks(joined.materialize(), out_schema).map_batches(
-        fill, batch_format="pyarrow"
+    return hash_exchange(
+        [docs.map_batches(ids_only, batch_format="pyarrow"), hits],
+        ["doc_id"],
+        flags,
+        num_partitions=num_partitions,
     )

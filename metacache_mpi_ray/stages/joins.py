@@ -5,8 +5,9 @@
   reference's accession2taxid streaming probe (J2,
   /root/reference/src/mode_build.cpp:174-238: big side streamed, small
   side held in memory).
-* ``large_join`` — both sides large: Ray's hash-partitioned
-  ``Dataset.join`` (explicit num_partitions = the shuffle).
+* ``large_join`` — both sides large: one two-input ``hash_exchange``
+  (functions/blocks.py) on the key, each partition joined by
+  ``pa.Table.join`` (acero hash join) in its reduce task.
 * ``asof_lookup`` — nearest-key fallback lookup via np.searchsorted
   against a broadcast sorted key array (J3 analog,
   /root/reference/src/mode_build.cpp:531-550: exact then upper_bound
@@ -68,40 +69,21 @@ def broadcast_join(big, small, on: str, *, how: str = "inner"):
     return big.map_batches(probe, batch_format="pyarrow")
 
 
-def clamp_join_partitions(n: int) -> int:
-    """Ray's hash-shuffle join schedules one HashShuffleAggregator
-    actor per partition at 0.125 CPU each; when the aggregator pool's
-    total reservation reaches the cluster's CPUs, the partition-feed
-    tasks starve and the join DEADLOCKS at idle CPU (reproduced on
-    Ray 2.49: a 1000-row join with num_partitions=16 at num_cpus=2
-    hangs forever; and a chained double-join — the verify path's shape
-    — stalls with 2 x 8 aggregators at 2 CPUs). Clamp every join's
-    partition count to 2x cluster CPUs so even two concurrently
-    scheduled pools (2 x 2n x 0.125 = n/2 CPUs) leave most of the node
-    for tasks — a no-op on real clusters, a deadlock guard on
-    small/starved nodes."""
-    try:
-        cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:
-        cpus = 4
-    return max(2, min(int(n), 2 * cpus))
-
-
 def default_num_partitions(minimum: int = 8, maximum: int = 512) -> int:
     """Cluster-CPU-derived partition count for pipeline entry points
     (flagship/build/query/extend): one partition per cluster CPU,
     floored at ``minimum`` so tiny nodes still overlap read/compute and
     capped at ``maximum`` (at real scale callers size partitions from
-    data, e.g. large_join's bytes term). Keeping the DEFAULT tied to
-    the cluster means a caller who never thinks about partitioning
-    cannot manufacture the partitions >> CPUs aggregator-starvation
-    deadlock that clamp_join_partitions guards joins against (Ray 2.49,
-    reproduced at 4M docs on a 2-CPU run)."""
+    data, e.g. large_join's bytes term)."""
     try:
         cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
     except Exception:
         cpus = 4
     return max(minimum, min(cpus, maximum))
+
+
+_TARGET_PARTITION_BYTES = 128 * 1024 * 1024
+_JOIN_TYPES = {"inner": "inner", "left_outer": "left outer"}
 
 
 def large_join(
@@ -111,44 +93,52 @@ def large_join(
     *,
     num_partitions: int | None = None,
     join_type: str = "inner",
-    target_partition_bytes: int = 128 * 1024 * 1024,
 ):
-    """Hash-partitioned join of two large Datasets (both sides shuffle).
+    """Join of two large Datasets: ONE two-input ``hash_exchange`` on
+    ``on`` (both sides move once), and each partition's reduce task
+    joins its two pieces with ``pa.Table.join``. ``join_type`` is
+    "inner" or "left_outer"; output row order is not guaranteed.
 
-    ``num_partitions=None`` sizes the shuffle from the inputs:
-    max(cluster CPUs, one partition per ~128 MB of combined input).
-    Each join partition is an aggregator actor holding its hash bucket
-    in memory — more partitions than CPUs just thrash the scheduler on
-    small inputs (measured 13 s -> 3 s at 16 -> 8 partitions on an
-    8-CPU node), while at scale the bytes term dominates and keeps
-    per-actor build sides bounded.
+    ``num_partitions=None`` sizes the exchange from the inputs:
+    max(cluster CPUs, one partition per ~128 MB of combined input), so
+    each reduce's build side stays bounded at scale. Input bytes come
+    from file metadata ONLY (``input_files()`` + on-disk size x3 decode
+    expansion): ``size_bytes()`` would execute each lazy input just to
+    pick a partition count, and the exchange would then execute it
+    again. Non-file-backed inputs fall back to the CPU term.
 
-    Input bytes come from file metadata ONLY (``input_files()`` +
-    on-disk size x3 decode expansion): ``size_bytes()`` would trigger a
-    full execution of each lazy input just to pick a partition count
-    and then the join would re-execute the same lineage (r3 review
-    finding). Non-file-backed inputs fall back to the CPU term.
+    A right side with no rows at all has no schema to add, so a left
+    outer join against it returns the left rows unchanged.
     """
+    from metacache_mpi_ray.functions.blocks import hash_exchange
+
+    if join_type not in _JOIN_TYPES:
+        raise ValueError(
+            f"large_join supports join_type='inner'|'left_outer', got {join_type!r}"
+        )
     if num_partitions is None:
-        try:
-            cpus = max(2, int(ray.cluster_resources().get("CPU", 4)))
-        except Exception:
-            cpus = 4
+        import os
 
         def _meta_bytes(ds) -> int:
-            import os
-
             try:
-                files = ds.input_files()
-                return 3 * sum(os.path.getsize(f) for f in files)
+                return 3 * sum(os.path.getsize(f) for f in ds.input_files())
             except Exception:
                 return 0
 
         nbytes = _meta_bytes(left) + _meta_bytes(right)
-        by_bytes = nbytes // target_partition_bytes
-        num_partitions = int(max(cpus, by_bytes))
-    num_partitions = clamp_join_partitions(num_partitions)
-    return left.join(right, join_type=join_type, num_partitions=num_partitions, on=on)
+        num_partitions = max(
+            default_num_partitions(minimum=2), nbytes // _TARGET_PARTITION_BYTES
+        )
+    keys, how = list(on), _JOIN_TYPES[join_type]
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if rt.num_columns == 0:
+            return lt if how == "left outer" else lt.slice(0, 0)
+        if lt.num_columns == 0:
+            return rt.slice(0, 0)
+        return lt.join(rt, keys=keys, join_type=how)
+
+    return hash_exchange([left, right], keys, join, num_partitions=num_partitions)
 
 
 def anti_join_broadcast(ds, exclude_keys, on: str):

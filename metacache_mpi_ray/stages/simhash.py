@@ -168,7 +168,7 @@ def simhash_dedup(
     # exact Hamming verification through the shared payload-sized
     # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
     # broadcast the edge-endpoint simhashes while the dup subset fits in
-    # one object, hash-join the packed values past that — the same scale
+    # one object, exchange the packed values past that — the same scale
     # story as the flagship's signature verification
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 

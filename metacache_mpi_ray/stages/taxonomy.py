@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Max, Min
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,6 @@ def redistribute_counts(
     leaf_cols: list[str],
     *,
     at_leaf_col: str = "at_leaf",
-    mode: str = "driver",
-    num_partitions: int = 16,
 ):
     """Per-leaf abundance with above-rank counts redistributed down
     proportional to direct leaf counts (classification.cpp:362-428).
@@ -206,17 +204,11 @@ def redistribute_counts(
     estimate = n_direct + est_num/denom extra reads, kept as exact
     integers (est_num = n_direct * (total_direct + coarse_count)).
 
-    Both aggregations are distributed in every mode. ``mode="driver"``
-    (default) merges the two grouped node tables on the driver — they
-    are bounded by the number of DISTINCT leaf paths (lang x source
-    here — thousands), not by row count. ``mode="distributed"`` keeps
-    the merge as hash-partitioned Dataset joins on coarse_cols — for
-    host-level hierarchies (10^7+ leaves) where the node tables
-    themselves outgrow the driver.
+    Both aggregations are distributed; the two grouped node tables then
+    merge on the driver. They are bounded by the number of DISTINCT
+    leaf paths (lang x source here — thousands), not by row count, as
+    in the reference's rank-0 abundance pass.
     """
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
     coarse_cols = leaf_cols[:-1]
 
     def split(flag: int):
@@ -225,63 +217,6 @@ def redistribute_counts(
             return t.filter(pa.array(m if flag else ~m))
 
         return f
-
-    if mode == "distributed":
-        import pyarrow.compute as pc
-
-        # an empty side loses its schema through an empty Ray groupby
-        # and would fail the hash join with "no match for FieldRef"
-        # (same empty-side cases the driver path guards: all-coarse or
-        # all-fine inputs are normal). materialize() both sides once —
-        # the handles are reused by the joins, so the count is free.
-        fine_ds = (
-            assignments.map_batches(split(1), batch_format="pyarrow")
-            .groupby(leaf_cols)
-            .aggregate(Count(alias_name="n_direct"))
-            .materialize()
-        )
-        if fine_ds.count() == 0:
-            # no directly-classified rows: nothing to redistribute onto
-            schema = pa.schema(
-                [(c, pa.string()) for c in leaf_cols]
-                + [(c, pa.int64()) for c in ["n_direct", "est_num", "denom"]]
-            )
-            return rd.from_arrow(schema.empty_table())
-        tot_ds = fine_ds.groupby(coarse_cols).aggregate(
-            Sum("n_direct", alias_name="t")
-        )
-        coarse_ds = (
-            assignments.map_batches(split(0), batch_format="pyarrow")
-            .groupby(coarse_cols)
-            .aggregate(Count(alias_name="cc"))
-            .materialize()
-        )
-        j = fine_ds.join(
-            tot_ds, join_type="inner", num_partitions=num_partitions,
-            on=tuple(coarse_cols),
-        )
-        if coarse_ds.count() > 0:
-            j = j.repartition(num_partitions)  # schema barrier between joins
-            j = j.join(
-                coarse_ds, join_type="left_outer",
-                num_partitions=num_partitions, on=tuple(coarse_cols),
-            )
-
-        def finish(t: pa.Table) -> pa.Table:
-            # stay in Arrow: the outer join leaves cc nullable and a
-            # pandas round-trip would go through float64
-            if "cc" in t.column_names:
-                cc = pc.coalesce(t["cc"], pa.scalar(0, pa.int64()))
-            else:  # no coarse-only rows anywhere
-                cc = pa.scalar(0, pa.int64())
-            est = pc.multiply(t["n_direct"], pc.add(t["t"], cc))
-            cols = {c: t[c] for c in leaf_cols}
-            cols["n_direct"] = t["n_direct"]
-            cols["est_num"] = est
-            cols["denom"] = t["t"]
-            return pa.table(cols)
-
-        return j.map_batches(finish, batch_format="pyarrow")
 
     fine = (
         assignments.map_batches(split(1), batch_format="pyarrow")

@@ -26,9 +26,11 @@ metadata):
   assembles the id-sorted subset off-driver, its return object is the
   broadcast, and edges score in map_batches with a searchsorted lookup
   (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
-* ``join`` — scale fallback past the limit: two hash joins of the
-  distinct edges against the same filtered blocks (Arrow hash join can't
-  carry list columns, hence the binary packing).
+* ``join`` — scale fallback past the limit: two two-input
+  ``hash_exchange`` calls move the distinct edges against the same
+  filtered blocks. The first is keyed on ``a`` and attaches ``pay_a``;
+  the second is keyed on ``b``, attaches ``pay_b`` and scores. Each
+  reduce looks its edges up in its id-sorted payload piece.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import drop_empty_blocks
+from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.stages.signatures import sig_from_arrow
 
-_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _PAYLOAD = pa.schema([("doc_id", pa.int64()), ("payload", pa.large_binary())])
 
 
@@ -130,7 +131,7 @@ def _verify_core(
     the endpoint-filtered rows of ``table`` (id column ``id_col``) into
     one packed payload per id; ``score(pay_a, pay_b) -> (values, keep)``
     scores aligned large_binary arrays. Contract: ONE payload per id —
-    the sorted-id lookup and the join both assume it. Endpoints without
+    the sorted-id lookups of both paths assume it. Endpoints without
     a payload row drop their edges.
 
     ``strategy``: ``auto`` broadcasts when the filtered payload's bytes
@@ -138,7 +139,6 @@ def _verify_core(
     force a path. Both paths score the same distinct pairs against the
     same materialized blocks, so their outputs are identical."""
     from metacache_mpi_ray.stages.candidates import unique_pairs
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
 
     def rows(a, b, vals) -> pa.Table:
         return pa.table(
@@ -158,14 +158,8 @@ def _verify_core(
         return rows(a[keep], b[keep], vals[keep])
 
     # distinct pairs on EVERY path: scores depend only on the two
-    # payloads, so multiplicity is pure cost; drop_empty_blocks keeps
-    # the Ray 2.49 hash join off schema-less empty blocks
-    # (functions/blocks.py)
-    edges = drop_empty_blocks(unique_pairs(edges, num_partitions), schema=_PAIRS)
-    if edges.count() == 0:
-        # a globally-empty join side crashes the Ray 2.49 hash join
-        # ("No match ... for key field reference"); nothing to score
-        return rd.from_arrow(empty)
+    # payloads, so multiplicity is pure cost
+    edges = unique_pairs(edges, num_partitions)
     wanted_ref = _assemble_edge_ids.remote(
         *[_block_edge_ids.remote(r) for r in edges.to_arrow_refs()]
     )
@@ -173,7 +167,7 @@ def _verify_core(
     def pack_rows(batch: pa.Table) -> pa.Table:
         return pack(batch) if len(batch) else _PAYLOAD.empty_table()
 
-    # materialized ONCE: the broadcast assembly or both join sides read
+    # materialized ONCE: the broadcast assembly or both exchanges read
     # these blocks (Ray Data has no cross-branch CSE)
     side = (
         table.map_batches(filter_to_ids(id_col, wanted_ref), batch_format="pyarrow")
@@ -181,7 +175,8 @@ def _verify_core(
         .materialize()
     )
     if side.count() == 0:
-        # edges may reference ids absent from the table: every edge drops
+        # no edges, or edges whose endpoints are all absent from the
+        # table: every edge drops
         return rd.from_arrow(empty)
 
     if strategy == "broadcast" or (
@@ -200,27 +195,36 @@ def _verify_core(
 
         return edges.map_batches(score_b, batch_format="pyarrow")
 
-    num_partitions = clamp_join_partitions(num_partitions)  # deadlock guard
-    sa = side.rename_columns({"doc_id": "a", "payload": "pay_a"})
-    sb = side.rename_columns({"doc_id": "b", "payload": "pay_b"})
-    j = edges.join(sa, join_type="inner", num_partitions=num_partitions, on=("a",))
-    # schema-preserving barrier: a hash partition of a chained join that
-    # receives zero left blocks finalizes as a zero-column table and the
-    # second join's key lookup fails (Ray 2.49 join aggregator builds
-    # empty partitions schema-less); repartition rebuilds every block
-    # with the schema attached
-    j = j.repartition(num_partitions)
-    j = j.join(sb, join_type="inner", num_partitions=num_partitions, on=("b",))
-
-    def score_j(batch: pa.Table) -> pa.Table:
-        return scored(
-            batch["a"].to_numpy(zero_copy_only=False),
-            batch["b"].to_numpy(zero_copy_only=False),
-            batch["pay_a"],
-            batch["pay_b"],
+    def attach(e: pa.Table, s: pa.Table, key: str, pay: str):
+        """This partition's edges whose ``key`` endpoint has a payload
+        row in its piece of side, with that payload as column ``pay``."""
+        if e.num_rows == 0 or s.num_rows == 0:
+            return None
+        ids = s[key].to_numpy(zero_copy_only=False)
+        order = np.argsort(ids)
+        pos, found = lookup_sorted(ids[order], e[key].to_numpy(zero_copy_only=False))
+        return e.filter(pa.array(found)).append_column(
+            pay, s[pay].take(order[pos[found]])
         )
 
-    return j.map_batches(score_j, batch_format="pyarrow")
+    with_pay_a = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("pay_a", pa.large_binary())])
+
+    def join_a(e: pa.Table, s: pa.Table) -> pa.Table:
+        j = attach(e, s, "a", "pay_a")
+        return with_pay_a.empty_table() if j is None else j.select(with_pay_a.names)
+
+    def join_b_score(e: pa.Table, s: pa.Table) -> pa.Table:
+        j = attach(e, s, "b", "pay_b")
+        if j is None:
+            return empty
+        a = j["a"].to_numpy(zero_copy_only=False)
+        b = j["b"].to_numpy(zero_copy_only=False)
+        return scored(a, b, j["pay_a"], j["pay_b"])
+
+    sa = side.rename_columns({"doc_id": "a", "payload": "pay_a"})
+    sb = side.rename_columns({"doc_id": "b", "payload": "pay_b"})
+    j = hash_exchange([edges, sa], ["a"], join_a, num_partitions=num_partitions)
+    return hash_exchange([j, sb], ["b"], join_b_score, num_partitions=num_partitions)
 
 
 def _binary_offsets(col) -> tuple[pa.Array, np.ndarray]:

@@ -120,17 +120,6 @@ def test_assign_clusters_distributed_matches_driver(ray_session):
     )
 
 
-def test_exact_label_sum_no_wraparound(ray_session):
-    # content-hash ids are ~2^62; a plain int64 sum wraps at 2 rows
-    from metacache_mpi_ray.stages.cluster import _exact_label_sum
-
-    labs = np.array(
-        [(1 << 62) + 7, (1 << 62) + 11, (1 << 61) - 1, 0, 12345], dtype=np.int64
-    )
-    ds = rd.from_pandas(pd.DataFrame({"lab": labs})).repartition(3)
-    assert _exact_label_sum(ds) == int(sum(int(x) for x in labs))
-
-
 def test_propagate_min_labels_hash_scale_ids(ray_session):
     # the fixpoint check must stay exact for 63-bit ids (wraparound of
     # a naive sum would risk a premature break -> wrong labels)
@@ -146,16 +135,8 @@ def test_propagate_min_labels_hash_scale_ids(ray_session):
     }
 
 
-def test_drop_empty_blocks_all_empty_fallback_schema(ray_session):
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
-    schema = pa.schema([("node", pa.int64()), ("lab", pa.int64())])
-    empty = rd.from_arrow(schema.empty_table()).materialize()
-    out = drop_empty_blocks(empty, schema=schema)
-    assert out.count() == 0
-    assert out.schema().base_schema == schema
 def test_distributed_cc_crossover_exact_at_scale(ray_session):
-    """The >=50M-edge crossover path (cluster_method="distributed")
+    """The >=50M-edge crossover path (distributed components)
     pinned as CI (r3 verdict item 7): 30k nodes / 150k random edges (dense -> few propagation rounds),
     distributed min-label propagation must label EVERY node identically
     to the driver DSU. Marked slow-ish but in the default CI list so
@@ -182,26 +163,29 @@ def test_distributed_cc_crossover_exact_at_scale(ray_session):
     assert np.array_equal(drv["is_dup"].to_numpy(), dst["is_dup"].to_numpy())
 
 
-def test_flagship_distributed_cluster_method_parity(ray_session, corpus_dir):
-    """near_dup_pipeline(cluster_method='distributed') returns the same
-    clusters as the driver DSU on the planted corpus — the auto switch
-    can flip at 50M edges without changing results."""
+def test_flagship_distributed_cluster_method_parity(
+    ray_session, corpus_dir, monkeypatch
+):
+    """near_dup_pipeline past CLUSTER_DRIVER_EDGE_LIMIT (forced here by
+    a limit of 0) returns the same clusters as the driver DSU on the
+    planted corpus — the auto switch can flip at 50M edges without
+    changing results."""
     from metacache_mpi_ray.config import DedupConfig
+    from metacache_mpi_ray.pipelines import dedup
     from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
     from metacache_mpi_ray.stages.ingest import ingest_pages
 
     docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
     cfg = DedupConfig()
     drv = (
-        near_dup_pipeline(docs, cfg, num_partitions=4, cluster_method="driver")
+        near_dup_pipeline(docs, cfg, num_partitions=4)
         .clusters.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(dedup, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
     dst = (
-        near_dup_pipeline(
-            docs, cfg, num_partitions=4, cluster_method="distributed"
-        )
+        near_dup_pipeline(docs, cfg, num_partitions=4)
         .clusters.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -222,18 +206,6 @@ def test_assign_clusters_distributed_zero_edges(ray_session):
     assert len(out) == 7
     assert (out["cluster_id"] == out["doc_id"]).all()
     assert not out["is_dup"].any()
-def test_drop_empty_blocks_no_schema_raises(ray_session):
-    # the materialized sort of an empty dataset has zero blocks and no
-    # schema; without the caller fallback there is nothing to build
-    from metacache_mpi_ray.functions.blocks import drop_empty_blocks
-
-    empty = rd.from_arrow(
-        pa.table({"x": pa.array([], type=pa.int64())})
-    ).sort("x").materialize()
-    if empty.schema() is not None:  # future Ray may fix this; then n/a
-        pytest.skip("sort of empty dataset kept its schema")
-    with pytest.raises(ValueError, match="pass the expected schema"):
-        drop_empty_blocks(empty)
 
 
 def test_ensure_columns():
@@ -244,3 +216,31 @@ def test_ensure_columns():
     empty = pd.DataFrame()
     out = ensure_columns(empty, ["a", "b"])
     assert list(out.columns) == ["a", "b"] and len(out) == 0
+
+
+@pytest.mark.parametrize("num_partitions", [1, 2, 5])
+def test_distributed_cc_giant_component(ray_session, num_partitions):
+    """A 10^5-member star (the BTS hot-label shape: every pointer edge
+    of the component shares one source) plus a 4096-node chain (the
+    longest diameter): distributed labels equal the driver DSU's
+    exactly at every partition count."""
+    rng = np.random.default_rng(19)
+    hub = 10**6
+    leaves = np.arange(1, 10**5, dtype=np.int64) + hub
+    chain = np.arange(4096, dtype=np.int64) + 5 * 10**6
+    a = np.concatenate([np.full(len(leaves), hub, dtype=np.int64), chain[:-1]])
+    b = np.concatenate([leaves, chain[1:]])
+    order = rng.permutation(len(a))
+    edges = rd.from_arrow(pa.table({"a": a[order], "b": b[order]})).repartition(4)
+    ids = np.concatenate([[7], a, b])
+    docs = rd.from_arrow(pa.table({"doc_id": np.unique(ids)})).repartition(3)
+    drv = assign_clusters(docs, edges).to_pandas().sort_values("doc_id")
+    dst = (
+        assign_clusters_distributed(docs, edges, num_partitions=num_partitions)
+        .to_pandas()
+        .sort_values("doc_id")
+    )
+    assert len(dst) == len(drv) == len(leaves) + 1 + len(chain) + 1
+    assert np.array_equal(drv["doc_id"].to_numpy(), dst["doc_id"].to_numpy())
+    assert np.array_equal(drv["cluster_id"].to_numpy(), dst["cluster_id"].to_numpy())
+    assert np.array_equal(drv["is_dup"].to_numpy(), dst["is_dup"].to_numpy())

@@ -186,12 +186,13 @@ def _join_left_inputs():
 @pytest.mark.parametrize("entry", ["minhash", "payload", "exact_jaccard"])
 def test_verify_join_left_side_is_distinct_pairs(monkeypatch, entry):
     """Spill pin: the join path attaches a payload row to every LEFT
-    row of its first join, so raw per-band edge multiplicity there
+    row of its first join exchange, so raw per-band edge multiplicity there
     re-creates the measured payload-times-multiplicity spill at 4M docs.
     Every entry point must hand the first join exactly one row per
     distinct pair, however duplicated its input."""
     import pyarrow as pa
-    import ray.data
+
+    from metacache_mpi_ray.stages import verify
 
     pairs = [(0, 1), (2, 3), (4, 5), (1, 7), (0, 9)]
     edges = rd.from_arrow(
@@ -204,15 +205,15 @@ def test_verify_join_left_side_is_distinct_pairs(monkeypatch, entry):
     ).repartition(3)
     run = _join_left_inputs()[entry]
     lefts = []
-    real = ray.data.Dataset.join
+    real = verify.hash_exchange
 
-    def spy(self, *args, **kw):
-        lefts.append(self)
-        return real(self, *args, **kw)
+    def spy(inputs, *args, **kw):
+        lefts.append(inputs[0])
+        return real(inputs, *args, **kw)
 
-    monkeypatch.setattr(ray.data.Dataset, "join", spy)
+    monkeypatch.setattr(verify, "hash_exchange", spy)
     out = run(edges, "join").to_pandas()
-    assert lefts, "strategy='join' never reached Dataset.join"
+    assert lefts, "strategy='join' never reached the join exchange"
     left = lefts[0].to_pandas()
     assert len(left) == len(pairs)
     assert set(zip(left["a"], left["b"])) == set(pairs)

@@ -220,3 +220,140 @@ def test_bucket_and_segment_stages_run_no_sort_or_groupby(monkeypatch):
     )
     assert cluster_lcs_report(with_clusters, min_cluster=2, max_members=4).count() > 0
     assert calls == []
+
+
+def test_two_input_exchange_sees_both_sides_of_each_key():
+    """With a list of inputs the reduce gets one table per input, both
+    holding every row of the partition's keys; an input with no rows
+    at all arrives column-less, one with rows elsewhere keeps its
+    schema."""
+    left = rd.from_arrow(
+        pa.table({"k": np.arange(40, dtype=np.int64) % 13, "x": np.arange(40)})
+    ).repartition(3)
+    right = rd.from_arrow(
+        pa.table({"k": np.arange(13, dtype=np.int64), "y": np.arange(13) * 10})
+    ).repartition(2)
+    empty = rd.from_arrow_refs([ray.put(pa.table({}))])
+
+    def pairs(lt: pa.Table, rt: pa.Table, et: pa.Table) -> pa.Table:
+        assert lt.column_names == ["k", "x"] and rt.column_names == ["k", "y"]
+        assert et.num_columns == 0
+        return lt.join(rt, keys="k") if lt.num_rows else pa.table(
+            {"k": pa.array([], pa.int64()), "x": pa.array([], pa.int64()), "y": pa.array([], pa.int64())}
+        )
+
+    out = hash_exchange([left, right, empty], ["k"], pairs, num_partitions=5).to_pandas()
+    assert len(out) == 40
+    assert (out["y"] == (out["k"] * 10)).all()
+
+
+def test_joins_run_no_dataset_join(monkeypatch):
+    """Every join and the connected-components rounds go through
+    hash_exchange: with ``Dataset.join`` (and, for the components,
+    ``Dataset.sort``) raising, large_join, verify's join strategy,
+    distributed components, decontamination, bloom's exact join path
+    and boilerplate removal all still run and give the expected rows."""
+    import pandas as pd
+
+    from metacache_mpi_ray.config import DedupConfig
+    from metacache_mpi_ray.stages.bloom import filter_unseen
+    from metacache_mpi_ray.stages.cluster import (
+        assign_clusters,
+        assign_clusters_distributed,
+        propagate_min_labels,
+    )
+    from metacache_mpi_ray.stages.corpus_clean import remove_boilerplate_lines
+    from metacache_mpi_ray.stages.decontaminate import decontaminate
+    from metacache_mpi_ray.stages.ingest import ingest_documents
+    from metacache_mpi_ray.stages.joins import large_join
+    from metacache_mpi_ray.stages.signatures import compute_signatures
+    from metacache_mpi_ray.stages.verify import (
+        verify_edges,
+        verify_edges_exact_jaccard,
+    )
+
+    def forbid(name):
+        def f(self, *args, **kwargs):
+            raise AssertionError(f"Dataset.{name} on a keyed-exchange path")
+
+        return f
+
+    monkeypatch.setattr(rd.Dataset, "join", forbid("join"))
+
+    left = pd.DataFrame({"k": np.arange(30) % 7, "x": np.arange(30)})
+    right = pd.DataFrame({"k": np.arange(5), "y": np.arange(5) * 10})
+    for how, want in (("inner", left.merge(right, on="k")),
+                      ("left_outer", left.merge(right, on="k", how="left"))):
+        got = large_join(
+            rd.from_pandas(left), rd.from_pandas(right), on=("k",),
+            join_type=how, num_partitions=3,
+        ).to_pandas()
+        assert len(got) == len(want)
+        assert set(zip(got["x"], got["y"].fillna(-1))) == set(
+            zip(want["x"], want["y"].fillna(-1))
+        )
+
+    cfg = DedupConfig()
+    words = [f"w{i}" for i in range(60)]
+    rng = np.random.default_rng(2)
+    base = [" ".join(rng.choice(words, 40)) for _ in range(4)]
+    texts = base + [t + " extra" for t in base] + base[:2]
+    docs = ingest_documents(
+        rd.from_arrow(
+            pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()),
+                      "text": pa.array(texts)})
+        )
+    ).materialize()
+    sigs = compute_signatures(docs, cfg).materialize()
+    n = len(texts)
+    a, b = np.triu_indices(n, 1)
+    edges = rd.from_arrow(pa.table({"a": a.astype(np.int64), "b": b.astype(np.int64)}))
+    for fn, table in ((verify_edges, sigs), (verify_edges_exact_jaccard, docs)):
+        joined = fn(edges, table, cfg, num_partitions=3, strategy="join").to_pandas()
+        bcast = fn(edges, table, cfg, num_partitions=3, strategy="broadcast").to_pandas()
+        assert len(joined) > 0
+        key = ["a", "b"]
+        pd.testing.assert_frame_equal(
+            joined.sort_values(key).reset_index(drop=True),
+            bcast.sort_values(key).reset_index(drop=True),
+        )
+
+    chain = rd.from_arrow(pa.table({"a": np.arange(20, dtype=np.int64),
+                                    "b": np.arange(1, 21, dtype=np.int64)}))
+    ids = rd.from_arrow(pa.table({"doc_id": np.arange(25, dtype=np.int64)}))
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "sort", forbid("sort"))
+        labels = propagate_min_labels(chain, num_partitions=3).to_pandas()
+        dst = assign_clusters_distributed(ids, chain, num_partitions=3).to_pandas()
+    assert len(labels) == 21 and (labels["cluster_id"] == 0).all()
+    drv = assign_clusters(ids, chain).to_pandas().sort_values("doc_id")
+    pd.testing.assert_frame_equal(
+        drv.reset_index(drop=True),
+        dst.sort_values("doc_id").reset_index(drop=True),
+        check_dtype=False,
+    )
+
+    corpus = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
+                                     "text": pa.array(["a b c d e", "x y z w v", "p q r s t"])}))
+    bench = rd.from_arrow(pa.table({"text": pa.array(["zz a b c yy"])}))
+    flags = decontaminate(corpus, bench, n=3, strategy="join", num_partitions=2).to_pandas()
+    assert dict(zip(flags["doc_id"], flags["n_hits"])) == {1: 1, 2: 0, 3: 0}
+    kept = decontaminate(
+        corpus, bench, n=3, mode="filter", strategy="join", num_partitions=2
+    ).to_pandas()
+    assert sorted(kept["doc_id"]) == [2, 3]
+
+    seen = rd.from_arrow(pa.table({"key": np.arange(100, dtype=np.int64)}))
+    new = rd.from_arrow(pa.table({"key": np.arange(90, 110, dtype=np.int64)}))
+    unseen = filter_unseen(new, seen, "key", n_expected=100, strategy="join").to_pandas()
+    assert sorted(unseen["key"]) == list(range(100, 110))
+
+    pages = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(4), type=pa.int64()),
+        "text": pa.array(["nav\nbody one\nfoot", "nav\nbody two", "foot\nnav", "solo"]),
+    }))
+    clean = remove_boilerplate_lines(
+        pages, min_docs=2, strategy="join", num_partitions=3
+    ).to_pandas().sort_values("doc_id")
+    assert list(clean["clean_text"]) == ["body one", "body two", "", "solo"]
+    assert list(clean["n_removed"]) == [2, 1, 2, 0]

@@ -83,7 +83,7 @@ def test_sig_arrow_and_binary_roundtrip():
     a, b = minhash_perm_constants(cfg.n_perms, cfg.seed)
     sig = minhash_matrix([b"abc def ghi jkl mno pqr stu vwx", b"hello world " * 4], cfg, a, b)
     assert (sig_from_arrow(sig_to_arrow(sig)) == sig).all()
-    # verify ships signatures through its hash joins as packed binary
+    # verify ships signatures through its join exchanges as packed binary
     packed = _pack_fixed(np.arange(2), sig, np.dtype(np.uint64))["payload"]
     assert (_unpack_fixed(packed, np.dtype(np.uint64)) == sig).all()
     assert (_unpack_fixed(packed.slice(1), np.dtype(np.uint64)) == sig[1:]).all()

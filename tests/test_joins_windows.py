@@ -42,21 +42,6 @@ def test_broadcast_join_rejects_overlap_and_bad_how():
         )
 
 
-def test_clamp_join_partitions_bounds():
-    """Hash-shuffle joins deadlock when partitions >> CPUs (one
-    aggregator actor per partition; reproduced at 16 partitions on
-    2 CPUs; a chained double-join stalls two 8-actor pools there). The
-    clamp caps at 2x cluster CPUs and floors at 2."""
-    import ray
-
-    from metacache_mpi_ray.stages.joins import clamp_join_partitions
-
-    cpus = int(ray.cluster_resources()["CPU"])
-    assert clamp_join_partitions(10_000) == 2 * cpus
-    assert clamp_join_partitions(3) == 3
-    assert clamp_join_partitions(1) == 2
-
-
 def test_large_join_auto_partitions_matches_pandas():
     from metacache_mpi_ray.stages.joins import large_join
 
@@ -266,8 +251,7 @@ def test_asof_lookup_empty_table():
 def test_default_num_partitions_tracks_cluster_cpus():
     """Pipeline entry points size their partition default from the
     cluster (r4 item 9): at the 4-CPU test cluster the default is the
-    floor (8), never the old hardcoded 16/32 that recreated the
-    partitions >> CPUs aggregator-starvation shape on small nodes."""
+    floor (8), never the old hardcoded 16/32."""
     import inspect
 
     import ray

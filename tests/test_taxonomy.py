@@ -79,41 +79,6 @@ def test_redistribute_counts_proportional():
     assert out.loc[("de", "c"), "est_num"] / out.loc[("de", "c"), "denom"] == 2
 
 
-def test_redistribute_counts_distributed_parity(ray_session):
-    """mode='distributed' (hash-partitioned Dataset joins for 10^7+-leaf
-    hierarchies) must agree row-for-row with the driver-side merge."""
-    rows = []
-    rows += [("en", "a", 1)] * 3 + [("en", "b", 1)] * 1 + [("en", "x", 0)] * 4
-    rows += [("de", "c", 1)] * 2
-    rows += [("fr", "y", 0)] * 3  # coarse-only lang: no leaf to land on
-    tab = pa.table(
-        {
-            "lang": pa.array([r[0] for r in rows]),
-            "source": pa.array([r[1] for r in rows]),
-            "at_leaf": pa.array([r[2] for r in rows], type=pa.int64()),
-        }
-    )
-    cols = ["lang", "source", "n_direct", "est_num", "denom"]
-    drv = (
-        redistribute_counts(rd.from_arrow(tab), ["lang", "source"])
-        .to_pandas()[cols]
-        .sort_values(["lang", "source"])
-        .reset_index(drop=True)
-    )
-    dist = (
-        redistribute_counts(
-            rd.from_arrow(tab), ["lang", "source"], mode="distributed",
-            num_partitions=4,
-        )
-        .to_pandas()[cols]
-        .sort_values(["lang", "source"])
-        .reset_index(drop=True)
-    )
-    assert dist.astype({"n_direct": "int64", "est_num": "int64", "denom": "int64"}).equals(
-        drv.astype({"n_direct": "int64", "est_num": "int64", "denom": "int64"})
-    )
-
-
 def test_pair_eval_counts():
     # pred groups: {1,2,3}, {4,5}; truth: {1,2}, {3,4}, {5}
     tab = pa.table(
@@ -149,28 +114,3 @@ def test_redistribute_counts_empty_sides(ray_session):
     out2 = redistribute_counts(rd.from_pandas(all_coarse), ["lang", "source"])
     assert out2.count() == 0
     assert set(out2.schema().names) == {"lang", "source", "n_direct", "est_num", "denom"}
-
-
-def test_redistribute_counts_distributed_empty_sides(ray_session):
-    """r3 review regression: mode='distributed' must survive the same
-    empty-side inputs the driver path guards (all-coarse input crashed
-    the hash join on a schema-less empty groupby result)."""
-    all_coarse = pd.DataFrame(
-        {"lang": ["en", "fr"], "source": ["a", "b"], "at_leaf": [0, 0]}
-    )
-    out = redistribute_counts(
-        rd.from_pandas(all_coarse), ["lang", "source"],
-        mode="distributed", num_partitions=2,
-    )
-    assert out.count() == 0
-    assert set(out.schema().names) == {"lang", "source", "n_direct", "est_num", "denom"}
-
-    all_fine = pd.DataFrame(
-        {"lang": ["en", "en"], "source": ["a", "b"], "at_leaf": [1, 1]}
-    )
-    out2 = redistribute_counts(
-        rd.from_pandas(all_fine), ["lang", "source"],
-        mode="distributed", num_partitions=2,
-    ).to_pandas()
-    assert len(out2) == 2
-    assert (out2["est_num"] == out2["n_direct"] * out2["denom"]).all()
