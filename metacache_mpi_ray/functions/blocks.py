@@ -1,8 +1,10 @@
 """Block-level dataset utilities.
 
 ``hash_exchange`` is the engine's keyed all-to-all (every join, pair
-dedup, the index probe, every bucket and segment stage and the
-connected-components rounds): plain Ray tasks instead of a Ray Data
+dedup, the index probe, every bucket and segment stage, the
+connected-components rounds, the windows family, the vocabulary census,
+rank-merge, the Bloom build and sharded probe, and the ambiguity
+filter): plain Ray tasks instead of a Ray Data
 ``sort``/``groupby``/``join``, whose fixed cost per execution dwarfs the
 work on a small input, whose sorted blocks split key groups that then
 need a boundary stitch, and whose join emits zero-row blocks with the

@@ -229,9 +229,9 @@ def q_sources_per_length(sf_dir: str):
 
 
 def q_chars_median_by_lang(sf_dir: str):
-    """Exact per-group discrete median via the sort+segment machinery
-    (Ray Data has no quantile aggregate; DuckDB quantile_disc is the
-    oracle)."""
+    """Exact per-group discrete median via the keyed-exchange segment
+    machinery (Ray Data has no quantile aggregate; DuckDB quantile_disc
+    is the oracle)."""
     from metacache_mpi_ray.stages.windows import quantile_per_group
 
     ds = _documents(sf_dir, columns=["lang", "n_chars"])
@@ -360,8 +360,8 @@ def q_sessionize_events(sf_dir: str):
 
 def q_cluster_members(sf_dir: str):
     """Grouped collect-list (A6 analog: matches-per-target inversion):
-    exact-dup groups with their sorted member list. Sort + vectorized
-    segment kernel (no per-group Python calls)."""
+    exact-dup groups with their sorted member list. One keyed exchange
+    + a vectorized segment kernel (no per-group Python calls)."""
     from metacache_mpi_ray.stages.windows import collect_members
 
     docs = _docs_raw_hashed(sf_dir)

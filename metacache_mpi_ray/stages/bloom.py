@@ -8,12 +8,13 @@ the whole corpus against every incoming batch.
 
 Design (scale notes):
 
-- **Build is one key shuffle, never a bitmap shuffle.** Keys hash to
+- **Build is one key exchange, never a bitmap shuffle.** Keys hash to
   ``(h1, h2)`` u64 pairs inside ``map_batches`` (zero-copy from Arrow
-  buffers for string keys); rows of 20 bytes are hash-partitioned by
-  shard and each shard group sets its own ``m/n_shards``-bit slice
-  with one vectorized scatter. Shipping per-block partial bitmaps
-  instead would move ``#blocks x m/8`` bytes — at m = 10^10 bits that
+  buffers for string keys); rows of 20 bytes take one
+  ``functions/blocks.hash_exchange`` on their shard, and each reduce
+  sets the ``m/n_shards``-bit slice of every shard it holds with one
+  vectorized scatter (``_shard_bitmaps``, shared by both builds).
+  Shipping per-block partial bitmaps instead would move ``#blocks x m/8`` bytes — at m = 10^10 bits that
   is the difference between a few GB of key rows and terabytes.
 - **Probe is broadcast + vectorized bit tests.** The assembled filter
   (one ``(n_shards, m_shard/64)`` u64 matrix) is ``ray.put`` once and
@@ -24,8 +25,8 @@ Design (scale notes):
   (~12 GB at fpp 1%). Past ``bitmap_broadcast_limit`` the build and
   probe degrade automatically to the shard-keyed path
   (``ShardedBloomFilter``): slices live as separate object refs and
-  probe rows are range-shuffled to their shard, with per-task memory
-  bounded by the slices a batch touches.
+  probe rows are exchanged on their shard, with per-task memory
+  bounded by the slices a partition touches.
 - **Exactness**: ``filter_unseen`` uses the filter only to PRUNE. A
   bloom negative is definitely-new; the (rare) positives are
   exact-verified against the corpus keys with a broadcast semi-join
@@ -52,6 +53,7 @@ from metacache_mpi_ray.functions.hashing import (
     doc_hashes_from_buffer,
     mix2,
 )
+from metacache_mpi_ray.stages.windows import _group_exchange
 
 U64 = np.uint64
 _SHARD_MIX = 0xD6E8FEB86659FD93
@@ -120,8 +122,8 @@ class ShardedBloomFilter:
     """Degrade path past the broadcast limit (~10^10 keys): the shard
     bitmap slices stay in the object store as SEPARATE refs — the full
     bitmap is never assembled on the driver or shipped as one object.
-    Probes route rows to their shard (one range shuffle on the shard
-    key) so each probe task pulls only the slices its rows touch."""
+    Probes route rows to their shard (one keyed exchange on the shard
+    id) so each probe task pulls only the slices its rows touch."""
 
     shard_refs: tuple  # ObjectRef per shard -> (m_shard // 64,) uint64
     m_shard: int
@@ -159,6 +161,42 @@ def _put_shard_slices(tab: pa.Table):
     return out
 
 
+def _shard_bitmaps(ds, col: str, n_shards: int, m_total: int, k: int, seed: int):
+    """The shared build: key hash rows (20 bytes each) take ONE
+    ``hash_exchange`` on their shard, and each reduce scatters every
+    shard it holds into its ``m_shard``-bit slice. Returns (Dataset of
+    one (shard, bits) row per shard that saw a key, m_shard)."""
+    m_shard = ((-(-m_total // n_shards) + 63) // 64) * 64
+    m = U64(m_shard)
+
+    def emit(t: pa.Table) -> pa.Table:
+        h1, h2 = key_hashes(t, col, seed)
+        sh = (mix2(h1, _SHARD_MIX) % U64(n_shards)).astype(np.int32)
+        return pa.table({"shard": sh, "h1": h1, "h2": h2})
+
+    def scatter(t: pa.Table, starts, sizes) -> pa.Table:
+        h1 = t["h1"].to_numpy(zero_copy_only=False)
+        h2 = t["h2"].to_numpy(zero_copy_only=False)
+        row = np.repeat(np.arange(len(starts)), sizes)  # slice of each key
+        words = np.zeros((len(starts), m_shard // 64), dtype=U64)
+        for i in range(k):
+            pos = (h1 + U64(i) * h2) % m
+            np.bitwise_or.at(
+                words,
+                (row, (pos >> U64(6)).astype(np.int64)),
+                U64(1) << (pos & U64(63)),
+            )
+        return pa.table(
+            {
+                "shard": t["shard"].take(pa.array(starts, type=pa.int64())),
+                "bits": pa.array([w.tobytes() for w in words], type=pa.large_binary()),
+            }
+        )
+
+    emitted = ds.map_batches(emit, batch_format="pyarrow")
+    return _group_exchange(emitted, ["shard"], scatter), m_shard
+
+
 def build_bloom_sharded(
     ds,
     col: str,
@@ -168,7 +206,7 @@ def build_bloom_sharded(
     seed: int = 101,
     max_shard_bytes: int = 256 << 20,
 ) -> ShardedBloomFilter:
-    """Build the shard-slice filter. Same one-key-shuffle build as
+    """Build the shard-slice filter. Same one-key-exchange build as
     ``build_bloom`` (never a bitmap shuffle); the only difference is
     assembly — per-shard slices are re-put as separate objects instead
     of collected into one matrix. ``n_shards`` auto-sizes so each
@@ -176,38 +214,7 @@ def build_bloom_sharded(
     m_total, k = bloom_params(n_expected, fpp)
     if n_shards is None:
         n_shards = max(16, -(-(m_total // 8) // max_shard_bytes))
-    m_shard = -(-m_total // n_shards)
-    m_shard = ((m_shard + 63) // 64) * 64
-    m_words = m_shard // 64
-
-    def emit(t: pa.Table) -> pa.Table:
-        h1, h2 = key_hashes(t, col, seed)
-        sh = (mix2(h1, _SHARD_MIX) % U64(n_shards)).astype(np.int32)
-        return pa.table({"shard": sh, "h1": h1, "h2": h2})
-
-    def build_shard(g: pa.Table) -> pa.Table:
-        h1 = g["h1"].to_numpy(zero_copy_only=False).view(U64)
-        h2 = g["h2"].to_numpy(zero_copy_only=False).view(U64)
-        w = np.zeros(m_words, dtype=U64)
-        m = U64(m_shard)
-        for i in range(k):
-            pos = (h1 + U64(i) * h2) % m
-            np.bitwise_or.at(
-                w, (pos >> U64(6)).astype(np.int64), U64(1) << (pos & U64(63))
-            )
-        return pa.table(
-            {
-                "shard": pa.array([int(g["shard"][0].as_py())], type=pa.int32()),
-                "bits": pa.array([w.tobytes()], type=pa.binary()),
-            }
-        )
-
-    rows = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(build_shard, batch_format="pyarrow")
-        .materialize()
-    )
+    rows, m_shard = _shard_bitmaps(ds, col, n_shards, m_total, k, seed)
     refs: list = [None] * n_shards
     for blk in rows.to_arrow_refs():
         for sh, r in ray.get(_put_shard_slices.remote(blk)):
@@ -217,7 +224,7 @@ def build_bloom_sharded(
     for i in range(n_shards):
         if refs[i] is None:
             if zero_ref is None:
-                zero_ref = ray.put(np.zeros(m_words, dtype=U64))
+                zero_ref = ray.put(np.zeros(m_shard // 64, dtype=U64))
             refs[i] = zero_ref
     return ShardedBloomFilter(
         shard_refs=tuple(refs), m_shard=m_shard, k=k, seed=seed
@@ -234,45 +241,15 @@ def build_bloom(
 ) -> BloomFilter:
     """Build a sharded Bloom filter over ``ds[col]``.
 
-    One 20-byte-per-key shuffle (groupby shard), one vectorized
-    scatter per shard group; the group count is ``n_shards`` (bounded,
-    so the per-group Python dispatch cost is O(n_shards), not O(keys)).
+    One 20-byte-per-key ``hash_exchange`` on the shard id, one
+    vectorized scatter per shard in its reduce; the shard count is
+    ``n_shards`` (bounded, so the per-shard Python is O(n_shards), not
+    O(keys)).
     """
     m_total, k = bloom_params(n_expected, fpp)
-    m_shard = -(-m_total // n_shards)
-    m_shard = ((m_shard + 63) // 64) * 64
-    m_words = m_shard // 64
-
-    def emit(t: pa.Table) -> pa.Table:
-        h1, h2 = key_hashes(t, col, seed)
-        sh = (mix2(h1, _SHARD_MIX) % U64(n_shards)).astype(np.int32)
-        return pa.table({"shard": sh, "h1": h1, "h2": h2})
-
-    def build_shard(g: pa.Table) -> pa.Table:
-        h1 = g["h1"].to_numpy(zero_copy_only=False).view(U64)
-        h2 = g["h2"].to_numpy(zero_copy_only=False).view(U64)
-        w = np.zeros(m_words, dtype=U64)
-        m = U64(m_shard)
-        for i in range(k):
-            pos = (h1 + U64(i) * h2) % m
-            np.bitwise_or.at(
-                w, (pos >> U64(6)).astype(np.int64), U64(1) << (pos & U64(63))
-            )
-        return pa.table(
-            {
-                "shard": pa.array([int(g["shard"][0].as_py())], type=pa.int32()),
-                "bits": pa.array([w.tobytes()], type=pa.binary()),
-            }
-        )
-
-    rows = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(build_shard, batch_format="pyarrow")
-        .take_all()
-    )
-    bits = np.zeros((n_shards, m_words), dtype=U64)
-    for r in rows:
+    rows, m_shard = _shard_bitmaps(ds, col, n_shards, m_total, k, seed)
+    bits = np.zeros((n_shards, m_shard // 64), dtype=U64)
+    for r in rows.take_all():
         bits[int(r["shard"])] = np.frombuffer(r["bits"], dtype=U64)
     return BloomFilter(bits=bits, m_shard=m_shard, k=k, seed=seed)
 
@@ -295,45 +272,37 @@ def probe_bloom(ds, bloom, col: str, out_col: str = "might_seen"):
 
 
 def _probe_bloom_sharded(ds, sb: ShardedBloomFilter, col: str, out_col: str):
-    """Shard-keyed probe: rows are range-shuffled on their shard id so
-    each batch is a run of a few shards, and the batch kernel pulls
-    ONLY those shards' bitmap slices from the object store. Worker
-    memory = touched slices, not the filter; no single object ever
-    carries the whole bitmap. Output row order follows the shard sort
-    (Dataset contract: order is not part of probe semantics)."""
+    """Shard-keyed probe: one ``hash_exchange`` on the rows' shard id,
+    and each reduce groups its rows by shard and pulls ONLY the bitmap
+    slices of the shards it holds, each once. Worker memory = touched
+    slices, not the filter; no single object ever carries the whole
+    bitmap. Output row order follows the exchange (Dataset contract:
+    order is not part of probe semantics)."""
     refs = sb.shard_refs
-    k, m_shard, seed, n_shards = sb.k, sb.m_shard, sb.seed, sb.n_shards
+    k, m_shard, seed = sb.k, sb.m_shard, sb.seed
 
     def tag(t: pa.Table) -> pa.Table:
         h1, h2 = key_hashes(t, col, seed)
-        sh = (mix2(h1, _SHARD_MIX) % U64(n_shards)).astype(np.int64)
         return (
-            t.append_column("__shard", pa.array(sh, type=pa.int64()))
+            t.append_column("__shard", pa.array(sb.shard_of(h1), type=pa.int64()))
             .append_column("__h1", pa.array(h1.view(np.int64), type=pa.int64()))
             .append_column("__h2", pa.array(h2.view(np.int64), type=pa.int64()))
         )
 
-    def test(t: pa.Table) -> pa.Table:
+    def test(t: pa.Table, starts, sizes) -> pa.Table:
         sh = t["__shard"].to_numpy(zero_copy_only=False)
         h1 = t["__h1"].to_numpy(zero_copy_only=False).view(U64)
         h2 = t["__h2"].to_numpy(zero_copy_only=False).view(U64)
         res = np.zeros(len(sh), dtype=bool)
-        # sorted stream -> contiguous shard runs; one slice fetch per run
-        if len(sh):
-            starts = np.flatnonzero(np.concatenate([[True], sh[1:] != sh[:-1]]))
-            bounds = np.append(starts, len(sh))
-            for s0, s1 in zip(bounds[:-1], bounds[1:]):
-                w = ray.get(refs[int(sh[s0])])
-                res[s0:s1] = _test_bits(w, h1[s0:s1], h2[s0:s1], k, m_shard)
+        for s0, s1 in zip(starts.tolist(), (starts + sizes).tolist()):
+            w = ray.get(refs[int(sh[s0])])
+            res[s0:s1] = _test_bits(w, h1[s0:s1], h2[s0:s1], k, m_shard)
         return t.drop_columns(["__shard", "__h1", "__h2"]).append_column(
             out_col, pa.array(res)
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .sort("__shard")
-        .map_batches(test, batch_format="pyarrow")
-    )
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    return _group_exchange(tagged, ["__shard"], test)
 
 
 def filter_unseen(

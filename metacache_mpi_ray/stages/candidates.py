@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from ray.data.aggregate import Count
+import pyarrow.compute as pc
 
 from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
@@ -268,9 +267,11 @@ def ambiguity_filter(ds, key_col: str, source_col: str, max_sources: int):
     sketch_database.h:428-470): drop every row whose ``key_col`` bucket
     spans MORE than ``max_sources`` distinct sources — a feature present
     across many sources/domains is non-discriminative, independent of
-    its raw SIZE (the D3 cap). Two grouped aggregates (the distinct
-    count comes from grouping (key, source) pairs first), then a
-    broadcast anti-filter with the small ambiguous-key list.
+    its raw SIZE (the D3 cap). One ``hash_exchange`` on ``key_col``
+    (each block first keeps its distinct (key, source) rows; the reduce
+    counts each key's distinct sources and emits the keys over the
+    limit), then a broadcast anti-filter with the small ambiguous-key
+    list.
 
     ``ds`` is consumed twice (census + anti-filter) without
     materializing (it is corpus-sized); its lineage must be
@@ -278,13 +279,35 @@ def ambiguity_filter(ds, key_col: str, source_col: str, max_sources: int):
     first (see stages/bloom.filter_unseen for the failure mode)."""
     import ray
 
-    pairs = ds.groupby([key_col, source_col]).aggregate(Count(alias_name="__n"))
-    distinct = pairs.groupby(key_col).aggregate(Count(alias_name="n_sources"))
-    amb = distinct.filter(expr=f"n_sources > {max_sources}").to_pandas()
-    if len(amb) == 0:
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.group_by([key_col, source_col]).aggregate([])
+
+    def wide(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:  # the whole input was empty
+            return t
+        g = t.group_by(key_col).aggregate(
+            [(source_col, "count_distinct", pc.CountOptions(mode="all"))]
+        )
+        n = g[f"{source_col}_count_distinct"]
+        return g.filter(pc.greater(n, max_sources)).select([key_col])
+
+    amb = hash_exchange(
+        ds.select_columns([key_col, source_col]),
+        [key_col],
+        wide,
+        num_partitions=default_num_partitions(minimum=2),
+        combine=distinct,
+    )
+    parts = [
+        b[key_col].to_numpy(zero_copy_only=False)
+        for b in ray.get(amb.to_arrow_refs())
+        if b.num_rows
+    ]
+    if not parts:
         return ds
-    keys = np.sort(amb[key_col].to_numpy())
-    kref = ray.put(keys)
+    kref = ray.put(np.sort(np.concatenate(parts)))
 
     def drop(t: pa.Table) -> pa.Table:
         from metacache_mpi_ray.stages.verify import lookup_sorted

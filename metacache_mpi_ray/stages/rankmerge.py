@@ -20,12 +20,14 @@ Reference semantics re-expressed (/root/reference/src/candidates.h:
    vote (classification.cpp:247-262); an LCA shallower than
    ``highest_rank`` is unclassified.
 
-Dispatch shape: the merge is a grouped Max + the engine's
-sort-and-segment top-k (stages/windows.topk_per_group); classification
-is ONE sort by (query, rank) + a vectorized per-batch segment kernel
+Dispatch shape: both steps are ONE ``functions/blocks.hash_exchange``
+on ``query_id`` (stages/windows.py), so each query's candidates reach
+one reduce whole. The merge is the windows top-k whose map side and
+reduce both take the max hits per (query, node) before ranking (a
+per-block max then a per-block top-k is exact); classification lexsorts
+each partition by (query, rank) and runs one vectorized segment kernel
 (per-rank min/max reducts over the broadcast lineage matrix — no
-per-query Python), with boundary queries stitched in an O(#blocks)
-driver pass. The taxonomy rides in one broadcast object, like the
+per-query Python). The taxonomy rides in one broadcast object, like the
 reference's in-memory taxonomy cache.
 """
 
@@ -33,17 +35,32 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
-from ray.data.aggregate import Max
 
 from metacache_mpi_ray.stages.taxonomy import Taxonomy
-from metacache_mpi_ray.stages.windows import topk_per_group
+from metacache_mpi_ray.stages.windows import _group_exchange, _topk
 
 _I64MAX = np.iinfo(np.int64).max
 _I64MIN = np.iinfo(np.int64).min
+
+_CLASSIFY_SCHEMA = pa.schema(
+    [
+        ("query_id", pa.int64()),
+        ("best_node", pa.int64()),
+        ("best_hits", pa.int64()),
+        ("lca_node", pa.int64()),
+        ("classified", pa.bool_()),
+    ]
+)
+
+
+def _max_hits(t: pa.Table) -> pa.Table:
+    """One (query_id, node_id, hits) row per (query, node): its max hits."""
+    g = t.group_by(["query_id", "node_id"]).aggregate([("hits", "max")])
+    return pa.table(
+        {"query_id": g["query_id"], "node_id": g["node_id"], "hits": g["hits_max"]}
+    )
 
 
 def merge_candidates(
@@ -72,16 +89,13 @@ def merge_candidates(
             )
 
         cand = cand.map_batches(remap, batch_format="pyarrow")
-    merged = cand.groupby(["query_id", "node_id"]).aggregate(
-        Max("hits", alias_name="hits")
-    )
-    return topk_per_group(
-        merged,
+    return _topk(
+        cand,
         "query_id",
         "hits",
         max_candidates,
-        descending=True,
         tiebreak=["node_id"],
+        prepare=_max_hits,
     )
 
 
@@ -141,124 +155,29 @@ def classify_merged(
     per-query classification (query_id, best_node, best_hits, lca_node,
     classified)."""
     tref = ray.put(tax)
-    sorted_ds = (
-        topk.select_columns(["query_id", "node_id", "hits", "rank"])
-        .sort(["query_id", "rank"])
-        .materialize()
-    )
 
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        empty = pa.table(
-            {"query_id": pa.array([], type=pa.int64()),
-             "best_node": pa.array([], type=pa.int64()),
-             "best_hits": pa.array([], type=pa.int64()),
-             "lca_node": pa.array([], type=pa.int64()),
-             "classified": pa.array([], type=pa.bool_()),
-             "is_frag": pa.array([], type=pa.bool_())}
+    def kernel(t, starts, sizes):
+        if t.num_rows == 0:
+            return _CLASSIFY_SCHEMA.empty_table()
+        bn, bh, lca, cl = _classify_segment_rows(
+            ray.get(tref),
+            t["hits"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["node_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+            starts,
+            sizes,
+            hits_min,
+            hits_diff_fraction,
+            highest_rank,
         )
-        if n == 0:
-            return empty
-        tx = ray.get(tref)
-        q = t["query_id"].to_numpy(zero_copy_only=False)
-        nodes = t["node_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hits = t["hits"].to_numpy(zero_copy_only=False).astype(np.int64)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(q[1:], q[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n))
-        nseg = len(starts)
-        interior = np.ones(nseg, dtype=bool)
-        interior[0] = interior[-1] = False
-        cols = {k: [] for k in ("q", "bn", "bh", "lca", "cl", "frag")}
-        if interior.any():
-            s_i = starts[interior]
-            z_i = sizes[interior]
-            # interior segments are exactly the contiguous rows between
-            # the end of the first segment and the start of the last
-            sel = np.arange(starts[1], starts[-1])
-            rel_starts = s_i - starts[1]
-            bn, bh, lca, cl = _classify_segment_rows(
-                tx, hits[sel], nodes[sel], rel_starts, z_i,
-                hits_min, hits_diff_fraction, highest_rank,
-            )
-            cols["q"].append(q[s_i])
-            cols["bn"].append(bn)
-            cols["bh"].append(bh)
-            cols["lca"].append(lca)
-            cols["cl"].append(cl)
-            cols["frag"].append(np.zeros(len(s_i), dtype=bool))
-        # boundary queries ship raw rows (node in best_node, hits in
-        # best_hits, rank in lca_node) for the driver stitch
-        fsel = []
-        for gi in ([0] if nseg == 1 else [0, nseg - 1]):
-            fsel.extend(range(starts[gi], starts[gi] + sizes[gi]))
-        fsel = np.asarray(fsel, dtype=np.int64)
-        cols["q"].append(q[fsel])
-        cols["bn"].append(nodes[fsel])
-        cols["bh"].append(hits[fsel])
-        cols["lca"].append(t["rank"].to_numpy(zero_copy_only=False)[fsel])
-        cols["cl"].append(np.zeros(len(fsel), dtype=bool))
-        cols["frag"].append(np.ones(len(fsel), dtype=bool))
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(cols["q"]), type=pa.int64()),
-                "best_node": pa.array(np.concatenate(cols["bn"]), type=pa.int64()),
-                "best_hits": pa.array(np.concatenate(cols["bh"]), type=pa.int64()),
-                "lca_node": pa.array(np.concatenate(cols["lca"]), type=pa.int64()),
-                "classified": pa.array(np.concatenate(cols["cl"]), type=pa.bool_()),
-                "is_frag": pa.array(np.concatenate(cols["frag"]), type=pa.bool_()),
-            }
+        q = t["query_id"].to_numpy(zero_copy_only=False)[starts]
+        cols = (q, bn, bh, lca, cl)
+        return pa.Table.from_arrays(
+            [pa.array(v, type=f.type) for v, f in zip(cols, _CLASSIFY_SCHEMA)],
+            schema=_CLASSIFY_SCHEMA,
         )
 
-    emitted = sorted_ds.map_batches(kernel, batch_format="pyarrow").materialize()
-    out_cols = ["query_id", "best_node", "best_hits", "lca_node", "classified"]
-    final = emitted.map_batches(
-        lambda t: t.filter(pc.invert(t["is_frag"])).select(out_cols),
-        batch_format="pyarrow",
+    return _group_exchange(
+        topk.select_columns(["query_id", "node_id", "hits", "rank"]),
+        ["query_id", "rank"],
+        kernel,
     )
-    frags = emitted.map_batches(
-        lambda t: t.filter(t["is_frag"]).select(
-            ["query_id", "best_node", "best_hits", "lca_node"]
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if len(frags):
-        frags = frags.rename(
-            columns={"best_node": "node_id", "best_hits": "hits", "lca_node": "rank"}
-        )
-        frags = frags.drop_duplicates(["query_id", "rank"]).sort_values(
-            ["query_id", "rank"]
-        )
-        qv = frags["query_id"].to_numpy(dtype=np.int64)
-        change = np.empty(len(qv), dtype=bool)
-        if len(qv):
-            change[0] = True
-            np.not_equal(qv[1:], qv[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            sizes = np.diff(np.append(starts, len(qv)))
-            bn, bh, lca, cl = _classify_segment_rows(
-                tax,
-                frags["hits"].to_numpy(dtype=np.int64),
-                frags["node_id"].to_numpy(dtype=np.int64),
-                starts,
-                sizes,
-                hits_min,
-                hits_diff_fraction,
-                highest_rank,
-            )
-            final = final.union(
-                rd.from_arrow(
-                    pa.table(
-                        {
-                            "query_id": pa.array(qv[starts], type=pa.int64()),
-                            "best_node": pa.array(bn, type=pa.int64()),
-                            "best_hits": pa.array(bh, type=pa.int64()),
-                            "lca_node": pa.array(lca, type=pa.int64()),
-                            "classified": pa.array(cl, type=pa.bool_()),
-                        }
-                    )
-                )
-            )
-    return final

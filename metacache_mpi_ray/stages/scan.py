@@ -43,6 +43,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from metacache_mpi_ray.functions.blocks import _as_table
 from metacache_mpi_ray.functions.hashing import (
     U64,
     arrow_string_buffer,
@@ -50,14 +51,7 @@ from metacache_mpi_ray.functions.hashing import (
     mix2,
     splitmix64,
 )
-
-
-def _as_table(block) -> pa.Table:
-    """Sorted blocks keep their input format: parquet-born datasets
-    carry Arrow tables, from_pandas-born ones carry DataFrames."""
-    if isinstance(block, pa.Table):
-        return block
-    return pa.Table.from_pandas(block, preserve_index=False)
+from metacache_mpi_ray.stages.candidates import run_bounds
 
 
 def _col_i64(t: pa.Table, c: str) -> np.ndarray:
@@ -86,19 +80,6 @@ def _row_hash(t: pa.Table, cols: list[str]) -> np.ndarray:
     return h
 
 
-def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, lengths) of equal-value runs in ``keys``."""
-    n = len(keys)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(change)
-    lens = np.diff(np.concatenate([starts, [n]]))
-    return starts, lens
-
-
 def _starts_order_hash(t: pa.Table, order_cols, starts: np.ndarray) -> np.ndarray:
     """Order-key hash of just the segment-start rows — hashing the full
     columns would do O(rows) work for O(#segments) consumed values."""
@@ -109,7 +90,7 @@ def _starts_order_hash(t: pa.Table, order_cols, starts: np.ndarray) -> np.ndarra
 def _frag_table(t: pa.Table, group_cols, order_cols, value_col):
     """Per-(block, group) fragment summary: one row per group segment."""
     g = _row_hash(t, group_cols)
-    starts, lens = _segments(g)
+    starts, lens = run_bounds(g)
     v = _col_i64(t, value_col)
     cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(v)])
     frag_sum = cs[starts + lens] - cs[starts]
@@ -135,7 +116,7 @@ def _fragment_carries(tabs, n_order: int):
     order = np.lexsort(tuple(reversed(ords)) + (gh,))
     gh_s, fs_s = gh[order], fs[order]
     # exclusive prefix within each group run
-    starts, lens = _segments(gh_s)
+    starts, lens = run_bounds(gh_s)
     cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(fs_s)])[:-1]
     carry = cs - np.repeat(cs[starts], lens)
     segkey = t["segkey"].to_numpy(zero_copy_only=False)[order]
@@ -165,6 +146,11 @@ def cumsum_per_group(
     input columns plus ``out_col`` (int64), range-partitioned by the
     sort key."""
     n_order = len(order_cols)
+    # A range sort on purpose, not a keyed exchange: callers scan a few
+    # huge groups (chunking.pack_sequences scans ONE global group,
+    # budget_sample a handful of languages), and an exchange keyed on
+    # the group would put each whole group in one reduce task. The sort
+    # spreads a group over many blocks; the carry pass joins them.
     sorted_ds = ds.sort(list(group_cols) + list(order_cols)).materialize()
     refs = [
         ref
@@ -173,9 +159,9 @@ def cumsum_per_group(
         if meta.num_rows
     ]
     if not refs:
-        from metacache_mpi_ray.stages.windows import _sorted_schema
-
-        base = _sorted_schema(ds, sorted_ds)
+        # Ray's sort of an EMPTY dataset yields no blocks and no schema;
+        # sorting never changes it, so take the input's
+        base = sorted_ds.schema() or ds.schema()
         fields = list(zip(base.names, base.types)) + [(out_col, pa.int64())]
         return rd.from_arrow(pa.schema(fields).empty_table())
 
@@ -194,7 +180,7 @@ def cumsum_per_group(
         keys, cvals = carry
         block = _as_table(block)
         g = _row_hash(block, group_cols)
-        starts, lens = _segments(g)
+        starts, lens = run_bounds(g)
         v = _col_i64(block, value_col)
         cs = np.cumsum(v)
         base = np.concatenate([np.zeros(1, np.int64), cs])[starts]

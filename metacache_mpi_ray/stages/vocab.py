@@ -12,11 +12,10 @@ the boilerplate line census (`stages/corpus_clean.py:line_census`):
 * partial aggregation inside ``map_batches`` — each batch emits one row
   per distinct term with its within-batch occurrence count (tf) and
   distinct-document count (df); the exploded token table never reaches
-  the shuffle,
-* ONE ``sort("term")`` range shuffle,
-* per-block segment sums (``np.add.reduceat`` over Arrow-computed
-  change points) with the windows-family boundary-fragment stitch, so
-  a term straddling two sorted blocks is summed exactly once.
+  the exchange,
+* ONE ``functions/blocks.hash_exchange`` on ``term``: a map-side combine
+  sums each block's partial rows, and the reduce sums every term whole
+  with one Arrow ``group_by`` — no range sort, no boundary stitch.
 
 df summed over batches is exact because a document is exactly one row
 of exactly one batch (the same invariant the line census relies on).
@@ -31,11 +30,13 @@ produces the identical token list.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
+
+from metacache_mpi_ray.functions.blocks import hash_exchange
 
 TOKEN_PATTERN = "[^a-z0-9]+"
 
@@ -105,83 +106,47 @@ def _census_partial(text_col: str):
     return partial
 
 
+def _sum_census(t: pa.Table) -> pa.Table:
+    """Partial census rows -> one (term, tf, df) row per distinct term."""
+    if t.num_rows == 0:
+        return _CENSUS_SCHEMA.empty_table()
+    g = t.group_by("term").aggregate([("tf", "sum"), ("df", "sum")])
+    return pa.Table.from_arrays(
+        [g["term"], g["tf_sum"], g["df_sum"]], schema=_CENSUS_SCHEMA
+    )
+
+
+def _census_exchange(docs, text_col: str, reduce=_sum_census):
+    """One exchange of the partial census rows on ``term``, summed per
+    block on the map side; ``reduce`` sees each partition's terms whole."""
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    return hash_exchange(
+        docs.map_batches(_census_partial(text_col), batch_format="pyarrow"),
+        ["term"],
+        reduce,
+        num_partitions=default_num_partitions(minimum=2),
+        combine=_sum_census,
+    )
+
+
 def vocab_census(docs, *, text_col: str = "text"):
     """Exact (term, tf, df) census over the corpus.
 
     tf = total occurrences, df = distinct documents containing the
-    term. One range shuffle; everything else is per-block.
+    term. One keyed exchange; everything else is per-block.
     """
-    from metacache_mpi_ray.stages.windows import _split_frag
+    return _census_exchange(docs, text_col)
 
-    sorted_ds = (
-        docs.map_batches(_census_partial(text_col), batch_format="pyarrow")
-        .sort("term")
-        .materialize()
-    )
-    if sorted_ds.count() == 0:
-        return rd.from_arrow(_CENSUS_SCHEMA.empty_table())
 
-    def ksum(t: pa.Table) -> pa.Table:
-        terms = t["term"]
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        n = len(terms)
-        if n == 0:
-            return _CENSUS_SCHEMA.empty_table().append_column(
-                "__frag", pa.array([], type=pa.bool_())
-            )
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        if n > 1:
-            change[1:] = pc.not_equal(
-                terms.slice(1), terms.slice(0, n - 1)
-            ).to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(change)
-        tf = np.add.reduceat(t["tf"].to_numpy(zero_copy_only=False), starts)
-        df = np.add.reduceat(t["df"].to_numpy(zero_copy_only=False), starts)
-        # first and last segment of the block may continue in the
-        # neighboring sorted block — route them to the driver stitch
-        frag = np.zeros(len(starts), dtype=bool)
-        frag[0] = True
-        frag[-1] = True
-        return pa.table(
-            {
-                "term": terms.take(pa.array(starts, type=pa.int64())),
-                "tf": pa.array(tf.astype(np.int64), type=pa.int64()),
-                "df": pa.array(df.astype(np.int64), type=pa.int64()),
-                "__frag": pa.array(frag, type=pa.bool_()),
-            }
-        )
-
-    final, frags = _split_frag(
-        sorted_ds.map_batches(ksum, batch_format="pyarrow", batch_size=None),
-        ["term", "tf", "df"],
-    )
-    if len(frags):
-        agg = frags.groupby("term", sort=False)[["tf", "df"]].sum().reset_index()
-        final = final.union(
-            rd.from_arrow(
-                pa.Table.from_pandas(
-                    agg[["term", "tf", "df"]], preserve_index=False
-                ).cast(_CENSUS_SCHEMA)
-            )
-        )
-    return final
+def _top_by_tf(t: pa.Table, k: int) -> pa.Table:
+    return t.sort_by([("tf", "descending"), ("term", "ascending")]).slice(0, k)
 
 
 def top_terms(docs, k: int = 50, *, text_col: str = "text"):
     """Corpus heavy hitters: top-k terms by total occurrence count,
-    ties broken by term (ascending) for determinism."""
-    census = vocab_census(docs, text_col=text_col)
-
-    def neg(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__ntf", pc.negate_checked(t["tf"].cast(pa.int64()))
-        )
-
-    return (
-        census.map_batches(neg, batch_format="pyarrow")
-        .sort(["__ntf", "term"])
-        .limit(k)
-        .select_columns(["term", "tf"])
-    )
+    ties broken by term (ascending) for determinism: each partition's
+    top k, then one driver merge of those partitions x k rows."""
+    tops = _census_exchange(docs, text_col, lambda t: _top_by_tf(_sum_census(t), k))
+    merged = pa.concat_tables(ray.get(tops.to_arrow_refs()))
+    return rd.from_arrow(_top_by_tf(merged, k).select(["term", "tf"]))

@@ -2,71 +2,97 @@
 
 Ray Data has no event-time window primitives. Round-1 expressed these
 as ``groupby().map_groups`` — one Python call + DataFrame per group,
-which dominates cost at 10^8 keys. This version uses the same pattern
-as the LSH bucket shuffle (stages/candidates.py:84-133): ONE global
-``sort`` (range shuffle), then a vectorized per-batch segment kernel,
-with the (at most two) groups that straddle a batch boundary emitted as
-tiny *fragment* rows and stitched in a second driver-side pass. Per-row
-work is numpy; per-group Python is confined to the O(batches) stitch.
+which dominates cost at 10^8 keys. This version uses the same shape as
+the LSH bucket stages (stages/candidates.py): ONE
+``functions/blocks.hash_exchange`` on the group column moves every row
+of a group to one partition, whose reduce sorts the partition in place
+and runs a vectorized segment kernel over the group runs. Each group
+arrives whole, so there are no boundary fragments and no driver stitch;
+per-row work is numpy/Arrow and per-group Python is nil.
 
 Reference analogs: per-group top-k = the bounded candidate list (A2,
 /root/reference/src/candidates.h:191-289); windowed hit counting = A1
 (candidates.h:118-180).
 
-Ordering note: groups are made contiguous by the global sort, so within
-one batch every group except the first and last is complete. Duplicate
-(key, ts) rows straddling a batch boundary are resolved arbitrarily —
-the same ambiguity a SQL window ORDER BY has on ties.
+Ordering note: duplicate (key, ts) rows are ordered arbitrarily within
+their group — the same ambiguity a SQL window ORDER BY has on ties.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
-
-def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, sizes) of equal-key runs in an already-sorted array."""
-    n = len(keys)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    sizes = np.diff(np.append(starts, n))
-    return starts, sizes
+from metacache_mpi_ray.functions.blocks import hash_exchange
+from metacache_mpi_ray.stages.candidates import run_bounds
 
 
-def _sorted_schema(ds, sorted_ds):
-    """Schema of a materialized sort output. Ray 2.49's sort of an
-    EMPTY dataset yields zero blocks and ``schema()`` returns None, so
-    fall back to the pre-sort input's schema (sorting never changes
-    it); realistic empty inputs — read_parquet with no matching rows,
-    from_arrow, upstream map_batches with typed empty tables — all
-    carry one."""
-    sch = sorted_ds.schema()
-    return sch if sch is not None else ds.schema()
+def _sorted_runs(t: pa.Table, sort_cols: list[str], descending: list[bool]):
+    """``t`` sorted by ``sort_cols`` and the (starts, sizes) of its runs
+    of equal ``sort_cols[0]``."""
+    order = ["descending" if d else "ascending" for d in descending]
+    t = t.sort_by(list(zip(sort_cols, order)))
+    return (t, *run_bounds(t[sort_cols[0]].to_numpy(zero_copy_only=False)))
 
 
-def _split_frag(ds, final_cols: list[str]):
-    """Split a combined (rows + __frag flag) dataset into the finalized
-    Dataset and the tiny fragment DataFrame (driver-side stitch input)."""
-    emitted = ds.materialize()
+def _group_exchange(
+    ds, sort_cols, kernel, *, descending=None, combine=None, prepare=None
+):
+    """Hash-exchange ``ds`` on ``sort_cols[0]`` and return the Dataset of
+    ``kernel(t, starts, sizes)`` over each partition: ``t`` is the
+    partition (after ``prepare``, Table -> Table) sorted by ``sort_cols``
+    and (starts, sizes) bound its groups, every group whole.
+    ``combine`` is the exchange's map-side step. An empty ``ds`` runs
+    ``kernel`` once over a zero-row table with its schema."""
+    from metacache_mpi_ray.stages.joins import default_num_partitions
 
-    def keep(want_frag: bool):
-        def f(t: pa.Table) -> pa.Table:
-            mask = t["__frag"].to_numpy(zero_copy_only=False)
-            if not want_frag:
-                mask = ~mask
-            return t.filter(pa.array(mask)).drop_columns(["__frag"])
+    descending = descending or [False] * len(sort_cols)
+    prepare = prepare or (lambda t: t)
 
-        return f
+    def reduce(t: pa.Table) -> pa.Table:
+        return kernel(*_sorted_runs(prepare(t), sort_cols, descending))
 
-    final = emitted.map_batches(keep(False), batch_format="pyarrow")
-    frags = emitted.map_batches(keep(True), batch_format="pyarrow").to_pandas()
-    return final.select_columns(final_cols), frags
+    mat = ds.materialize()
+    if mat.count() == 0:
+        # the exchange would see no schema: rebuild the typed empty input
+        sch = mat.schema() or ds.schema()
+        empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
+        return rd.from_arrow(reduce(empty))
+    return hash_exchange(
+        mat,
+        sort_cols[:1],
+        reduce,
+        num_partitions=default_num_partitions(minimum=2),
+        combine=combine,
+    )
+
+
+def _topk(ds, group_col, order_col, k, *, descending=True, tiebreak=None, prepare=None):
+    """``topk_per_group`` with an optional ``prepare`` step (Table ->
+    Table, e.g. a max per (group, id)) applied before ranking on the map
+    side and again in the reduce."""
+    sort_cols = [group_col, order_col] + list(tiebreak or [])
+    desc = [False, descending] + [False] * (len(sort_cols) - 2)
+    prepare = prepare or (lambda t: t)
+
+    def head(t, starts, sizes):
+        within = np.arange(t.num_rows) - np.repeat(starts, sizes)
+        sel = np.flatnonzero(within < k)
+        return t.take(pa.array(sel, type=pa.int64())), within[sel] + 1
+
+    def first_k(t: pa.Table) -> pa.Table:
+        return head(*_sorted_runs(prepare(t), sort_cols, desc))[0]
+
+    def ranked(t, starts, sizes):
+        top, rank = head(t, starts, sizes)
+        return top.append_column("rank", pa.array(rank, type=pa.int64()))
+
+    return _group_exchange(
+        ds, sort_cols, ranked, descending=desc, combine=first_k, prepare=prepare
+    )
 
 
 def topk_per_group(
@@ -80,267 +106,91 @@ def topk_per_group(
 ):
     """Per-group bounded top-k with deterministic tie-break columns.
 
-    sort([group, order desc, *tiebreak]) -> per-batch segment kernel:
-    interior groups emit their first k rows (already order-sorted) with
-    final ranks; the two edge groups of each batch emit their first k
-    rows as fragments, merged in a tiny driver pass (global top-k of a
-    split group is contained in the union of its fragments' top-ks).
+    One exchange on ``group_col``; each input block first keeps its own
+    top k rows per group (exact: a row outside its block's top k is
+    outside the group's), so a hot group moves at most k rows per
+    block. The reduce sorts by (group, order, *tiebreak) and emits each
+    group's first k rows with 1-based ``rank``.
     """
-    tiebreak = tiebreak or []
-    sort_cols = [group_col, order_col] + tiebreak
-    sort_desc = [False, descending] + [False] * len(tiebreak)
-    sorted_ds = ds.sort(sort_cols, descending=sort_desc).materialize()
-    in_cols = list(_sorted_schema(ds, sorted_ds).names)
-    out_cols = in_cols + ["rank"]
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {**{c: t[c] for c in in_cols},
-                 "rank": pa.array([], type=pa.int64()),
-                 "__frag": pa.array([], type=pa.bool_())}
-            )
-        keys = t[group_col].to_numpy(zero_copy_only=False)
-        starts, sizes = _segments(keys)
-        nseg = len(starts)
-        within = np.arange(n) - np.repeat(starts, sizes)
-        seg_idx = np.repeat(np.arange(nseg), sizes)
-        edge_row = (seg_idx == 0) | (seg_idx == nseg - 1)
-        keep = within < k
-        sel = np.flatnonzero(keep)
-        sub = t.take(pa.array(sel))
-        return pa.table(
-            {**{c: sub[c] for c in in_cols},
-             "rank": pa.array(within[sel] + 1, type=pa.int64()),
-             "__frag": pa.array(edge_row[sel], type=pa.bool_())}
-        )
-
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        out_cols,
+    return _topk(
+        ds, group_col, order_col, k, descending=descending, tiebreak=tiebreak
     )
-    if len(frags):
-        frags = frags.sort_values(
-            sort_cols, ascending=[not d for d in sort_desc], kind="mergesort"
-        )
-        frags = frags.groupby(group_col, sort=False).head(k)
-        frags["rank"] = frags.groupby(group_col, sort=False).cumcount() + 1
-        final = final.union(
-            rd.from_arrow(
-                pa.Table.from_pandas(
-                    frags[out_cols].reset_index(drop=True), preserve_index=False
-                )
-            )
-        )  # arrow block: downstream sorts reject mixed block types
-    return final
 
 
-def lag_per_group(ds, group_col: str, ts_col: str, value_col: str, out_col: str = "prev_value"):
-    """Per-key previous-row value in ts order (LAG window function).
+def lag_per_group(
+    ds, group_col: str, ts_col: str, value_col: str, out_col: str = "prev_value"
+):
+    """Per-key previous-row value in ts order (LAG window function):
+    each partition, sorted by (group, ts), shifts ``value_col`` down one
+    row and nulls the first row of every group."""
 
-    Two passes over ONE materialized sort: pass 1 collects each block's
-    first/last row (the only rows whose lag crosses a block boundary);
-    a tiny driver join reconstructs block adjacency (blocks are range-
-    partitioned, so sorting bridge rows by the head's sort key recovers
-    block order); pass 2 computes the lag vectorized per block and
-    patches each block's first row from the fix map.
-    """
-    sorted_ds = ds.sort([group_col, ts_col]).materialize()
-    in_cols = list(_sorted_schema(ds, sorted_ds).names)
-
-    def bridge(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"head_g": pa.array([], t.schema.field(group_col).type),
-                 "head_ts": pa.array([], pa.int64()),
-                 "tail_g": pa.array([], t.schema.field(group_col).type),
-                 "tail_val": pa.array([], t.schema.field(value_col).type)}
-            )
-        return pa.table(
-            {
-                "head_g": t[group_col].slice(0, 1),
-                "head_ts": t[ts_col].slice(0, 1).cast(pa.int64()),
-                "tail_g": t[group_col].slice(len(t) - 1, 1),
-                "tail_val": t[value_col].slice(len(t) - 1, 1),
-            }
+    def kernel(t, starts, sizes):
+        vals = t[value_col].combine_chunks()
+        n = len(vals)
+        prev = vals
+        if n:
+            prev = pa.concat_arrays([pa.nulls(1, vals.type), vals.slice(0, n - 1)])
+        first = np.zeros(n, dtype=bool)
+        first[starts] = True
+        return t.append_column(
+            out_col, pc.if_else(pa.array(first), pa.nulls(n, vals.type), prev)
         )
 
-    br = sorted_ds.map_batches(bridge, batch_format="pyarrow", batch_size=None).to_pandas()
-    fix: dict[tuple, object] = {}
-    if len(br) > 1:
-        br = br.sort_values(["head_g", "head_ts"], kind="mergesort").reset_index(drop=True)
-        for i in range(1, len(br)):
-            if br["tail_g"].iloc[i - 1] == br["head_g"].iloc[i]:
-                fix[(br["head_g"].iloc[i], int(br["head_ts"].iloc[i]))] = br[
-                    "tail_val"
-                ].iloc[i - 1]
-    import ray
-
-    fix_ref = ray.put(fix)
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        val_type = t.schema.field(value_col).type
-        if n == 0:
-            return pa.table(
-                {**{c: t[c] for c in in_cols}, out_col: pa.array([], val_type)}
-            )
-        keys = t[group_col].to_numpy(zero_copy_only=False)
-        vals = t[value_col].to_numpy(zero_copy_only=False)
-        prev = np.empty(n, dtype=object)
-        prev[0] = None
-        prev[1:] = vals[:-1]
-        same = np.empty(n, dtype=bool)
-        same[0] = False
-        np.equal(keys[1:], keys[:-1], out=same[1:])
-        prev[~same] = None
-        fmap = ray.get(fix_ref)
-        key0 = (keys[0], int(t[ts_col][0].as_py()))
-        if key0 in fmap:
-            prev[0] = fmap[key0]
-        return pa.table(
-            {**{c: t[c] for c in in_cols},
-             out_col: pa.array(prev.tolist(), type=val_type)}
-        )
-
-    return sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+    return _group_exchange(ds, [group_col, ts_col], kernel)
 
 
 def sessionize(ds, group_col: str, ts_col: str, gap_us: int = 1800_000_000):
     """Session windows per key: a new session starts when the gap to the
     previous event exceeds ``gap_us``. Emits per-session aggregates
-    (group, session_id, n_events, t_start, t_end).
+    (group, session_id, n_events, t_start, t_end), detected vectorized
+    over each (group, ts)-sorted partition."""
 
-    Vectorized per-batch session detection; the (at most two) keys that
-    straddle a batch boundary route ALL their per-batch session
-    fragments to a tiny driver stitch that merges boundary sessions and
-    renumbers — O(sessions of straddling keys), not O(rows).
-    """
-    sorted_ds = ds.sort([group_col, ts_col]).materialize()
-    sch = _sorted_schema(ds, sorted_ds)
-    gtype = sch.types[sch.names.index(group_col)]
-    out_cols = [group_col, "session_id", "n_events", "t_start", "t_end"]
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {group_col: pa.array([], gtype),
-                 "session_id": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64()),
-                 "t_start": pa.array([], pa.int64()),
-                 "t_end": pa.array([], pa.int64()),
-                 "__frag": pa.array([], pa.bool_())}
-            )
-        keys = t[group_col].to_numpy(zero_copy_only=False)
+    def kernel(t, starts, sizes):
+        n = t.num_rows
         ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
+        change = np.zeros(n, dtype=bool)
+        change[starts] = True
         new_sess = change.copy()
         new_sess[1:] |= (ts[1:] - ts[:-1]) > gap_us
         s_starts = np.flatnonzero(new_sess)
         s_sizes = np.diff(np.append(s_starts, n))
-        nsess = len(s_starts)
         # session's position within its key segment
         seg_first = change[s_starts]  # session opens a new key segment
         seg_idx = np.cumsum(seg_first) - 1
-        seg_start_sess = np.flatnonzero(seg_first)
-        sid = np.arange(nsess) - seg_start_sess[seg_idx]
-        nseg = seg_idx[-1] + 1
-        frag = (seg_idx == 0) | (seg_idx == nseg - 1)
+        sid = np.arange(len(s_starts)) - np.flatnonzero(seg_first)[seg_idx]
         return pa.table(
             {
-                group_col: pa.array(keys[s_starts], gtype),
+                group_col: t[group_col].take(pa.array(s_starts, type=pa.int64())),
                 "session_id": pa.array(sid, type=pa.int64()),
                 "n_events": pa.array(s_sizes, type=pa.int64()),
                 "t_start": pa.array(ts[s_starts], type=pa.int64()),
                 "t_end": pa.array(ts[s_starts + s_sizes - 1], type=pa.int64()),
-                "__frag": pa.array(frag, type=pa.bool_()),
             }
         )
 
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        out_cols,
-    )
-    if len(frags):
-        f = frags.sort_values([group_col, "t_start"], kind="mergesort")
-        prev_end = f.groupby(group_col, sort=False)["t_end"].shift(1)
-        new = prev_end.isna() | ((f["t_start"] - prev_end) > gap_us)
-        f = f.assign(
-            session_id=new.groupby(f[group_col], sort=False).cumsum().astype("int64") - 1
-        )
-        agg = (
-            f.groupby([group_col, "session_id"], sort=False)
-            .agg(
-                n_events=("n_events", "sum"),
-                t_start=("t_start", "min"),
-                t_end=("t_end", "max"),
-            )
-            .reset_index()
-        )
-        final = final.union(
-            rd.from_arrow(pa.Table.from_pandas(agg[out_cols], preserve_index=False))
-        )  # arrow block: downstream sorts reject mixed block types
-    return final
+    return _group_exchange(ds, [group_col, ts_col], kernel)
 
 
 def collect_members(ds, key_col: str, id_col: str):
     """Grouped sorted collect-list: (key, rep_id, members) with members
-    a comma-joined ascending id list — one string per group is inherent
-    to the output, so the join runs per segment inside a single
-    vectorized batch pass (not one Ray map_groups call per group)."""
-    sorted_ds = ds.sort([key_col, id_col]).materialize()
-    sch = _sorted_schema(ds, sorted_ds)
-    ktype = sch.types[sch.names.index(key_col)]
-    out_cols = [key_col, "rep_id", "members"]
+    a comma-joined ascending id list, built for every group of a
+    partition at once by one Arrow ``binary_join`` over the id runs."""
 
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {key_col: pa.array([], ktype),
-                 "rep_id": pa.array([], pa.int64()),
-                 "members": pa.array([], pa.string()),
-                 "__frag": pa.array([], pa.bool_())}
-            )
-        keys = t[key_col].to_numpy(zero_copy_only=False)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        starts, sizes = _segments(keys)
-        nseg = len(starts)
-        ids_str = ids.astype(np.str_)
-        members = [
-            ",".join(ids_str[s : s + z]) for s, z in zip(starts.tolist(), sizes.tolist())
-        ]
-        frag = np.zeros(nseg, dtype=bool)
-        frag[0] = True
-        frag[-1] = True
+    def kernel(t, starts, sizes):
+        ids = t[id_col].combine_chunks()
+        offsets = pa.array(np.append(starts, t.num_rows), type=pa.int32())
+        idx = pa.array(starts, type=pa.int64())
         return pa.table(
             {
-                key_col: pa.array(keys[starts], ktype),
-                "rep_id": pa.array(ids[starts], type=pa.int64()),
-                "members": pa.array(members, type=pa.string()),
-                "__frag": pa.array(frag, type=pa.bool_()),
+                key_col: t[key_col].take(idx),
+                "rep_id": ids.take(idx).cast(pa.int64()),
+                "members": pc.binary_join(
+                    pa.ListArray.from_arrays(offsets, ids.cast(pa.string())), ","
+                ),
             }
         )
 
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        out_cols,
-    )
-    if len(frags):
-        f = frags.sort_values([key_col, "rep_id"], kind="mergesort")
-        agg = (
-            f.groupby(key_col, sort=False)
-            .agg(rep_id=("rep_id", "min"), members=("members", ",".join))
-            .reset_index()
-        )
-        final = final.union(
-            rd.from_arrow(pa.Table.from_pandas(agg[out_cols], preserve_index=False))
-        )  # arrow block: downstream sorts reject mixed block types
-    return final
+    return _group_exchange(ds, [key_col, id_col], kernel)
 
 
 def hopping_window_agg(
@@ -376,91 +226,34 @@ def hopping_window_agg(
 
 
 def quantile_per_group(ds, group_col: str, value_col: str, q: float):
-    """Exact per-group discrete quantile (the value at index
-    floor(q*(m-1)) of the sorted group — DuckDB quantile_disc
-    semantics): global sort + vectorized per-batch segment pick;
-    boundary-straddling groups route their fragment VALUES to the tiny
-    driver stitch (quantiles can't be pruned like top-k, so fragments
-    carry the one value column only)."""
+    """Exact per-group discrete quantile with DuckDB ``quantile_disc``
+    semantics: the value at index floor(q*(m-1)) of the group's m
+    sorted non-NULL values; NULL for an all-NULL group. The output
+    column has the value column's type."""
     assert 0.0 <= q <= 1.0
-    sorted_ds = ds.select_columns([group_col, value_col]).sort(
-        [group_col, value_col]
-    ).materialize()
-    sch = _sorted_schema(ds, sorted_ds)
-    gtype = sch.types[sch.names.index(group_col)]
-    vtype = sch.types[sch.names.index(value_col)]
-    out_cols = [group_col, "quantile"]
 
-    def kernel(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return pa.table(
-                {group_col: pa.array([], gtype),
-                 "quantile": pa.array([], vtype),
-                 "__frag": pa.array([], pa.bool_())}
-            )
-        keys = t[group_col].to_numpy(zero_copy_only=False)
-        starts, sizes = _segments(keys)
-        nseg = len(starts)
-        interior = np.ones(nseg, dtype=bool)
-        interior[0] = False
-        interior[-1] = False
-        vals = t[value_col]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        # interior groups: one picked row each
-        pick_idx = (
-            starts[interior]
-            + np.floor(q * (sizes[interior] - 1)).astype(np.int64)
-        )
-        g_int = pa.array(keys[starts[interior]], gtype)
-        v_int = vals.take(pa.array(pick_idx))
-        # edge groups: every value rides to the stitch
-        edge_rows = np.zeros(len(keys), dtype=bool)
-        edge_rows[: starts[1] if nseg > 1 else n] = True
-        edge_rows[starts[-1] :] = True
-        sel = np.flatnonzero(edge_rows)
-        g_edge = pa.array(keys[sel], gtype)
-        v_edge = vals.take(pa.array(sel))
+    def kernel(t, starts, sizes):
+        vals = t[value_col].combine_chunks()
+        # nulls sort last in each group, so its m valid values lead it
+        valid = vals.is_valid().to_numpy(zero_copy_only=False)
+        cum = np.concatenate([[0], np.cumsum(valid)])
+        m = cum[starts + sizes] - cum[starts]
+        pick = starts + np.floor(q * (np.maximum(m, 1) - 1)).astype(np.int64)
         return pa.table(
             {
-                group_col: pa.concat_arrays([g_int, g_edge]),
-                "quantile": pa.concat_arrays(
-                    [v_int.combine_chunks() if isinstance(v_int, pa.ChunkedArray) else v_int,
-                     v_edge.combine_chunks() if isinstance(v_edge, pa.ChunkedArray) else v_edge]
-                ),
-                "__frag": pa.array(
-                    np.concatenate(
-                        [np.zeros(int(interior.sum()), dtype=bool),
-                         np.ones(len(sel), dtype=bool)]
-                    ),
-                    type=pa.bool_(),
-                ),
+                group_col: t[group_col].take(pa.array(starts, type=pa.int64())),
+                "quantile": vals.take(pa.array(pick, type=pa.int64(), mask=m == 0)),
             }
         )
 
-    final, frags = _split_frag(
-        sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None),
-        out_cols,
+    return _group_exchange(
+        ds.select_columns([group_col, value_col]), [group_col, value_col], kernel
     )
-    if len(frags):
-        f = frags.sort_values([group_col, "quantile"], kind="mergesort")
-        agg = (
-            f.groupby(group_col, sort=False)["quantile"]
-            .apply(lambda s: s.iloc[int(np.floor(q * (len(s) - 1)))])
-            .reset_index()
-        )
-        final = final.union(
-            rd.from_arrow(pa.Table.from_pandas(agg[out_cols], preserve_index=False))
-        )  # arrow block: downstream sorts reject mixed block types
-    return final
 
 
 def tumbling_window_agg(ds, group_col: str, ts_col: str, width_us: int, aggs: list):
     """Tumbling event-time windows via key+bucket groupby (the scalable
     form: no per-key state, one shuffle)."""
-    import pyarrow.compute as pc
-
     def add_window(t: pa.Table) -> pa.Table:
         win = pc.divide(t[ts_col].cast(pa.int64()), width_us)
         return t.append_column("window_id", win)

@@ -1,6 +1,6 @@
 """functions/blocks.hash_exchange — the keyed all-to-all over plain Ray
-tasks that pair dedup, the index probe and the bucket and segment
-stages run on."""
+tasks that pair dedup, the index probe, the joins, and the bucket,
+segment and grouped stages run on."""
 
 import numpy as np
 import pyarrow as pa
@@ -357,3 +357,112 @@ def test_joins_run_no_dataset_join(monkeypatch):
     ).to_pandas().sort_values("doc_id")
     assert list(clean["clean_text"]) == ["body one", "body two", "", "solo"]
     assert list(clean["n_removed"]) == [2, 1, 2, 0]
+
+
+def test_grouped_stages_run_no_sort_or_groupby(monkeypatch):
+    """The windows family, the vocab census, rank-merge, the ambiguity
+    filter, both Bloom builds and the sharded probe group through
+    hash_exchange: with ``Dataset.sort`` and ``Dataset.groupby``
+    raising they all run and give the expected rows."""
+    import pandas as pd
+
+    from metacache_mpi_ray.stages.bloom import (
+        build_bloom,
+        build_bloom_sharded,
+        key_hashes,
+        probe_bloom,
+    )
+    from metacache_mpi_ray.stages.candidates import ambiguity_filter
+    from metacache_mpi_ray.stages.rankmerge import classify_merged, merge_candidates
+    from metacache_mpi_ray.stages.taxonomy import Taxonomy
+    from metacache_mpi_ray.stages.vocab import top_terms, vocab_census
+    from metacache_mpi_ray.stages.windows import (
+        collect_members,
+        lag_per_group,
+        quantile_per_group,
+        sessionize,
+        topk_per_group,
+    )
+
+    def forbid(name):
+        def f(self, *args, **kwargs):
+            raise AssertionError(f"Dataset.{name} on a keyed-exchange stage")
+
+        return f
+
+    monkeypatch.setattr(rd.Dataset, "sort", forbid("sort"))
+    monkeypatch.setattr(rd.Dataset, "groupby", forbid("groupby"))
+
+    ev = rd.from_arrow(
+        pa.table(
+            {
+                "u": pa.array([1, 1, 1, 2, 2, 3], type=pa.int64()),
+                "ts": pa.array([10, 20, 900, 5, 6, 1], type=pa.int64()),
+                "v": pa.array([3, 1, 2, 9, 8, 4], type=pa.int64()),
+                "id": pa.array(range(6), type=pa.int64()),
+            }
+        )
+    ).repartition(3)
+    top = topk_per_group(ev, "u", "v", 2, tiebreak=["id"]).to_pandas()
+    assert sorted(zip(top["u"], top["rank"], top["id"])) == [
+        (1, 1, 0), (1, 2, 2), (2, 1, 3), (2, 2, 4), (3, 1, 5)
+    ]
+    lag = lag_per_group(ev, "u", "ts", "id").to_pandas()
+    assert sorted(zip(lag["id"], lag["prev_value"].fillna(-1))) == [
+        (0, -1), (1, 0), (2, 1), (3, -1), (4, 3), (5, -1)
+    ]
+    ses = sessionize(ev, "u", "ts", gap_us=100).to_pandas()
+    assert sorted(zip(ses["u"], ses["n_events"])) == [(1, 1), (1, 2), (2, 2), (3, 1)]
+    members = collect_members(ev, "u", "id").to_pandas()
+    assert sorted(members["members"]) == ["0,1,2", "3,4", "5"]
+    med = quantile_per_group(ev, "u", "v", 0.5).to_pandas()
+    assert dict(zip(med["u"], med["quantile"])) == {1: 2, 2: 8, 3: 4}
+
+    docs = rd.from_arrow(pa.table({"text": ["b b a", "a c", "b"]})).repartition(2)
+    census = vocab_census(docs).to_pandas()
+    assert dict(zip(census["term"], census["tf"])) == {"a": 2, "b": 3, "c": 1}
+    assert top_terms(docs, 2).to_pandas()["term"].tolist() == ["b", "a"]
+
+    tax = Taxonomy.from_edges(
+        pd.DataFrame(
+            {
+                "node_id": [1, 10, 11, 100, 101],
+                "parent_id": [1, 1, 1, 10, 10],
+                "rank": ["root", "src", "src", "doc", "doc"],
+            }
+        ),
+        ["root", "src", "doc"],
+    )
+    cand = rd.from_arrow(
+        pa.table(
+            {
+                "query_id": pa.array([7, 7, 7, 8], type=pa.int64()),
+                "node_id": pa.array([100, 101, 11, 100], type=pa.int64()),
+                "hits": pa.array([5, 6, 2, 3], type=pa.int64()),
+            }
+        )
+    ).repartition(2)
+    merged = merge_candidates(cand, tax, merge_below="src").to_pandas()
+    assert sorted(zip(merged["query_id"], merged["node_id"], merged["hits"])) == [
+        (7, 10, 6), (7, 11, 2), (8, 10, 3)
+    ]
+    cls = classify_merged(merge_candidates(cand, tax), tax, hits_min=1).to_pandas()
+    assert dict(zip(cls["query_id"], cls["best_node"])) == {7: 101, 8: 100}
+
+    rows = rd.from_arrow(
+        pa.table(
+            {
+                "k": pa.array([1, 1, 1, 2, 2], type=pa.int64()),
+                "src": pa.array(["a", "b", "c", "a", "a"]),
+            }
+        )
+    ).repartition(2)
+    kept = ambiguity_filter(rows, "k", "src", max_sources=2).to_pandas()
+    assert kept["k"].tolist() == [2, 2]
+
+    key_tab = pa.table({"key": np.arange(200, dtype=np.int64)})
+    keys = rd.from_arrow(key_tab).repartition(3)
+    bloom = build_bloom(keys, "key", n_expected=200, n_shards=4)
+    assert bloom.might_contain(*key_hashes(key_tab, "key", bloom.seed)).all()
+    sharded = build_bloom_sharded(keys, "key", n_expected=200, n_shards=4)
+    assert probe_bloom(keys, sharded, "key").to_pandas()["might_seen"].all()

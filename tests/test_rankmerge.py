@@ -85,7 +85,12 @@ def _reference_classify(groups, tax, hits_min, frac):
     return want
 
 
-def test_classify_matches_reference_rules_across_batch_sizes():
+def test_classify_matches_reference_rules_across_batch_sizes(monkeypatch):
+    """Equal to the reference at the default layout and at every block
+    count x exchange partition count: each query's candidates reach
+    one reduce whole."""
+    from metacache_mpi_ray.stages import joins
+
     tax = _tree()
     rng = np.random.default_rng(11)
     rows = []
@@ -105,18 +110,24 @@ def test_classify_matches_reference_rules_across_batch_sizes():
     hits_min, frac = 4, 0.5
     want = _reference_classify(groups, tax, hits_min, frac)
 
-    topk = merge_candidates(cand, tax, max_candidates=4).materialize()
-    out = classify_merged(
-        topk, tax, hits_min=hits_min, hits_diff_fraction=frac
-    ).to_pandas()
-    assert len(out) == 40
-    for _, r in out.iterrows():
-        bn, bh, lca, cl = want[int(r["query_id"])]
-        assert int(r["best_node"]) == bn
-        assert int(r["best_hits"]) == bh
-        assert bool(r["classified"]) == cl
-        if cl:
-            assert int(r["lca_node"]) == lca
+    layouts = [(cand, None)] + [
+        (cand.repartition(k), parts) for k in (1, 3, 8) for parts in (1, 2, 5)
+    ]
+    for ds, parts in layouts:
+        if parts is not None:
+            monkeypatch.setattr(joins, "default_num_partitions", lambda **_: parts)
+        topk = merge_candidates(ds, tax, max_candidates=4).materialize()
+        out = classify_merged(
+            topk, tax, hits_min=hits_min, hits_diff_fraction=frac
+        ).to_pandas()
+        assert len(out) == 40
+        for _, r in out.iterrows():
+            bn, bh, lca, cl = want[int(r["query_id"])]
+            assert int(r["best_node"]) == bn
+            assert int(r["best_hits"]) == bh
+            assert bool(r["classified"]) == cl
+            if cl:
+                assert int(r["lca_node"]) == lca
 
 
 def test_classify_highest_rank_gate():

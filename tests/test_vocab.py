@@ -1,5 +1,5 @@
 """Vocabulary census (stages/vocab.py): exact tf/df vs a pure-Python
-reference, batch-size invariance, fragment stitching, heavy hitters."""
+reference, batch-size and layout invariance, heavy hitters."""
 
 import re
 from collections import Counter
@@ -55,13 +55,19 @@ def test_tokenize_matches_python_reference():
     assert int(sizes.sum()) == len(got)
 
 
-@pytest.mark.parametrize("n_blocks", [1, 3, 11])
-def test_census_exact_across_block_counts(n_blocks):
+@pytest.mark.parametrize("n_blocks", [1, 3, 8, 11])
+def test_census_exact_across_block_counts(n_blocks, monkeypatch):
+    """Exact at every block count x exchange partition count: each term
+    reaches one reduce whole."""
+    from metacache_mpi_ray.stages import joins
+
     tf, df = _py_census(TEXTS)
     ds = rd.from_arrow(pa.table({"text": pa.array(TEXTS)})).repartition(n_blocks)
-    out = vocab_census(ds).to_pandas().set_index("term").sort_index()
-    assert out["tf"].to_dict() == dict(tf)
-    assert out["df"].to_dict() == dict(df)
+    for parts in (1, 2, 5):
+        monkeypatch.setattr(joins, "default_num_partitions", lambda **_: parts)
+        out = vocab_census(ds).to_pandas().set_index("term").sort_index()
+        assert out["tf"].to_dict() == dict(tf), parts
+        assert out["df"].to_dict() == dict(df), parts
 
 
 def test_census_single_term_spanning_all_blocks():

@@ -1,10 +1,12 @@
-"""Boundary-stitch stress tests for the sort+segment window operators:
-many blocks, hot keys straddling several block boundaries — every op is
-compared against a pandas reference implementation on the full data."""
+"""Stress tests for the keyed-exchange window operators: many blocks,
+a hot key spread over every block, and a sweep of block layouts x
+exchange partition counts — every op is compared against a pandas
+reference implementation on the full data."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 
@@ -26,10 +28,14 @@ def _events(n_rows=20000, n_users=40, seed=3, n_blocks=37):
     return df, ds
 
 
-def test_topk_stress_matches_pandas():
+def _layouts():
+    """Input block count x exchange partition count."""
+    return [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
+
+
+def _check_topk(df, ds):
     from metacache_mpi_ray.stages.windows import topk_per_group
 
-    df, ds = _events()
     got = (
         topk_per_group(ds, "u", "v", 5, tiebreak=["id"])
         .to_pandas()
@@ -50,10 +56,13 @@ def test_topk_stress_matches_pandas():
     )
 
 
-def test_lag_stress_matches_pandas():
+def test_topk_stress_matches_pandas():
+    _check_topk(*_events())
+
+
+def _check_lag(df, ds):
     from metacache_mpi_ray.stages.windows import lag_per_group
 
-    df, ds = _events()
     got = (
         lag_per_group(ds, "u", "ts", "id", out_col="prev")
         .to_pandas()
@@ -69,11 +78,13 @@ def test_lag_stress_matches_pandas():
     assert (both_nan | (g == e)).all()
 
 
-def test_sessionize_stress_matches_pandas():
+def test_lag_stress_matches_pandas():
+    _check_lag(*_events())
+
+
+def _check_sessionize(df, ds, gap=40000):
     from metacache_mpi_ray.stages.windows import sessionize
 
-    df, ds = _events()
-    gap = 40000
     got = (
         sessionize(ds, "u", "ts", gap_us=gap)
         .to_pandas()
@@ -99,10 +110,13 @@ def test_sessionize_stress_matches_pandas():
     )
 
 
-def test_collect_members_stress_matches_pandas():
+def test_sessionize_stress_matches_pandas():
+    _check_sessionize(*_events())
+
+
+def _check_collect_members(df, ds):
     from metacache_mpi_ray.stages.windows import collect_members
 
-    df, ds = _events()
     got = (
         collect_members(
             ds.select_columns(["u", "id"]), "u", "id"
@@ -124,11 +138,14 @@ def test_collect_members_stress_matches_pandas():
     assert list(got["members"]) == list(exp["members"])
 
 
-def test_quantile_stress_matches_pandas():
+def test_collect_members_stress_matches_pandas():
+    _check_collect_members(*_events())
+
+
+def _check_quantile(df, ds, qs=(0.0, 0.25, 0.5, 0.9, 1.0)):
     from metacache_mpi_ray.stages.windows import quantile_per_group
 
-    df, ds = _events()
-    for q in (0.0, 0.25, 0.5, 0.9, 1.0):
+    for q in qs:
         got = (
             quantile_per_group(ds, "u", "ts", q)
             .to_pandas()
@@ -143,6 +160,56 @@ def test_quantile_stress_matches_pandas():
         )
         assert (got["u"].values == exp["u"].values).all()
         assert (got["quantile"].values == exp["quantile"].values).all(), q
+
+
+def test_quantile_stress_matches_pandas():
+    _check_quantile(*_events())
+
+
+def test_window_ops_match_pandas_at_every_layout(monkeypatch):
+    """A small input at every block layout x partition count: each
+    group reaches one reduce whole, so every op equals its pandas
+    reference at every layout."""
+    from metacache_mpi_ray.stages import joins
+
+    df, ds = _events(n_rows=3000, n_users=40, n_blocks=1)
+    for k, parts in _layouts():
+        monkeypatch.setattr(joins, "default_num_partitions", lambda **_: parts)
+        laid = ds.repartition(k)
+        _check_topk(df, laid)
+        _check_lag(df, laid)
+        _check_sessionize(df, laid, gap=400)
+        _check_collect_members(df, laid)
+        _check_quantile(df, laid, qs=(0.0, 0.5, 1.0))
+
+
+def test_quantile_skips_nulls_like_duckdb():
+    """quantile_disc semantics: NULL values are skipped, an all-NULL
+    group yields NULL, and every output block keeps the value type."""
+    import duckdb
+
+    from metacache_mpi_ray.stages.windows import quantile_per_group
+
+    tab = pa.table(
+        {
+            "g": pa.array([1, 1, 1, 1, 2, 2, 3, 3, 3, 4], type=pa.int64()),
+            "v": pa.array([5, None, 1, 3, None, None, 7, 2, None, 6], type=pa.int64()),
+        }
+    )
+    con = duckdb.connect()
+    con.register("t", tab)
+    ds = rd.from_arrow(tab).repartition(4)
+    for q in (0.0, 0.5, 1.0):
+        out = quantile_per_group(ds, "g", "v", q)
+        blocks = [ray.get(r) for r in out.to_arrow_refs()]
+        assert all(b.schema.field("quantile").type == pa.int64() for b in blocks), q
+        got = {
+            g: v
+            for b in blocks
+            for g, v in zip(b["g"].to_pylist(), b["quantile"].to_pylist())
+        }
+        want = dict(con.execute(f"SELECT g, quantile_disc(v, {q}) FROM t GROUP BY g").fetchall())
+        assert got == want, q
 
 
 def test_hopping_window_agg_counts():

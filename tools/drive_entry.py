@@ -11,6 +11,7 @@ CORRECTNESS_r{N}.json but over the FULL registry instead of its
 50-query window.
 """
 import json
+import os
 import sys
 import time
 
@@ -34,7 +35,7 @@ ray.init(address="local", num_cpus=8, include_dashboard=False,
 from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import numpy as np

@@ -5,10 +5,11 @@ Usage: python tools/profile_queries.py [sf_dir] [--only name1,name2]
 Prints one line per query: engine_sec oracle_sec rows, plus a total.
 """
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> None:

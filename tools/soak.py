@@ -34,7 +34,7 @@ while args:
 
 root = root or f"/tmp/metacache_soak_idx_{n_docs}"
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from bench import _corpus_dir, _cpu_probe  # noqa: E402
 
 import ray  # noqa: E402
