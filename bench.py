@@ -280,7 +280,8 @@ def run_bench() -> dict:
         query_against_index,
     )
 
-    idx_root = os.path.join(corpus, "_index")
+    # named by index format: a cached older-format index is never reused
+    idx_root = os.path.join(corpus, "_index_f2")
     build_index(
         ingest_pages(
             rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])

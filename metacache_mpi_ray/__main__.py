@@ -236,30 +236,50 @@ def cmd_repl(args) -> int:
 
 def cmd_info(args) -> int:
     """Index statistics — the mode_info analog
-    (/root/reference/src/mode_info.cpp:288-345): config, artifact row
-    counts, band-bucket occupancy moments."""
+    (reference src/mode_info.cpp:288-345): config, layout (format,
+    shard count, files per shard of each sharded stage, cluster-log
+    length — compaction keeps the last two bounded), artifact row
+    counts (clusters through the resolving reader), band-bucket
+    occupancy moments."""
     _ensure_ray()
-    from metacache_mpi_ray.pipelines.incremental import _read_stage, load_index_config
+    from metacache_mpi_ray.pipelines.incremental import (
+        INDEX_FORMAT,
+        _read_stage,
+        index_shards,
+        load_index_config,
+        log_batches,
+        log_files,
+        read_clusters,
+        shard_files,
+    )
     from metacache_mpi_ray.stages.candidates import bucket_stats
     from metacache_mpi_ray.stages.stats import grouped_moments
+    from metacache_mpi_ray.state.checkpoint import resume_pending_commit
 
     cfg = load_index_config(args.index)
-    out = {"mode": "info", "index": args.index, "config": json.loads(cfg.to_json())}
-    for stage in ("signatures", "clusters", "verified", "bands"):
-        try:
-            out[f"rows_{stage}"] = _read_stage(args.index, stage).count()
-        except FileNotFoundError:
-            out[f"rows_{stage}"] = None
-    try:
-        bands = _read_stage(args.index, "bands")
-        sizes = bucket_stats(bands, ["bkey"])
-        mom = grouped_moments(sizes, None, "bucket_size").to_pandas()
-        out["bucket_size_moments"] = {
-            k: (float(mom[k][0]) if k != "n" else int(mom[k][0]))
-            for k in ("n", "mean", "variance", "skewness")
-        }
-    except FileNotFoundError:
-        out["bucket_size_moments"] = None
+    shards = index_shards(args.index)
+    resume_pending_commit(args.index)
+    out = {
+        "mode": "info",
+        "index": args.index,
+        "config": json.loads(cfg.to_json()),
+        "format": INDEX_FORMAT,
+        "shards": shards,
+        "files_per_shard": {
+            stage: [len(shard_files(args.index, stage, p)) for p in range(shards)]
+            for stage in ("signatures", "bands", "clusters")
+        },
+        "cluster_log_batches": log_batches(log_files(args.index)),
+    }
+    for stage in ("signatures", "verified", "bands"):
+        out[f"rows_{stage}"] = _read_stage(args.index, stage).count()
+    out["rows_clusters"] = read_clusters(args.index).count()
+    sizes = bucket_stats(_read_stage(args.index, "bands"), ["bkey"])
+    mom = grouped_moments(sizes, None, "bucket_size").to_pandas()
+    out["bucket_size_moments"] = {
+        k: (float(mom[k][0]) if k != "n" else int(mom[k][0]))
+        for k in ("n", "mean", "variance", "skewness")
+    }
     # extension lineage (reference 'modify' mode): which batches were
     # added, how many docs/edges/touched clusters each brought
     import os

@@ -1,7 +1,7 @@
 """Block-level dataset utilities.
 
 ``hash_exchange`` is the engine's keyed all-to-all (every join, pair
-dedup, the index probe, every bucket and segment stage, the
+dedup, the index build's shard writes, every bucket and segment stage, the
 connected-components rounds, the windows family, the vocabulary census,
 rank-merge, the Bloom build and sharded probe, and the ambiguity
 filter): plain Ray tasks instead of a Ray Data
@@ -10,7 +10,9 @@ work on a small input, whose sorted blocks split key groups that then
 need a boundary stitch, and whose join emits zero-row blocks with the
 operator's internal schema. One exchange moves one or several keyed
 inputs, so a join is one exchange whose reduce sees both sides of each
-key whole.
+key whole. Its partition function, ``split_by_key``, also names the
+persisted index's shards, so the daily batch splits itself the same
+way and each probe task reads only its own shard files.
 """
 
 from __future__ import annotations
@@ -87,12 +89,28 @@ def _key_u64(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False).astype(np.int64).view(U64)
 
 
+def split_by_key(t: pa.Table, key_cols: list[str], num_partitions: int) -> list[pa.Table]:
+    """``t`` -> ``num_partitions`` pieces keyed by a splitmix64/mix2 hash
+    of ``key_cols``: THE partition function of ``hash_exchange`` and of
+    the persisted index's shards (pipelines/incremental.py), so a key
+    lands in the same partition on both."""
+    from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
+
+    h = None
+    for c in key_cols:
+        v = _key_u64(t[c])
+        h = splitmix64(v) if h is None else mix2(h, v)
+    part = (h % U64(num_partitions)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
+    t = t.take(pa.array(order))
+    return [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 @ray.remote
 def _exchange_split(block, key_cols, num_partitions, combine):
     """One input block -> ``num_partitions`` pieces keyed by the hash of
     ``key_cols`` (after the map-side ``combine``)."""
-    from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
-
     t = _as_table(block)
     if t.num_rows == 0 or not set(key_cols) <= set(t.column_names):
         # empty blocks may carry no schema: every piece is empty
@@ -100,17 +118,7 @@ def _exchange_split(block, key_cols, num_partitions, combine):
     else:
         if combine is not None:
             t = combine(t)
-        h = None
-        for c in key_cols:
-            v = _key_u64(t[c])
-            h = splitmix64(v) if h is None else mix2(h, v)
-        part = (h % U64(num_partitions)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
-        t = t.take(pa.array(order))
-        pieces = [
-            t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+        pieces = split_by_key(t, key_cols, num_partitions)
     return pieces[0] if num_partitions == 1 else tuple(pieces)
 
 

@@ -17,6 +17,10 @@ list (the reference sorts file lists so all ranks agree,
 mode_build.cpp:570-575; we sort so shard membership is deterministic
 across resumes). A killed run resumes by skipping finished shards /
 stages.
+
+The root is not a queryable index: it has no format-2 ``index.json``,
+so ``query_against_index`` / ``extend_index`` refuse it — build the
+index with ``pipelines/incremental.build_index``.
 """
 
 from __future__ import annotations

@@ -8,17 +8,32 @@ bounded by the maxcand candidate list. This is THE daily operation of a
 training-data pipeline: dedup a new crawl batch against the existing
 corpus index without re-processing the corpus.
 
-Ray-Data shape: the persisted artifacts are the band-key, signature and
-cluster Parquet checkpoints written by ``build_index`` (or by
-``pipelines/checkpointed.run_dedup_checkpointed`` — same layout). The
-query side probes the persisted band table directly (one hash exchange
-of stored+new band rows on the band key — zero corpus-signature reads
-on the probe), then verifies candidate pairs against a FOOTER-PRUNED
-read of the doc_id-sorted signature checkpoint (only files whose id
-range intersects the candidate endpoints are touched), and resolves each
-matched new doc to the minimum matched stored cluster. Each probe
-appends a telemetry row (candidate/verified/matched counts, files
-pruned) to the index root's metrics.jsonl.
+Index layout (format 2, ``index.json`` = {"format": 2, "shards": P}):
+``build_index`` stores the signatures, band keys and clusters as P hash
+shards, split by ``functions/blocks.split_by_key`` — the partition
+function of ``hash_exchange`` — on ``doc_id`` (signatures, clusters) or
+on the band key ``bkey`` (bands, sorted by ``bkey`` inside a shard):
+``<stage>/<p>/*.parquet``, the analog of the reference's per-rank
+shards (sketch_database.h:540). ``extend_index`` appends one file per
+shard and batch plus a ``cluster_log/`` of label remaps and dup marks;
+``read_clusters`` is the one reader that resolves them.
+
+The daily batch (``_daily_batch``, shared by query and extend) is one
+graph of plain Ray tasks; no Ray Data execution touches the stored
+index:
+
+1. one task per batch block signs, bands and splits the block by shard;
+2. probe task p reads ``bands/<p>``, adds the batch's piece p and runs
+   the bucket kernel ``probe_bucket_pairs`` (every bucket is whole in
+   one shard, so the hot-bucket cap counts stored and new rows);
+3. verify task q reads only the candidate rows of ``signatures/<q>``,
+   keeps pairs with ``est_sim >= cfg.verify_threshold`` (the rule of
+   ``verify_edges``), and resolves each stored endpoint to its cluster
+   through ``clusters/<q>`` plus the log.
+
+The query then takes the minimum matched cluster per new doc. Each probe
+appends a telemetry row (candidate/verified/matched counts, signature
+files and stored bytes read) to the index root's metrics.jsonl.
 
 doc_ids must be disjoint between the index corpus and the query batch
 (ids are content-derived hashes of distinct urls in the ingest path).
@@ -27,35 +42,62 @@ doc_ids must be disjoint between the index corpus and the query batch
 from __future__ import annotations
 
 import glob
+import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import hash_exchange
-from metacache_mpi_ray.stages.banding import compute_bands
+from metacache_mpi_ray.functions.blocks import hash_exchange, split_by_key
+from metacache_mpi_ray.stages.banding import make_band_batch
 from metacache_mpi_ray.stages.candidates import (
     _combine_keys,
-    segment_all_pairs,
     bucket_edges,
     dedupe_edges,
+    run_bounds,
+    segment_all_pairs,
 )
 from metacache_mpi_ray.stages.cluster import assign_clusters
-from metacache_mpi_ray.stages.signatures import compute_signatures
-from metacache_mpi_ray.stages.verify import (
-    filter_to_ids,
-    lookup_sorted,
-    verify_edges,
+from metacache_mpi_ray.stages.signatures import (
+    MinHashSigner,
+    compute_signatures,
+    sig_from_arrow,
 )
+from metacache_mpi_ray.stages.verify import lookup_sorted, verify_edges
 from metacache_mpi_ray.state.checkpoint import (
     ConfigMismatch,
     checkpointed_stage,
     init_checkpoint_root,
+    install_stage,
     resume_pending_commit,
+    stage_done,
+)
+
+INDEX_FORMAT = 2
+_STAGES = ("signatures", "bands", "edges", "verified", "clusters")
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_QUERY_OUT = pa.schema(
+    [("doc_id", pa.int64()), ("matched", pa.bool_()), ("matched_cluster_id", pa.int64())]
+)
+_CLUSTERS = pa.schema(
+    [("doc_id", pa.int64()), ("cluster_id", pa.int64()), ("is_dup", pa.bool_())]
+)
+_VERIFIED = pa.schema(
+    [
+        ("a", pa.int64()),
+        ("b", pa.int64()),
+        ("est_sim", pa.float64()),
+        ("b_label", pa.int64()),  # stored b: its resolved cluster; new b: b
+        ("b_stored", pa.bool_()),
+        ("b_dup", pa.bool_()),  # stored b already marked a dup
+    ]
 )
 
 
@@ -67,30 +109,23 @@ def build_index(
     num_partitions: int | None = None,
 ):
     """Dedup ``docs`` and persist the queryable artifacts under
-    ``ckpt_root`` (signatures/, edges/, verified/, clusters/ +
-    config.json guard). Returns the clusters dataset. Resumable: a
-    finished stage is read back instead of recomputed."""
+    ``ckpt_root`` (index.json + config.json guards, sharded signatures/,
+    bands/ and clusters/, flat edges/ and verified/). ``num_partitions``
+    is the shard count P. Returns the clusters dataset. Resumable: a
+    finished stage is read back instead of recomputed; a root holding
+    artifacts without a format-2 ``index.json`` is refused."""
     from metacache_mpi_ray.stages.joins import default_num_partitions
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
     init_checkpoint_root(ckpt_root, cfg)
-    # coalesced to num_partitions blocks inside the signer execution:
-    # right-sizes both the checkpoint files (one per partition, the
-    # resumable layout) and every downstream sort/groupby, which pay
-    # per-input-block fixed costs (see pipelines/dedup.py)
-    # doc_id-sorted: each checkpoint file then covers a narrow id range
-    # (tight parquet footer min/max stats), so the query path's verify
-    # stage can prune whole files by candidate-id intersection instead
-    # of re-reading the full corpus signature table per query batch
-    # (the reference's per-rank DB artifact IS the random-access index,
-    # sketch_database.h:959-999)
-    sigs = checkpointed_stage(
+    shards = _init_index_meta(ckpt_root, num_partitions)
+    sigs = _sharded_stage(
         ckpt_root,
         "signatures",
-        lambda: compute_signatures(docs, cfg, batch_size=128)
-        .repartition(num_partitions)
-        .sort("doc_id"),
+        lambda: compute_signatures(docs, cfg, batch_size=128),
+        "doc_id",
+        shards,
     )
     # the queryable band table (bkey, doc_id) is part of the persisted
     # index — queries probe it directly instead of re-banding millions
@@ -99,10 +134,12 @@ def build_index(
     # edges stage buckets over it instead of re-banding the corpus
     # (bucket_edges refolds bkey through splitmix64 — a bijection, so
     # the bucket structure is identical)
-    bands = checkpointed_stage(
+    bands = _sharded_stage(
         ckpt_root,
         "bands",
-        lambda: _band_keys(sigs, cfg, "doc_id"),
+        lambda: sigs.map_batches(lambda t: _band_rows(t, cfg), batch_format="pyarrow"),
+        "bkey",
+        shards,
     )
     edge_schema = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("n_bands_hit", pa.int64())]
@@ -132,9 +169,14 @@ def build_index(
             edges, sigs, cfg, num_partitions=num_partitions
         ),
     )
-    return checkpointed_stage(
-        ckpt_root, "clusters", lambda: assign_clusters(sigs, verified)
+    _sharded_stage(
+        ckpt_root,
+        "clusters",
+        lambda: assign_clusters(sigs, verified),
+        "doc_id",
+        shards,
     )
+    return read_clusters(ckpt_root)
 
 
 def load_index_config(ckpt_root: str) -> DedupConfig:
@@ -142,101 +184,194 @@ def load_index_config(ckpt_root: str) -> DedupConfig:
         return DedupConfig.from_json(f.read())
 
 
-def _read_stage(ckpt_root: str, stage: str, columns=None):
-    """Read a stage checkpoint as an explicit sorted file list (avoids
-    hive-partition inference over the sharded shard=K layout).
+def index_shards(ckpt_root: str) -> int:
+    """The shard count P of a format-2 index; ConfigMismatch for any
+    other root (an older unsharded index is refused, never misread).
+    Readers call it before healing a torn commit, so an older root's
+    journal is never replayed by this format's installer."""
+    path = os.path.join(ckpt_root, "index.json")
+    meta = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            meta = json.load(f)
+    if meta.get("format") != INDEX_FORMAT:
+        raise ConfigMismatch(
+            f"{ckpt_root} is not a format-{INDEX_FORMAT} index (index.json "
+            f"{'missing' if not meta else meta}); rebuild with build_index"
+        )
+    return int(meta["shards"])
 
-    Heals a torn extend commit first (one stat when there is none):
-    without this, a crash between an extend's journal write and its
-    installation would leave sibling readers (query mode, REPL, info)
-    silently consuming a half-updated index."""
+
+def _init_index_meta(ckpt_root: str, num_shards: int) -> int:
+    """Write index.json for a fresh root, or return the shard count of
+    the format-2 root being resumed."""
+    path = os.path.join(ckpt_root, "index.json")
+    if os.path.exists(path) or any(stage_done(ckpt_root, s) for s in _STAGES):
+        return index_shards(ckpt_root)
+    with open(path + ".tmp", "w") as f:
+        json.dump({"format": INDEX_FORMAT, "shards": int(num_shards)}, f)
+    os.replace(path + ".tmp", path)
+    return int(num_shards)
+
+
+def _check_config(ckpt_root: str, cfg: DedupConfig | None) -> DedupConfig:
+    stored_cfg = load_index_config(ckpt_root)
+    if cfg is not None and cfg != stored_cfg:
+        raise ConfigMismatch(
+            f"index at {ckpt_root} was built with a different DedupConfig; "
+            "signatures are not comparable across configs"
+        )
+    return stored_cfg
+
+
+def _read_stage(ckpt_root: str, stage: str, columns=None):
+    """Read a whole stage checkpoint as a Dataset (build and ``info``;
+    the daily path reads shard files in its own tasks). Heals a torn
+    extend commit first (one stat when there is none)."""
     resume_pending_commit(ckpt_root)
     files = sorted(
         glob.glob(os.path.join(ckpt_root, stage, "**", "*.parquet"), recursive=True)
     )
     if not files:
         raise FileNotFoundError(f"no checkpointed stage {stage!r} under {ckpt_root}")
-    return rd.read_parquet(files, columns=columns)
+    return rd.read_parquet(files, columns=columns, partitioning=None)
 
 
-def _sig_file_intersects(path: str, ids_sorted: np.ndarray) -> bool:
-    """True iff any row group's doc_id [min, max] footer range contains
-    a candidate id (files without usable stats are always kept)."""
-    import pyarrow.parquet as pq
+def shard_files(ckpt_root: str, stage: str, shard: int) -> list[str]:
+    """The parquet files of one shard of a sharded stage, sorted."""
+    d = os.path.join(ckpt_root, stage, str(shard))
+    if not os.path.isdir(d):
+        return []
+    return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
 
-    md = pq.read_metadata(path)
-    if md.num_row_groups == 0:
-        return True
-    try:
-        col_idx = [
-            md.row_group(0).column(i).path_in_schema
-            for i in range(md.row_group(0).num_columns)
-        ].index("doc_id")
-    except ValueError:
-        return True
-    for rg in range(md.num_row_groups):
-        st = md.row_group(rg).column(col_idx).statistics
-        if st is None or not st.has_min_max:
-            return True
-        lo = np.searchsorted(ids_sorted, st.min, side="left")
-        hi = np.searchsorted(ids_sorted, st.max, side="right")
-        if hi > lo:
-            return True
-    return False
+
+def log_files(ckpt_root: str) -> list[str]:
+    """The cluster-label log, oldest batch first (names start with a
+    zero-padded batch sequence number)."""
+    d = os.path.join(ckpt_root, "cluster_log")
+    if not os.path.isdir(d):
+        return []
+    return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
+
+
+def log_batches(files: list[str]) -> int:
+    """How many extend batches the cluster log holds."""
+    return len({os.path.basename(f).split("-", 1)[0] for f in files})
+
+
+def _read_files(files: list[str], columns=None, ids=None) -> pa.Table | None:
+    """Concatenated rows of ``files`` (``None`` for no files), restricted
+    to ``doc_id in ids`` when given. Each file is read on its own
+    (``ParquetFile``: no partitioning, so a shard directory name never
+    becomes a column; ~0.3-0.5 ms a file, where ``pq.read_table``'s
+    dataset layer costs ~1-1.5 ms and far more on a worker's first
+    call)."""
+    tabs = []
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            tabs.append(pf.read(columns=columns))
+    if not tabs:
+        return None
+    t = pa.concat_tables(tabs, promote_options="default")
+    return t if ids is None else t.filter(pc.is_in(t["doc_id"], pa.array(ids, pa.int64())))
+
+
+def _nbytes(files: list[str]) -> int:
+    return sum(os.path.getsize(f) for f in files)
+
+
+def _write_table(t: pa.Table, path: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path)
 
 
 @ray.remote
-def _intersecting_sig_files(paths: list, ids_sorted: np.ndarray) -> list:
-    return [p for p in paths if _sig_file_intersects(p, ids_sorted)]
+def _write_shard_task(path: str, t: pa.Table) -> None:
+    if t.num_columns:  # an all-empty input leaves a column-less piece
+        _write_table(t, path)
 
 
-def _pruned_sig_read(ckpt_root: str, ids_sorted: np.ndarray):
-    """Read ONLY the signature checkpoint files whose doc_id footer
-    range intersects ``ids_sorted`` (build_index writes the signatures
-    doc_id-sorted, so each file covers a narrow id range). Files
-    without stats (or an older unsorted index) are kept — pruning is a
-    pure byte-level optimization; exactness always comes from the
-    verify stage's own id filtering. Returns (dataset, n_kept,
-    n_total)."""
-    import pyarrow.parquet as pq
+def _sharded_stage(ckpt_root, stage, compute, key: str, shards: int):
+    """checkpointed_stage for a sharded stage: ONE ``hash_exchange`` of
+    ``compute()`` on ``key`` puts partition p's rows in
+    ``<stage>/<p>/part-0.parquet`` (band shards sorted by ``bkey``)."""
 
+    def write(tmp: str) -> None:
+        def reduce(t: pa.Table) -> pa.Table:
+            return t.sort_by(key) if key == "bkey" and t.num_columns else t
+
+        parts = hash_exchange(compute(), [key], reduce, num_partitions=shards)
+        ray.get(
+            [
+                _write_shard_task.remote(os.path.join(tmp, str(p), "part-0.parquet"), r)
+                for p, r in enumerate(parts.to_arrow_refs())
+            ]
+        )
+
+    if not stage_done(ckpt_root, stage):
+        install_stage(ckpt_root, stage, write)
+    return _read_stage(ckpt_root, stage)
+
+
+def _band_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """signature rows -> (bkey, doc_id) rows, band key folded to one u64."""
+    return _combine_keys(make_band_batch(cfg)(sigs), ["band_id", "band_hash"], "doc_id")
+
+
+# --- the cluster-label log -----------------------------------------------
+
+
+def load_log(files: list[str]):
+    """(remaps, dup_ids): the (from_label, to_label) arrays of every
+    batch in order, and every doc_id a batch marked a dup."""
+    remaps, dups = [], [np.empty(0, dtype=np.int64)]
+    for f in files:
+        t = _read_files([f])
+        if f.endswith("-remap.parquet"):
+            frm = t["from_label"].to_numpy(zero_copy_only=False)
+            order = np.argsort(frm)
+            remaps.append((frm[order], t["to_label"].to_numpy(zero_copy_only=False)[order]))
+        else:
+            dups.append(t["doc_id"].to_numpy(zero_copy_only=False))
+    return remaps, np.unique(np.concatenate(dups))
+
+
+def resolve_clusters(t: pa.Table, remaps, dup_ids: np.ndarray) -> pa.Table:
+    """Stored (doc_id, cluster_id, is_dup) rows -> their current values:
+    every remap in batch order, then the dup marks ORed in. Exact
+    because a label remapped away never comes back (a component's
+    minimum only falls, and new ids never collide with stored ones)."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    cl = t["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    dup = t["is_dup"].to_numpy(zero_copy_only=False).astype(bool)
+    for frm, to in remaps:
+        if len(frm):
+            pos, found = lookup_sorted(frm, cl)
+            cl = np.where(found, to[pos], cl)
+    if len(dup_ids):
+        dup = dup | np.isin(ids, dup_ids)
+    return pa.table([ids, cl, dup], schema=_CLUSTERS)
+
+
+@ray.remote
+def _resolved_shard(files: list[str], log: list[str]) -> pa.Table:
+    t = _read_files(files, _CLUSTERS.names)
+    return resolve_clusters(_CLUSTERS.empty_table() if t is None else t, *load_log(log))
+
+
+def read_clusters(ckpt_root: str):
+    """The index's current clusters (doc_id, cluster_id, is_dup), one
+    block per shard: the stored rows resolved through the cluster log.
+    The one reader of the clusters stage (query, extend, REPL, info)."""
+    shards = index_shards(ckpt_root)
     resume_pending_commit(ckpt_root)
-    files = sorted(
-        glob.glob(
-            os.path.join(ckpt_root, "signatures", "**", "*.parquet"), recursive=True
-        )
+    log = log_files(ckpt_root)
+    return rd.from_arrow_refs(
+        [
+            _resolved_shard.remote(shard_files(ckpt_root, "clusters", p), log)
+            for p in range(shards)
+        ]
     )
-    if not files:
-        raise FileNotFoundError(f"no checkpointed stage 'signatures' under {ckpt_root}")
-    if len(files) <= 64:
-        keep = [f for f in files if _sig_file_intersects(f, ids_sorted)]
-    else:
-        # big index: footer reads fan out as Ray tasks (one per ~32-file
-        # chunk) instead of a serial driver loop — at 10^4+ files the
-        # driver otherwise pays len(files) x ~1 ms of storage stats
-        ids_ref = ray.put(ids_sorted)
-        chunks = [files[i : i + 32] for i in range(0, len(files), 32)]
-        kept_lists = ray.get(
-            [_intersecting_sig_files.remote(c, ids_ref) for c in chunks]
-        )
-        keep = [f for part in kept_lists for f in part]
-    # nothing intersects: read one file for a schema-stable empty-ish
-    # dataset (verify filters it away)
-    read = keep or files[:1]
-    return (
-        rd.read_parquet(read, columns=["doc_id", "sig"]),
-        len(keep),
-        len(files),
-    )
-
-
-def _band_keys(sigs, cfg: DedupConfig, id_out: str):
-    """signatures -> (bkey, <id_out>) rows, band key folded to one u64."""
-    bands = compute_bands(sigs, cfg)
-    return bands.map_batches(
-        lambda t: _combine_keys(t, ["band_id", "band_hash"], "doc_id"),
-        batch_format="pyarrow",
-    ).rename_columns({"doc_id": id_out})
 
 
 class ReplIndex:
@@ -261,22 +396,19 @@ class ReplIndex:
     DEFAULT_MAX_BYTES = 8 << 30
 
     def __init__(self, ckpt_root: str, max_bytes: int | None = None):
-        import pyarrow.parquet as pq
-
         from metacache_mpi_ray.functions.hashing import minhash_perm_constants
-        from metacache_mpi_ray.stages.signatures import sig_from_arrow
 
+        shards = index_shards(ckpt_root)
+        resume_pending_commit(ckpt_root)
         if max_bytes is None:
             max_bytes = int(
                 os.environ.get("METACACHE_REPL_MAX_BYTES", self.DEFAULT_MAX_BYTES)
             )
-        artifact_bytes = sum(
-            os.path.getsize(f)
+        files = {
+            stage: [f for p in range(shards) for f in shard_files(ckpt_root, stage, p)]
             for stage in ("signatures", "bands", "clusters")
-            for f in glob.glob(
-                os.path.join(ckpt_root, stage, "**", "*.parquet"), recursive=True
-            )
-        )
+        }
+        artifact_bytes = sum(_nbytes(fs) for fs in files.values())
         if max_bytes > 0 and artifact_bytes > max_bytes:
             raise MemoryError(
                 f"ReplIndex loads the whole index into driver RAM; the "
@@ -292,62 +424,21 @@ class ReplIndex:
             if self.cfg.minhash_scheme != "oph"
             else (None, None)
         )
-        files = sorted(
-            glob.glob(os.path.join(ckpt_root, "signatures", "**", "*.parquet"),
-                      recursive=True)
-        )
-        sig_tab = pa.concat_tables(
-            [pq.read_table(f, columns=["doc_id", "sig"]) for f in files]
-        )
+        sig_tab = _read_files(files["signatures"], ["doc_id", "sig"])
         self.sig_ids = sig_tab["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(self.sig_ids)
         self.sig_ids = self.sig_ids[order]
         self.sig_mat = sig_from_arrow(sig_tab["sig"])[order]
-        try:
-            bands = _read_stage(ckpt_root, "bands").to_pandas()
-        except FileNotFoundError:
-            # index built by an older writer without a bands artifact:
-            # derive the band table from the in-RAM signatures (the same
-            # fallback query_against_index uses)
-            bands = self._bands_from_sigs()
-        bk = bands["bkey"].to_numpy(dtype=np.int64)
+        bands = _read_files(files["bands"], ["bkey", "doc_id"])
+        bk = bands["bkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(bk)
         self.band_keys = bk[order]
-        self.band_docs = bands["doc_id"].to_numpy(dtype=np.int64)[order]
-        cl = _read_stage(
-            ckpt_root, "clusters", columns=["doc_id", "cluster_id"]
-        ).to_pandas()
+        self.band_docs = bands["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[order]
+        cl = read_clusters(ckpt_root).to_pandas()
         ci = cl["doc_id"].to_numpy(dtype=np.int64)
         order = np.argsort(ci)
         self.cl_ids = ci[order]
         self.cl_lab = cl["cluster_id"].to_numpy(dtype=np.int64)[order]
-
-    def _bands_from_sigs(self):
-        """(bkey, doc_id) frame derived from the in-RAM signature
-        matrix — same kernels as the persisted bands artifact."""
-        import pandas as pd
-
-        from metacache_mpi_ray.stages.banding import _to_i63, band_hashes
-        from metacache_mpi_ray.stages.candidates import _combine_keys
-
-        bh = _to_i63(band_hashes(self.sig_mat, self.cfg))  # (n, n_bands)
-        n, nb = bh.shape
-        key_tab = pa.table(
-            {
-                "band_id": pa.array(
-                    np.tile(np.arange(nb, dtype=np.int64), n), type=pa.int64()
-                ),
-                "band_hash": pa.array(bh.reshape(-1), type=pa.int64()),
-                "doc_id": pa.array(np.repeat(self.sig_ids, nb), type=pa.int64()),
-            }
-        )
-        folded = _combine_keys(key_tab, ["band_id", "band_hash"], "doc_id")
-        return pd.DataFrame(
-            {
-                "bkey": folded["bkey"].to_numpy(zero_copy_only=False),
-                "doc_id": folded["doc_id"].to_numpy(zero_copy_only=False),
-            }
-        )
 
     def query(
         self,
@@ -365,7 +456,6 @@ class ReplIndex:
         maps onto these)."""
         from metacache_mpi_ray.functions.text import normalize_text_py
         from metacache_mpi_ray.stages.banding import _to_i63, band_hashes
-        from metacache_mpi_ray.stages.candidates import _combine_keys
         from metacache_mpi_ray.stages.signatures import minhash_matrix
 
         norm = normalize_text_py(text).encode("utf-8")
@@ -431,132 +521,264 @@ class ReplIndex:
         return {"matched": bool(len(matches)), "matches": matches}
 
 
-@ray.remote
-def _assemble_sorted_unique(col: str, *tabs):
-    """Sorted unique values of ``col`` over blocks, as one task."""
-    parts = [t[col].to_numpy(zero_copy_only=False) for t in tabs if len(t)]  # len guard: empty blocks can be schema-less
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+# --- the daily batch: one graph of plain Ray tasks ------------------------
 
 
-@ray.remote
-def _assemble_sorted_pairs(key_col: str, val_col: str, *tabs):
-    """(keys_sorted, values) lookup arrays over blocks, as one task."""
-    ks = [t[key_col].to_numpy(zero_copy_only=False) for t in tabs if len(t)]
-    vs = [t[val_col].to_numpy(zero_copy_only=False) for t in tabs if len(t)]
-    if not ks:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    k = np.concatenate(ks).astype(np.int64)
-    v = np.concatenate(vs).astype(np.int64)
-    order = np.argsort(k)
-    return k[order], v[order]
-
-
-@ray.remote
-def _min_cluster_per_new(lookup, *tabs):
-    """Verified (a=new, b=stored) blocks -> (sorted new ids, minimum
-    stored cluster id per new id), as one task. ``lookup`` is the
-    (sorted doc ids, cluster ids) pair of the matched stored docs; a
-    stored doc absent from it (shouldn't happen) stands for itself."""
-    ids_s, cl = lookup
-    tabs = [t for t in tabs if len(t)]
-    if not tabs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = np.concatenate([t["a"].to_numpy(zero_copy_only=False) for t in tabs])
-    b = np.concatenate([t["b"].to_numpy(zero_copy_only=False) for t in tabs])
-    out = b.astype(np.int64)
-    if len(ids_s):
-        pos, found = lookup_sorted(ids_s, b)
-        out = np.where(found, cl[pos], out)
-    order = np.lexsort((out, a))
-    a_s, o_s = a[order].astype(np.int64), out[order]
-    change = np.empty(len(a_s), dtype=bool)
-    change[0] = True
-    np.not_equal(a_s[1:], a_s[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    return a_s[starts], np.minimum.reduceat(o_s, starts)
-
-
-def probe_tagged_bands(
-    tagged,
-    cap: int,
-    *,
-    num_partitions: int | None = None,
-    emit_new_new: bool = False,
-):
-    """(bkey, id, side) rows -> (new x stored) candidate pairs (a=new,
-    b=stored) per band bucket: ONE ``hash_exchange`` on ``bkey``
-    (functions/blocks.py), so every bucket lands whole in one partition
-    and the vectorized bucket kernel runs as that partition's reduce.
-    Buckets larger than ``cap`` (stored + new rows) emit nothing — the
+def probe_bucket_pairs(t: pa.Table, cap: int, *, emit_new_new: bool = False) -> pa.Table:
+    """(bkey, id, side) rows, every bucket WHOLE -> (a=new, b=stored)
+    candidate pairs per band bucket (side 0 = stored, 1 = new). Buckets
+    larger than ``cap`` (stored + new rows) emit nothing — the
     reference's hot-feature removal, sketch_database.h:398-417.
 
     ``emit_new_new``: additionally emit all (new x new) pairs per
     surviving bucket — required by ``extend_index`` (the reference's
     ``modify`` mode), where the new batch must also dedup against
     itself; ``query_against_index`` keeps it off (queries never join
-    each other). Columns stay (a, b); for new x new pairs both sides
-    are new ids with a < b. A pair shared by several buckets is emitted
-    once per bucket; verify dedupes pairs."""
-    from metacache_mpi_ray.stages.joins import default_num_partitions
+    each other). For new x new pairs both sides are new ids with a < b.
+    A pair shared by several buckets is emitted once per bucket."""
+    if t.num_rows == 0:
+        return _PAIRS.empty_table()
+    keys = t["bkey"].to_numpy(zero_copy_only=False)
+    ids = t["id"].to_numpy(zero_copy_only=False)
+    side = t["side"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((side, keys))
+    keys, ids, side = keys[order], ids[order], side[order]
+    starts, sizes = run_bounds(keys)
+    # per bucket: stored rows sort first (side 0), new rows after.
+    # cross products emitted FULLY vectorized (no per-bucket Python,
+    # round-3): for each mixed bucket with m stored and k new rows
+    # the k*m outputs are laid out new-major, so a = new[out // m]
+    # and b = stored[out % m] by pure index arithmetic
+    n_new_per = np.add.reduceat(side.astype(np.int64), starts)
+    mixed = (n_new_per > 0) & (n_new_per < sizes) & (sizes <= cap)
+    if mixed.any():
+        s_m = starts[mixed]
+        z_m = sizes[mixed]
+        k_m = n_new_per[mixed]
+        m_m = z_m - k_m
+        outs = k_m * m_m
+        total = int(outs.sum())
+        out0 = np.concatenate([[0], np.cumsum(outs)[:-1]])
+        within = np.arange(total, dtype=np.int64) - np.repeat(out0, outs)
+        rep_m = np.repeat(m_m, outs)
+        a = ids[np.repeat(s_m + m_m, outs) + within // rep_m]
+        b = ids[np.repeat(s_m, outs) + within % rep_m]
+    else:
+        a = np.empty(0, dtype=np.int64)
+        b = np.empty(0, dtype=np.int64)
+    if emit_new_new:
+        # all (new x new) pairs of surviving buckets: the new rows
+        # of a bucket are its contiguous tail (stored sort first),
+        # so reuse the flagship's equal-size-grouped pair kernel
+        nn = (n_new_per >= 2) & (sizes <= cap)
+        if nn.any():
+            na, nb = segment_all_pairs(ids, starts + sizes - n_new_per, n_new_per, nn)
+            a = np.concatenate([a, na])
+            b = np.concatenate([b, nb])
+    return pa.table([a, b], schema=_PAIRS)
 
-    def probe(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
-            )
-        keys = t["bkey"].to_numpy(zero_copy_only=False)
-        ids = t["id"].to_numpy(zero_copy_only=False)
-        side = t["side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, keys))
-        keys, ids, side = keys[order], ids[order], side[order]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n))
-        # per bucket: stored rows sort first (side 0), new rows after.
-        # cross products emitted FULLY vectorized (no per-bucket Python,
-        # round-3): for each mixed bucket with m stored and k new rows
-        # the k*m outputs are laid out new-major, so a = new[out // m]
-        # and b = stored[out % m] by pure index arithmetic
-        n_new_per = np.add.reduceat(side.astype(np.int64), starts)
-        mixed = (n_new_per > 0) & (n_new_per < sizes) & (sizes <= cap)
-        if mixed.any():
-            s_m = starts[mixed]
-            z_m = sizes[mixed]
-            k_m = n_new_per[mixed]
-            m_m = z_m - k_m
-            outs = k_m * m_m
-            total = int(outs.sum())
-            out0 = np.concatenate([[0], np.cumsum(outs)[:-1]])
-            within = np.arange(total, dtype=np.int64) - np.repeat(out0, outs)
-            rep_m = np.repeat(m_m, outs)
-            a = ids[np.repeat(s_m + m_m, outs) + within // rep_m]
-            b = ids[np.repeat(s_m, outs) + within % rep_m]
-        else:
-            a = np.empty(0, dtype=np.int64)
-            b = np.empty(0, dtype=np.int64)
-        if emit_new_new:
-            # all (new x new) pairs of surviving buckets: the new rows
-            # of a bucket are its contiguous tail (stored sort first),
-            # so reuse the flagship's equal-size-grouped pair kernel
-            nn = (n_new_per >= 2) & (sizes <= cap)
-            if nn.any():
-                na, nb = segment_all_pairs(
-                    ids, starts + sizes - n_new_per, n_new_per, nn
-                )
-                a = np.concatenate([a, na])
-                b = np.concatenate([b, nb])
-        return pa.table(
-            {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64())}
+
+def _concat(tabs) -> pa.Table | None:
+    tabs = [t for t in tabs if t.num_rows]
+    return pa.concat_tables(tabs, promote_options="default") if tabs else None
+
+
+def _distinct_pairs(a: np.ndarray, b: np.ndarray):
+    if len(a) == 0:
+        return a, b
+    ab = np.unique(np.stack([a, b], axis=1), axis=0)
+    return ab[:, 0], ab[:, 1]
+
+
+@ray.remote
+def _sign_split(block, cfg: DedupConfig, shards: int):
+    """One batch block -> (signatures, band pieces by shard of bkey,
+    signature pieces by shard of doc_id)."""
+    from ray.data.block import BlockAccessor
+
+    sig = MinHashSigner(cfg)(BlockAccessor.for_block(block).to_arrow())
+    bands = split_by_key(_band_rows(sig, cfg), ["bkey"], shards)
+    return (sig, *bands, *split_by_key(sig, ["doc_id"], shards))
+
+
+@ray.remote
+def _probe_shard(files: list[str], cap: int, emit_new_new: bool, shards: int, *pieces):
+    """Probe task p: the stored band shard p plus the batch's pieces p
+    -> distinct candidate pairs split by the shard of ``b``, and a stats
+    dict (pairs emitted, one per bucket hit as in the kernel; stored
+    bytes read). Only stored rows whose bucket holds a new row
+    enter the kernel; they are all of that bucket's stored rows."""
+    new = _concat(pieces)
+    if new is None:
+        return (*[_PAIRS.empty_table()] * shards, {"pairs": 0, "bytes": 0})
+    nk = new["bkey"].to_numpy(zero_copy_only=False)
+    stored = _read_files(files, ["bkey", "doc_id"])
+    sk = np.empty(0, dtype=np.int64) if stored is None else stored["bkey"].to_numpy()
+    sid = np.empty(0, dtype=np.int64) if stored is None else stored["doc_id"].to_numpy()
+    hit = np.isin(sk, nk)
+    t = pa.table(
+        {
+            "bkey": pa.array(np.concatenate([sk[hit], nk]), type=pa.int64()),
+            "id": pa.array(
+                np.concatenate([sid[hit], new["doc_id"].to_numpy(zero_copy_only=False)]),
+                type=pa.int64(),
+            ),
+            "side": pa.array(
+                np.repeat(np.array([0, 1], dtype=np.int8), [int(hit.sum()), len(nk)]),
+                type=pa.int8(),
+            ),
+        }
+    )
+    p = probe_bucket_pairs(t, cap, emit_new_new=emit_new_new)
+    pairs = pa.table(_distinct_pairs(p["a"].to_numpy(), p["b"].to_numpy()), schema=_PAIRS)
+    stats = {"pairs": p.num_rows, "bytes": _nbytes(files)}
+    return (*split_by_key(pairs, ["b"], shards), stats)
+
+
+@ray.remote(num_returns=2)
+def _verify_shard(
+    sig_files: list[str],
+    cluster_files: list[str],
+    log: list[str],
+    threshold: float,
+    n_pieces: int,
+    *refs,
+):
+    """Verify task q: candidate pair pieces whose ``b`` is in shard q,
+    plus the batch signatures -> the pairs with ``est_sim >=
+    threshold``, each stored ``b`` resolved to its current cluster;
+    and a stats dict (pairs kept, signature files opened, stored bytes
+    read). Reads only the needed rows of shard q."""
+    stats = {"verified": 0, "sig_files_read": 0, "bytes": 0}
+    pairs = _concat(refs[:n_pieces])
+    if pairs is None:
+        return _VERIFIED.empty_table(), stats
+    a, b = _distinct_pairs(pairs["a"].to_numpy(), pairs["b"].to_numpy())
+    new = pa.concat_tables([t.select(["doc_id", "sig"]) for t in refs[n_pieces:]])
+    ids = new["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    mat = sig_from_arrow(new["sig"])
+    order = np.argsort(ids)
+    _, b_new = lookup_sorted(ids[order], b)
+    need = np.unique(b[~b_new])
+    if len(need):
+        st = _read_files(sig_files, ["doc_id", "sig"], need)
+        stats["sig_files_read"] = len(sig_files)
+        stats["bytes"] += _nbytes(sig_files)
+        if st is not None and st.num_rows:
+            ids = np.concatenate([ids, st["doc_id"].to_numpy().astype(np.int64)])
+            mat = np.concatenate([mat, sig_from_arrow(st["sig"])])
+            order = np.argsort(ids)
+    ids_s, mat_s = ids[order], mat[order]
+    pa_, fa = lookup_sorted(ids_s, a)
+    pb, fb = lookup_sorted(ids_s, b)
+    est = (mat_s[pa_] == mat_s[pb]).mean(axis=1)
+    keep = fa & fb & (est >= threshold)
+    a, b, est, stored = a[keep], b[keep], est[keep], ~b_new[keep]
+    label, dup = b.copy(), np.zeros(len(b), dtype=bool)
+    want = np.unique(b[stored])
+    if len(want):
+        cl = _read_files(cluster_files, ["doc_id", "cluster_id", "is_dup"], want)
+        stats["bytes"] += _nbytes(cluster_files) + _nbytes(log)
+        if cl is not None and cl.num_rows:
+            cl = resolve_clusters(cl, *load_log(log))
+            cid = cl["doc_id"].to_numpy()
+            o = np.argsort(cid)
+            pos, found = lookup_sorted(cid[o], b)
+            found &= stored
+            label = np.where(found, cl["cluster_id"].to_numpy()[o][pos], b)
+            dup = found & cl["is_dup"].to_numpy(zero_copy_only=False)[o][pos]
+    stats["verified"] = len(a)
+    return pa.table([a, b, est, label, stored, dup], schema=_VERIFIED), stats
+
+
+@dataclass
+class _DailyBatch:
+    n: int  # batch rows
+    sigs: list  # per block: the block's signatures
+    sig_pieces: list  # [shard][block]: signature rows by shard of doc_id
+    band_pieces: list  # [shard][block]: band rows by shard of bkey
+    verified: list  # per shard q: verified pairs whose b is in q
+    probe_stats: list  # per probe task: stats dict
+    verify_stats: list  # per verify task: stats dict
+
+
+def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
+    """Sign -> probe -> verify for one batch against the index's shards
+    (module docstring); an empty batch runs no task. Returns refs only;
+    ``mark(phase)``, when given, is called after waiting for each step
+    (extend's phase timings)."""
+
+    def done(phase, refs):
+        if mark is not None:
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+            mark(phase)
+
+    blocks, n = [], 0
+    for bundle in new_docs.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.num_rows:
+                blocks.append(ref)
+                n += meta.num_rows
+    if not blocks:
+        return _DailyBatch(0, [], [], [], [], [], [])
+    sign = _sign_split.options(num_returns=1 + 2 * shards)
+    outs = [sign.remote(b, cfg, shards) for b in blocks]
+    sigs = [o[0] for o in outs]
+    band_pieces = [[o[1 + p] for o in outs] for p in range(shards)]
+    sig_pieces = [[o[1 + shards + p] for o in outs] for p in range(shards)]
+    done("sign_sort_stage", sigs)
+    probe = _probe_shard.options(num_returns=shards + 1)
+    probes = [
+        probe.remote(
+            shard_files(ckpt_root, "bands", p), cfg.bucket_cap, extend, shards,
+            *band_pieces[p],
         )
+        for p in range(shards)
+    ]
+    done("band_stage", [r for pr in probes for r in pr])
+    log = log_files(ckpt_root)
+    verifies = [
+        _verify_shard.remote(
+            shard_files(ckpt_root, "signatures", q),
+            shard_files(ckpt_root, "clusters", q),
+            log,
+            cfg.verify_threshold,
+            shards,
+            *[pr[q] for pr in probes],
+            *sigs,
+        )
+        for q in range(shards)
+    ]
+    verified = [v[0] for v in verifies]
+    done("probe_verify", verified)
+    return _DailyBatch(
+        n, sigs, sig_pieces, band_pieces, verified,
+        [pr[shards] for pr in probes], [v[1] for v in verifies],
+    )
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    return hash_exchange(tagged, ["bkey"], probe, num_partitions=num_partitions)
+
+@ray.remote
+def _min_matched_cluster(*tabs):
+    """Verified (a=new, b=stored) pieces -> (sorted new ids, minimum
+    resolved stored cluster per new id), as one task."""
+    t = _concat(tabs)
+    if t is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    a = t["a"].to_numpy()
+    lab = t["b_label"].to_numpy()
+    order = np.lexsort((lab, a))
+    a_s, l_s = a[order], lab[order]
+    starts, _ = run_bounds(a_s)
+    return a_s[starts], np.minimum.reduceat(l_s, starts)
+
+
+@ray.remote
+def _emit_rows(sig: pa.Table, match) -> pa.Table:
+    ids_s, cl = match
+    ids = sig["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    pos, found = lookup_sorted(ids_s, ids)
+    mcl = np.where(found, cl[pos], -1) if len(ids_s) else np.full(len(ids), -1)
+    return pa.table([ids, found, mcl], schema=_QUERY_OUT)
 
 
 def query_against_index(
@@ -572,132 +794,44 @@ def query_against_index(
     ``matched`` iff some stored doc clears the similarity threshold;
     ``matched_cluster_id`` = the minimum matched stored cluster id, or
     -1. The index corpus itself is never re-signed or re-clustered.
+    ``num_partitions`` is accepted for compatibility and has no effect:
+    the index's shard count sets the task counts.
     """
-    from metacache_mpi_ray.stages.joins import default_num_partitions
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    stored_cfg = load_index_config(ckpt_root)
-    if cfg is not None and cfg != stored_cfg:
-        raise ConfigMismatch(
-            f"index at {ckpt_root} was built with a different DedupConfig; "
-            "signatures are not comparable across configs"
-        )
-    cfg = stored_cfg
     import time as _time
 
     from metacache_mpi_ray.state.metrics import MetricsRecorder
 
+    cfg = _check_config(ckpt_root, cfg)
+    shards = index_shards(ckpt_root)
+    resume_pending_commit(ckpt_root)
     metrics = MetricsRecorder(ckpt_root)
     t0 = _time.time()
 
-    sigs_new = compute_signatures(new_docs, cfg, batch_size=128).materialize()
-
-    try:
-        bands_idx = _read_stage(ckpt_root, "bands").rename_columns(
-            {"doc_id": "idx_id"}
-        )
-    except FileNotFoundError:
-        # index built by an older writer without a bands artifact:
-        # derive them from the stored signatures
-        bands_idx = _band_keys(
-            _read_stage(ckpt_root, "signatures", columns=["doc_id", "sig"]),
-            cfg,
-            "idx_id",
-        )
-    bands_new = _band_keys(sigs_new, cfg, "new_id")
-
-    # the probe: ONE hash exchange on bkey over the union of stored
-    # and new band rows (the shuffle-by-feature form of
-    # accumulate_matches); each bucket lands whole in one partition,
-    # whose kernel (a) drops overpopulated buckets — the reference's
-    # hot-feature removal, sketch_database.h:398-417 — and (b) emits
-    # (new x stored) pairs per surviving bucket
-    def tag(side: int, id_col: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "bkey": t["bkey"],
-                    "id": t[id_col].cast(pa.int64()),
-                    "side": pa.array(
-                        np.full(len(t), side, dtype=np.int8), type=pa.int8()
-                    ),
-                }
-            )
-
-        return f
-
-    tagged = bands_idx.map_batches(tag(0, "idx_id"), batch_format="pyarrow").union(
-        bands_new.map_batches(tag(1, "new_id"), batch_format="pyarrow")
-    )
-    # a pair found by k bands arrives k times; verify dedupes it
-    pairs = probe_tagged_bands(tagged, cfg.bucket_cap, num_partitions=num_partitions)
-    n_pairs = pairs.count()
-
-    # verify reads ONLY the signature files whose footer id range
-    # intersects the candidate stored endpoints (b side) — at scale the
-    # per-batch verify cost tracks the candidate set, not the corpus.
-    # Zero candidates -> zero corpus-signature bytes read.
-    sig_files_read = sig_files_total = 0
-    if n_pairs == 0:
-        verified = rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "est_sim": pa.array([], type=pa.float64()),
-                }
-            )
-        )
-    else:
-        stored_ids = ray.get(
-            _assemble_sorted_unique.remote("b", *(pairs.to_arrow_refs() or []))
-        )
-        sigs_idx, sig_files_read, sig_files_total = _pruned_sig_read(
-            ckpt_root, stored_ids
-        )
-        sigs_all = sigs_new.select_columns(["doc_id", "sig"]).union(sigs_idx)
-        verified = verify_edges(
-            pairs, sigs_all, cfg, num_partitions=num_partitions
-        ).materialize()
-
-    # matched stored docs -> their cluster ids: broadcast-pick the
-    # matched subset of the clusters checkpoint (dup-subset pattern);
-    # both assemblies run as single tasks over the materialized blocks —
-    # only refs touch the driver (round-3 serial-overhead trim)
-    v_refs = verified.to_arrow_refs() or []
-    mref = _assemble_sorted_unique.remote("b", *v_refs)
-    clusters_idx = _read_stage(ckpt_root, "clusters", columns=["doc_id", "cluster_id"])
-
-    sub = clusters_idx.map_batches(
-        filter_to_ids("doc_id", mref), batch_format="pyarrow"
-    )
-    cref = _assemble_sorted_pairs.remote(
-        "doc_id", "cluster_id", *(sub.to_arrow_refs() or [])
-    )
-
-    # one task resolves every verified pair to its stored cluster and
-    # keeps the minimum per new doc (the result is batch-sized and the
-    # driver reads it anyway; a Ray Data groupby would add a shuffle)
-    match_ref = _min_cluster_per_new.remote(cref, *v_refs)
+    batch = _daily_batch(new_docs, ckpt_root, cfg, shards, extend=False)
+    match_ref = _min_matched_cluster.remote(*batch.verified)
+    out_refs = [_emit_rows.remote(s, match_ref) for s in batch.sigs]
+    pstats, vstats = ray.get(batch.probe_stats), ray.get(batch.verify_stats)
     m_ids, _ = ray.get(match_ref)
+    n_verified = sum(s["verified"] for s in vstats)
 
     # telemetry (r3 verdict item 9): one metrics.jsonl row per probe
     # with the band-overlap/verified/matched counts, so any recurrence
     # of the session-9 anomaly (verified pairs present, zero match
     # rows) is diagnosable post-hoc from the index root alone
-    n_verified = verified.count()
     status = "inconsistent" if (len(m_ids) == 0 and n_verified > 0) else "ok"
     try:
         row = metrics.record(
             "query_probe",
             rows_out=len(m_ids),
             t_start=t0,
-            n_candidate_pairs=n_pairs,
+            n_candidate_pairs=sum(s["pairs"] for s in pstats),
             n_verified=n_verified,
             n_matched_new_docs=len(m_ids),
-            sig_files_read=sig_files_read,
-            sig_files_total=sig_files_total,
+            sig_files_read=sum(s["sig_files_read"] for s in vstats),
+            sig_files_total=sum(
+                len(shard_files(ckpt_root, "signatures", p)) for p in range(shards)
+            ),
+            stored_bytes_read=sum(s["bytes"] for s in pstats + vstats),
             status=status,
         )
     except OSError:
@@ -716,22 +850,6 @@ def query_against_index(
             "cluster resolution produced no matches; re-run the query "
             f"(metrics.jsonl run_id={metrics.run_id})"
         )
-
-    def finish(t: pa.Table) -> pa.Table:
-        ids_s, cl = ray.get(match_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        if len(ids_s):
-            pos, found = lookup_sorted(ids_s, ids)
-            mcl = np.where(found, cl[pos], -1)
-        else:  # nothing matched anywhere
-            found = np.zeros(len(ids), dtype=bool)
-            mcl = np.full(len(ids), -1, dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "matched": pa.array(found, type=pa.bool_()),
-                "matched_cluster_id": pa.array(mcl, type=pa.int64()),
-            }
-        )
-
-    return new_docs.map_batches(finish, batch_format="pyarrow")
+    if not out_refs:
+        return rd.from_arrow(_QUERY_OUT.empty_table())
+    return rd.from_arrow_refs(out_refs)

@@ -506,7 +506,7 @@ def q_query_vs_index(sf_dir: str):
     st = os.stat(src)  # content fingerprint: a regenerated file with the
     # same row count must not silently reuse a stale index
     key = hashlib.sha1(
-        f"{sf_dir}|{n_rows}|{st.st_mtime_ns}|{st.st_size}|{CFG.to_json()}|qidx-v1".encode()
+        f"{sf_dir}|{n_rows}|{st.st_mtime_ns}|{st.st_size}|{CFG.to_json()}|qidx-v2".encode()
     ).hexdigest()[:12]
     root = os.path.join(_private_cache_dir(), f"qidx_{key}")
     a_docs = ingest_documents(ids_ds.map_batches(build_a, batch_format="pyarrow"))
@@ -560,7 +560,7 @@ def q_extend_index_planted(sf_dir: str):
     n_rows = pq.ParquetFile(src).metadata.num_rows
     st = os.stat(src)
     key = hashlib.sha1(
-        f"{sf_dir}|{n_rows}|{st.st_mtime_ns}|{st.st_size}|{CFG.to_json()}|extidx-v1".encode()
+        f"{sf_dir}|{n_rows}|{st.st_mtime_ns}|{st.st_size}|{CFG.to_json()}|extidx-v2".encode()
     ).hexdigest()[:12]
     root = os.path.join(_private_cache_dir(), f"extidx_{key}")
     a_docs = ingest_documents(ids_ds.map_batches(build_orig, batch_format="pyarrow"))

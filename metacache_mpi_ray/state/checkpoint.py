@@ -11,6 +11,15 @@ Layout per pipeline run:
       <stage>.__tmp__/             # in-progress write (discarded on resume)
       <stage>.done                 # completion marker (written after rename)
 
+A persisted index (pipelines/incremental.build_index, format 2) adds
+``index.json`` ({"format": 2, "shards": P}) and stores its signatures,
+bands and clusters stages as P hash shards, ``<stage>/<p>/*.parquet``;
+``extend_index`` appends one file per shard and batch, a
+``cluster_log/`` of per-batch label remaps and dup marks, and installs
+them through the commit journal at the bottom of this module
+(``extend.commit.json``: journaled renames and removals, rolled
+forward by whichever reader or writer finds it first).
+
 Rules (mirrors the reference's DB version/type-width check,
 sketch_database.h:869-908):
 * a checkpoint root with a different config.json refuses to resume
@@ -19,7 +28,9 @@ sketch_database.h:869-908):
 * a stage is reused iff its ``.done`` marker exists; partial writes are
   invisible because data moves into place via a single atomic rename;
 * sharded stages (``shard=K`` subdirs) resume per shard, so a killed
-  run skips finished shards (the resumable-output requirement).
+  run skips finished shards (the resumable-output requirement). Every
+  reader passes ``partitioning=None``: the ``shard=K`` directory names
+  must not turn into a column.
 """
 
 from __future__ import annotations
@@ -125,6 +136,24 @@ def _write_parquet_stage(ds, tmp: str, empty_schema=None) -> None:
         pq.write_table(empty, os.path.join(tmp, "empty-0.parquet"))
 
 
+def install_stage(root: str, stage: str, write) -> None:
+    """Run ``write(tmp_dir)`` and move its output into <root>/<stage>/
+    atomically, then write the ``.done`` marker — a crash at any point
+    leaves either no stage dir or a complete one, never a partial one."""
+    final = os.path.join(root, stage)
+    marker = os.path.join(root, f"{stage}.done")
+    tmp = os.path.join(root, f"{stage}.__tmp__")
+    if os.path.exists(tmp):
+        shutil.rmtree(tmp)
+    write(tmp)
+    if os.path.exists(final):
+        shutil.rmtree(final)
+    os.replace(tmp, final)
+    with open(marker + ".tmp", "w") as f:
+        json.dump({"stage": stage, "rows": None}, f)
+    os.replace(marker + ".tmp", marker)
+
+
 def checkpointed_stage(
     root: str,
     stage: str,
@@ -133,29 +162,16 @@ def checkpointed_stage(
     read_columns: list[str] | None = None,
     empty_schema=None,
 ) -> "ray.data.Dataset":
-    """Run ``compute()`` and persist its output under <root>/<stage>/,
-    or read the existing checkpoint if the stage already completed.
-
-    The write goes to <stage>.__tmp__/ first and is renamed into place,
-    then the .done marker is written — a crash at any point leaves
-    either no stage dir or a complete one, never a partial one.
-    """
-    final = os.path.join(root, stage)
-    marker = os.path.join(root, f"{stage}.done")
-    if stage_done(root, stage):
-        return ray.data.read_parquet(final, columns=read_columns)
-    tmp = os.path.join(root, f"{stage}.__tmp__")
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    ds = compute()
-    _write_parquet_stage(ds, tmp, empty_schema)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
-    with open(marker + ".tmp", "w") as f:
-        json.dump({"stage": stage, "rows": None}, f)
-    os.replace(marker + ".tmp", marker)
-    return ray.data.read_parquet(final, columns=read_columns)
+    """Run ``compute()`` and persist its output under <root>/<stage>/
+    (through ``install_stage``), or read the existing checkpoint if the
+    stage already completed."""
+    if not stage_done(root, stage):
+        install_stage(
+            root, stage, lambda tmp: _write_parquet_stage(compute(), tmp, empty_schema)
+        )
+    return ray.data.read_parquet(
+        os.path.join(root, stage), columns=read_columns, partitioning=None
+    )
 
 
 def sharded_checkpointed_stage(
@@ -224,7 +240,7 @@ def sharded_checkpointed_stage(
                 os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
             )
         )
-    return ray.data.read_parquet(files, columns=read_columns)
+    return ray.data.read_parquet(files, columns=read_columns, partitioning=None)
 
 
 def completed_shards(root: str, stage: str) -> list[int]:
@@ -245,7 +261,9 @@ def completed_shards(root: str, stage: str) -> list[int]:
 def _checkpoint_install_files(root: str, journal_path: str) -> None:
     """Roll an extend-commit journal forward: each move is an os.replace
     made idempotent (skip when the source is gone and the target
-    exists), then the clusters swap, the lineage append, and cleanup."""
+    exists), then the removals (files a compaction replaced), the
+    lineage append, and cleanup. Every step can be repeated, so a crash
+    anywhere in here is healed by running it again."""
     with open(journal_path) as f:
         journal = json.load(f)
     for src, dst in journal["moves"]:
@@ -257,18 +275,11 @@ def _checkpoint_install_files(root: str, journal_path: str) -> None:
                 f"interrupted extend at {root}: journaled move lost both "
                 f"sides ({src} -> {dst}); rebuild the index"
             )
-    # the clusters swap: new full table replaces the old one
-    tmp_clusters = journal["clusters_tmp"]
-    if os.path.exists(tmp_clusters):
-        final = os.path.join(root, "clusters")
-        old = os.path.join(root, "clusters.__old__")
-        if os.path.exists(old):
-            shutil.rmtree(old)
-        if os.path.exists(final):
-            os.replace(final, old)
-        os.replace(tmp_clusters, final)
-        if os.path.exists(old):
-            shutil.rmtree(old)
+    for path in journal["removes"]:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
     lineage = json.loads(journal["lineage"])
     extends_path = os.path.join(root, "extends.json")
     records = []

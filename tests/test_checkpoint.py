@@ -84,8 +84,12 @@ def test_partial_shard_resume(tmp_path, corpus_dir):
         )
 
     # simulate a run killed after shard 0 (of an intended 3)
-    sharded_checkpointed_stage(root, "signatures", [0], sig_shard, total_shards=3)
+    part = sharded_checkpointed_stage(
+        root, "signatures", [0], sig_shard, total_shards=3
+    )
     assert completed_shards(root, "signatures") == [0]
+    # the shard=K directory names must not become a column on read
+    assert "shard" not in part.schema().names
     mtime0 = os.path.getmtime(os.path.join(root, "signatures", "shard=0"))
 
     # full restart completes the rest without touching shard 0

@@ -87,6 +87,12 @@ def test_cli_extend(tmp_path, corpus_dir, capsys):
     assert info["rows_signatures"] == 600
     assert [r["batch_id"] for r in info["extends"]] == ["b0001"]
     assert info["extends"][0]["n_new"] == 100
+    # the layout: the build's file plus the batch's in every shard
+    assert info["format"] == 2 and info["shards"] == 4
+    assert info["files_per_shard"] == {
+        stage: [2, 2, 2, 2] for stage in ("signatures", "bands", "clusters")
+    }
+    assert info["cluster_log_batches"] in (0, 1)
 
     # a config override that disagrees with the stored index refuses
     import pytest

@@ -23,8 +23,10 @@ from metacache_mpi_ray.pipelines.extend import (
     resume_pending_extend,
 )
 from metacache_mpi_ray.pipelines.incremental import (
+    ReplIndex,
     build_index,
     query_against_index,
+    read_clusters,
 )
 from metacache_mpi_ray.stages.ingest import ingest_documents
 from metacache_mpi_ray.state.checkpoint import ConfigMismatch
@@ -174,9 +176,7 @@ def test_interrupted_commit_rolls_forward(built_a, monkeypatch):
     assert resume_pending_extend(root)
     assert not os.path.exists(os.path.join(root, "extend.commit.json"))
     # rolled-forward state == a clean extend's state
-    got = _canon(
-        rd.read_parquet(os.path.join(root, "clusters")).to_pandas()
-    )
+    got = _canon(read_clusters(root).to_pandas())
     by_id = got.set_index("doc_id")
     assert by_id.loc[1000, "cluster_id"] == 0
     assert by_id.loc[2001, "cluster_id"] == 2000
@@ -241,49 +241,51 @@ def test_extend_merges_old_clusters(tmp_path):
     assert by_id.loc[2, "cluster_id"] == 1
     assert by_id.loc[100, "cluster_id"] == 1
     assert bool(by_id.loc[2, "is_dup"])
+    # doc 2's stored row still says cluster 2; the query must resolve it
+    # through the remap log. Doc 2's own text also matches doc 100
+    # (cluster 1 as written), so the second half of it — similar to doc
+    # 2 only — is what proves the log is applied
+    tb_half = " ".join(f"bravo{i}token" for i in range(200, 400))
+    q = query_against_index(
+        docs([500, 501], [tb, tb_half]), root, num_partitions=4
+    ).to_pandas().set_index("doc_id")
+    assert q["matched"].all()
+    assert (q["matched_cluster_id"] == 1).all()
 
 
 def test_extend_bandless_legacy_index(built_a):
-    """Extending an index without a persisted bands artifact (e.g. one
-    written by run_dedup_checkpointed) must install a bands table that
-    covers the STORED corpus too — installing only the batch's bands
-    would silently hide the original corpus from every later probe."""
+    """A root without a format-2 index.json (an unsharded index from an
+    older writer, e.g. one without a bands artifact) is refused by
+    query, extend, the REPL and a resuming build_index — never misread
+    and never silently extended."""
     import shutil
 
     root, a_ids, a_src = built_a
+    os.remove(os.path.join(root, "index.json"))
     shutil.rmtree(os.path.join(root, "bands"))
     os.remove(os.path.join(root, "bands.done"))
     b_ids, b_src = _b_batch()
-    extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4)
-    # the installed bands artifact covers stored + new docs
-    bands = rd.read_parquet(os.path.join(root, "bands")).to_pandas()
-    assert bands["doc_id"].nunique() == 100 + 7
-    # a LATER probe still sees the original corpus: query a copy of
-    # stored doc 30's text
-    q = query_against_index(
-        _token_docs(np.array([7000], dtype=np.int64),
-                    np.array([30], dtype=np.int64)),
-        root,
-        num_partitions=4,
-    ).to_pandas()
-    assert bool(q.loc[0, "matched"]) and q.loc[0, "matched_cluster_id"] == 30
-    # and a SECOND extend keeps matching stored docs too
-    ext2 = extend_index(
-        _token_docs(np.array([8000], dtype=np.int64),
-                    np.array([3], dtype=np.int64)),
-        root, CFG, num_partitions=4,
-    )
-    by_id = _canon(ext2.to_pandas()).set_index("doc_id")
-    assert by_id.loc[8000, "cluster_id"] == 3
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4)
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        query_against_index(_token_docs(b_ids, b_src), root, num_partitions=4)
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        ReplIndex(root)
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        build_index(_token_docs(a_ids, a_src), CFG, root, num_partitions=4)
+    assert not os.path.exists(os.path.join(root, "extends.json"))
 
 
 @pytest.mark.parametrize("seed", [11, 37])
 def test_extend_parity_randomized(tmp_path, seed):
     """Randomized structures: dup groups of size 1-6 with members split
-    arbitrarily between the base corpus and the extend batch (including
-    batch-only groups -> pure new x new dups, and base-only groups that
-    the extension must leave untouched). build(A)+extend(B) must equal
-    build(A∪B) exactly."""
+    arbitrarily between the base corpus and three chained extend batches
+    (including batch-only groups -> pure new x new dups, groups spread
+    over several batches, and base-only groups that the extensions must
+    leave untouched). build(A)+extend(B1)+extend(B2)+extend(B3) must
+    equal build(A∪B) exactly, at shard counts P = 1, 2, 5 and batch block
+    counts k, and a query against the extended index must equal the
+    same query against the rebuild."""
     rng = np.random.default_rng(seed)
     ids, srcs, side = [], [], []
     next_id = 1
@@ -306,20 +308,36 @@ def test_extend_parity_randomized(tmp_path, seed):
     side = np.array(side)
     if not (~side).any():  # base must exist to build an index over
         side[0] = False
+    which = rng.integers(0, 3, size=len(ids))  # the extend batch of a member
+    q_ids = np.arange(900_000, 900_012, dtype=np.int64)
+    q_src = np.concatenate([10_000 + rng.choice(40, 8, replace=False), 50_000 + np.arange(4)])
 
-    root = str(tmp_path / f"idx{seed}")
-    build_index(_token_docs(ids[~side], srcs[~side]), CFG, root, num_partitions=4)
-    got = _canon(
-        extend_index(
-            _token_docs(ids[side], srcs[side]), root, CFG, num_partitions=4
+    def query(root, k):
+        out = query_against_index(
+            _token_docs(q_ids, q_src).repartition(k), root, num_partitions=4
         ).to_pandas()
-    )
+        return out.sort_values("doc_id").reset_index(drop=True)
+
     root2 = str(tmp_path / f"rebuild{seed}")
     want = _canon(
         build_index(_token_docs(ids, srcs), CFG, root2, num_partitions=4)
         .to_pandas()
     )
-    pd.testing.assert_frame_equal(got, want)
+    want_q = query(root2, 1)
+    assert want_q["matched"].sum() == 8
+    blocks = (1, 3, 8) if seed == 11 else (8, 1, 3)
+    for shards, k in zip((1, 2, 5), blocks):
+        root = str(tmp_path / f"idx{seed}-{shards}")
+        build_index(_token_docs(ids[~side], srcs[~side]), CFG, root, num_partitions=shards)
+        for j in range(3):
+            sel = side & (which == j)
+            if sel.any():
+                got = extend_index(
+                    _token_docs(ids[sel], srcs[sel]).repartition(k), root, CFG,
+                    num_partitions=4,
+                )
+        pd.testing.assert_frame_equal(_canon(got.to_pandas()), want)
+        pd.testing.assert_frame_equal(query(root, k), want_q)
 
 
 def test_extended_root_refuses_manifest_pinned_resume(built_a, tmp_path):
@@ -340,9 +358,7 @@ def test_extended_root_refuses_manifest_pinned_resume(built_a, tmp_path):
 
 def test_extend_empty_batch_is_noop(built_a):
     root, a_ids, _ = built_a
-    before = _canon(
-        rd.read_parquet(os.path.join(root, "clusters")).to_pandas()
-    )
+    before = _canon(read_clusters(root).to_pandas())
     out = extend_index(
         _token_docs(np.array([], dtype=np.int64)), root, CFG, num_partitions=4
     )
@@ -373,28 +389,105 @@ def test_extend_records_phase_timings(built_a):
 
 
 def test_query_and_extend_run_no_keyed_range_sort_or_groupby(built_a, monkeypatch):
-    """The per-batch query and extend paths run their keyed steps (pair
-    dedup, the band probe, cluster resolution) as hash exchanges: no
-    Ray Data sort on the band key or on (a, b), and no groupby. Extend's
-    doc_id sort of the batch signatures (the footer-pruned layout) is
-    the one sort allowed."""
-    sorts, groupbys = [], []
-    orig_sort = rd.Dataset.sort
-
-    def sort(self, key=None, *args, **kwargs):
-        sorts.append(key)
-        return orig_sort(self, key, *args, **kwargs)
-
-    def groupby(self, key, *args, **kwargs):
-        groupbys.append(key)
-        raise AssertionError(f"groupby({key!r}) on the per-batch path")
-
-    monkeypatch.setattr(rd.Dataset, "sort", sort)
-    monkeypatch.setattr(rd.Dataset, "groupby", groupby)
+    """The per-batch query and extend paths are plain Ray tasks over the
+    index's shard files: no Ray Data sort, groupby, repartition or
+    materialize runs inside either call (the batch itself is read once
+    through its blocks). Extend's returned clusters dataset is consumed
+    only after the guard is lifted."""
     root, _, _ = built_a
     b_ids, b_src = _b_batch()
-    res = query_against_index(_token_docs(b_ids, b_src), root, num_partitions=4)
-    assert res.to_pandas()["matched"].sum() == 3  # copies of 0, 3, 30
-    extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4).to_pandas()
-    assert groupbys == []
-    assert sorts and all(k == "doc_id" for k in sorts), sorts
+    q_docs, e_docs = _token_docs(b_ids, b_src), _token_docs(b_ids, b_src)
+    calls = []
+
+    def refuse(name):
+        def f(self, *args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"Dataset.{name} on the per-batch path")
+
+        return f
+
+    with monkeypatch.context() as m:
+        for name in ("sort", "groupby", "repartition", "materialize"):
+            m.setattr(rd.Dataset, name, refuse(name))
+        res = query_against_index(q_docs, root, num_partitions=4)
+        assert res.to_pandas()["matched"].sum() == 3  # copies of 0, 3, 30
+        out = extend_index(e_docs, root, CFG, num_partitions=4)
+    assert calls == []
+    assert out.count() == 107
+
+
+def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch):
+    """Chaining more extends than MAX_SHARD_FILES keeps every shard at
+    most MAX_SHARD_FILES + 1 files and the cluster log bounded (shard
+    merges and the log fold run inside a batch's commit), the clusters
+    equal a rebuild over the union after every batch, and a crash in
+    the middle of a compacting install rolls forward to the same
+    state."""
+    import metacache_mpi_ray.pipelines.extend as ext_mod
+    from metacache_mpi_ray.pipelines.incremental import (
+        log_batches,
+        log_files,
+        shard_files,
+    )
+
+    bound = ext_mod.MAX_SHARD_FILES
+    root = str(tmp_path / "idx")
+    a_ids = np.arange(100, 120, dtype=np.int64)
+    build_index(_token_docs(a_ids), CFG, root, num_partitions=2)
+    real_install = ext_mod._install_files
+    crashed = []
+
+    def crash_midway(r, journal_path):
+        # install half of the journal's moves and removals, then die
+        with open(journal_path) as f:
+            j = json.load(f)
+        if not j["removes"] or crashed:
+            return real_install(r, journal_path)
+        crashed.append(json.loads(j["lineage"])["batch_id"])
+        for src, dst in j["moves"][: len(j["moves"]) // 2]:
+            os.replace(src, dst)
+        for path in j["removes"][: len(j["removes"]) // 2]:
+            os.remove(path)
+        raise RuntimeError("simulated crash inside a compacting install")
+
+    monkeypatch.setattr(ext_mod, "_install_files", crash_midway)
+    u_ids, u_src = list(a_ids), list(a_ids)
+    max_files, log_hist = 0, []
+
+    def assert_equals_rebuild(tag):
+        want = build_index(
+            _token_docs(np.array(u_ids), np.array(u_src)), CFG,
+            str(tmp_path / f"rebuild-{tag}"), num_partitions=2,
+        )
+        pd.testing.assert_frame_equal(
+            _canon(read_clusters(root).to_pandas()), _canon(want.to_pandas())
+        )
+
+    for i in range(bound + 3):
+        # each batch: a copy of a stored doc whose id undercuts its
+        # cluster label (a remap and a dup mark), a copy of the previous
+        # batch's fresh doc, and a fresh doc
+        b_ids = np.array([i, 1000 + i, 2000 + i], dtype=np.int64)
+        b_src = np.array([100 + i, 5000 + i - 1 if i else 107, 5000 + i], dtype=np.int64)
+        try:
+            extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=2)
+        except RuntimeError as e:
+            assert "simulated crash" in str(e)
+            assert resume_pending_extend(root)
+            u_ids += list(b_ids)
+            u_src += list(b_src)
+            assert_equals_rebuild("crash")
+        else:
+            u_ids += list(b_ids)
+            u_src += list(b_src)
+        for stage in ("signatures", "bands", "clusters"):
+            for p in range(2):
+                max_files = max(max_files, len(shard_files(root, stage, p)))
+        log_hist.append(log_batches(log_files(root)))
+    assert_equals_rebuild("end")
+    assert crashed, "no compacting install ran"
+    assert max_files <= bound + 1
+    assert max(log_hist) == bound
+    assert any(b < a for a, b in zip(log_hist, log_hist[1:])), log_hist  # folded
+    with open(os.path.join(root, "extends.json")) as f:
+        assert len(json.load(f)) == bound + 3

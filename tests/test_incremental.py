@@ -125,8 +125,8 @@ def test_query_all_fresh_batch_matches_nothing(index_root):
 def test_query_probe_telemetry_and_sig_pruning(index_root):
     """Every query_against_index run appends a metrics.jsonl row with
     the candidate/verified/matched counts (r3 verdict item 9), and the
-    verify stage's signature read is footer-pruned: a batch with zero
-    candidate pairs reads ZERO corpus-signature files."""
+    verify tasks open signature shards only for candidate endpoints: a
+    batch with zero candidate pairs reads ZERO corpus-signature files."""
     import json
     import os
 
@@ -167,8 +167,8 @@ def test_query_probe_telemetry_and_sig_pruning(index_root):
     assert r["n_matched_new_docs"] == 0
     assert r["sig_files_read"] == 0  # zero corpus-signature bytes
 
-    # a matching batch must verify and read at least one (but only
-    # intersecting) signature files
+    # a matching batch must verify and read at least one signature
+    # file (only the shards its candidates' stored endpoints hash to)
     pages = rd.read_parquet(f"{corpus_dir}/pages").to_pandas()
     copy = pages[pages["text"].notna()].head(3)
     match_docs = ingest_documents(
@@ -187,31 +187,7 @@ def test_query_probe_telemetry_and_sig_pruning(index_root):
     assert r2["n_candidate_pairs"] > 0
     assert r2["n_verified"] > 0
     assert 1 <= r2["sig_files_read"] <= r2["sig_files_total"]
-
-
-def test_sig_file_intersects_footer_stats(tmp_path):
-    """Unit pin for the footer-range test both the serial and the
-    fan-out (>64 files) pruning paths share."""
-    import pyarrow.parquet as pq
-    import ray
-
-    from metacache_mpi_ray.pipelines.incremental import (
-        _intersecting_sig_files,
-        _sig_file_intersects,
-    )
-
-    lo = tmp_path / "lo.parquet"
-    hi = tmp_path / "hi.parquet"
-    pq.write_table(pa.table({"doc_id": pa.array([10, 20, 30], pa.int64())}), lo)
-    pq.write_table(pa.table({"doc_id": pa.array([100, 200], pa.int64())}), hi)
-    ids = np.array([25, 26], dtype=np.int64)  # inside lo's range only
-    assert _sig_file_intersects(str(lo), ids)
-    assert not _sig_file_intersects(str(hi), ids)
-    # id between row-group min/max but absent still keeps the file
-    # (range test, exactness comes from verify)
-    assert _sig_file_intersects(str(lo), np.array([15], dtype=np.int64))
-    kept = ray.get(_intersecting_sig_files.remote([str(lo), str(hi)], ids))
-    assert kept == [str(lo)]
+    assert r2["stored_bytes_read"] > r["stored_bytes_read"] > 0
 
 
 def test_query_refuses_config_mismatch(index_root):
@@ -312,12 +288,33 @@ def test_incremental_agrees_with_full_recompute(tmp_path, corpus_dir):
 BLOCKS_X_PARTITIONS = [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
 
 
+def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int, emit_new_new=False):
+    """The daily probe's layout: ``tab`` cut into k batch blocks, each
+    split by shard of bkey (blocks.split_by_key), and the bucket kernel
+    run on each shard's concatenated pieces."""
+    from metacache_mpi_ray.functions.blocks import split_by_key
+    from metacache_mpi_ray.pipelines.incremental import probe_bucket_pairs
+
+    bounds = np.linspace(0, tab.num_rows, k + 1).astype(int)
+    pieces = [
+        split_by_key(tab.slice(lo, hi - lo), ["bkey"], p)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return pa.concat_tables(
+        [
+            probe_bucket_pairs(
+                pa.concat_tables([blk[q] for blk in pieces]), cap,
+                emit_new_new=emit_new_new,
+            )
+            for q in range(p)
+        ]
+    ).to_pandas()
+
+
 def test_probe_bridge_stitch_across_batch_boundary():
     """A band bucket spread over many input blocks must emit its full
-    new x stored cross product at every partition count, and a bucket
+    new x stored cross product at every shard count, and a bucket
     over the cap (stored + new rows) must emit nothing."""
-    from metacache_mpi_ray.pipelines.incremental import probe_tagged_bands
-
     # bucket bkey=5: stored {1,2,3} + new {11,12,13}; bucket bkey=9:
     # stored {4} + new {14}
     tab = pa.table(
@@ -329,13 +326,12 @@ def test_probe_bridge_stitch_across_batch_boundary():
     )
     want = {(n, s) for n in (11, 12, 13) for s in (1, 2, 3)} | {(14, 4)}
     for k, p in BLOCKS_X_PARTITIONS:
-        ds = rd.from_arrow(tab).repartition(k)
-        pairs = probe_tagged_bands(ds, cap=256, num_partitions=p).to_pandas()
+        pairs = _probe_sharded(tab, k, p, cap=256)
         assert set(zip(pairs["a"], pairs["b"])) == want, (k, p)
         assert len(pairs) == len(want), (k, p)
         # bucket 5 has 6 members > cap=4: none of its pairs; bucket 9
         # (2 members) survives intact
-        capped = probe_tagged_bands(ds, cap=4, num_partitions=p).to_pandas()
+        capped = _probe_sharded(tab, k, p, cap=4)
         assert set(zip(capped["a"], capped["b"])) == {(14, 4)}, (k, p)
 
 
@@ -343,10 +339,8 @@ def test_probe_emit_new_new_across_batch_boundaries():
     """emit_new_new (the extend-mode probe): every (new x new) and
     (new x stored) pair of a bucket within the cap is emitted, and no
     pair of an over-cap bucket, whatever the input block count and
-    partition count — compared against a brute-force enumeration."""
+    shard count — compared against a brute-force enumeration."""
     import itertools
-
-    from metacache_mpi_ray.pipelines.incremental import probe_tagged_bands
 
     rng = np.random.default_rng(7)
     rows = []
@@ -381,12 +375,7 @@ def test_probe_emit_new_new_across_batch_boundaries():
             want_min |= set(itertools.combinations(new, 2))
     assert len(by_key[21]) > cap  # the over-cap bucket is exercised
     for k, p in BLOCKS_X_PARTITIONS:
-        pairs = probe_tagged_bands(
-            rd.from_arrow(tab).repartition(k),
-            cap=cap,
-            num_partitions=p,
-            emit_new_new=True,
-        ).to_pandas()
+        pairs = _probe_sharded(tab, k, p, cap=cap, emit_new_new=True)
         got = set(zip(pairs["a"], pairs["b"]))
         assert got == want_min, (k, p, got ^ want_min)
 
@@ -445,9 +434,12 @@ def test_repl_index_agrees_with_batch_query(index_root):
     assert n_matched > 0
     # unknown text stays unmatched
     assert repl.query("never seen text " * 30)["matched"] is False
-def test_repl_index_pre_bands_artifact_fallback(index_root, tmp_path):
-    """An index built by an older writer without a bands artifact must
-    still serve the repl (same fallback the batch path has)."""
+def test_repl_index_refuses_pre_format2_root(index_root, tmp_path):
+    """An index without a format-2 index.json (an older unsharded
+    writer's, e.g. without a bands artifact) is refused by the REPL and
+    the batch query with ConfigMismatch — never misread through a
+    fallback."""
+    import os
     import shutil
 
     from metacache_mpi_ray.pipelines.incremental import ReplIndex
@@ -455,21 +447,15 @@ def test_repl_index_pre_bands_artifact_fallback(index_root, tmp_path):
     root, _, corpus_dir = index_root
     old_root = str(tmp_path / "old_index")
     shutil.copytree(root, old_root)
-    shutil.rmtree(f"{old_root}/bands")
-    import os
-
-    for f in os.listdir(old_root):
-        if f.startswith("bands."):
-            os.remove(os.path.join(old_root, f))
-    repl_old = ReplIndex(old_root)
-    repl_new = ReplIndex(root)
+    os.remove(f"{old_root}/index.json")
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        ReplIndex(old_root)
     pages = rd.read_parquet(f"{corpus_dir}/pages").to_pandas()
-    text = pages[pages["text"].notna()]["text"].iloc[0]
-    a = repl_old.query(text)
-    b = repl_new.query(text)
-    assert a["matched"] and b["matched"]
-    assert a["matches"][0]["doc_id"] == b["matches"][0]["doc_id"]
-    assert not repl_old.query("zzqx unseen " * 40)["matched"]
+    sub = pages.head(3).copy()
+    sub["url"] = "http://old.example/" + sub.index.astype(str)
+    with pytest.raises(ConfigMismatch, match="rebuild with build_index"):
+        query_against_index(ingest_pages(rd.from_pandas(sub)), old_root)
+    assert ReplIndex(root).query(pages[pages["text"].notna()]["text"].iloc[0])["matched"]
 
 
 def test_repl_index_honors_bucket_cap(tmp_path):

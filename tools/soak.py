@@ -1,4 +1,4 @@
-"""Scale soak driver: checkpointed index build + crash-resume + pruned
+"""Scale soak: checkpointed index build + crash-resume +
 incremental query at N docs (default 1M), with bracketing CPU probes so
 the numbers are attributable on the throttled sandbox (BASELINE.md
 methodology).
@@ -7,14 +7,14 @@ Usage: python tools/soak.py [n_docs] [--root DIR]
 
 Phases (each timed, probes before/after the suite):
   1. cold build_index into a fresh checkpoint root (all artifacts:
-     doc_id-sorted signatures, bands, edges, verified, clusters)
+     hash-sharded signatures, bands and clusters; edges, verified)
   2. crash simulation: delete the marker of a mid-pipeline stage and
      re-run build_index — only that stage and its dependents recompute
      (resume evidence at soak scale, r3 verdict item 5)
   3. warm full resume (everything cached) — should be ~seconds
   4. query_against_index of a 10% batch (50% copies / 50% fresh),
-     reporting the telemetry row incl. sig_files_read vs total (the
-     footer-pruning A/B)
+     reporting the telemetry row incl. sig_files_read vs total
+     (signature shards opened by the verify tasks)
 """
 import json
 import os
@@ -139,7 +139,7 @@ out["probe_telemetry"] = {
     k: rows[-1][k]
     for k in (
         "n_candidate_pairs", "n_verified", "n_matched_new_docs",
-        "sig_files_read", "sig_files_total", "status",
+        "sig_files_read", "sig_files_total", "stored_bytes_read", "status",
     )
 }
 out["probe_end"] = round(_cpu_probe(), 3)
