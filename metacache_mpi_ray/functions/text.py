@@ -67,11 +67,58 @@ def extract_text_html_arrow(col: pa.Array | pa.ChunkedArray):
     return pc.utf8_trim(s, characters=" \t\r\n\f\v")
 
 
+# the bytes RE2's \s matches: [\t\n\f\r ] (no \v). No byte of a multi-byte
+# UTF-8 sequence is below 0x80, so a byte-level collapse is exact.
+_WS_BYTE = np.zeros(256, dtype=bool)
+_WS_BYTE[[0x09, 0x0A, 0x0C, 0x0D, 0x20]] = True
+
+
+def _collapse_ws_array(arr: pa.Array) -> pa.Array:
+    """Each run of ``_WS_BYTE`` bytes in a row -> one space, in one pass
+    over the array's value bytes; the validity bitmap is kept and a
+    sliced array reads only its own rows."""
+    n = len(arr)
+    if n == 0:
+        return arr
+    off_dt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], dtype=off_dt)[arr.offset : arr.offset + n + 1]
+    offs = offs.astype(np.int64)
+    lo, hi = int(offs[0]), int(offs[-1])
+    buf = arr.buffers()[2]
+    data = np.frombuffer(buf, dtype=np.uint8)[lo:hi] if buf else np.empty(0, dtype=np.uint8)
+    offs -= lo
+    ws = _WS_BYTE[data]
+    # a whitespace byte that follows another of its own row is dropped
+    drop = np.zeros(len(data), dtype=bool)
+    drop[1:] = ws[1:] & ws[:-1]
+    drop[offs[:-1][offs[:-1] < len(data)]] = False
+    out = np.where(ws, np.uint8(0x20), data)[~drop]
+    row = np.searchsorted(offs, np.flatnonzero(drop), side="right") - 1
+    offs[1:] -= np.cumsum(np.bincount(row, minlength=n))
+    validity = arr.is_valid().buffers()[1] if arr.null_count else None
+    return pa.Array.from_buffers(
+        arr.type,
+        n,
+        [validity, pa.py_buffer(offs.astype(off_dt)), pa.py_buffer(out)],
+        null_count=arr.null_count,
+    )
+
+
+def collapse_ascii_whitespace(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """Arrow string column with every run of ``[\\t\\n\\f\\r ]`` replaced
+    by one space — the same output as RE2 ``replace_substring_regex(r"\\s+",
+    " ")``."""
+    if isinstance(col, pa.ChunkedArray):
+        return pa.chunked_array(
+            [_collapse_ws_array(c) for c in col.chunks], type=col.type
+        )
+    return _collapse_ws_array(col)
+
+
 def normalize_text_arrow(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
     """norm-v1: utf8 lowercase + whitespace collapse + trim, vectorized
-    in Arrow kernels (zero Python per row)."""
-    x = pc.utf8_lower(col)
-    x = pc.replace_substring_regex(x, pattern=r"\s+", replacement=" ")
+    (zero Python per row)."""
+    x = collapse_ascii_whitespace(pc.utf8_lower(col))
     return pc.utf8_trim_whitespace(x)
 
 

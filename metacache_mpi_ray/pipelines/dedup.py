@@ -4,27 +4,70 @@ docs -> MinHash signatures -> LSH bands -> bucket star-edges (capped)
      -> signature verification (dedupes cross-band pairs) -> union-find
      -> clusters(doc_id, cluster_id, is_dup)
 
-Stage-by-stage mapping to the reference is documented in each stage
-module; the lifecycle mirrors /root/reference build+query fused into one
-streaming job (SURVEY.md §3, §7.1).
+``near_dup_pipeline`` runs as one graph of plain Ray tasks over the
+blocks of its ``docs`` input, which is the only Ray Data execution of a
+pass. With P = ``num_partitions``, every split below is
+``functions/blocks.split_by_key`` (the partition function of
+``hash_exchange``), and each task gets its inputs as object refs:
+
+1. sign, one task per non-empty docs block, submitted as the block
+   arrives (``banding.sign_split``, the daily batch's sign task): MinHash
+   in 128-row slices, band keys folded to ``bkey``; band rows split by
+   the shard of ``bkey``, signature rows by the shard of ``doc_id``;
+2. bucket task p: every bucket of band shard p is whole, so the star
+   kernel ``candidates.star_edges`` (capped at ``cfg.bucket_cap``)
+   runs as in ``bucket_edges``; distinct pairs split by the shard of ``a``;
+3. pair task q: every copy of a pair shares its ``a``, so dropping
+   duplicate (a, b) pairs here is exact; attaches sig[a] from signature
+   shard q and splits by the shard of ``b``. It also returns signature
+   shard q whole: the P blocks of ``DedupResult.signatures``;
+4. score task r: sig[b] from signature shard r, pairs kept by
+   ``verify.minhash_scores`` (the rule of ``verify_edges``);
+5. components: one spanning forest per score output, one union-find
+   merge, one assign task per signature shard (``cluster.cluster_rows``,
+   the lookup of ``assign_clusters``); past
+   ``CLUSTER_DRIVER_EDGE_LIMIT`` verified edges, distributed min-label
+   propagation (``assign_clusters_distributed``) instead.
+
+The outputs are byte-identical to the Dataset-level stage chain
+``compute_signatures`` -> ``compute_bands`` -> ``bucket_edges`` ->
+``verify_edges`` -> ``assign_clusters``, which ``build_index``, the
+checkpointed pipeline and the registered queries run
+(tests/test_dedup_pipeline.py compares the two). The lifecycle mirrors
+the reference's build + query fused into one streaming job (SURVEY.md
+§3, §7.1); its build is one streaming pass per rank that sketches a
+window and inserts it into the multimap (sketch_database.h:1079-1097).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import ray.data
+import numpy as np
+import pyarrow as pa
+
+import ray
+import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.stages.banding import compute_bands
-from metacache_mpi_ray.stages.candidates import bucket_edges
-from metacache_mpi_ray.stages.cluster import assign_clusters
-from metacache_mpi_ray.stages.signatures import compute_signatures
-from metacache_mpi_ray.stages.verify import verify_edges
+from metacache_mpi_ray.functions.blocks import split_by_key
+from metacache_mpi_ray.stages.banding import sign_split
+from metacache_mpi_ray.stages.candidates import distinct_pairs, run_bounds, star_edges
+from metacache_mpi_ray.stages.cluster import (
+    _forest_task,
+    _uf_forest_task,
+    assign_clusters_distributed,
+    cluster_rows,
+)
+from metacache_mpi_ray.stages.signatures import sig_from_arrow, signature_schema
+from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores
 
 # verified-edge count past which components come from distributed
-# min-label propagation instead of the driver DSU
+# min-label propagation instead of the union-find task
 CLUSTER_DRIVER_EDGE_LIMIT = 50_000_000
+
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_VERIFIED = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())])
 
 
 @dataclass
@@ -34,132 +77,191 @@ class DedupResult:
     clusters: "ray.data.Dataset"
 
 
+def _concat(tabs, schema: pa.Schema) -> pa.Table:
+    parts = [t for t in tabs if t.num_rows]
+    return pa.concat_tables(parts) if parts else schema.empty_table()
+
+
+def _ids(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _returns(pieces):
+    """A task's pieces as its return value (one ref when there is one)."""
+    return pieces[0] if len(pieces) == 1 else tuple(pieces)
+
+
+def _refs(out, n: int) -> list:
+    return [out] if n == 1 else list(out)
+
+
+@ray.remote
+def _bucket_task(cap: int, shards: int, *pieces):
+    """Bucket task p: band pieces (bkey, doc_id) of shard p -> the
+    distinct star pairs of its buckets, split by the shard of ``a``."""
+    parts = [t for t in pieces if t.num_rows]
+    if not parts:
+        return _returns([_PAIRS.empty_table()] * shards)
+    t = pa.concat_tables(parts)
+    keys = _ids(t, "bkey")
+    order = np.argsort(keys, kind="stable")
+    a, b = star_edges(_ids(t, "doc_id")[order], *run_bounds(keys[order]), cap)
+    pairs = pa.table(distinct_pairs(a, b), schema=_PAIRS)
+    return _returns(split_by_key(pairs, ["a"], shards))
+
+
+@ray.remote
+def _pair_task(shards: int, n_pairs: int, n_perms: int, *pieces):
+    """Pair task q: pair pieces whose ``a`` is in shard q, then signature
+    pieces of shard q -> the distinct pairs with sig[a] attached, split
+    by the shard of ``b``, and signature shard q whole."""
+    sigs = _concat(pieces[n_pairs:], signature_schema(n_perms))
+    pairs = _concat(pieces[:n_pairs], _PAIRS)
+    a, b = distinct_pairs(_ids(pairs, "a"), _ids(pairs, "b"))
+    ids = _ids(sigs, "doc_id")
+    order = np.argsort(ids)
+    pos, found = lookup_sorted(ids[order], a)
+    rows = pa.table(
+        {
+            "a": pa.array(a[found], type=pa.int64()),
+            "b": pa.array(b[found], type=pa.int64()),
+            "sig_a": sigs["sig"].take(order[pos[found]]),
+        }
+    )
+    return (*split_by_key(rows, ["b"], shards), sigs)
+
+
+@ray.remote(num_returns=2)
+def _score_task(threshold: float, n_pairs: int, *refs):
+    """Score task r: pieces of (a, b, sig[a]) whose ``b`` is in shard r,
+    then signature shard r -> (the verified (a, b, est_sim) rows, their
+    count)."""
+    sigs = refs[n_pairs]
+    parts = [t for t in refs[:n_pairs] if t.num_rows]
+    if not parts or sigs.num_rows == 0:
+        return _VERIFIED.empty_table(), 0
+    pairs = pa.concat_tables(parts)
+    ids = _ids(sigs, "doc_id")
+    order = np.argsort(ids)
+    b = _ids(pairs, "b")
+    pos, found = lookup_sorted(ids[order], b)
+    mat = sig_from_arrow(sigs["sig"])
+    est, keep = minhash_scores(
+        sig_from_arrow(pairs["sig_a"])[found], mat[order[pos[found]]], threshold
+    )
+    out = pa.table(
+        [_ids(pairs, "a")[found][keep], b[found][keep], est[keep]], schema=_VERIFIED
+    )
+    return out, out.num_rows
+
+
+@ray.remote
+def _assign_task(sigs: pa.Table, labels) -> pa.Table:
+    return cluster_rows(sigs["doc_id"], labels)
+
+
+def _sign_to_score(docs, cfg: DedupConfig, shards: int, blocks: list | None):
+    """Steps 1-4 of the graph -> (signature shard refs, verified refs,
+    verified count refs). Sign tasks are submitted while ``docs``
+    streams; ``blocks`` collects the docs block refs when given."""
+    sign = sign_split.options(num_returns=2 * shards)
+    band_pieces = [[] for _ in range(shards)]
+    sig_pieces = [[] for _ in range(shards)]
+    for bundle in docs.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if not meta.num_rows:
+                continue
+            out = sign.remote(ref, cfg, shards, False)
+            for p in range(shards):
+                band_pieces[p].append(out[p])
+                sig_pieces[p].append(out[shards + p])
+            if blocks is not None:
+                blocks.append(ref)
+    bucket = _bucket_task.options(num_returns=shards)
+    buckets = [
+        _refs(bucket.remote(cfg.bucket_cap, shards, *band_pieces[p]), shards)
+        for p in range(shards)
+    ]
+    pair = _pair_task.options(num_returns=shards + 1)
+    pairs = [
+        pair.remote(
+            shards, shards, cfg.n_perms, *[bk[q] for bk in buckets], *sig_pieces[q]
+        )
+        for q in range(shards)
+    ]
+    sig_refs = [pr[shards] for pr in pairs]
+    scores = [
+        _score_task.remote(
+            cfg.verify_threshold, shards, *[pr[r] for pr in pairs], sig_refs[r]
+        )
+        for r in range(shards)
+    ]
+    return sig_refs, [s[0] for s in scores], [s[1] for s in scores]
+
+
+def _substring_edges(blocks: list, cfg: DedupConfig, num_partitions: int):
+    """Exact long-match substring edges (suffix/anchor stage, F6 analog)
+    over the docs blocks the graph already holds, as (a, b, est_sim=1)
+    rows: docs sharing an exact span >= ~min_match_len are duplicates
+    even when whole-doc Jaccard is below threshold."""
+    from metacache_mpi_ray.stages.substring import substring_dup_edges
+
+    def strip(t: pa.Table) -> pa.Table:
+        return pa.table(
+            [t["a"], t["b"], pa.array(np.full(len(t), 1.0), type=pa.float64())],
+            schema=_VERIFIED,
+        )
+
+    return (
+        substring_dup_edges(rd.from_arrow_refs(blocks), cfg, num_partitions=num_partitions)
+        .map_batches(strip, batch_format="pyarrow")
+        .materialize()
+    )
+
+
 def near_dup_pipeline(
     docs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
     num_partitions: int | None = None,
-    signer_concurrency: int | None = None,
     include_substring: bool = False,
 ) -> DedupResult:
-    """Run the full MinHash/LSH dedup over a canonical ``docs`` dataset.
+    """Run the full MinHash/LSH dedup over a canonical ``docs`` dataset
+    as one graph of plain Ray tasks (module docstring).
 
-    ``signatures`` is materialized once (it is consumed by both the
-    banding stage and the verification joins — the analog of the
-    reference's persisted per-rank DB artifact, SURVEY.md S9/S10); at
-    checkpointed scale it is written to Parquet instead (see
-    state/checkpoint.py).
+    Every field of the result is a ref-backed dataset of
+    ``num_partitions`` blocks (the verified edges also hold the
+    substring stage's blocks with ``include_substring``); at
+    checkpointed scale the stages write Parquet instead (see
+    pipelines/checkpointed.py).
     """
     from metacache_mpi_ray.stages.joins import default_num_partitions
 
     cfg = cfg or DedupConfig()
     if num_partitions is None:
         num_partitions = default_num_partitions()
-    # coalesce the signer output to ~num_partitions blocks inside the
-    # same execution: the read stage typically hands down hundreds of
-    # row-group-sized blocks, and every downstream pass inherits that
-    # count — the bucket hash exchange runs one split task per INPUT
-    # block (each returning num_partitions pieces), so the coalesce
-    # bounds its task count at num_partitions. At real scale the caller
-    # sizes num_partitions to the cluster, which keeps blocks near the
-    # object-store target size instead of row-group crumbs.
-    sigs = (
-        compute_signatures(docs, cfg, concurrency=signer_concurrency, batch_size=128)
-        .repartition(num_partitions)
-        .materialize()
-    )
-    bands = compute_bands(sigs, cfg)
-    edges = bucket_edges(
-        bands,
-        key_cols=["band_id", "band_hash"],
-        id_col="doc_id",
-        cap=cfg.bucket_cap,
-        num_partitions=num_partitions,
-    )
-    # the final cluster-assignment pass only needs doc_id, but mapping
-    # over the full-width signature blocks pays per-block executor
-    # overhead for ~nothing (measured ~2 s of a 44 s 2-CPU run). Build
-    # a doc_id-only, few-block projection CONCURRENTLY with the verify
-    # execution (independent datasets; Ray schedules both), so the
-    # assignment pass at the end touches a ~16-bytes/row dataset in a
-    # handful of blocks instead.
-    import threading
-
-    ids_holder: dict = {}
-
-    def _project_ids():
-        try:
-            ids_holder["ds"] = (
-                sigs.select_columns(["doc_id"])
-                .repartition(max(4, num_partitions // 8))
-                .materialize()
-            )
-        except Exception:  # fall back to assigning over sigs directly
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "doc_id projection failed; cluster assignment will map "
-                "over the full-width signature blocks",
-                exc_info=True,
-            )
-
-    ids_thread = threading.Thread(target=_project_ids, daemon=True)
-    ids_thread.start()
-    # auto strategy: verify_edges dedupes the raw per-band edges, sizes
-    # the endpoint signature subset, and falls back to the two-exchange join
-    # path only when that subset outgrows one broadcast object — at
-    # web-scale dup rates the broadcast would otherwise become a
-    # driver-memory scale-killer
-    verified = verify_edges(
-        edges, sigs, cfg, num_partitions=num_partitions, strategy="auto"
-    ).materialize()
-    if include_substring:
-        # exact long-match substring edges (suffix/anchor stage, F6
-        # analog): docs sharing an exact span >= ~min_match_len are
-        # duplicates even when whole-doc Jaccard is below threshold
-        from metacache_mpi_ray.stages.substring import substring_dup_edges
-
-        sub_edges = substring_dup_edges(
-            docs, cfg, num_partitions=num_partitions
-        ).materialize()
-
-        def strip(t):
-            import numpy as _np
-            import pyarrow as _pa
-
-            return _pa.table(
-                {
-                    "a": t["a"],
-                    "b": t["b"],
-                    "est_sim": _pa.array(
-                        _np.full(len(t), 1.0), type=_pa.float64()
-                    ),
-                }
-            )
-
-        verified = verified.union(
-            sub_edges.map_batches(strip, batch_format="pyarrow")
-        ).materialize()
-    # assign over the materialized signatures (same doc_id set as docs);
-    # re-running the ingest lineage just to read doc_id would re-parse
-    # the whole input a second time.
-    # the driver DSU streams the edge list once (vectorized pointer
-    # jumping, ~16 bytes/edge resident) and broadcasts the labels;
-    # past CLUSTER_DRIVER_EDGE_LIMIT verified edges even that outgrows
-    # one process, and components come from distributed min-label
-    # propagation (rounds of the keyed exchange) instead
-    distributed = verified.count() > CLUSTER_DRIVER_EDGE_LIMIT
-    ids_thread.join()
-    assign_src = ids_holder.get("ds", sigs)
-    if distributed:
-        from metacache_mpi_ray.stages.cluster import assign_clusters_distributed
-
+    shards = max(1, int(num_partitions))
+    blocks = [] if include_substring else None
+    sig_refs, verified_refs, counts = _sign_to_score(docs, cfg, shards, blocks)
+    n_edges = 0
+    if blocks:
+        sub = _substring_edges(blocks, cfg, shards)
+        verified_refs += sub.to_arrow_refs()
+        n_edges = sub.count()
+    n_edges += sum(ray.get(counts))
+    signatures = rd.from_arrow_refs(sig_refs)
+    verified = rd.from_arrow_refs(verified_refs)
+    if n_edges > CLUSTER_DRIVER_EDGE_LIMIT:
+        # past this many edges even the union-find task outgrows one
+        # process: components come from rounds of the keyed exchange
         clusters = assign_clusters_distributed(
-            assign_src, verified, num_partitions=num_partitions
+            signatures, verified, num_partitions=shards
         )
     else:
-        clusters = assign_clusters(assign_src, verified)
-    return DedupResult(signatures=sigs, verified_edges=verified, clusters=clusters)
+        forests = [_forest_task.remote(r) for r in verified_refs]
+        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
+        clusters = rd.from_arrow_refs([_assign_task.remote(s, labels) for s in sig_refs])
+    return DedupResult(signatures=signatures, verified_edges=verified, clusters=clusters)
 
 
 def dedup_clusters(docs, cfg: DedupConfig | None = None, **kw) -> "ray.data.Dataset":

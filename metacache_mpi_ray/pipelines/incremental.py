@@ -56,21 +56,18 @@ import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.blocks import hash_exchange, split_by_key
-from metacache_mpi_ray.stages.banding import make_band_batch
+from metacache_mpi_ray.stages.banding import band_key_rows, sign_split
 from metacache_mpi_ray.stages.candidates import (
     _combine_keys,
     bucket_edges,
     dedupe_edges,
+    distinct_pairs,
     run_bounds,
     segment_all_pairs,
 )
 from metacache_mpi_ray.stages.cluster import assign_clusters
-from metacache_mpi_ray.stages.signatures import (
-    MinHashSigner,
-    compute_signatures,
-    sig_from_arrow,
-)
-from metacache_mpi_ray.stages.verify import lookup_sorted, verify_edges
+from metacache_mpi_ray.stages.signatures import compute_signatures, sig_from_arrow
+from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores, verify_edges
 from metacache_mpi_ray.state.checkpoint import (
     ConfigMismatch,
     checkpointed_stage,
@@ -137,7 +134,7 @@ def build_index(
     bands = _sharded_stage(
         ckpt_root,
         "bands",
-        lambda: sigs.map_batches(lambda t: _band_rows(t, cfg), batch_format="pyarrow"),
+        lambda: sigs.map_batches(lambda t: band_key_rows(t, cfg), batch_format="pyarrow"),
         "bkey",
         shards,
     )
@@ -311,11 +308,6 @@ def _sharded_stage(ckpt_root, stage, compute, key: str, shards: int):
     if not stage_done(ckpt_root, stage):
         install_stage(ckpt_root, stage, write)
     return _read_stage(ckpt_root, stage)
-
-
-def _band_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
-    """signature rows -> (bkey, doc_id) rows, band key folded to one u64."""
-    return _combine_keys(make_band_batch(cfg)(sigs), ["band_id", "band_hash"], "doc_id")
 
 
 # --- the cluster-label log -----------------------------------------------
@@ -583,24 +575,6 @@ def _concat(tabs) -> pa.Table | None:
     return pa.concat_tables(tabs, promote_options="default") if tabs else None
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray):
-    if len(a) == 0:
-        return a, b
-    ab = np.unique(np.stack([a, b], axis=1), axis=0)
-    return ab[:, 0], ab[:, 1]
-
-
-@ray.remote
-def _sign_split(block, cfg: DedupConfig, shards: int):
-    """One batch block -> (signatures, band pieces by shard of bkey,
-    signature pieces by shard of doc_id)."""
-    from ray.data.block import BlockAccessor
-
-    sig = MinHashSigner(cfg)(BlockAccessor.for_block(block).to_arrow())
-    bands = split_by_key(_band_rows(sig, cfg), ["bkey"], shards)
-    return (sig, *bands, *split_by_key(sig, ["doc_id"], shards))
-
-
 @ray.remote
 def _probe_shard(files: list[str], cap: int, emit_new_new: bool, shards: int, *pieces):
     """Probe task p: the stored band shard p plus the batch's pieces p
@@ -630,7 +604,7 @@ def _probe_shard(files: list[str], cap: int, emit_new_new: bool, shards: int, *p
         }
     )
     p = probe_bucket_pairs(t, cap, emit_new_new=emit_new_new)
-    pairs = pa.table(_distinct_pairs(p["a"].to_numpy(), p["b"].to_numpy()), schema=_PAIRS)
+    pairs = pa.table(distinct_pairs(p["a"].to_numpy(), p["b"].to_numpy()), schema=_PAIRS)
     stats = {"pairs": p.num_rows, "bytes": _nbytes(files)}
     return (*split_by_key(pairs, ["b"], shards), stats)
 
@@ -653,7 +627,7 @@ def _verify_shard(
     pairs = _concat(refs[:n_pieces])
     if pairs is None:
         return _VERIFIED.empty_table(), stats
-    a, b = _distinct_pairs(pairs["a"].to_numpy(), pairs["b"].to_numpy())
+    a, b = distinct_pairs(pairs["a"].to_numpy(), pairs["b"].to_numpy())
     new = pa.concat_tables([t.select(["doc_id", "sig"]) for t in refs[n_pieces:]])
     ids = new["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     mat = sig_from_arrow(new["sig"])
@@ -671,8 +645,8 @@ def _verify_shard(
     ids_s, mat_s = ids[order], mat[order]
     pa_, fa = lookup_sorted(ids_s, a)
     pb, fb = lookup_sorted(ids_s, b)
-    est = (mat_s[pa_] == mat_s[pb]).mean(axis=1)
-    keep = fa & fb & (est >= threshold)
+    est, keep = minhash_scores(mat_s[pa_], mat_s[pb], threshold)
+    keep &= fa & fb
     a, b, est, stored = a[keep], b[keep], est[keep], ~b_new[keep]
     label, dup = b.copy(), np.zeros(len(b), dtype=bool)
     want = np.unique(b[stored])
@@ -721,8 +695,8 @@ def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
                 n += meta.num_rows
     if not blocks:
         return _DailyBatch(0, [], [], [], [], [], [])
-    sign = _sign_split.options(num_returns=1 + 2 * shards)
-    outs = [sign.remote(b, cfg, shards) for b in blocks]
+    sign = sign_split.options(num_returns=1 + 2 * shards)
+    outs = [sign.remote(b, cfg, shards, True) for b in blocks]
     sigs = [o[0] for o in outs]
     band_pieces = [[o[1 + p] for o in outs] for p in range(shards)]
     sig_pieces = [[o[1 + shards + p] for o in outs] for p in range(shards)]

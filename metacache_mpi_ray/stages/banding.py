@@ -18,9 +18,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+import ray
+
 from metacache_mpi_ray.config import DedupConfig
+from metacache_mpi_ray.functions.blocks import split_by_key
 from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
-from metacache_mpi_ray.stages.signatures import sig_from_arrow
+from metacache_mpi_ray.stages.candidates import _combine_keys
+from metacache_mpi_ray.stages.signatures import MinHashSigner, sig_from_arrow
+
+# rows per signing slice: the shingle-hash and permutation buffers of
+# one slice stay cache-sized (the flagship's former map_batches size)
+SIGN_SLICE = 128
 
 
 def band_hashes(sig: np.ndarray, cfg: DedupConfig) -> np.ndarray:
@@ -70,3 +78,28 @@ def make_band_batch(cfg: DedupConfig):
 def compute_bands(signatures, cfg: DedupConfig):
     """signatures -> band rows dataset (stateless tasks; row count x n_bands)."""
     return signatures.map_batches(make_band_batch(cfg), batch_format="pyarrow")
+
+
+def band_key_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """signature rows -> (bkey, doc_id) rows: each band key folded to the
+    one u64 ``bkey`` that ``bucket_edges`` folds (band_id, band_hash) to."""
+    return _combine_keys(make_band_batch(cfg)(sigs), ["band_id", "band_hash"], "doc_id")
+
+
+@ray.remote
+def sign_split(block, cfg: DedupConfig, shards: int, whole: bool):
+    """The sign task of the flagship graph and the daily batch: one docs
+    block -> its band rows split by the shard of ``bkey``, then its
+    signature rows split by the shard of ``doc_id`` (``shards`` pieces
+    each), preceded by the block's whole signature table when ``whole``.
+    Signs in ``SIGN_SLICE``-row slices."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    signer = MinHashSigner(cfg)
+    sig = pa.concat_tables(
+        [signer(t.slice(i, SIGN_SLICE)) for i in range(0, t.num_rows, SIGN_SLICE)]
+    ).combine_chunks()
+    bands = split_by_key(band_key_rows(sig, cfg), ["bkey"], shards)
+    pieces = (*bands, *split_by_key(sig, ["doc_id"], shards))
+    return (sig, *pieces) if whole else pieces

@@ -29,6 +29,8 @@ stitches bucket fragments.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -70,6 +72,28 @@ def run_bounds(*cols: np.ndarray):
     return starts, np.diff(np.append(starts, n))
 
 
+def star_edges(ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray, cap: int):
+    """The bucket kernel of ``bucket_edges`` and the flagship's bucket
+    task: over the equal-key runs (``starts``, ``sizes``) of ``ids``,
+    every bucket of 2..``cap`` members emits (bucket min, member) for
+    each other member."""
+    keep = (sizes > 1) & (sizes <= cap)
+    mins = np.minimum.reduceat(ids, starts)
+    a = np.repeat(mins[keep], sizes[keep])
+    b = ids[np.repeat(keep, sizes)]
+    sel = a != b
+    return a[sel], b[sel]
+
+
+def distinct_pairs(a: np.ndarray, b: np.ndarray):
+    """The distinct (a, b) pairs of two parallel id arrays, sorted by
+    (a, b)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    starts, _ = run_bounds(a, b)
+    return a[starts], b[starts]
+
+
 def _bucket_exchange(ds, key_cols, id_col, kernel, num_partitions):
     """Fold ``key_cols`` into ``bkey``, hash-exchange on it, and run
     ``kernel(ids, starts, sizes) -> (a, b)`` over each partition's
@@ -107,15 +131,9 @@ def bucket_edges(
     the edge list is written to Parquet instead — see
     pipelines/checkpointed.py."""
 
-    def star(ids, starts, sizes):
-        keep = (sizes > 1) & (sizes <= cap)
-        mins = np.minimum.reduceat(ids, starts)
-        a = np.repeat(mins[keep], sizes[keep])
-        b = ids[np.repeat(keep, sizes)]
-        sel = a != b
-        return a[sel], b[sel]
-
-    return _bucket_exchange(ds, key_cols, id_col, star, num_partitions)
+    return _bucket_exchange(
+        ds, key_cols, id_col, partial(star_edges, cap=cap), num_partitions
+    )
 
 
 def segment_all_pairs(

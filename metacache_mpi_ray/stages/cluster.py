@@ -76,6 +76,25 @@ def _uf_forest_task(*parts):
     return connected_components_arrays(np.concatenate(a), np.concatenate(b))
 
 
+def cluster_rows(ids, labels) -> pa.Table:
+    """An id column and the components' (sorted nodes, labels) ->
+    (doc_id, cluster_id, is_dup): an id that is a node of a verified
+    edge is a dup labelled with its component's label, any other id is
+    its own singleton. The lookup of ``assign_clusters`` and of the
+    flagship's assign task."""
+    nodes_s, labs = labels
+    ids = ids.to_numpy(zero_copy_only=False).astype(np.int64)
+    pos, dup = lookup_sorted(nodes_s, ids)
+    out = np.where(dup, labs[pos], ids) if len(nodes_s) else ids
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "cluster_id": pa.array(out, type=pa.int64()),
+            "is_dup": pa.array(dup, type=pa.bool_()),
+        }
+    )
+
+
 def assign_clusters(docs, edges, *, id_col: str = "doc_id"):
     """docs + verified edges -> clusters dataset (doc_id, cluster_id, is_dup)."""
     refs = edges.to_arrow_refs()
@@ -95,22 +114,7 @@ def assign_clusters(docs, edges, *, id_col: str = "doc_id"):
         )
 
     def assign(batch: pa.Table) -> pa.Table:
-        nodes_s, labs = ray.get(labels_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        if len(nodes_s) == 0:
-            dup = np.zeros(len(ids), dtype=bool)
-            out = ids.astype(np.int64)
-        else:
-            pos = np.minimum(np.searchsorted(nodes_s, ids), len(nodes_s) - 1)
-            dup = nodes_s[pos] == ids
-            out = np.where(dup, labs[pos], ids).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "cluster_id": pa.array(out, type=pa.int64()),
-                "is_dup": pa.array(dup, type=pa.bool_()),
-            }
-        )
+        return cluster_rows(batch[id_col], ray.get(labels_ref))
 
     return docs.map_batches(assign, batch_format="pyarrow")
 

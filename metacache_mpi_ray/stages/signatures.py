@@ -16,8 +16,8 @@ Duplicate shingles need no dedup for plain min-hash (min over a
 multiset equals min over its set), unlike the reference's bottom-s
 sketch which must keep distinct values (hash_dna.h:130-137).
 
-Stateful actor pool: permutation constants live in ``__init__`` (once
-per actor), not per batch (SURVEY.md §2.3 T3).
+Permutation constants are built once per signer (``MinHashSigner``),
+not per batch (SURVEY.md §2.3 T3).
 """
 
 from __future__ import annotations
@@ -178,11 +178,23 @@ def sig_from_arrow(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return np.ascontiguousarray(flat).reshape(-1, p).astype(U64, copy=False)
 
 
-class MinHashSigner:
-    """Actor-pool stage: docs batch -> (doc_id, text_hash, n_chars, sig).
+def signature_schema(n_perms: int) -> pa.Schema:
+    """The schema of ``MinHashSigner``'s output rows."""
+    return pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("text_hash", pa.int64()),
+            ("n_chars", pa.int64()),
+            ("sig", pa.list_(pa.uint64(), n_perms)),
+        ]
+    )
 
-    Permutation constants are derived once per actor from cfg.seed, so
-    every actor produces identical signatures for identical text
+
+class MinHashSigner:
+    """docs batch -> (doc_id, text_hash, n_chars, sig).
+
+    Permutation constants are derived once per signer from cfg.seed, so
+    every signer produces identical signatures for identical text
     (determinism invariant, SURVEY.md §2.9).
     """
 
@@ -220,41 +232,11 @@ class MinHashSigner:
         )
 
 
-def compute_signatures(
-    docs,
-    cfg: DedupConfig,
-    *,
-    concurrency: int | None = None,
-    batch_size: int = 4096,
-    mode: str = "tasks",
-):
-    """docs -> signatures dataset.
-
-    ``mode="tasks"`` (default): the signer state (permutation constants,
-    ~2 KB) is built once on the driver and shipped inside the pickled
-    callable; the stage runs on the elastic task pool, reusing the warm
-    worker processes of the read stage. Right for cheap state.
-
-    ``mode="actors"``: a stateful actor pool (state built per actor in
-    __init__). Right for heavy state (models, big lookup tables) — but
-    every Dataset execution pays a cold python process start per actor,
-    which at pool size ~30 costs more than this stage's entire compute.
-    Pool size defaults to (cluster CPUs - 2) so reads/shuffles keep
-    CPUs (a pool sized to the whole node deadlocks the streaming
-    executor)."""
-    if mode == "tasks":
-        return docs.map_batches(
-            MinHashSigner(cfg), batch_format="pyarrow", batch_size=batch_size
-        )
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
-
-    if concurrency is None:
-        concurrency = default_actor_concurrency(reserve=2)
+def compute_signatures(docs, cfg: DedupConfig, *, batch_size: int = 4096):
+    """docs -> signatures dataset, on the elastic task pool: the signer
+    state (permutation constants, ~2 KB) is built once on the driver and
+    ships inside the pickled callable, so the stage reuses the warm
+    worker processes of the read stage."""
     return docs.map_batches(
-        MinHashSigner,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
+        MinHashSigner(cfg), batch_format="pyarrow", batch_size=batch_size
     )

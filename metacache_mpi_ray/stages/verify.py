@@ -311,6 +311,16 @@ def verify_pairs_payload(
     )
 
 
+def minhash_scores(sa: np.ndarray, sb: np.ndarray, threshold: float):
+    """(est_sim, keep) of aligned (n, n_perms) signature matrices: the
+    fraction of agreeing values estimates Jaccard, and a pair is kept
+    when it reaches ``threshold``. The one scoring rule of
+    ``verify_edges``, the flagship's score task and the daily batch's
+    verify task."""
+    est = (sa == sb).mean(axis=1)
+    return est, est >= threshold
+
+
 def verify_edges(
     edges,
     signatures,
@@ -323,21 +333,16 @@ def verify_edges(
     """edges(a, b, ...) x signatures(doc_id, sig) -> (a, b, est_sim) for
     distinct pairs whose estimated Jaccard clears the verification
     threshold."""
-    thresh = cfg.verify_threshold
 
     def extract(batch: pa.Table):
         return batch["doc_id"].to_numpy(zero_copy_only=False), sig_from_arrow(batch["sig"])
-
-    def score(sa: np.ndarray, sb: np.ndarray):
-        est = (sa == sb).mean(axis=1)
-        return est, est >= thresh
 
     return verify_pairs_payload(
         edges,
         signatures.select_columns(["doc_id", "sig"]),
         id_col="doc_id",
         extract=extract,
-        score=score,
+        score=partial(minhash_scores, threshold=cfg.verify_threshold),
         value_col="est_sim",
         payload_dtype=np.uint64,
         strategy=strategy,

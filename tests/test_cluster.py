@@ -184,12 +184,20 @@ def test_flagship_distributed_cluster_method_parity(
         .reset_index(drop=True)
     )
     monkeypatch.setattr(dedup, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        return assign_clusters_distributed(*args, **kw)
+
+    monkeypatch.setattr(dedup, "assign_clusters_distributed", spy)
     dst = (
         near_dup_pipeline(docs, cfg, num_partitions=4)
         .clusters.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    assert len(calls) == 1, "the forced limit never reached distributed components"
     pd.testing.assert_frame_equal(drv, dst, check_dtype=False)
 
 

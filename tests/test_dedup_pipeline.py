@@ -10,15 +10,22 @@ shingle/signature config.
 import itertools
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.hashing import concat_shingle_hashes
 from metacache_mpi_ray.functions.text import extract_text_from_html, normalize_text_py
 from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
-from metacache_mpi_ray.stages.ingest import ingest_pages
+from metacache_mpi_ray.stages.banding import compute_bands
+from metacache_mpi_ray.stages.candidates import bucket_edges
+from metacache_mpi_ray.stages.cluster import assign_clusters
+from metacache_mpi_ray.stages.ingest import ingest_documents, ingest_pages
+from metacache_mpi_ray.stages.signatures import compute_signatures
+from metacache_mpi_ray.stages.verify import verify_edges
 
 CFG = DedupConfig()
 
@@ -106,15 +113,116 @@ def test_exact_duplicates_always_cluster(corpus_dir, pipeline_result):
     assert exact["is_dup"].all()
 
 
-def test_pipeline_deterministic(corpus_dir):
-    pages = rd.read_parquet(f"{corpus_dir}/pages")
-    r1 = near_dup_pipeline(ingest_pages(pages), CFG, num_partitions=8).clusters.to_pandas()
-    r2 = near_dup_pipeline(ingest_pages(pages), CFG, num_partitions=4).clusters.to_pandas()
-    m = r1.sort_values("doc_id").reset_index(drop=True).merge(
-        r2.sort_values("doc_id").reset_index(drop=True), on="doc_id"
+def _templated_docs():
+    """A templated corpus: 300 exact copies of one page (a bucket past
+    ``bucket_cap`` in every band), five 40-page near-dup families with a
+    few words swapped, and 50 unique pages."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(400)]
+    templates = [rng.choice(words, 120).tolist() for _ in range(6)]
+    texts = [" ".join(templates[0])] * 300
+    for t in templates[1:]:
+        for _ in range(40):
+            w = list(t)
+            for k in rng.integers(0, len(w), 3):
+                w[k] = words[int(rng.integers(0, len(words)))]
+            texts.append(" ".join(w))
+    texts += [" ".join(rng.choice(words, 80)) for _ in range(50)]
+    return ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(np.arange(len(texts)) * 7 + 3, type=pa.int64()),
+                    "text": pa.array(texts, type=pa.string()),
+                }
+            )
+        )
     )
-    assert (m["cluster_id_x"] == m["cluster_id_y"]).all()
-    assert (m["is_dup_x"] == m["is_dup_y"]).all()
+
+
+def _layouts(docs):
+    """The same docs as 1 block, as 7 blocks, and as 7 blocks with
+    zero-row blocks between them."""
+    t = pa.concat_tables(ray.get(docs.to_arrow_refs())).combine_chunks()
+    cuts = np.linspace(0, t.num_rows, 8).astype(int)
+    parts = [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    empty = t.slice(0, 0)
+    with_empty = [empty] + [x for p in parts for x in (p, empty)]
+    return {
+        "1 block": rd.from_arrow(t),
+        "7 blocks": rd.from_arrow(parts),
+        "empty blocks": rd.from_arrow(with_empty),
+    }
+
+
+def _sorted_table(ds, keys):
+    t = pa.concat_tables([b for b in ray.get(ds.to_arrow_refs()) if b.num_rows])
+    return t.sort_by([(k, "ascending") for k in keys]).combine_chunks()
+
+
+def _stage_chain(docs, cfg, num_partitions):
+    """The Dataset-level stages the flagship graph must reproduce."""
+    sigs = compute_signatures(docs, cfg).materialize()
+    edges = bucket_edges(
+        compute_bands(sigs, cfg),
+        key_cols=["band_id", "band_hash"],
+        id_col="doc_id",
+        cap=cfg.bucket_cap,
+        num_partitions=num_partitions,
+    )
+    verified = verify_edges(edges, sigs, cfg, num_partitions=num_partitions).materialize()
+    return sigs, verified, assign_clusters(sigs, verified)
+
+
+_KEYS = (["doc_id"], ["a", "b"], ["doc_id"])
+
+
+def test_pipeline_deterministic(corpus_dir):
+    """near_dup_pipeline equals the stage chain byte for byte, sorted:
+    signatures, verified edges and clusters, at P = 1, 4 and 8, over a
+    planted crawl and a templated corpus, each as 1 block, 7 blocks and
+    7 blocks with empty blocks between them."""
+    corpora = {
+        "planted": ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")),
+        "templated": _templated_docs(),
+    }
+    for name, docs in corpora.items():
+        for layout, ds in _layouts(docs).items():
+            want = [
+                _sorted_table(x, k) for x, k in zip(_stage_chain(ds, CFG, 4), _KEYS)
+            ]
+            assert want[1].num_rows > 0, name
+            if name == "templated":  # the 300 copies meet only in over-cap buckets
+                cl = want[2].to_pandas().set_index("doc_id")
+                assert not cl.loc[np.arange(300) * 7 + 3, "is_dup"].any()
+            for p in (1, 4, 8):
+                res = near_dup_pipeline(ds, CFG, num_partitions=p)
+                got = (res.signatures, res.verified_edges, res.clusters)
+                for field, g, w, k in zip(("signatures", "verified", "clusters"), got, want, _KEYS):
+                    assert _sorted_table(g, k).equals(w), (name, layout, p, field)
+                    assert g.num_blocks() == p, (name, layout, p, field)
+
+
+def test_pipeline_runs_one_ray_data_execution(corpus_dir, monkeypatch):
+    """The flagship is one graph of plain Ray tasks: its only Ray Data
+    execution is the one that produces its ``docs`` input."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kw):
+        runs.append(1)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = near_dup_pipeline(
+        ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")), CFG, num_partitions=4
+    )
+    assert len(runs) == 1
+    assert res.verified_edges.count() > 0
+
+
 def test_pipeline_block_size_invariant(corpus_dir):
     """~16 KB blocks spread every bucket over hundreds of input blocks;
     the bucket and pair hash exchanges must still see each key group

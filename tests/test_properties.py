@@ -24,6 +24,14 @@ def test_normalize_arrow_matches_python(vals):
     col = pa.array(vals, type=pa.string())
     got = normalize_text_arrow(col).to_pylist()
     assert got == [normalize_text_py(v) for v in vals]
+    # null rows keep their validity; a sliced array reads only its rows
+    with_nulls = [None] + vals[:1] + [None] + vals[1:]
+    col = pa.array(with_nulls, type=pa.string()).slice(1)
+    want = [None if v is None else normalize_text_py(v) for v in with_nulls[1:]]
+    assert normalize_text_arrow(col).to_pylist() == want
+    sliced = pa.array(vals, type=pa.large_string()).slice(len(vals) // 2)
+    got = normalize_text_arrow(sliced).to_pylist()
+    assert got == [normalize_text_py(v) for v in vals[len(vals) // 2 :]]
 
 
 @settings(max_examples=60, deadline=None)
