@@ -123,15 +123,20 @@ def normalize_text_arrow(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.Chunk
 
 
 _WS_ASCII = re.compile(r"[ \t\r\n\f]+")  # RE2 \s = [\t\n\f\r ], NO \v
+# Arrow's utf8_lower maps code point by code point: U+0130 'İ' becomes
+# plain 'i' (str.lower adds U+0307), and 'Σ' is always 'σ' (str.lower
+# applies the word-final 'ς' rule)
+_LOWER_AS_ARROW = str.maketrans({"\u0130": "i", "\u03a3": "\u03c3"})
 
 
 def normalize_text_py(s: str) -> str:
     """Reference implementation of norm-v1 for oracles/tests (must agree
-    byte-for-byte with normalize_text_arrow). The whitespace class is
-    the ASCII set RE2's \\s matches — Python's Unicode \\s would
-    additionally collapse U+0085/U+00A0 etc. and diverge from the Arrow
-    kernel and the DuckDB oracles (found by hypothesis)."""
-    return _WS_ASCII.sub(" ", s.lower()).strip()
+    byte-for-byte with normalize_text_arrow, which defines norm-v1 for
+    every stored signature). The whitespace class is the ASCII set
+    RE2's \\s matches — Python's Unicode \\s would additionally
+    collapse U+0085/U+00A0 etc. and diverge from the Arrow kernel and
+    the DuckDB oracles (found by hypothesis)."""
+    return _WS_ASCII.sub(" ", s.translate(_LOWER_AS_ARROW).lower()).strip()
 
 
 def resolve_text_batch(batch: pa.Table) -> pa.Table:

@@ -249,18 +249,22 @@ def near_dup_pipeline(
         verified_refs += sub.to_arrow_refs()
         n_edges = sub.count()
     n_edges += sum(ray.get(counts))
+    local = n_edges <= CLUSTER_DRIVER_EDGE_LIMIT
+    if local:
+        # submitted before the datasets below block on block metadata
+        forests = [_forest_task.remote(r) for r in verified_refs]
+        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
+        cluster_refs = [_assign_task.remote(s, labels) for s in sig_refs]
     signatures = rd.from_arrow_refs(sig_refs)
     verified = rd.from_arrow_refs(verified_refs)
-    if n_edges > CLUSTER_DRIVER_EDGE_LIMIT:
+    if local:
+        clusters = rd.from_arrow_refs(cluster_refs)
+    else:
         # past this many edges even the union-find task outgrows one
         # process: components come from rounds of the keyed exchange
         clusters = assign_clusters_distributed(
             signatures, verified, num_partitions=shards
         )
-    else:
-        forests = [_forest_task.remote(r) for r in verified_refs]
-        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
-        clusters = rd.from_arrow_refs([_assign_task.remote(s, labels) for s in sig_refs])
     return DedupResult(signatures=signatures, verified_edges=verified, clusters=clusters)
 
 

@@ -36,7 +36,12 @@ the corpus: the clusters table only grows by the batch's rows, and the
 log by one remap and one dup file per batch. A shard whose file count
 would pass ``MAX_SHARD_FILES`` merges its files into one, and a log
 past the same bound is folded into every clusters shard and cleared —
-both inside the batch's commit.
+both inside the batch's commit. The probe, verify and ``read_clusters``
+tasks read the stored files through the per-worker resident cache
+(incremental.py's docstring): a batch decodes only the files a worker
+has not seen since they were installed, so its reads follow the files
+the last batch wrote, not the index size; the cache is bounded by
+``RESIDENT_BYTES`` per worker process.
 
 Crash safety: all new files are staged under ``<root>/extend.__tmp__/``
 and installed by a roll-forward commit journal (``extend.commit.json``)
@@ -66,6 +71,7 @@ from metacache_mpi_ray.pipelines.incremental import (
     _concat,
     _daily_batch,
     _nbytes,
+    _new_stats,
     _read_files,
     _write_table,
     index_shards,
@@ -129,7 +135,7 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
     one file per stage, merging the shard's files into one where the
     count would pass MAX_SHARD_FILES, and folding the cluster log into
     the clusters shard when ``fold_log`` (the log files to fold) is set.
-    Returns (moves, removes, stored bytes read)."""
+    Returns (moves, removes, read counters)."""
     sig = _concat(pieces[:n_blocks])
     band = _concat(pieces[n_blocks:])
     ids = np.empty(0, dtype=np.int64) if sig is None else sig["doc_id"].to_numpy()
@@ -143,19 +149,22 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
             schema=_CLUSTERS,
         ),
     }
-    moves, removes, nbytes = [], [], 0
+    moves, removes, stats = [], [], _new_stats()
     for stage, tab in rows.items():
         fold = stage == "clusters" and fold_log is not None
         if tab is None or (tab.num_rows == 0 and not fold):
             continue  # no batch rows in this shard
         files = shard_files(root, stage, p)
         if fold or len(files) >= MAX_SHARD_FILES:
-            nbytes += _nbytes(files)
+            nbytes = _nbytes(files)
+            stats["bytes"] += nbytes
+            stats["files_decoded"] += len(files)
+            stats["bytes_decoded"] += nbytes
             stored = _read_files(files)
             if stored is not None:
                 tab = pa.concat_tables([stored, tab], promote_options="default")
             if fold:
-                remaps, dups = load_log(fold_log)
+                remaps, dups = load_log(fold_log, stats)
                 remaps.append((contract["remap_from"], contract["remap_to"]))
                 tab = resolve_clusters(tab, remaps, np.union1d(dups, contract["dups"]))
             removes += files
@@ -164,7 +173,7 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
         staged = os.path.join(staging, stage, str(p), name)
         _write_table(tab, staged)
         moves.append([staged, os.path.join(root, stage, str(p), name)])
-    return moves, removes, nbytes
+    return moves, removes, stats
 
 
 @ray.remote
@@ -189,7 +198,7 @@ def _stage_log(root, staging, name, seq, fold_log, contract, *verified):
     for rel, tab in files.items():
         _write_table(tab, os.path.join(staging, rel))
         moves.append([os.path.join(staging, rel), os.path.join(root, rel)])
-    return moves, list(fold_log or []), 0
+    return moves, list(fold_log or []), _new_stats()
 
 
 # journal roll-forward lives in state/checkpoint.py so every index
@@ -312,13 +321,16 @@ def extend_index(
     _install_files(ckpt_root, journal_path)
     _mark("commit")
     stats = ray.get(batch.probe_stats) + ray.get(batch.verify_stats)
-    stored_bytes = sum(s["bytes"] for s in stats) + sum(n for _, _, n in staged)
+    stats += [s for _, _, s in staged]
     try:
         from metacache_mpi_ray.state.metrics import MetricsRecorder
 
         MetricsRecorder(ckpt_root).record(
-            "extend_index", rows_out=lineage["n_new"], t_start=t_all,
-            phases=phases, stored_bytes_read=stored_bytes, **lineage,
+            "extend_index", rows_out=lineage["n_new"], t_start=t_all, phases=phases,
+            stored_bytes_read=sum(s["bytes"] for s in stats),
+            files_decoded=sum(s["files_decoded"] for s in stats),
+            bytes_decoded=sum(s["bytes_decoded"] for s in stats),
+            **lineage,
         )
     except OSError:
         pass  # read-only root: telemetry is best-effort

@@ -23,17 +23,36 @@ graph of plain Ray tasks; no Ray Data execution touches the stored
 index:
 
 1. one task per batch block signs, bands and splits the block by shard;
-2. probe task p reads ``bands/<p>``, adds the batch's piece p and runs
+2. probe task p takes the ``searchsorted`` range of each batch band key
+   in every file of ``bands/<p>``, adds the batch's piece p and runs
    the bucket kernel ``probe_bucket_pairs`` (every bucket is whole in
    one shard, so the hot-bucket cap counts stored and new rows);
-3. verify task q reads only the candidate rows of ``signatures/<q>``,
-   keeps pairs with ``est_sim >= cfg.verify_threshold`` (the rule of
-   ``verify_edges``), and resolves each stored endpoint to its cluster
-   through ``clusters/<q>`` plus the log.
+3. verify task q looks up only the candidate rows of
+   ``signatures/<q>``, keeps pairs with ``est_sim >=
+   cfg.verify_threshold`` (the rule of ``verify_edges``), and resolves
+   each stored endpoint to its cluster through ``clusters/<q>`` plus
+   the log.
+
+Resident shards: the stored files are read in these tasks (and in
+``read_clusters``' tasks) through ``_resident``, which keeps each
+decoded file in the worker process, as the reference keeps its loaded
+database shard in memory between query batches (mode_query.cpp:421).
+A file is decoded into the sorted arrays its lookup wants (bands by
+``bkey``, signatures and clusters by ``doc_id``, remaps by label), so a
+batch decodes only the files its worker has not seen and probes them by
+binary search. A kept file is used only while its stamp (inode, size,
+mtime, ctime; one ``os.stat`` per use) is unchanged: installed files are
+never rewritten in place, and a deleted and rebuilt root gets new
+stamps. Each task gets the listing of its shard directories and the
+log taken when it was submitted, and drops the kept files of those
+directories the listing no longer holds; past ``RESIDENT_BYTES`` per process the least
+recently used files are dropped, and a file larger than that is read
+through without being kept.
 
 The query then takes the minimum matched cluster per new doc. Each probe
-appends a telemetry row (candidate/verified/matched counts, signature
-files and stored bytes read) to the index root's metrics.jsonl.
+appends a telemetry row (candidate/verified/matched counts, the
+signature files and stored bytes consulted, and the files and bytes
+decoded from disk) to the index root's metrics.jsonl.
 
 doc_ids must be disjoint between the index corpus and the query batch
 (ids are content-derived hashes of distinct urls in the ingest path).
@@ -44,11 +63,11 @@ from __future__ import annotations
 import glob
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -234,21 +253,29 @@ def _read_stage(ckpt_root: str, stage: str, columns=None):
     return rd.read_parquet(files, columns=columns, partitioning=None)
 
 
-def shard_files(ckpt_root: str, stage: str, shard: int) -> list[str]:
-    """The parquet files of one shard of a sharded stage, sorted."""
-    d = os.path.join(ckpt_root, stage, str(shard))
+def _parquet_files(d: str) -> list[str]:
     if not os.path.isdir(d):
         return []
     return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
+
+
+def _shard_dir(ckpt_root: str, stage: str, shard: int) -> str:
+    return os.path.join(ckpt_root, stage, str(shard))
+
+
+def _log_dir(ckpt_root: str) -> str:
+    return os.path.join(ckpt_root, "cluster_log")
+
+
+def shard_files(ckpt_root: str, stage: str, shard: int) -> list[str]:
+    """The parquet files of one shard of a sharded stage, sorted."""
+    return _parquet_files(_shard_dir(ckpt_root, stage, shard))
 
 
 def log_files(ckpt_root: str) -> list[str]:
     """The cluster-label log, oldest batch first (names start with a
     zero-padded batch sequence number)."""
-    d = os.path.join(ckpt_root, "cluster_log")
-    if not os.path.isdir(d):
-        return []
-    return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
+    return _parquet_files(_log_dir(ckpt_root))
 
 
 def log_batches(files: list[str]) -> int:
@@ -256,21 +283,19 @@ def log_batches(files: list[str]) -> int:
     return len({os.path.basename(f).split("-", 1)[0] for f in files})
 
 
-def _read_files(files: list[str], columns=None, ids=None) -> pa.Table | None:
-    """Concatenated rows of ``files`` (``None`` for no files), restricted
-    to ``doc_id in ids`` when given. Each file is read on its own
-    (``ParquetFile``: no partitioning, so a shard directory name never
-    becomes a column; ~0.3-0.5 ms a file, where ``pq.read_table``'s
-    dataset layer costs ~1-1.5 ms and far more on a worker's first
-    call)."""
-    tabs = []
-    for f in files:
-        with pq.ParquetFile(f) as pf:
-            tabs.append(pf.read(columns=columns))
-    if not tabs:
-        return None
-    t = pa.concat_tables(tabs, promote_options="default")
-    return t if ids is None else t.filter(pc.is_in(t["doc_id"], pa.array(ids, pa.int64())))
+def _read_file(path: str, columns=None) -> pa.Table:
+    """One Parquet file (``ParquetFile``: no partitioning, so a shard
+    directory name never becomes a column; ~0.3-0.5 ms a file, where
+    ``pq.read_table``'s dataset layer costs ~1-1.5 ms and far more on a
+    worker's first call)."""
+    with pq.ParquetFile(path) as pf:
+        return pf.read(columns=columns)
+
+
+def _read_files(files: list[str], columns=None) -> pa.Table | None:
+    """Concatenated rows of ``files`` (``None`` for no files)."""
+    tabs = [_read_file(f, columns) for f in files]
+    return pa.concat_tables(tabs, promote_options="default") if tabs else None
 
 
 def _nbytes(files: list[str]) -> int:
@@ -310,32 +335,130 @@ def _sharded_stage(ckpt_root, stage, compute, key: str, shards: int):
     return _read_stage(ckpt_root, stage)
 
 
+# --- resident index files --------------------------------------------------
+
+#: byte budget of the decoded index files one process keeps: past it the
+#: least recently used files are dropped, and a file that alone decodes
+#: to more is read through without being kept
+RESIDENT_BYTES = 256 << 20
+
+# path -> (stamp, decode, decoded bytes, decoded arrays), least recently
+# used first
+_resident_files: OrderedDict = OrderedDict()
+
+
+def _new_stats() -> dict:
+    """A task's read counters: bytes of the index files it consulted,
+    and the files and bytes of those it decoded from disk."""
+    return {"bytes": 0, "files_decoded": 0, "bytes_decoded": 0, "pid": os.getpid()}
+
+
+def _resident(path: str, decode, stats: dict | None = None) -> tuple:
+    """``decode(path)`` (a tuple of arrays) of one index file, kept in
+    this process for later tasks. Each use makes one ``os.stat``; a kept
+    entry is used only while the file's stamp (inode, size, mtime,
+    ctime) is unchanged. Installed files are never rewritten in place
+    (extend renames staged files in, compaction writes new names), and
+    the stamp also tells a root deleted and rebuilt at the same path
+    from the old one."""
+    st = os.stat(path)
+    stamp = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    if stats is not None:
+        stats["bytes"] += st.st_size
+    kept = _resident_files.pop(path, None)
+    if kept is not None and kept[0] == stamp and kept[1] is decode:
+        _resident_files[path] = kept
+        return kept[3]
+    arrays = decode(path)
+    if stats is not None:
+        stats["files_decoded"] += 1
+        stats["bytes_decoded"] += st.st_size
+    nbytes = sum(a.nbytes for a in arrays)
+    if nbytes <= RESIDENT_BYTES:
+        for a in arrays:
+            a.setflags(write=False)  # shared by every later task
+        _resident_files[path] = (stamp, decode, nbytes, arrays)
+        total = sum(e[2] for e in _resident_files.values())
+        while total > RESIDENT_BYTES:
+            total -= _resident_files.popitem(last=False)[1][2]
+    return arrays
+
+
+def _listing(d: str) -> tuple[str, list[str]]:
+    """(``d``, its parquet files sorted): the files a task is sent to
+    read, listed when the task is submitted."""
+    return d, _parquet_files(d)
+
+
+def _visit(listing: tuple[str, list[str]]) -> list[str]:
+    """The files of a ``_listing``; kept entries of its directory that it
+    no longer holds (compacted or deleted) are dropped."""
+    d, files = listing
+    listed = set(files)
+    for path in [p for p in _resident_files if os.path.dirname(p) == d and p not in listed]:
+        del _resident_files[path]
+    return files
+
+
+def _decode_bands(path: str) -> tuple:
+    """Band file -> (bkey, doc_id), sorted by bkey."""
+    t = _read_file(path, ["bkey", "doc_id"])
+    bk = t["bkey"].to_numpy()
+    order = np.argsort(bk, kind="stable")
+    return bk[order], t["doc_id"].to_numpy()[order]
+
+
+def _decode_signatures(path: str) -> tuple:
+    """Signature file -> (doc_id sorted, its (n, n_perms) u64 rows)."""
+    t = _read_file(path, ["doc_id", "sig"])
+    ids = t["doc_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    return ids[order], sig_from_arrow(t["sig"])[order]
+
+
+def _decode_clusters(path: str) -> tuple:
+    """Cluster file -> (doc_id, cluster_id, is_dup) in file order, plus
+    the sorted doc_ids and the order that sorts them."""
+    t = _read_file(path, _CLUSTERS.names)
+    ids = t["doc_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    dup = t["is_dup"].to_numpy(zero_copy_only=False)
+    return ids, t["cluster_id"].to_numpy(), dup, ids[order], order
+
+
+def _decode_remap(path: str) -> tuple:
+    """Remap log file -> (from_label, to_label), sorted by from_label."""
+    t = _read_file(path, ["from_label", "to_label"])
+    frm = t["from_label"].to_numpy()
+    order = np.argsort(frm, kind="stable")
+    return frm[order], t["to_label"].to_numpy()[order]
+
+
+def _decode_dups(path: str) -> tuple:
+    """Dup log file -> (doc_ids,)."""
+    return (_read_file(path, ["doc_id"])["doc_id"].to_numpy(),)
+
+
 # --- the cluster-label log -----------------------------------------------
 
 
-def load_log(files: list[str]):
+def load_log(files: list[str], stats: dict | None = None):
     """(remaps, dup_ids): the (from_label, to_label) arrays of every
     batch in order, and every doc_id a batch marked a dup."""
     remaps, dups = [], [np.empty(0, dtype=np.int64)]
     for f in files:
-        t = _read_files([f])
         if f.endswith("-remap.parquet"):
-            frm = t["from_label"].to_numpy(zero_copy_only=False)
-            order = np.argsort(frm)
-            remaps.append((frm[order], t["to_label"].to_numpy(zero_copy_only=False)[order]))
+            remaps.append(_resident(f, _decode_remap, stats))
         else:
-            dups.append(t["doc_id"].to_numpy(zero_copy_only=False))
+            dups.append(_resident(f, _decode_dups, stats)[0])
     return remaps, np.unique(np.concatenate(dups))
 
 
-def resolve_clusters(t: pa.Table, remaps, dup_ids: np.ndarray) -> pa.Table:
+def _resolve(ids, cl, dup, remaps, dup_ids: np.ndarray) -> pa.Table:
     """Stored (doc_id, cluster_id, is_dup) rows -> their current values:
     every remap in batch order, then the dup marks ORed in. Exact
     because a label remapped away never comes back (a component's
     minimum only falls, and new ids never collide with stored ones)."""
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    cl = t["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dup = t["is_dup"].to_numpy(zero_copy_only=False).astype(bool)
     for frm, to in remaps:
         if len(frm):
             pos, found = lookup_sorted(frm, cl)
@@ -345,10 +468,39 @@ def resolve_clusters(t: pa.Table, remaps, dup_ids: np.ndarray) -> pa.Table:
     return pa.table([ids, cl, dup], schema=_CLUSTERS)
 
 
+def resolve_clusters(t: pa.Table, remaps, dup_ids: np.ndarray) -> pa.Table:
+    """``_resolve`` over a (doc_id, cluster_id, is_dup) table."""
+    return _resolve(
+        t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        t["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        t["is_dup"].to_numpy(zero_copy_only=False).astype(bool),
+        remaps,
+        dup_ids,
+    )
+
+
+def _stored_clusters(files, log, stats: dict | None = None, ids=None) -> pa.Table:
+    """The current (doc_id, cluster_id, is_dup) rows of a clusters shard
+    (``files`` and the ``log``, both ``_listing``s) from the resident
+    files: every row in file order, or only the rows of the sorted
+    ``ids`` when given."""
+    parts = []
+    for f in _visit(files):
+        fid, fcl, fdup, fsorted, forder = _resident(f, _decode_clusters, stats)
+        if ids is not None:
+            pos, found = lookup_sorted(fsorted, ids)
+            rows = forder[pos[found]]
+            fid, fcl, fdup = fid[rows], fcl[rows], fdup[rows]
+        parts.append((fid, fcl, fdup))
+    remaps, dup_ids = load_log(_visit(log), stats)
+    if not parts:
+        return _CLUSTERS.empty_table()
+    return _resolve(*(np.concatenate(c) for c in zip(*parts)), remaps, dup_ids)
+
+
 @ray.remote
-def _resolved_shard(files: list[str], log: list[str]) -> pa.Table:
-    t = _read_files(files, _CLUSTERS.names)
-    return resolve_clusters(_CLUSTERS.empty_table() if t is None else t, *load_log(log))
+def _resolved_shard(files, log) -> pa.Table:
+    return _stored_clusters(files, log)
 
 
 def read_clusters(ckpt_root: str):
@@ -357,10 +509,10 @@ def read_clusters(ckpt_root: str):
     The one reader of the clusters stage (query, extend, REPL, info)."""
     shards = index_shards(ckpt_root)
     resume_pending_commit(ckpt_root)
-    log = log_files(ckpt_root)
+    log = _listing(_log_dir(ckpt_root))
     return rd.from_arrow_refs(
         [
-            _resolved_shard.remote(shard_files(ckpt_root, "clusters", p), log)
+            _resolved_shard.remote(_listing(_shard_dir(ckpt_root, "clusters", p)), log)
             for p in range(shards)
         ]
     )
@@ -575,55 +727,63 @@ def _concat(tabs) -> pa.Table | None:
     return pa.concat_tables(tabs, promote_options="default") if tabs else None
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(lo[i], hi[i])`` of every i."""
+    n = hi - lo
+    return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
 @ray.remote
-def _probe_shard(files: list[str], cap: int, emit_new_new: bool, shards: int, *pieces):
-    """Probe task p: the stored band shard p plus the batch's pieces p
-    -> distinct candidate pairs split by the shard of ``b``, and a stats
-    dict (pairs emitted, one per bucket hit as in the kernel; stored
-    bytes read). Only stored rows whose bucket holds a new row
-    enter the kernel; they are all of that bucket's stored rows."""
+def _probe_shard(files, cap: int, emit_new_new: bool, shards: int, *pieces):
+    """Probe task p: the batch's pieces p against the resident files of
+    band shard p (``files``, a ``_listing``) -> distinct candidate pairs
+    split by the shard of ``b``, and a stats dict (pairs emitted, one
+    per bucket hit as in the kernel; the ``_new_stats`` read counters).
+    Each batch key takes its ``searchsorted`` range of every stored
+    file, so only stored rows whose bucket holds a new row enter the
+    kernel, and they are all of that bucket's stored rows."""
+    stats = {**_new_stats(), "pairs": 0}
     new = _concat(pieces)
     if new is None:
-        return (*[_PAIRS.empty_table()] * shards, {"pairs": 0, "bytes": 0})
+        return (*[_PAIRS.empty_table()] * shards, stats)
     nk = new["bkey"].to_numpy(zero_copy_only=False)
-    stored = _read_files(files, ["bkey", "doc_id"])
-    sk = np.empty(0, dtype=np.int64) if stored is None else stored["bkey"].to_numpy()
-    sid = np.empty(0, dtype=np.int64) if stored is None else stored["doc_id"].to_numpy()
-    hit = np.isin(sk, nk)
+    keys = np.unique(nk)
+    sk, sid = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for f in _visit(files):
+        bk, ids = _resident(f, _decode_bands, stats)
+        rows = _ranges(np.searchsorted(bk, keys, "left"), np.searchsorted(bk, keys, "right"))
+        sk.append(bk[rows])
+        sid.append(ids[rows])
+    sk, sid = np.concatenate(sk), np.concatenate(sid)
     t = pa.table(
         {
-            "bkey": pa.array(np.concatenate([sk[hit], nk]), type=pa.int64()),
+            "bkey": pa.array(np.concatenate([sk, nk]), type=pa.int64()),
             "id": pa.array(
-                np.concatenate([sid[hit], new["doc_id"].to_numpy(zero_copy_only=False)]),
+                np.concatenate([sid, new["doc_id"].to_numpy(zero_copy_only=False)]),
                 type=pa.int64(),
             ),
             "side": pa.array(
-                np.repeat(np.array([0, 1], dtype=np.int8), [int(hit.sum()), len(nk)]),
+                np.repeat(np.array([0, 1], dtype=np.int8), [len(sk), len(nk)]),
                 type=pa.int8(),
             ),
         }
     )
     p = probe_bucket_pairs(t, cap, emit_new_new=emit_new_new)
     pairs = pa.table(distinct_pairs(p["a"].to_numpy(), p["b"].to_numpy()), schema=_PAIRS)
-    stats = {"pairs": p.num_rows, "bytes": _nbytes(files)}
+    stats["pairs"] = p.num_rows
     return (*split_by_key(pairs, ["b"], shards), stats)
 
 
 @ray.remote(num_returns=2)
-def _verify_shard(
-    sig_files: list[str],
-    cluster_files: list[str],
-    log: list[str],
-    threshold: float,
-    n_pieces: int,
-    *refs,
-):
+def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int, *refs):
     """Verify task q: candidate pair pieces whose ``b`` is in shard q,
     plus the batch signatures -> the pairs with ``est_sim >=
     threshold``, each stored ``b`` resolved to its current cluster;
-    and a stats dict (pairs kept, signature files opened, stored bytes
-    read). Reads only the needed rows of shard q."""
-    stats = {"verified": 0, "sig_files_read": 0, "bytes": 0}
+    and a stats dict (pairs kept, signature files consulted, the
+    ``_new_stats`` read counters). Stored signatures and clusters are
+    looked up by binary search in the resident files of shard q (the
+    three file arguments are ``_listing``s)."""
+    stats = {**_new_stats(), "verified": 0, "sig_files_read": 0}
     pairs = _concat(refs[:n_pieces])
     if pairs is None:
         return _VERIFIED.empty_table(), stats
@@ -635,13 +795,16 @@ def _verify_shard(
     _, b_new = lookup_sorted(ids[order], b)
     need = np.unique(b[~b_new])
     if len(need):
-        st = _read_files(sig_files, ["doc_id", "sig"], need)
-        stats["sig_files_read"] = len(sig_files)
-        stats["bytes"] += _nbytes(sig_files)
-        if st is not None and st.num_rows:
-            ids = np.concatenate([ids, st["doc_id"].to_numpy().astype(np.int64)])
-            mat = np.concatenate([mat, sig_from_arrow(st["sig"])])
-            order = np.argsort(ids)
+        files = _visit(sig_files)
+        stats["sig_files_read"] = len(files)
+        all_ids, all_mat = [ids], [mat]
+        for f in files:
+            sids, smat = _resident(f, _decode_signatures, stats)
+            pos, found = lookup_sorted(sids, need)
+            all_ids.append(sids[pos[found]])
+            all_mat.append(smat[pos[found]])
+        ids, mat = np.concatenate(all_ids), np.concatenate(all_mat)
+        order = np.argsort(ids)
     ids_s, mat_s = ids[order], mat[order]
     pa_, fa = lookup_sorted(ids_s, a)
     pb, fb = lookup_sorted(ids_s, b)
@@ -651,10 +814,8 @@ def _verify_shard(
     label, dup = b.copy(), np.zeros(len(b), dtype=bool)
     want = np.unique(b[stored])
     if len(want):
-        cl = _read_files(cluster_files, ["doc_id", "cluster_id", "is_dup"], want)
-        stats["bytes"] += _nbytes(cluster_files) + _nbytes(log)
-        if cl is not None and cl.num_rows:
-            cl = resolve_clusters(cl, *load_log(log))
+        cl = _stored_clusters(cluster_files, log, stats, want)
+        if cl.num_rows:
             cid = cl["doc_id"].to_numpy()
             o = np.argsort(cid)
             pos, found = lookup_sorted(cid[o], b)
@@ -704,17 +865,17 @@ def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
     probe = _probe_shard.options(num_returns=shards + 1)
     probes = [
         probe.remote(
-            shard_files(ckpt_root, "bands", p), cfg.bucket_cap, extend, shards,
+            _listing(_shard_dir(ckpt_root, "bands", p)), cfg.bucket_cap, extend, shards,
             *band_pieces[p],
         )
         for p in range(shards)
     ]
     done("band_stage", [r for pr in probes for r in pr])
-    log = log_files(ckpt_root)
+    log = _listing(_log_dir(ckpt_root))
     verifies = [
         _verify_shard.remote(
-            shard_files(ckpt_root, "signatures", q),
-            shard_files(ckpt_root, "clusters", q),
+            _listing(_shard_dir(ckpt_root, "signatures", q)),
+            _listing(_shard_dir(ckpt_root, "clusters", q)),
             log,
             cfg.verify_threshold,
             shards,
@@ -806,6 +967,9 @@ def query_against_index(
                 len(shard_files(ckpt_root, "signatures", p)) for p in range(shards)
             ),
             stored_bytes_read=sum(s["bytes"] for s in pstats + vstats),
+            files_decoded=sum(s["files_decoded"] for s in pstats + vstats),
+            bytes_decoded=sum(s["bytes_decoded"] for s in pstats + vstats),
+            worker_pids=sorted({s["pid"] for s in pstats + vstats}),
             status=status,
         )
     except OSError:

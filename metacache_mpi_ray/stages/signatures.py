@@ -58,9 +58,9 @@ def oph_minhash_from_shingles(
     """One-permutation hashing (Li, Owen, Zhang 2012) with rotation
     densification (Shrivastava & Li 2014): shingles land in
     ``n_bins`` bins by their top hash bits; the signature is the min
-    hash value per bin, empty bins borrow circularly from the next
-    filled bin. ONE O(M log M) pass over the shingle stream instead of
-    n_perms passes — the at-scale scheme. Requires fmix-finalized
+    hash value per bin, an empty bin takes the value of the nearest
+    filled bin to its left, circularly. ONE O(M log M) pass over the
+    shingle stream instead of n_perms passes — the at-scale scheme. Requires fmix-finalized
     (uniform) hashes; n_bins must be a power of two.
     """
     n = len(offsets) - 1
@@ -73,18 +73,17 @@ def oph_minhash_from_shingles(
     bins = (hashes >> shift).astype(np.int64)
     key = doc_idx * n_bins + bins
     np.minimum.at(sig.reshape(-1), key, hashes)  # vectorized scatter-min
-    # rotation densification: empty bin j takes the value of the next
-    # filled bin to its left, circularly (two ffill sweeps over columns)
-    SENT = np.iinfo(np.uint64).max
-    for _sweep in range(2):
-        prev = sig[:, -1].copy()
-        for j in range(n_bins):
-            col = sig[:, j]
-            empty = col == SENT
-            if empty.any():
-                col[empty] = prev[empty]
-            prev = col
-    return sig
+    # rotation densification: over the doubled column range, a running
+    # max of "own index if filled" finds the nearest filled bin to the
+    # left of every column at once (a row with no filled bin keeps the
+    # sentinel)
+    filled = sig != np.iinfo(np.uint64).max
+    if filled.all():
+        return sig
+    cols = np.arange(2 * n_bins, dtype=np.int64)
+    src = np.where(np.tile(filled, 2), cols, -1)
+    src = np.maximum.accumulate(src, axis=1)[:, n_bins:] % n_bins
+    return np.take_along_axis(sig, src, axis=1)
 
 
 def minhash_matrix(

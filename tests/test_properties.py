@@ -34,6 +34,64 @@ def test_normalize_arrow_matches_python(vals):
     assert got == [normalize_text_py(v) for v in vals[len(vals) // 2 :]]
 
 
+def _oph_two_sweeps(hashes, offsets, n_bins):
+    """The two-sweep reference of OPH rotation densification."""
+    from metacache_mpi_ray.stages.signatures import U64
+
+    n = len(offsets) - 1
+    sent = np.iinfo(np.uint64).max
+    sig = np.full((n, n_bins), sent, dtype=U64)
+    if n == 0 or len(hashes) == 0:
+        return sig
+    doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    bins = (hashes >> U64(64 - int(n_bins).bit_length() + 1)).astype(np.int64)
+    np.minimum.at(sig.reshape(-1), doc_idx * n_bins + bins, hashes)
+    for _sweep in range(2):
+        prev = sig[:, -1].copy()
+        for j in range(n_bins):
+            col = sig[:, j]
+            empty = col == sent
+            col[empty] = prev[empty]
+            prev = col
+    return sig
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.text(max_size=40)), max_size=30),
+    st.integers(0, 10),
+    st.sampled_from([8, 128]),
+    st.integers(1, 9),
+)
+def test_oph_densification_matches_two_sweeps(vals, cut, n_bins, k):
+    """Arrow string arrays with nulls, slices and rows shorter than k,
+    signed through the production shingle hasher: the vectorized
+    densification equals the two-sweep reference bit for bit."""
+    from metacache_mpi_ray.functions.hashing import (
+        arrow_string_buffer,
+        shingle_hashes_from_buffer,
+    )
+    from metacache_mpi_ray.stages.signatures import oph_minhash_from_shingles
+
+    col = pa.array(vals, type=pa.string()).slice(min(cut, len(vals)))
+    hashes, offsets = shingle_hashes_from_buffer(*arrow_string_buffer(col), k, 7)
+    got = oph_minhash_from_shingles(hashes, offsets, n_bins)
+    assert np.array_equal(got, _oph_two_sweeps(hashes, offsets, n_bins))
+
+
+def test_oph_densification_keeps_empty_rows_and_fills_circularly():
+    from metacache_mpi_ray.stages.signatures import oph_minhash_from_shingles
+
+    rng = np.random.default_rng(3)
+    for n_bins in (8, 128):
+        for _ in range(200):
+            counts = rng.integers(0, 12, rng.integers(1, 20))  # rows with 0 shingles
+            offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            hashes = rng.integers(0, 2**63, offsets[-1], dtype=np.uint64) << np.uint64(1)
+            got = oph_minhash_from_shingles(hashes, offsets, n_bins)
+            assert np.array_equal(got, _oph_two_sweeps(hashes, offsets, n_bins))
+
+
 @settings(max_examples=60, deadline=None)
 @given(texts)
 def test_arrow_string_buffer_roundtrip(vals):

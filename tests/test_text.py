@@ -38,6 +38,25 @@ def test_arrow_and_py_normalization_agree():
     assert arrow == [normalize_text_py(s) for s in samples]
 
 
+def test_normalization_special_casing_follows_arrow():
+    """norm-v1 is the Arrow kernel's per-code-point lowercase: U+0130
+    becomes plain 'i' and capital sigma is always 'σ', never the
+    word-final 'ς' of Python's str.lower."""
+    samples = ["İ", "ΣΑΣ", "ΌΣ", "ẞ", "İstanbul ΣΟΦΟΣ"]
+    want = ["i", "σασ", "όσ", "ß", "istanbul σοφοσ"]
+    assert normalize_text_arrow(pa.array(samples)).to_pylist() == want
+    assert [normalize_text_py(s) for s in samples] == want
+
+
+def test_normalization_agrees_on_every_code_point():
+    vals = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    got = normalize_text_arrow(pa.array(vals, type=pa.string()))
+    want = pa.array([normalize_text_py(v) for v in vals], type=pa.string())
+    if not got.equals(want):
+        bad = [hex(ord(v)) for v, g, w in zip(vals, got.to_pylist(), want.to_pylist()) if g != w]
+        raise AssertionError(f"{len(bad)} code points differ: {bad[:20]}")
+
+
 def test_resolve_text_fills_null_from_html():
     batch = pa.table(
         {

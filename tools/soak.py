@@ -12,9 +12,11 @@ Phases (each timed, probes before/after the suite):
      re-run build_index — only that stage and its dependents recompute
      (resume evidence at soak scale, r3 verdict item 5)
   3. warm full resume (everything cached) — should be ~seconds
-  4. query_against_index of a 10% batch (50% copies / 50% fresh),
-     reporting the telemetry row incl. sig_files_read vs total
-     (signature shards opened by the verify tasks)
+  4. query_against_index of a 10% batch (50% copies / 50% fresh), run
+     twice: cold, then warm (the workers keep the index files the cold
+     run decoded). Reports each run's telemetry row incl. sig_files_read
+     vs total (signature shards consulted by the verify tasks) and
+     files_decoded / bytes_decoded (files read from disk)
 """
 import json
 import os
@@ -122,26 +124,24 @@ batch = pa.table(
 )
 from metacache_mpi_ray.stages.ingest import ingest_documents  # noqa: E402
 
-t0 = time.perf_counter()
-res = query_against_index(
-    ingest_documents(rd.from_arrow(batch).repartition(16)),
-    root,
-    num_partitions=num_partitions,
-).to_pandas()
-out["query_sec"] = round(time.perf_counter() - t0, 2)
-out["query_rows"] = len(res)
-out["query_matched"] = int(res["matched"].sum())
-
-# pruning telemetry from the probe's metrics row
-with open(os.path.join(root, "metrics.jsonl")) as f:
-    rows = [json.loads(l) for l in f if '"query_probe"' in l]
-out["probe_telemetry"] = {
-    k: rows[-1][k]
-    for k in (
-        "n_candidate_pairs", "n_verified", "n_matched_new_docs",
-        "sig_files_read", "sig_files_total", "stored_bytes_read", "status",
-    )
-}
+docs_q = ingest_documents(rd.from_arrow(batch).repartition(16))
+for run in ("cold", "warm"):
+    t0 = time.perf_counter()
+    res = query_against_index(docs_q, root, num_partitions=num_partitions).to_pandas()
+    out[f"query_{run}_sec"] = round(time.perf_counter() - t0, 2)
+    out["query_rows"] = len(res)
+    out["query_matched"] = int(res["matched"].sum())
+    # pruning and decode telemetry from the probe's metrics row
+    with open(os.path.join(root, "metrics.jsonl")) as f:
+        rows = [json.loads(l) for l in f if '"query_probe"' in l]
+    out[f"probe_telemetry_{run}"] = {
+        k: rows[-1][k]
+        for k in (
+            "n_candidate_pairs", "n_verified", "n_matched_new_docs",
+            "sig_files_read", "sig_files_total", "files_decoded",
+            "bytes_decoded", "stored_bytes_read", "status",
+        )
+    }
 out["probe_end"] = round(_cpu_probe(), 3)
 print(json.dumps(out))
 ray.shutdown()
