@@ -192,29 +192,52 @@ def arrow_string_buffer(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data, offs[:-1].astype(np.int64), offs[1:].astype(np.int64)
 
 
-def _window_prefix(data: np.ndarray, seed: int):
-    """Shared prefix machinery: S, pows^-1 getter for position-normalized
-    polynomial hashing over the whole buffer."""
+def _span_prefix(span: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+    """(S, B^-1) for position-normalized polynomial hashing over ``span``:
+    S[0] = 0, S[i+1] = S[i] + (span[i]+1) * B^i, built in one array."""
     b, binv = _shingle_base(seed)
+    prefix = np.empty(len(span) + 1, dtype=U64)
+    prefix[0] = 0
+    terms = prefix[1:]
     with np.errstate(over="ignore"):
-        pows = _pow_seq(b, len(data))
-        terms = (data.astype(U64) + U64(1)) * pows
-        prefix = np.concatenate([np.zeros(1, dtype=U64), np.cumsum(terms, dtype=U64)])
+        np.add(span, U64(1), out=terms, dtype=U64)
+        np.multiply(terms, _pow_seq(b, len(span)), out=terms)
+        np.cumsum(terms, out=terms)
     return prefix, binv
+
+
+def _whole_hashes(prefix: np.ndarray, binv: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whole-text hash of the rows ``[s, e)`` of a ``_span_prefix`` span:
+    the full-string polynomial, the length folded in (so "a" vs
+    "a\0"-style prefixes differ), fmix64."""
+    inv = _pow_seq(binv, int(s.max()) + 1 if len(s) else 1)
+    with np.errstate(over="ignore"):
+        vals = (prefix[e] - prefix[s]) * inv[s]
+        vals ^= splitmix64((e - s).astype(U64))
+    return murmur3_fmix64(vals)
+
+
+def _fmix64_inplace(z: np.ndarray) -> None:
+    """``z = murmur3_fmix64(z)`` in place, with one scratch array."""
+    tmp = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        for m in (_FM_M1, _FM_M2):
+            z ^= np.right_shift(z, _S33, out=tmp)
+            z *= m
+        z ^= np.right_shift(z, _S33, out=tmp)
 
 
 def doc_hashes_from_buffer(
     data: np.ndarray, starts: np.ndarray, ends: np.ndarray, seed: int = 0
 ) -> np.ndarray:
     """One u64 content hash per row (full-string polynomial + fmix),
-    fully vectorized over the shared buffer."""
-    prefix, binv = _window_prefix(data, seed)
-    inv = _pow_seq(binv, int(starts.max()) + 1 if len(starts) else 1)
-    with np.errstate(over="ignore"):
-        vals = (prefix[ends] - prefix[starts]) * inv[starts]
-        # fold in the length so "a" vs "a\0"-style prefixes differ
-        vals ^= splitmix64((ends - starts).astype(U64))
-    return murmur3_fmix64(vals)
+    from one prefix over the rows' byte span ``[min(starts), max(ends))``
+    only: a sliced Arrow array never hashes its parent's other bytes."""
+    if len(starts) == 0:
+        return np.empty(0, dtype=U64)
+    lo = int(starts.min())
+    prefix, binv = _span_prefix(data[lo : int(ends.max())], seed)
+    return _whole_hashes(prefix, binv, starts - lo, ends - lo)
 
 
 def shingle_hashes_from_buffer(
@@ -230,40 +253,41 @@ def shingle_hashes_from_buffer(
 
     Same output contract as concat_shingle_hashes: (hashes, offsets)
     with >=1 shingle per row (whole-string hash fallback for short
-    rows). One prefix-sum pass over the shared buffer; windows spanning
-    row boundaries masked out by the per-row gather.
+    rows). The rows must be contiguous (``starts[1:] == ends[:-1]``, as
+    Arrow offsets are): every k-byte window of their span
+    ``[starts[0], ends[-1])`` is hashed once, in place, then the
+    windows that cross a row end are dropped; short rows' whole-text
+    hashes come from the same prefix.
     """
     nrows = len(starts)
     if nrows == 0:
         return np.empty(0, dtype=U64), np.zeros(1, dtype=np.int64)
-    prefix, binv = _window_prefix(data, seed)
-    maxpos = int(len(data))
-    inv = _pow_seq(binv, max(maxpos - k + 2, int(starts.max()) + 1, 1))
+    if not np.array_equal(starts[1:], ends[:-1]):
+        raise ValueError("shingle_hashes_from_buffer needs contiguous rows")
+    lo = int(starts[0])
+    prefix, binv = _span_prefix(data[lo : int(ends[-1])], seed)
+    s, e = starts - lo, ends - lo
+    nw = max(len(prefix) - k, 0)  # windows in the span
+    with np.errstate(over="ignore"):
+        vals = prefix[k:] - prefix[:nw]
+        np.multiply(vals, _pow_seq(binv, nw), out=vals)
+    if finalize:
+        _fmix64_inplace(vals)
+    # window starts in [max(s, e-k+1), e) cross row r's end
+    keep = np.ones(nw, dtype=bool)
+    cross = e[:, None] - k + 1 + np.arange(k - 1)
+    keep[cross[(cross >= s[:, None]) & (cross < nw)]] = False
 
-    lens = ends - starts
-    n_shingles = np.maximum(lens - k + 1, 0)
-    out_counts = np.where(n_shingles > 0, n_shingles, 1)
-    offsets = np.concatenate([[0], np.cumsum(out_counts)])
+    n_shingles = np.maximum(e - s - k + 1, 0)
+    short = np.flatnonzero(n_shingles == 0)
+    if len(short) == 0:
+        return vals[keep], np.concatenate([[0], np.cumsum(n_shingles)])
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(n_shingles, 1))])
     out = np.empty(offsets[-1], dtype=U64)
-
-    has = n_shingles > 0
-    if has.any():
-        ns = n_shingles[has]
-        row_idx = np.flatnonzero(has)
-        doc_idx = np.repeat(row_idx, ns)
-        seg_start = np.concatenate([[0], np.cumsum(ns)[:-1]])
-        within = np.arange(int(ns.sum())) - np.repeat(seg_start, ns)
-        src = starts[doc_idx] + within                      # absolute window starts
-        with np.errstate(over="ignore"):
-            vals = (prefix[src + k] - prefix[src]) * inv[src]
-        if finalize:
-            vals = murmur3_fmix64(vals)
-        dst = offsets[:-1][doc_idx] + within
-        out[dst] = vals
-    if (~has).any():
-        short = np.flatnonzero(~has)
-        dh = doc_hashes_from_buffer(data, starts[short], ends[short], seed)
-        out[offsets[:-1][short]] = dh
+    fill = np.ones(len(out), dtype=bool)
+    fill[offsets[short]] = False
+    out[fill] = vals[keep]
+    out[offsets[short]] = _whole_hashes(prefix, binv, s[short], e[short])
     return out, offsets
 
 

@@ -67,16 +67,13 @@ def extract_text_html_arrow(col: pa.Array | pa.ChunkedArray):
     return pc.utf8_trim(s, characters=" \t\r\n\f\v")
 
 
-# the bytes RE2's \s matches: [\t\n\f\r ] (no \v). No byte of a multi-byte
-# UTF-8 sequence is below 0x80, so a byte-level collapse is exact.
-_WS_BYTE = np.zeros(256, dtype=bool)
-_WS_BYTE[[0x09, 0x0A, 0x0C, 0x0D, 0x20]] = True
-
-
 def _collapse_ws_array(arr: pa.Array) -> pa.Array:
-    """Each run of ``_WS_BYTE`` bytes in a row -> one space, in one pass
+    """Each run of whitespace bytes in a row -> one space, in one pass
     over the array's value bytes; the validity bitmap is kept and a
-    sliced array reads only its own rows."""
+    sliced array reads only its own rows. Whitespace is the set RE2's
+    \\s matches, ``[\\t\\n\\f\\r ]`` (no \\v), found with u8 compares;
+    no byte of a multi-byte UTF-8 sequence is below 0x80, so a
+    byte-level collapse is exact."""
     n = len(arr)
     if n == 0:
         return arr
@@ -87,7 +84,8 @@ def _collapse_ws_array(arr: pa.Array) -> pa.Array:
     buf = arr.buffers()[2]
     data = np.frombuffer(buf, dtype=np.uint8)[lo:hi] if buf else np.empty(0, dtype=np.uint8)
     offs -= lo
-    ws = _WS_BYTE[data]
+    d9 = data - np.uint8(9)  # \t \n \v \f \r -> 0..4
+    ws = ((d9 < 5) & (d9 != 2)) | (data == 32)
     # a whitespace byte that follows another of its own row is dropped
     drop = np.zeros(len(data), dtype=bool)
     drop[1:] = ws[1:] & ws[:-1]

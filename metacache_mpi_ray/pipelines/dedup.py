@@ -12,8 +12,9 @@ pass. With P = ``num_partitions``, every split below is
 
 1. sign, one task per non-empty docs block, submitted as the block
    arrives (``banding.sign_split``, the daily batch's sign task): MinHash
-   in 128-row slices, band keys folded to ``bkey``; band rows split by
-   the shard of ``bkey``, signature rows by the shard of ``doc_id``;
+   in slices of about ``signatures.SIGN_SLICE_BYTES`` of text, band keys
+   folded to ``bkey``; band rows split by the shard of ``bkey``,
+   signature rows by the shard of ``doc_id``;
 2. bucket task p: every bucket of band shard p is whole, so the star
    kernel ``candidates.star_edges`` (capped at ``cfg.bucket_cap``)
    runs as in ``bucket_edges``; distinct pairs split by the shard of ``a``;

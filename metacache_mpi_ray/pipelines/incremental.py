@@ -316,11 +316,17 @@ def _write_shard_task(path: str, t: pa.Table) -> None:
 def _sharded_stage(ckpt_root, stage, compute, key: str, shards: int):
     """checkpointed_stage for a sharded stage: ONE ``hash_exchange`` of
     ``compute()`` on ``key`` puts partition p's rows in
-    ``<stage>/<p>/part-0.parquet`` (band shards sorted by ``bkey``)."""
+    ``<stage>/<p>/part-0.parquet``, sorted by ``key`` and then by every
+    other flat column (bands by ``(bkey, doc_id)``) into one contiguous
+    table, so the same input writes the same bytes whatever order its
+    blocks arrive in."""
 
     def write(tmp: str) -> None:
         def reduce(t: pa.Table) -> pa.Table:
-            return t.sort_by(key) if key == "bkey" and t.num_columns else t
+            if not t.num_columns:
+                return t
+            flat = [f.name for f in t.schema if f.name != key and not pa.types.is_nested(f.type)]
+            return t.sort_by([(c, "ascending") for c in [key, *flat]]).combine_chunks()
 
         parts = hash_exchange(compute(), [key], reduce, num_partitions=shards)
         ray.get(

@@ -26,11 +26,6 @@ from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
 from metacache_mpi_ray.stages.candidates import _combine_keys
 from metacache_mpi_ray.stages.signatures import MinHashSigner, sig_from_arrow
 
-# rows per signing slice: the shingle-hash and permutation buffers of
-# one slice stay cache-sized (the flagship's former map_batches size)
-SIGN_SLICE = 128
-
-
 def band_hashes(sig: np.ndarray, cfg: DedupConfig) -> np.ndarray:
     """(n, n_perms) signature matrix -> (n, n_bands) u64 band hashes.
 
@@ -92,14 +87,11 @@ def sign_split(block, cfg: DedupConfig, shards: int, whole: bool):
     block -> its band rows split by the shard of ``bkey``, then its
     signature rows split by the shard of ``doc_id`` (``shards`` pieces
     each), preceded by the block's whole signature table when ``whole``.
-    Signs in ``SIGN_SLICE``-row slices."""
+    One ``MinHashSigner`` call signs the block (it slices by bytes)."""
     from ray.data.block import BlockAccessor
 
     t = BlockAccessor.for_block(block).to_arrow()
-    signer = MinHashSigner(cfg)
-    sig = pa.concat_tables(
-        [signer(t.slice(i, SIGN_SLICE)) for i in range(0, t.num_rows, SIGN_SLICE)]
-    ).combine_chunks()
+    sig = MinHashSigner(cfg)(t).combine_chunks()
     bands = split_by_key(band_key_rows(sig, cfg), ["bkey"], shards)
     pieces = (*bands, *split_by_key(sig, ["doc_id"], shards))
     return (sig, *pieces) if whole else pieces

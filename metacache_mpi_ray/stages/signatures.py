@@ -2,15 +2,17 @@
 
 Reference: per-window bottom-s sketch of canonical k-mer hashes
 (/root/reference/src/hash_dna.h:104-152, k=16 / sketchlen=16,
-mode_build.cpp:65-68). Here: per-document 128-permutation MinHash over
-char-16-gram shingle hashes of norm-v1 text, computed fully vectorized
-across the whole batch:
+mode_build.cpp:65-68). Here: per-document MinHash over char-16-gram
+shingle hashes of norm-v1 text, one vectorized pass per slice of about
+``SIGN_SLICE_BYTES`` of text (``MinHashSigner``):
 
-  1. concatenate all docs' bytes, hash every 16-byte window in one
-     sliding-window pass (functions/hashing.concat_shingle_hashes);
-  2. for each permutation p: vals = a_p * h + b_p (u64 wraparound),
-     sig[:, p] = np.minimum.reduceat(vals, doc_offsets)  — one
-     vectorized pass over ALL shingles in the batch per permutation.
+  1. ``functions/hashing.shingle_hashes_from_buffer`` hashes every
+     16-byte window of the slice's contiguous byte span once, then
+     drops the windows that cross a row end;
+  2. OPH (``oph_minhash_from_shingles``, the default scheme) scatters
+     each shingle into the bin of its top bits and densifies the rows
+     with an empty bin; ``"kperm"`` runs one ``np.minimum.reduceat``
+     pass per affine permutation (``minhash_from_shingles``).
 
 Duplicate shingles need no dedup for plain min-hash (min over a
 multiset equals min over its set), unlike the reference's bottom-s
@@ -28,8 +30,9 @@ import pyarrow as pa
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.hashing import (
     U64,
-    concat_shingle_hashes,
+    arrow_string_buffer,
     minhash_perm_constants,
+    shingle_hashes_from_buffer,
 )
 
 
@@ -64,45 +67,54 @@ def oph_minhash_from_shingles(
     (uniform) hashes; n_bins must be a power of two.
     """
     n = len(offsets) - 1
-    shift = U64(64 - int(n_bins).bit_length() + 1)
+    lg = int(n_bins).bit_length() - 1
     sig = np.full((n, n_bins), np.iinfo(np.uint64).max, dtype=U64)
     if n == 0 or len(hashes) == 0:
         return sig
-    counts = np.diff(offsets)
-    doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    bins = (hashes >> shift).astype(np.int64)
-    key = doc_idx * n_bins + bins
+    key = (hashes >> U64(64 - lg)).view(np.int64)
+    key += np.repeat(np.arange(n, dtype=np.int64) << lg, np.diff(offsets))
     np.minimum.at(sig.reshape(-1), key, hashes)  # vectorized scatter-min
-    # rotation densification: over the doubled column range, a running
-    # max of "own index if filled" finds the nearest filled bin to the
-    # left of every column at once (a row with no filled bin keeps the
-    # sentinel)
+    # rotation densification of the rows with an empty bin: over the
+    # doubled column range, a running max of "own index if filled" finds
+    # the nearest filled bin to the left of every column at once (a row
+    # with no filled bin keeps the sentinel)
     filled = sig != np.iinfo(np.uint64).max
-    if filled.all():
+    rows = np.flatnonzero(~filled.all(axis=1))
+    if len(rows) == 0:
         return sig
     cols = np.arange(2 * n_bins, dtype=np.int64)
-    src = np.where(np.tile(filled, 2), cols, -1)
+    src = np.where(np.tile(filled[rows], 2), cols, -1)
     src = np.maximum.accumulate(src, axis=1)[:, n_bins:] % n_bins
-    return np.take_along_axis(sig, src, axis=1)
+    sig[rows] = np.take_along_axis(sig[rows], src, axis=1)
+    return sig
+
+
+def sign_rows(data, starts, ends, cfg: DedupConfig, a, b) -> np.ndarray:
+    """(nrows, n_perms) u64 signatures of the contiguous rows
+    ``[starts, ends)`` of one byte buffer."""
+    if cfg.minhash_scheme == "oph":
+        hashes, offsets = shingle_hashes_from_buffer(
+            data, starts, ends, cfg.shingle_k, cfg.seed
+        )
+        return oph_minhash_from_shingles(hashes, offsets, cfg.n_perms)
+    # fmix finalization skipped: the (a*h+b) permutations are the
+    # dispersal step, and fmix is a bijection (same Jaccard structure)
+    hashes, offsets = shingle_hashes_from_buffer(
+        data, starts, ends, cfg.shingle_k, cfg.seed, finalize=False
+    )
+    return minhash_from_shingles(hashes, offsets, cfg.n_perms, a, b)
 
 
 def minhash_matrix(
     texts: list[bytes], cfg: DedupConfig, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """(ndocs, n_perms) u64 signature matrix for a batch of documents
-    (list-of-bytes reference path; the hot path feeds Arrow buffers to
-    the same kernels — both produce identical values)."""
-    if len(texts) == 0:
-        return np.empty((0, cfg.n_perms), dtype=U64)
-    if cfg.minhash_scheme == "oph":
-        hashes, offsets = concat_shingle_hashes(texts, cfg.shingle_k, cfg.seed)
-        return oph_minhash_from_shingles(hashes, offsets, cfg.n_perms)
-    # fmix finalization skipped: the (a*h+b) permutations are the
-    # dispersal step, and fmix is a bijection (same Jaccard structure)
-    hashes, offsets = concat_shingle_hashes(
-        texts, cfg.shingle_k, cfg.seed, finalize=False
-    )
-    return minhash_from_shingles(hashes, offsets, cfg.n_perms, a, b)
+    """(ndocs, n_perms) u64 signature matrix for a list of documents
+    (the reference path; ``MinHashSigner`` signs Arrow buffers with the
+    same kernels)."""
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    ends = np.cumsum(lens)
+    data = np.frombuffer(b"".join(texts), dtype=np.uint8)
+    return sign_rows(data, ends - lens, ends, cfg, a, b)
 
 
 _MODP = 1_000_000_007
@@ -133,7 +145,6 @@ def token_modp_signature_batch(
     exploded for order-insensitive value hashing."""
     import pyarrow.compute as pc
 
-    from metacache_mpi_ray.functions.hashing import arrow_string_buffer
     from metacache_mpi_ray.stages.textstats import modp_poly_hash
 
     toks = pc.split_pattern(batch["text"], " ")
@@ -189,12 +200,31 @@ def signature_schema(n_perms: int) -> pa.Schema:
     )
 
 
+#: norm_text bytes per signing slice: the shingle-hash and OPH buffers
+#: of one slice stay cache-sized (a row larger than this is its own slice)
+SIGN_SLICE_BYTES = 256 << 10
+
+
+def sign_slices(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges ``[i, j)`` of at most ``SIGN_SLICE_BYTES`` of text each
+    (or one row, when that row alone is larger), cut by ``searchsorted``
+    over the row ends."""
+    cuts = [0]
+    while cuts[-1] < len(starts):
+        i = cuts[-1]
+        j = int(np.searchsorted(ends, starts[i] + SIGN_SLICE_BYTES, side="right"))
+        cuts.append(max(j, i + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
 class MinHashSigner:
     """docs batch -> (doc_id, text_hash, n_chars, sig).
 
-    Permutation constants are derived once per signer from cfg.seed, so
-    every signer produces identical signatures for identical text
-    (determinism invariant, SURVEY.md §2.9).
+    Signs the batch in slices of about ``SIGN_SLICE_BYTES`` of
+    ``norm_text``, cut at row boundaries. Permutation constants are
+    derived once per signer from cfg.seed, so every signer produces
+    identical signatures for identical text (determinism invariant,
+    SURVEY.md §2.9).
     """
 
     def __init__(self, cfg: DedupConfig | None = None):
@@ -202,25 +232,15 @@ class MinHashSigner:
         self.a, self.b = minhash_perm_constants(self.cfg.n_perms, self.cfg.seed)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from metacache_mpi_ray.functions.hashing import (
-            arrow_string_buffer,
-            shingle_hashes_from_buffer,
-        )
-
         # zero-copy: hash straight out of the Arrow string buffer
         data, starts, ends = arrow_string_buffer(batch["norm_text"])
-        if self.cfg.minhash_scheme == "oph":
-            hashes, offsets = shingle_hashes_from_buffer(
-                data, starts, ends, self.cfg.shingle_k, self.cfg.seed
-            )
-            sig = oph_minhash_from_shingles(hashes, offsets, self.cfg.n_perms)
-        else:
-            hashes, offsets = shingle_hashes_from_buffer(
-                data, starts, ends, self.cfg.shingle_k, self.cfg.seed, finalize=False
-            )
-            sig = minhash_from_shingles(
-                hashes, offsets, self.cfg.n_perms, self.a, self.b
-            )
+        sig = np.concatenate(
+            [
+                sign_rows(data, starts[i:j], ends[i:j], self.cfg, self.a, self.b)
+                for i, j in sign_slices(starts, ends)
+            ]
+            or [np.empty((0, self.cfg.n_perms), dtype=U64)]
+        )
         return pa.table(
             {
                 "doc_id": batch["doc_id"],

@@ -95,15 +95,15 @@ def anchor_rows(
         empty = pa.table(cols)
         if not long_enough.any():
             return empty
-        h, offsets = shingle_hashes_from_buffer(
-            data, starts[long_enough], ends[long_enough], L, cfg.seed + 1
-        )
+        h, offsets = shingle_hashes_from_buffer(data, starts, ends, L, cfg.seed + 1)
+        # a row shorter than L has no anchor: drop its whole-text hash
         counts = np.diff(offsets)
-        row_idx = np.flatnonzero(long_enough)
-        src_row = np.repeat(row_idx, counts)
+        h = h[np.repeat(long_enough, counts)]
+        counts = np.where(long_enough, counts, 0)
+        src_row = np.repeat(np.arange(len(ids)), counts)
         doc_of = ids[src_row]
         pos_all = (
-            np.arange(len(h), dtype=np.int64) - np.repeat(offsets[:-1], counts)
+            np.arange(len(h), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
             if include_pos
             else None
         )

@@ -95,3 +95,39 @@ def test_hash_str_column_stable():
     assert (h1 == h2).all()
     assert h1[0] == h1[2] and h1[0] != h1[1]
     assert (hash_str_column(["a"], seed=5) != hash_str_column(["a"], seed=6)).all()
+
+
+def test_signer_byte_slices_equal_per_row_signing(monkeypatch):
+    """Cutting a batch into byte-budget slices (a row over the budget, a
+    batch of rows all shorter than k, an empty batch, many cuts) signs
+    every row as if it were signed alone."""
+    import pyarrow as pa
+
+    from metacache_mpi_ray.stages import signatures
+
+    monkeypatch.setattr(signatures, "SIGN_SLICE_BYTES", 40)
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "eps", ""]
+    long_rows = [" ".join(rng.choice(words, int(rng.integers(0, 30)))) for _ in range(40)]
+    batches = [
+        long_rows + ["x" * 500] + long_rows[:5],  # one row over the budget
+        ["ab", "", "c", "defg"] * 10,             # every row shorter than k
+        [],
+    ]
+    for scheme in ("oph", "kperm"):
+        cfg = DedupConfig(minhash_scheme=scheme)
+        signer = signatures.MinHashSigner(cfg)
+        for texts in batches:
+            n = len(texts)
+            batch = pa.table(
+                {
+                    "doc_id": pa.array(np.arange(n), type=pa.int64()),
+                    "text_hash": pa.array(np.zeros(n, dtype=np.int64)),
+                    "n_chars": pa.array(np.zeros(n, dtype=np.int64)),
+                    "norm_text": pa.array(texts, type=pa.string()),
+                }
+            )
+            got = sig_from_arrow(signer(batch)["sig"])
+            want = [minhash_matrix([t.encode()], cfg, signer.a, signer.b) for t in texts]
+            assert got.shape == (n, cfg.n_perms)
+            assert np.array_equal(got, np.concatenate(want) if want else got[:0])

@@ -134,6 +134,70 @@ def test_shingle_buffer_matches_per_doc_rolling(docs, k):
             assert len(got) == 1
 
 
+rows = st.lists(st.one_of(st.none(), st.text(max_size=40)), max_size=30)
+
+
+def _string_array(vals, large: bool, cut: int, length: int):
+    """``vals`` as an Arrow (large_)string array, sliced at ``cut``."""
+    col = pa.array(vals, type=pa.large_string() if large else pa.string())
+    return col.slice(min(cut, len(vals)), length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows, st.booleans(), st.integers(0, 10), st.integers(0, 30),
+       st.sampled_from([1, 2, 16]), st.booleans())
+def test_span_hasher_matches_per_row_rolling(vals, large, cut, length, k, finalize):
+    """The span hasher over (large_)string arrays with nulls, slices,
+    empty rows and rows shorter than k equals per-row rolling hashing,
+    and a short row's one value is its whole-text hash."""
+    from metacache_mpi_ray.functions.hashing import (
+        U64,
+        arrow_string_buffer,
+        murmur3_fmix64,
+        rolling_shingle_hashes,
+        shingle_hashes_from_buffer,
+        splitmix64,
+    )
+
+    col = _string_array(vals, large, cut, length)
+    data, starts, ends = arrow_string_buffer(col)
+    hashes, offsets = shingle_hashes_from_buffer(data, starts, ends, k, 5, finalize=finalize)
+    assert len(offsets) == len(col) + 1 and offsets[-1] == len(hashes)
+    for i in range(len(col)):
+        row = data[starts[i] : ends[i]]
+        if len(row) >= k:
+            want = rolling_shingle_hashes(row, k, 5, finalize=finalize)
+        else:  # the whole-row polynomial, its length folded in, fmix64
+            whole = rolling_shingle_hashes(row, len(row), 5, finalize=False)
+            want = murmur3_fmix64(whole ^ splitmix64(U64(len(row))))
+        assert np.array_equal(hashes[offsets[i] : offsets[i + 1]], want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows, st.booleans(), st.integers(0, 10), st.integers(0, 30))
+def test_doc_hashes_of_a_slice_equal_a_copy(vals, large, cut, length):
+    from metacache_mpi_ray.functions.hashing import (
+        arrow_string_buffer,
+        doc_hashes_from_buffer,
+    )
+
+    col = _string_array(vals, large, cut, length)
+    copy = pa.array(col.to_pylist(), type=col.type)
+    got = doc_hashes_from_buffer(*arrow_string_buffer(col), seed=9)
+    assert np.array_equal(got, doc_hashes_from_buffer(*arrow_string_buffer(copy), seed=9))
+
+
+def test_span_hasher_refuses_non_contiguous_rows():
+    import pytest
+
+    from metacache_mpi_ray.functions.hashing import shingle_hashes_from_buffer
+
+    data = np.frombuffer(b"abcdefghijklmnop", dtype=np.uint8)
+    for starts, ends in (([0, 5], [4, 10]), ([0, 3], [4, 10]), ([5, 0], [10, 5])):
+        with pytest.raises(ValueError, match="contiguous"):
+            shingle_hashes_from_buffer(data, np.array(starts), np.array(ends), 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.text(max_size=120), st.text(max_size=120))
 def test_lcs_hashed_bounds(a, b):
