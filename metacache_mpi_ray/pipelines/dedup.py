@@ -32,12 +32,15 @@ pass. With P = ``num_partitions``, every split below is
 
 The outputs are byte-identical to the Dataset-level stage chain
 ``compute_signatures`` -> ``compute_bands`` -> ``bucket_edges`` ->
-``verify_edges`` -> ``assign_clusters``, which ``build_index``, the
-checkpointed pipeline and the registered queries run
-(tests/test_dedup_pipeline.py compares the two). The lifecycle mirrors
-the reference's build + query fused into one streaming job (SURVEY.md
-§3, §7.1); its build is one streaming pass per rank that sketches a
-window and inserts it into the multimap (sketch_database.h:1079-1097).
+``verify_edges`` -> ``assign_clusters``, which the registered queries
+and the test oracle run (tests/test_dedup_pipeline.py compares the
+two). ``pipelines/incremental.build_index`` runs this same graph with a
+sink that writes each shard of signatures, bands, verified edges and
+clusters from a task, and the checkpointed pipeline is a
+``build_index`` over its input files. The lifecycle mirrors the
+reference's build + query fused into one streaming job (SURVEY.md §3,
+§7.1); its build is one streaming pass per rank that sketches a window
+and inserts it into the multimap (sketch_database.h:1079-1097).
 """
 
 from __future__ import annotations
@@ -161,10 +164,11 @@ def _assign_task(sigs: pa.Table, labels) -> pa.Table:
     return cluster_rows(sigs["doc_id"], labels)
 
 
-def _sign_to_score(docs, cfg: DedupConfig, shards: int, blocks: list | None):
-    """Steps 1-4 of the graph -> (signature shard refs, verified refs,
-    verified count refs). Sign tasks are submitted while ``docs``
-    streams; ``blocks`` collects the docs block refs when given."""
+def _sign_pieces(docs, cfg: DedupConfig, shards: int, blocks: list | None = None):
+    """Step 1 of the graph -> (band pieces, signature pieces), each a
+    list per shard of one ref per docs block. Sign tasks are submitted
+    while ``docs`` streams; ``blocks`` collects the docs block refs when
+    given."""
     sign = sign_split.options(num_returns=2 * shards)
     band_pieces = [[] for _ in range(shards)]
     sig_pieces = [[] for _ in range(shards)]
@@ -178,6 +182,12 @@ def _sign_to_score(docs, cfg: DedupConfig, shards: int, blocks: list | None):
                 sig_pieces[p].append(out[shards + p])
             if blocks is not None:
                 blocks.append(ref)
+    return band_pieces, sig_pieces
+
+
+def _score_graph(band_pieces, sig_pieces, cfg: DedupConfig, shards: int):
+    """Steps 2-4 of the graph over the pieces of every shard ->
+    (signature shard refs, verified refs, verified count refs)."""
     bucket = _bucket_task.options(num_returns=shards)
     buckets = [
         _refs(bucket.remote(cfg.bucket_cap, shards, *band_pieces[p]), shards)
@@ -198,6 +208,23 @@ def _sign_to_score(docs, cfg: DedupConfig, shards: int, blocks: list | None):
         for r in range(shards)
     ]
     return sig_refs, [s[0] for s in scores], [s[1] for s in scores]
+
+
+def _components(sig_refs: list, verified_refs: list, n_edges: int) -> list:
+    """Step 5 of the graph -> one (doc_id, cluster_id, is_dup) ref per
+    signature shard, on either branch."""
+    if n_edges <= CLUSTER_DRIVER_EDGE_LIMIT:
+        forests = [_forest_task.remote(r) for r in verified_refs]
+        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
+        return [_assign_task.remote(s, labels) for s in sig_refs]
+    # past this many edges even the union-find task outgrows one
+    # process: components come from rounds of the keyed exchange, whose
+    # partition p holds the doc_ids of signature shard p
+    return assign_clusters_distributed(
+        rd.from_arrow_refs(sig_refs),
+        rd.from_arrow_refs(verified_refs),
+        num_partitions=len(sig_refs),
+    ).to_arrow_refs()
 
 
 def _substring_edges(blocks: list, cfg: DedupConfig, num_partitions: int):
@@ -232,9 +259,8 @@ def near_dup_pipeline(
 
     Every field of the result is a ref-backed dataset of
     ``num_partitions`` blocks (the verified edges also hold the
-    substring stage's blocks with ``include_substring``); at
-    checkpointed scale the stages write Parquet instead (see
-    pipelines/checkpointed.py).
+    substring stage's blocks with ``include_substring``). To keep the
+    shards on disk, build an index (``pipelines/incremental.build_index``).
     """
     from metacache_mpi_ray.stages.joins import default_num_partitions
 
@@ -243,30 +269,21 @@ def near_dup_pipeline(
         num_partitions = default_num_partitions()
     shards = max(1, int(num_partitions))
     blocks = [] if include_substring else None
-    sig_refs, verified_refs, counts = _sign_to_score(docs, cfg, shards, blocks)
+    band_pieces, sig_pieces = _sign_pieces(docs, cfg, shards, blocks)
+    sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
     n_edges = 0
     if blocks:
         sub = _substring_edges(blocks, cfg, shards)
         verified_refs += sub.to_arrow_refs()
         n_edges = sub.count()
     n_edges += sum(ray.get(counts))
-    local = n_edges <= CLUSTER_DRIVER_EDGE_LIMIT
-    if local:
-        # submitted before the datasets below block on block metadata
-        forests = [_forest_task.remote(r) for r in verified_refs]
-        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
-        cluster_refs = [_assign_task.remote(s, labels) for s in sig_refs]
-    signatures = rd.from_arrow_refs(sig_refs)
-    verified = rd.from_arrow_refs(verified_refs)
-    if local:
-        clusters = rd.from_arrow_refs(cluster_refs)
-    else:
-        # past this many edges even the union-find task outgrows one
-        # process: components come from rounds of the keyed exchange
-        clusters = assign_clusters_distributed(
-            signatures, verified, num_partitions=shards
-        )
-    return DedupResult(signatures=signatures, verified_edges=verified, clusters=clusters)
+    # submitted before the datasets below block on block metadata
+    cluster_refs = _components(sig_refs, verified_refs, n_edges)
+    return DedupResult(
+        signatures=rd.from_arrow_refs(sig_refs),
+        verified_edges=rd.from_arrow_refs(verified_refs),
+        clusters=rd.from_arrow_refs(cluster_refs),
+    )
 
 
 def dedup_clusters(docs, cfg: DedupConfig | None = None, **kw) -> "ray.data.Dataset":

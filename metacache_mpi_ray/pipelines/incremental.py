@@ -9,14 +9,17 @@ training-data pipeline: dedup a new crawl batch against the existing
 corpus index without re-processing the corpus.
 
 Index layout (format 2, ``index.json`` = {"format": 2, "shards": P}):
-``build_index`` stores the signatures, band keys and clusters as P hash
-shards, split by ``functions/blocks.split_by_key`` — the partition
-function of ``hash_exchange`` — on ``doc_id`` (signatures, clusters) or
-on the band key ``bkey`` (bands, sorted by ``bkey`` inside a shard):
-``<stage>/<p>/*.parquet``, the analog of the reference's per-rank
-shards (sketch_database.h:540). ``extend_index`` appends one file per
-shard and batch plus a ``cluster_log/`` of label remaps and dup marks;
-``read_clusters`` is the one reader that resolves them.
+``build_index`` runs the flagship graph (pipelines/dedup.py), whose
+tasks already split their outputs by ``functions/blocks.split_by_key``
+— the partition function of ``hash_exchange`` — and writes each shard
+from a task: signatures and clusters by the shard of ``doc_id``, band
+keys by the shard of ``bkey`` (sorted by ``bkey`` inside a shard),
+verified edges by the shard of ``b``: ``<stage>/<p>/*.parquet``, the
+analog of the reference's per-rank shards (sketch_database.h:540),
+written in the same pass that sketches the corpus (mode_build.cpp:
+1076-1091). ``extend_index`` appends one file per shard and batch plus
+a ``cluster_log/`` of label remaps and dup marks; ``read_clusters`` is
+the one reader that resolves them.
 
 The daily batch (``_daily_batch``, shared by query and extend) is one
 graph of plain Ray tasks; no Ray Data execution touches the stored
@@ -63,6 +66,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -74,31 +78,30 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import hash_exchange, split_by_key
-from metacache_mpi_ray.stages.banding import band_key_rows, sign_split
+from metacache_mpi_ray.functions.blocks import split_by_key
+from metacache_mpi_ray.stages.banding import sign_split
 from metacache_mpi_ray.stages.candidates import (
     _combine_keys,
-    bucket_edges,
-    dedupe_edges,
     distinct_pairs,
     run_bounds,
     segment_all_pairs,
 )
-from metacache_mpi_ray.stages.cluster import assign_clusters
-from metacache_mpi_ray.stages.signatures import compute_signatures, sig_from_arrow
-from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores, verify_edges
+from metacache_mpi_ray.stages.signatures import sig_from_arrow, signature_schema
+from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores
 from metacache_mpi_ray.state.checkpoint import (
     ConfigMismatch,
-    checkpointed_stage,
     init_checkpoint_root,
     install_stage,
     resume_pending_commit,
     stage_done,
+    stage_tmp,
 )
 
 INDEX_FORMAT = 2
-_STAGES = ("signatures", "bands", "edges", "verified", "clusters")
+_STAGES = ("signatures", "bands", "verified", "clusters")
 _PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_BANDS = pa.schema([("bkey", pa.int64()), ("doc_id", pa.int64())])
+_EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())])
 _QUERY_OUT = pa.schema(
     [("doc_id", pa.int64()), ("matched", pa.bool_()), ("matched_cluster_id", pa.int64())]
 )
@@ -124,75 +127,79 @@ def build_index(
     *,
     num_partitions: int | None = None,
 ):
-    """Dedup ``docs`` and persist the queryable artifacts under
-    ``ckpt_root`` (index.json + config.json guards, sharded signatures/,
-    bands/ and clusters/, flat edges/ and verified/). ``num_partitions``
-    is the shard count P. Returns the clusters dataset. Resumable: a
-    finished stage is read back instead of recomputed; a root holding
-    artifacts without a format-2 ``index.json`` is refused."""
+    """Dedup ``docs`` with the flagship graph (pipelines/dedup.py) and
+    persist the queryable artifacts under ``ckpt_root``: index.json and
+    config.json guards, and the signatures/, bands/, verified/ and
+    clusters/ stages as ``num_partitions`` shards each, one file per
+    shard written by a task (``_write_shard_task``). Returns the
+    clusters dataset.
+
+    Resumable: each stage is installed with its ``.done`` marker,
+    signatures and bands as soon as they are written, verified and
+    clusters at the end, and an installed stage is never rewritten. With
+    every marker present the clusters are read back; with signatures and
+    bands installed the graph starts from their files and ``docs`` is
+    never executed. A root holding artifacts without a format-2
+    ``index.json`` is refused."""
     from metacache_mpi_ray.stages.joins import default_num_partitions
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
     init_checkpoint_root(ckpt_root, cfg)
     shards = _init_index_meta(ckpt_root, num_partitions)
-    sigs = _sharded_stage(
-        ckpt_root,
-        "signatures",
-        lambda: compute_signatures(docs, cfg, batch_size=128),
-        "doc_id",
-        shards,
-    )
-    # the queryable band table (bkey, doc_id) is part of the persisted
-    # index — queries probe it directly instead of re-banding millions
-    # of stored signatures per batch (the reference stores the feature
-    # multimap itself, not just the sketches). Computed FIRST so the
-    # edges stage buckets over it instead of re-banding the corpus
-    # (bucket_edges refolds bkey through splitmix64 — a bijection, so
-    # the bucket structure is identical)
-    bands = _sharded_stage(
-        ckpt_root,
-        "bands",
-        lambda: sigs.map_batches(lambda t: band_key_rows(t, cfg), batch_format="pyarrow"),
-        "bkey",
-        shards,
-    )
-    edge_schema = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("n_bands_hit", pa.int64())]
-    )
-    edges = checkpointed_stage(
-        ckpt_root,
-        "edges",
-        empty_schema=edge_schema,
-        compute=lambda: dedupe_edges(
-            bucket_edges(
-                bands,
-                key_cols=["bkey"],
-                id_col="doc_id",
-                cap=cfg.bucket_cap,
-                num_partitions=num_partitions,
-            ),
-            num_partitions=num_partitions,
-        ),
-    )
-    verified = checkpointed_stage(
-        ckpt_root,
-        "verified",
-        empty_schema=pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())]
-        ),
-        compute=lambda: verify_edges(
-            edges, sigs, cfg, num_partitions=num_partitions
-        ),
-    )
-    _sharded_stage(
-        ckpt_root,
-        "clusters",
-        lambda: assign_clusters(sigs, verified),
-        "doc_id",
-        shards,
-    )
+    if not all(stage_done(ckpt_root, s) for s in _STAGES):
+        _build(docs, cfg, ckpt_root, shards)
     return read_clusters(ckpt_root)
+
+
+def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
+    """The flagship graph plus the index sink (``build_index``): one
+    write task per (stage, shard) into the stage's tmp directory, each
+    stage installed once its writes finish, with one lineage row."""
+    from metacache_mpi_ray.pipelines.dedup import _components, _score_graph, _sign_pieces
+    from metacache_mpi_ray.state.metrics import MetricsRecorder
+
+    metrics = MetricsRecorder(root)
+    t0 = time.time()
+
+    def write(stage: str, pieces: list, key: str, schema: pa.Schema):
+        if stage_done(root, stage):
+            return None
+        tmp = stage_tmp(root, stage)
+        return [
+            _write_shard_task.remote(
+                os.path.join(tmp, str(p), "part-0.parquet"), key, schema, *ps
+            )
+            for p, ps in enumerate(pieces)
+        ]
+
+    def install(stage: str, writes) -> None:
+        if writes is not None:
+            rows = sum(ray.get(writes))
+            install_stage(root, stage, rows)
+            metrics.record(stage, rows_out=rows, t_start=t0, shards=shards)
+
+    def stored(stage: str) -> list:
+        return [
+            [_read_task.remote(f) for f in shard_files(root, stage, p)]
+            for p in range(shards)
+        ]
+
+    if stage_done(root, "signatures") and stage_done(root, "bands"):
+        # one read task per stored file in place of the sign tasks
+        band_pieces, sig_pieces = stored("bands"), stored("signatures")
+    else:
+        band_pieces, sig_pieces = _sign_pieces(docs, cfg, shards)
+    sig_writes = write("signatures", sig_pieces, "doc_id", signature_schema(cfg.n_perms))
+    band_writes = write("bands", band_pieces, "bkey", _BANDS)
+    sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
+    install("signatures", sig_writes)
+    install("bands", band_writes)
+    cluster_refs = _components(sig_refs, verified_refs, sum(ray.get(counts)))
+    verified_writes = write("verified", [[r] for r in verified_refs], "a", _EDGES)
+    cluster_writes = write("clusters", [[r] for r in cluster_refs], "doc_id", _CLUSTERS)
+    install("verified", verified_writes)
+    install("clusters", cluster_writes)
 
 
 def load_index_config(ckpt_root: str) -> DedupConfig:
@@ -218,16 +225,16 @@ def index_shards(ckpt_root: str) -> int:
     return int(meta["shards"])
 
 
-def _init_index_meta(ckpt_root: str, num_shards: int) -> int:
+def _init_index_meta(ckpt_root: str, shards: int) -> int:
     """Write index.json for a fresh root, or return the shard count of
     the format-2 root being resumed."""
     path = os.path.join(ckpt_root, "index.json")
     if os.path.exists(path) or any(stage_done(ckpt_root, s) for s in _STAGES):
         return index_shards(ckpt_root)
     with open(path + ".tmp", "w") as f:
-        json.dump({"format": INDEX_FORMAT, "shards": int(num_shards)}, f)
+        json.dump({"format": INDEX_FORMAT, "shards": int(shards)}, f)
     os.replace(path + ".tmp", path)
-    return int(num_shards)
+    return int(shards)
 
 
 def _check_config(ckpt_root: str, cfg: DedupConfig | None) -> DedupConfig:
@@ -241,8 +248,8 @@ def _check_config(ckpt_root: str, cfg: DedupConfig | None) -> DedupConfig:
 
 
 def _read_stage(ckpt_root: str, stage: str, columns=None):
-    """Read a whole stage checkpoint as a Dataset (build and ``info``;
-    the daily path reads shard files in its own tasks). Heals a torn
+    """Read a whole stage checkpoint as a Dataset (``info``; the build
+    and the daily path read shard files in their own tasks). Heals a torn
     extend commit first (one stat when there is none)."""
     resume_pending_commit(ckpt_root)
     files = sorted(
@@ -308,37 +315,23 @@ def _write_table(t: pa.Table, path: str) -> None:
 
 
 @ray.remote
-def _write_shard_task(path: str, t: pa.Table) -> None:
-    if t.num_columns:  # an all-empty input leaves a column-less piece
-        _write_table(t, path)
+def _write_shard_task(path: str, key: str, schema: pa.Schema, *pieces) -> int:
+    """Write task: the pieces of one stage shard -> ``path``, sorted by
+    ``key`` and then by every other flat column (bands by ``(bkey,
+    doc_id)``) into one contiguous table, so the same rows write the same
+    bytes whatever order their pieces arrive in; a shard no row hashed to
+    is a typed empty file. Returns the row count."""
+    parts = [t for t in pieces if t.num_rows]
+    t = pa.concat_tables(parts) if parts else schema.empty_table()
+    flat = [f.name for f in t.schema if f.name != key and not pa.types.is_nested(f.type)]
+    t = t.sort_by([(c, "ascending") for c in [key, *flat]]).combine_chunks()
+    _write_table(t, path)
+    return t.num_rows
 
 
-def _sharded_stage(ckpt_root, stage, compute, key: str, shards: int):
-    """checkpointed_stage for a sharded stage: ONE ``hash_exchange`` of
-    ``compute()`` on ``key`` puts partition p's rows in
-    ``<stage>/<p>/part-0.parquet``, sorted by ``key`` and then by every
-    other flat column (bands by ``(bkey, doc_id)``) into one contiguous
-    table, so the same input writes the same bytes whatever order its
-    blocks arrive in."""
-
-    def write(tmp: str) -> None:
-        def reduce(t: pa.Table) -> pa.Table:
-            if not t.num_columns:
-                return t
-            flat = [f.name for f in t.schema if f.name != key and not pa.types.is_nested(f.type)]
-            return t.sort_by([(c, "ascending") for c in [key, *flat]]).combine_chunks()
-
-        parts = hash_exchange(compute(), [key], reduce, num_partitions=shards)
-        ray.get(
-            [
-                _write_shard_task.remote(os.path.join(tmp, str(p), "part-0.parquet"), r)
-                for p, r in enumerate(parts.to_arrow_refs())
-            ]
-        )
-
-    if not stage_done(ckpt_root, stage):
-        install_stage(ckpt_root, stage, write)
-    return _read_stage(ckpt_root, stage)
+@ray.remote
+def _read_task(path: str) -> pa.Table:
+    return _read_file(path)
 
 
 # --- resident index files --------------------------------------------------

@@ -127,9 +127,9 @@ def bucket_edges(
     b = every other member) of the buckets with 2..``cap`` members.
 
     Returns a ref-backed Dataset of ``num_partitions`` blocks (the input
-    executes once; downstream consumers re-read the blocks). At scale
-    the edge list is written to Parquet instead — see
-    pipelines/checkpointed.py."""
+    executes once; downstream consumers re-read the blocks). The
+    flagship graph's bucket task runs the same kernel
+    (pipelines/dedup.py)."""
 
     return _bucket_exchange(
         ds, key_cols, id_col, partial(star_edges, cap=cap), num_partitions

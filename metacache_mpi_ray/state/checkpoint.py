@@ -12,8 +12,9 @@ Layout per pipeline run:
       <stage>.done                 # completion marker (written after rename)
 
 A persisted index (pipelines/incremental.build_index, format 2) adds
-``index.json`` ({"format": 2, "shards": P}) and stores its signatures,
-bands and clusters stages as P hash shards, ``<stage>/<p>/*.parquet``;
+``index.json`` ({"format": 2, "shards": P}) and stores each of its
+stages (signatures, bands, verified, clusters) as P hash shards,
+``<stage>/<p>/*.parquet``;
 ``extend_index`` appends one file per shard and batch, a
 ``cluster_log/`` of per-batch label remaps and dup marks, and installs
 them through the commit journal at the bottom of this module
@@ -26,11 +27,7 @@ sketch_database.h:869-908):
   (ConfigMismatch) — silent wrong-config reuse is the failure the
   reference guards against;
 * a stage is reused iff its ``.done`` marker exists; partial writes are
-  invisible because data moves into place via a single atomic rename;
-* sharded stages (``shard=K`` subdirs) resume per shard, so a killed
-  run skips finished shards (the resumable-output requirement). Every
-  reader passes ``partitioning=None``: the ``shard=K`` directory names
-  must not turn into a column.
+  invisible because data moves into place via a single atomic rename.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-
-import ray.data
 
 from metacache_mpi_ray.config import DedupConfig
 
@@ -109,149 +104,28 @@ def stage_done(root: str, stage: str) -> bool:
     return os.path.exists(os.path.join(root, f"{stage}.done"))
 
 
-def _write_parquet_stage(ds, tmp: str, empty_schema=None) -> None:
-    """write_parquet that survives EMPTY datasets: Ray writes no files
-    (not even the directory) for 0 rows, which would break the atomic
-    rename and the later read — persist an explicit empty file with the
-    dataset's schema (or the caller-supplied ``empty_schema`` pyarrow
-    schema when even Ray's schema is unknown) instead."""
-    ds.write_parquet(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        sch = ds.schema()
-        if sch is not None:
-            empty = pa.table(
-                {n: pa.array([], type=t) for n, t in zip(sch.names, sch.types)}
-            )
-        elif empty_schema is not None:
-            empty = empty_schema.empty_table()
-        else:
-            raise ValueError(
-                f"stage produced 0 rows and no schema; pass empty_schema "
-                f"to checkpoint it ({tmp})"
-            )
-        pq.write_table(empty, os.path.join(tmp, "empty-0.parquet"))
-
-
-def install_stage(root: str, stage: str, write) -> None:
-    """Run ``write(tmp_dir)`` and move its output into <root>/<stage>/
-    atomically, then write the ``.done`` marker — a crash at any point
-    leaves either no stage dir or a complete one, never a partial one."""
-    final = os.path.join(root, stage)
-    marker = os.path.join(root, f"{stage}.done")
+def stage_tmp(root: str, stage: str) -> str:
+    """The empty in-progress directory ``<root>/<stage>.__tmp__`` (a
+    killed run's leftover is discarded); ``install_stage`` moves it into
+    place once every file of the stage is written there."""
     tmp = os.path.join(root, f"{stage}.__tmp__")
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
-    write(tmp)
+    return tmp
+
+
+def install_stage(root: str, stage: str, rows: int) -> None:
+    """Move ``<stage>.__tmp__`` into <root>/<stage>/ atomically, then
+    write the ``.done`` marker — a crash at any point leaves either no
+    stage dir or a complete one, never a partial one."""
+    final = os.path.join(root, stage)
+    marker = os.path.join(root, f"{stage}.done")
     if os.path.exists(final):
         shutil.rmtree(final)
-    os.replace(tmp, final)
+    os.replace(os.path.join(root, f"{stage}.__tmp__"), final)
     with open(marker + ".tmp", "w") as f:
-        json.dump({"stage": stage, "rows": None}, f)
+        json.dump({"stage": stage, "rows": rows}, f)
     os.replace(marker + ".tmp", marker)
-
-
-def checkpointed_stage(
-    root: str,
-    stage: str,
-    compute,  # () -> ray.data.Dataset
-    *,
-    read_columns: list[str] | None = None,
-    empty_schema=None,
-) -> "ray.data.Dataset":
-    """Run ``compute()`` and persist its output under <root>/<stage>/
-    (through ``install_stage``), or read the existing checkpoint if the
-    stage already completed."""
-    if not stage_done(root, stage):
-        install_stage(
-            root, stage, lambda tmp: _write_parquet_stage(compute(), tmp, empty_schema)
-        )
-    return ray.data.read_parquet(
-        os.path.join(root, stage), columns=read_columns, partitioning=None
-    )
-
-
-def sharded_checkpointed_stage(
-    root: str,
-    stage: str,
-    shard_ids: list[int],
-    compute_shard,  # (shard_id) -> ray.data.Dataset
-    *,
-    read_columns: list[str] | None = None,
-    total_shards: int | None = None,
-) -> "ray.data.Dataset":
-    """Per-shard resumable stage: each shard is checkpointed atomically
-    under <root>/<stage>/shard=<k>/; finished shards are skipped on
-    resume (kill/restart test in tests/test_checkpoint.py)."""
-    stage_dir = os.path.join(root, stage)
-    os.makedirs(stage_dir, exist_ok=True)
-    # shard-layout guard: resuming with a different shard count would
-    # silently mix incompatible shard assignments (mirrors the config
-    # guard; the reference equivalent is the per-rank DB file count).
-    # ``shard_ids`` may be a partial list when retrying specific shards;
-    # ``total_shards`` (default: len(shard_ids)) names the intended
-    # full layout the sidecar records.
-    layout_path = os.path.join(stage_dir, ".shard_layout")
-    n_layout = total_shards if total_shards is not None else len(shard_ids)
-    layout = f"{n_layout}"
-    if os.path.exists(layout_path):
-        with open(layout_path) as f:
-            if f.read().strip() != layout:
-                raise ConfigMismatch(
-                    f"stage {stage!r} at {root} was checkpointed with a "
-                    f"different shard count; refusing to resume"
-                )
-    else:
-        # legacy checkpoint without a sidecar: completed shard markers
-        # outside the claimed layout betray a different prior layout
-        stale = [k for k in completed_shards(root, stage) if k >= n_layout]
-        if stale:
-            raise ConfigMismatch(
-                f"stage {stage!r} at {root} has completed shards {stale} "
-                f"outside the claimed layout of {n_layout}; refusing to mix"
-            )
-        with open(layout_path + ".tmp", "w") as f:
-            f.write(layout)
-        os.replace(layout_path + ".tmp", layout_path)
-    for k in shard_ids:
-        sdir = os.path.join(stage_dir, f"shard={k}")
-        smarker = os.path.join(stage_dir, f"shard-{k}.done")
-        if os.path.exists(smarker):
-            continue
-        tmp = os.path.join(stage_dir, f"shard-{k}.__tmp__")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        ds = compute_shard(k)
-        _write_parquet_stage(ds, tmp)
-        if os.path.exists(sdir):
-            shutil.rmtree(sdir)
-        os.replace(tmp, sdir)
-        with open(smarker + ".tmp", "w") as f:
-            f.write("done")
-        os.replace(smarker + ".tmp", smarker)
-    files: list[str] = []
-    for k in shard_ids:
-        d = os.path.join(stage_dir, f"shard={k}")
-        files.extend(
-            sorted(
-                os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
-            )
-        )
-    return ray.data.read_parquet(files, columns=read_columns, partitioning=None)
-
-
-def completed_shards(root: str, stage: str) -> list[int]:
-    stage_dir = os.path.join(root, stage)
-    if not os.path.isdir(stage_dir):
-        return []
-    out = []
-    for name in os.listdir(stage_dir):
-        if name.startswith("shard-") and name.endswith(".done"):
-            out.append(int(name[len("shard-") : -len(".done")]))
-    return sorted(out)
 
 
 # --- extend-commit journal (pipelines/extend.py writes it; every index

@@ -164,15 +164,19 @@ def test_distributed_cc_crossover_exact_at_scale(ray_session):
 
 
 def test_flagship_distributed_cluster_method_parity(
-    ray_session, corpus_dir, monkeypatch
+    ray_session, corpus_dir, monkeypatch, tmp_path
 ):
-    """near_dup_pipeline past CLUSTER_DRIVER_EDGE_LIMIT (forced here by
-    a limit of 0) returns the same clusters as the driver DSU on the
-    planted corpus — the auto switch can flip at 50M edges without
-    changing results."""
+    """near_dup_pipeline and build_index past CLUSTER_DRIVER_EDGE_LIMIT
+    (forced here by a limit of 0) give the same clusters as the driver
+    DSU on the planted corpus, and the same clusters/ files — the auto
+    switch can flip at 50M edges without changing results."""
+    import glob
+    import os
+
     from metacache_mpi_ray.config import DedupConfig
     from metacache_mpi_ray.pipelines import dedup
     from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
+    from metacache_mpi_ray.pipelines.incremental import build_index
     from metacache_mpi_ray.stages.ingest import ingest_pages
 
     docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
@@ -183,6 +187,8 @@ def test_flagship_distributed_cluster_method_parity(
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    roots = [str(tmp_path / "uf"), str(tmp_path / "distributed")]
+    build_index(docs, cfg, roots[0], num_partitions=4)
     monkeypatch.setattr(dedup, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
     calls = []
 
@@ -199,6 +205,13 @@ def test_flagship_distributed_cluster_method_parity(
     )
     assert len(calls) == 1, "the forced limit never reached distributed components"
     pd.testing.assert_frame_equal(drv, dst, check_dtype=False)
+    build_index(docs, cfg, roots[1], num_partitions=4)
+    assert len(calls) == 2
+    files = [sorted(glob.glob(f"{r}/clusters/*/*.parquet")) for r in roots]
+    names = [[os.path.relpath(f, r) for f in fs] for fs, r in zip(files, roots)]
+    assert names[0] == names[1] and len(names[0]) == 4
+    for a, b in zip(*files):
+        assert open(a, "rb").read() == open(b, "rb").read(), a
 
 
 def test_assign_clusters_distributed_zero_edges(ray_session):

@@ -205,23 +205,140 @@ def test_query_refuses_config_mismatch(index_root):
         query_against_index(b_docs, root, other)
 
 
-def test_build_index_resumes_from_checkpoint(index_root, corpus_dir):
-    """Re-running build_index over the same root reuses every stage
-    (all .done markers present -> no stage recompute)."""
+def _count_executions(monkeypatch) -> list:
+    """Calls of ``StreamingExecutor.execute`` (one per Ray Data
+    execution) from here on."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kw):
+        runs.append(1)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return runs
+
+
+def _mtimes(root: str, stages) -> dict:
+    import glob
     import os
-    import time
+
+    return {
+        f: os.path.getmtime(f)
+        for stage in stages
+        for f in glob.glob(os.path.join(root, stage, "**", "*.parquet"), recursive=True)
+    }
+
+
+_INDEX_STAGES = ("signatures", "bands", "verified", "clusters")
+
+
+def _canon(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+
+def test_build_index_resumes_from_checkpoint(index_root, corpus_dir, monkeypatch):
+    """Re-running build_index over a fully installed root runs no Ray
+    Data execution and rewrites no stored file."""
+    import os
 
     root, idx_clusters, _ = index_root
-    for stage in ("signatures", "edges", "verified", "clusters"):
+    for stage in _INDEX_STAGES:
         assert os.path.exists(os.path.join(root, f"{stage}.done"))
+    before = _mtimes(root, _INDEX_STAGES)
+    assert len(before) == 16
     docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
-    t0 = time.time()
-    again = build_index(docs, DedupConfig(), root, num_partitions=4).to_pandas()
-    resumed_in = time.time() - t0
-    a = again.sort_values("doc_id").reset_index(drop=True)
-    b = idx_clusters.sort_values("doc_id").reset_index(drop=True)
-    assert (a["cluster_id"].values == b["cluster_id"].values).all()
-    assert resumed_in < 30  # pure read-back, no recompute
+    runs = _count_executions(monkeypatch)
+    again = build_index(docs, DedupConfig(), root, num_partitions=4)
+    assert len(runs) == 0
+    assert _mtimes(root, _INDEX_STAGES) == before
+    pd.testing.assert_frame_equal(
+        _canon(again), idx_clusters.sort_values("doc_id").reset_index(drop=True)
+    )
+
+
+def test_build_index_runs_one_ray_data_execution(tmp_path, corpus_dir, monkeypatch):
+    """A fresh build is the flagship graph plus its sink: the only Ray
+    Data execution is the one that produces ``docs``."""
+    docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
+    runs = _count_executions(monkeypatch)
+    build_index(docs, DedupConfig(), str(tmp_path / "idx"), num_partitions=4)
+    assert len(runs) == 1
+
+
+def test_build_index_resumes_from_stored_signatures_and_bands(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """A build killed after installing signatures and bands (verified/,
+    clusters/ and their markers gone, as tools/soak.py simulates) resumes
+    from the stored files: ``docs`` is never executed, signatures and
+    bands are not rewritten, and the clusters are the same."""
+    import os
+    import shutil
+
+    from metacache_mpi_ray.pipelines.incremental import read_clusters
+
+    root = str(tmp_path / "idx")
+    docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
+    want = _canon(build_index(docs, DedupConfig(), root, num_partitions=4))
+    for stage in ("verified", "clusters"):
+        shutil.rmtree(os.path.join(root, stage))
+        os.remove(os.path.join(root, f"{stage}.done"))
+    kept = _mtimes(root, ("signatures", "bands"))
+    runs = _count_executions(monkeypatch)
+    build_index(docs, DedupConfig(), root, num_partitions=4)
+    assert len(runs) == 0
+    assert _mtimes(root, ("signatures", "bands")) == kept
+    pd.testing.assert_frame_equal(_canon(read_clusters(root)), want)
+
+
+def _shard_tables(root: str, stage: str) -> list:
+    import pyarrow.parquet as pq
+
+    from metacache_mpi_ray.pipelines.incremental import index_shards, shard_files
+
+    return [
+        pa.concat_tables([pq.ParquetFile(f).read() for f in shard_files(root, stage, p)])
+        for p in range(index_shards(root))
+    ]
+
+
+def test_build_index_files_match_the_stage_chain(tmp_path, corpus_dir):
+    """At P = 1, 4 and 8 every index shard holds only rows of its shard,
+    sorted by its key, and each stage's rows are the Dataset stage
+    chain's (the flagship oracle of tests/test_dedup_pipeline.py), with
+    the band keys of its signatures."""
+    from test_dedup_pipeline import _sorted_table, _stage_chain
+
+    from metacache_mpi_ray.functions.blocks import split_by_key
+    from metacache_mpi_ray.stages.banding import band_key_rows
+
+    cfg = DedupConfig()
+    docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")).materialize()
+    sigs, verified, clusters = _stage_chain(docs, cfg, 4)
+    bands = sigs.map_batches(lambda t: band_key_rows(t, cfg), batch_format="pyarrow")
+    chain = {  # stage -> (chain output, sort keys, shard key)
+        "signatures": (sigs, ["doc_id"], "doc_id"),
+        "bands": (bands, ["bkey", "doc_id"], "bkey"),
+        "verified": (verified, ["a", "b"], "b"),
+        "clusters": (clusters, ["doc_id"], "doc_id"),
+    }
+    want = {stage: _sorted_table(ds, keys) for stage, (ds, keys, _) in chain.items()}
+    assert want["verified"].num_rows > 0
+    for p_count in (1, 4, 8):
+        root = str(tmp_path / f"idx{p_count}")
+        build_index(docs, cfg, root, num_partitions=p_count)
+        for stage, (_, keys, shard_key) in chain.items():
+            tabs = _shard_tables(root, stage)
+            assert len(tabs) == p_count, (stage, p_count)
+            for p, t in enumerate(tabs):
+                first = "a" if stage == "verified" else keys[0]
+                assert t.equals(t.sort_by(first)), (stage, p)
+                assert split_by_key(t, [shard_key], p_count)[p].num_rows == t.num_rows
+            got = pa.concat_tables(tabs).sort_by([(k, "ascending") for k in keys])
+            assert got.combine_chunks().equals(want[stage]), (stage, p_count)
 
 
 def test_incremental_agrees_with_full_recompute(tmp_path, corpus_dir):
@@ -580,3 +697,52 @@ def test_build_index_shard_files_are_byte_reproducible(tmp_path, corpus_dir):
         for rel in names[0]:
             a, b = (open(os.path.join(r, rel), "rb").read() for r in roots)
             assert a == b, rel
+
+
+def test_build_index_of_an_empty_corpus(tmp_path):
+    """Zero docs build a whole index: every stage installed with one
+    typed empty file per shard. Queries against it match nothing, and
+    extending it gives the clusters of a build over the batch."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from metacache_mpi_ray.pipelines.extend import extend_index
+    from metacache_mpi_ray.pipelines.incremental import read_clusters
+
+    cfg = DedupConfig()
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    root = str(tmp_path / "empty")
+    build_index(ingest_documents(rd.from_arrow(empty)), cfg, root, num_partitions=4)
+    want_cols = {
+        "signatures": ["doc_id", "text_hash", "n_chars", "sig"],
+        "bands": ["bkey", "doc_id"],
+        "verified": ["a", "b", "est_sim"],
+        "clusters": ["doc_id", "cluster_id", "is_dup"],
+    }
+    for stage, cols in want_cols.items():
+        assert os.path.exists(os.path.join(root, f"{stage}.done")), stage
+        tabs = _shard_tables(root, stage)
+        assert len(tabs) == 4 and all(t.num_rows == 0 for t in tabs), stage
+        assert all(t.column_names == cols for t in tabs), stage
+    assert pq.read_schema(
+        os.path.join(root, "signatures", "0", "part-0.parquet")
+    ).field("sig").type == pa.list_(pa.uint64(), cfg.n_perms)
+    assert read_clusters(root).count() == 0
+
+    texts = ["alpha beta gamma delta " * 20, "alpha beta gamma delta " * 20 + "x",
+             "zz qq ww ee " * 30, "lorem ipsum dolor " * 25]
+    batch = pa.table({"doc_id": pa.array([11, 12, 13, 14], pa.int64()),
+                      "text": pa.array(texts, pa.string())})
+    got = query_against_index(ingest_documents(rd.from_arrow(batch)), root, cfg).to_pandas()
+    assert sorted(got["doc_id"]) == [11, 12, 13, 14]
+    assert not got["matched"].any() and (got["matched_cluster_id"] == -1).all()
+
+    ext = str(tmp_path / "ext")
+    shutil.copytree(root, ext)
+    extend_index(ingest_documents(rd.from_arrow(batch)), ext, cfg)
+    rebuilt = str(tmp_path / "rebuilt")
+    build_index(ingest_documents(rd.from_arrow(batch)), cfg, rebuilt, num_partitions=4)
+    pd.testing.assert_frame_equal(_canon(read_clusters(ext)), _canon(read_clusters(rebuilt)))
+    assert _canon(read_clusters(ext))["is_dup"].sum() == 2
