@@ -6,14 +6,24 @@ input_hint shape; generated once and cached under /tmp), plus secondary
 pipelines over the $GRAFT_SF_DIR testdata tables.
 
     python bench.py             # one run at $RAY_GRAFT_CPUS (default 32)
-    python bench.py --evidence  # one-command scaling-evidence refresh:
-                                # probe-gated lo->hi suite at 4M docs +
-                                # size-soak, appends a BASELINE.md row
     python bench.py --scaling   # fresh subprocesses at N and 4N CPUs
                                 # (GRAFT_SCALE_LO/HI, default 2 -> 8; see
                                 # BASELINE.md for why not 8 -> 32) on the
                                 # same input -> throughput at both +
                                 # scaling efficiency (= speedup / 4)
+    python bench.py --evidence  # the scaling suite at 4M docs + a size
+                                # soak, appends a BASELINE.md row
+
+Capacity probe: the benchmark VM's deliverable CPU swings several-fold
+between runs (BASELINE.md), so every timed section is bracketed by
+``_ray_probe`` (one fixed mini flagship, timed) and gated on it: an attempt
+or leg whose probes exceed the gate is retried; discarded ones are recorded.
+
+Environment: GRAFT_SF_DIR, RAY_GRAFT_CPUS, GRAFT_BENCH_DOCS (every mode);
+GRAFT_SCALE_LO, GRAFT_SCALE_HI, GRAFT_SCALE_DOCS, GRAFT_SCALE_REPS
+(--scaling, --evidence); GRAFT_EVIDENCE_SOAK (comma doc counts),
+GRAFT_EVIDENCE_TAG (--evidence). A leg's parent also passes it
+GRAFT_HEADLINE_ONLY and, on every attempt but the last, GRAFT_ABORT_GATE_SEC.
 
 This script OWNS its Ray session (init+shutdown); library code never does.
 """
@@ -30,13 +40,29 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "120000"))
 CORPUS_SEED = 42
-# N -> 4N scaling pair. Default 2 -> 8: this sandbox exposes 32 logical
-# CPUs but delivers only ~9 cores of real parallel numpy throughput
-# (measured in BASELINE.md), so 8 -> 32 measures the VM's CPU ceiling,
-# not the engine's scaling. 2 -> 8 sits on the linear part of the
-# hardware curve. Override with GRAFT_SCALE_LO / GRAFT_SCALE_HI.
+# N -> 4N scaling pair. Default 2 -> 8: the benchmark VM exposes 32 logical
+# CPUs but delivers ~9 cores of parallel numpy throughput (BASELINE.md), so
+# 8 -> 32 measures its ceiling; 2 -> 8 is on the linear part of the curve
 SCALE_LO = int(os.environ.get("GRAFT_SCALE_LO", "2"))
 SCALE_HI = int(os.environ.get("GRAFT_SCALE_HI", "8"))
+
+#: the probe's fixed input: the first PROBE_DOCS docs of the corpus
+PROBE_DOCS = 2048
+#: a headline attempt is retried while either of its probes exceeds
+#: this many seconds, up to BENCH_RETRIES times and within
+#: BENCH_RETRY_BUDGET_SEC of wall time (under deep throttle an attempt
+#: costs minutes, and the run must finish inside its budget)
+BENCH_PROBE_GATE_SEC = 4.0
+BENCH_RETRIES = 2
+BENCH_RETRY_BUDGET_SEC = 420.0
+#: healthy probe seconds by leg CPU count (measured at 2 and 8 CPUs: the
+#: mini job's parallel slice runs ~2x faster at 8), 1.0 elsewhere; a
+#: leg's probes are gated as multiples of it
+RAY_PROBE_REF_SEC = {2: 2.0, 8: 1.0}
+#: a leg is retried while a probe exceeds this multiple of healthy, up
+#: to LEG_RETRIES times
+LEG_PROBE_GATE = 2.0
+LEG_RETRIES = 2
 
 
 def _corpus_dir(n_docs: int | None = None) -> str:
@@ -52,37 +78,39 @@ def _corpus_dir(n_docs: int | None = None) -> str:
     return out
 
 
-def _cpu_probe() -> float:
-    """Single-thread fixed-work probe (250M u64 mix ops): the sandbox
-    VM's deliverable CPU fluctuates >2x between runs (BASELINE.md);
-    recording the probe alongside each bench run attributes wall-time
-    swings to the host, not the engine."""
-    import numpy as np
+def _read_docs(corpus: str):
+    import ray.data as rd
 
-    a = np.arange(50_000_000, dtype=np.uint64)
+    from metacache_mpi_ray.stages.ingest import ingest_pages
+
+    return ingest_pages(
+        rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])
+    )
+
+
+def _ray_probe(docs) -> float:
+    """Seconds of one fixed mini flagship over ``docs`` (``_probe_input``)
+    at 4 partitions. The benchmark VM schedules Ray's process group apart from
+    small fork/spawn pools (a 2-CPU engine leg ran healthy while numpy
+    probes around it read 7-50x starved, and the reverse), so the probe
+    that gates engine runs has the engine's process shape. The work is
+    the same at every CPU count, so probes compare across legs."""
+    from metacache_mpi_ray.config import DedupConfig
+    from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
+
     t0 = time.time()
-    for _ in range(5):
-        a = (a ^ (a >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    near_dup_pipeline(docs, DedupConfig(), num_partitions=4).clusters.count()
     return round(time.time() - t0, 3)
 
 
-def _par_probe() -> float:
-    """2-process fixed-work probe (~2.3 s healthy incl. pool spawn).
-
-    Direct measurement on this sandbox (2026-08-17, fixed TOTAL work
-    split across p procs, interleaved): p=1 ran 6-29x slow while
-    p=2..16 ran near-healthy in the same minutes — the host starves a
-    lone busy vCPU but delivers for multi-process work. A single-thread
-    probe therefore measures the starved mode, not the capacity an
-    engine leg (multi-process by construction) actually gets; pair
-    matching uses THIS probe, with the single-thread probe kept for
-    continuity with earlier rounds."""
-    import multiprocessing as mp
-
-    t0 = time.time()
-    with mp.get_context("spawn").Pool(2) as pool:
-        pool.map(_hw_chunk, [(80_000_000, 4)] * 2)
-    return round(time.time() - t0, 3)
+def _probe_input(corpus: str):
+    """The first PROBE_DOCS docs of ``corpus``, after two untimed probes
+    (worker spawn and imports, then whatever stayed cold), so the first
+    timed probe reads capacity. Needs a Ray session."""
+    docs = _read_docs(corpus).limit(PROBE_DOCS)
+    _ray_probe(docs)
+    _ray_probe(docs)
+    return docs
 
 
 def run_bench() -> dict:
@@ -110,6 +138,8 @@ def run_bench() -> dict:
         q_events_window_agg,
         q_exact_dedup_groups,
         q_lineitem_pricing_summary,
+        q_simhash_dup_pairs,
+        q_substring_candidates,
         q_token_count_stats,
     )
     from metacache_mpi_ray.stages.ingest import ingest_pages
@@ -117,159 +147,74 @@ def run_bench() -> dict:
     cfg = DedupConfig()
     corpus = _corpus_dir()
     num_partitions = max(8, NUM_CPUS)
+    headline_only = os.environ.get("GRAFT_HEADLINE_ONLY") == "1"
     queries: dict[str, float] = {}
 
-    # warm the page cache so we measure compute+shuffle, not first-touch
-    # IO. Raw byte reads, not a parquet count: decoding every column of
-    # the corpus burns ~30 s of multi-core CPU at 240k docs, and on this
-    # burst-throttled host every joule of pre-leg burn drains the budget
-    # the timed section needs (see BASELINE.md session-4 findings)
-    import glob as _glob
+    # warm the page cache with raw byte reads, not a parquet count: on
+    # the burst-throttled benchmark VM decoding the corpus (~30 s of CPU at 240k
+    # docs) drains the budget the timed section needs (BASELINE.md)
+    import glob
 
-    for _f in _glob.glob(f"{corpus}/pages/*.parquet"):
-        with open(_f, "rb") as _fh:
-            while _fh.read(1 << 24):
+    for path in glob.glob(f"{corpus}/pages/*.parquet"):
+        with open(path, "rb") as fh:
+            while fh.read(1 << 24):
                 pass
-    # warm the Ray worker pool (process spawn + numpy/library imports
-    # cost ~4 s on the first Dataset execution and would otherwise be
-    # charged to the headline; workers persist across executions)
-    warm = ingest_pages(
-        rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])
-    ).limit(2048)
-    # twice: the second run warms whatever the first left cold (actor
-    # pools, codepaths), so the first TIMED ray probe below reads
-    # capacity, not residual warmup
-    near_dup_pipeline(warm, cfg, num_partitions=4).clusters.count()
-    near_dup_pipeline(warm, cfg, num_partitions=4).clusters.count()
+    probe = _probe_input(corpus)
+    ray_probe_start = _ray_probe(probe)
 
-    # Ray-shaped capacity probe: the same FIXED 2048-doc mini pipeline,
-    # timed. Measured 2026-08-18 03:55: this host schedules Ray's
-    # process group (raylet + workers + driver) independently of small
-    # fork/spawn pools — a 2-CPU engine leg ran at healthy speed while
-    # 2-process numpy probes around it read 7-50x starved, and vice
-    # versa. A probe that gates engine legs must therefore have the
-    # engine's process shape. The job is identical at every leg CPU
-    # count (fixed work, fixed partitions, dominated by fixed
-    # orchestration), so probe times are comparable ACROSS legs.
-    def _ray_probe() -> float:
-        t0 = time.time()
-        near_dup_pipeline(warm, cfg, num_partitions=4).clusters.count()
-        return round(time.time() - t0, 3)
-
-    ray_probe_start = _ray_probe()
-
-    # cheap self-gating for scaling legs: when the start probe already
-    # shows a throttled window, abort BEFORE paying the full headline
-    # (a throttled 240k-doc 2-CPU leg costs minutes; the probe costs
-    # ~2 s). run_scaling counts an aborted leg as a disclosed discard
-    # and retries. Enabled only by the scaling driver.
-    if (
-        os.environ.get("GRAFT_ABORT_ON_THROTTLED_START") == "1"
-        and os.environ.get("GRAFT_HEADLINE_ONLY") == "1"
-    ):
-        abort_gate = float(os.environ.get("GRAFT_ABORT_GATE_SEC", "4.0"))
-        if ray_probe_start > abort_gate:
-            ray.shutdown()
-            return {
-                "metric": "scaling leg aborted on throttled start probe",
-                "aborted": True,
-                "value": None,
-                "num_cpus": NUM_CPUS,
-                "ray_probe_start_sec": ray_probe_start,
-            }
-
-    # capacity window marker IMMEDIATELY before the timed section (after
-    # the warmups, which can take 30+ s under throttle — a pre-warmup
-    # probe can report a different capacity window than the one the
-    # timed section actually ran in): every run is bracketed by
-    # start+end probes so a throttled-window bench (the per-round
-    # driver run included) is diagnosable from its own JSON.
-    #
-    # Probe-gated headline retries (default mode only): a single-shot
-    # headline that lands in one of this VM's 5-20x throttle windows
-    # reports the host, not the engine (round-2's driver bench did
-    # exactly that). If BOTH bracketing 2-process probes of an attempt
-    # exceed the gate, re-run up to GRAFT_BENCH_RETRIES times; every
-    # attempt is disclosed in `headline_attempts`, and the reported
-    # attempt is chosen by healthiest PROBE — an engine-independent
-    # signal — never by the attempt's own time. The scaling legs
-    # (GRAFT_HEADLINE_ONLY) keep single-shot behavior: run_scaling()
-    # owns their gating.
-    # which probe family gates and selects: "ray" (default — engine
-    # process shape, see _ray_probe) or "par" (numpy 2-process pools,
-    # the rounds-2/3 instrument, still recorded for continuity)
-    probe_mode = os.environ.get("GRAFT_PROBE_MODE", "ray")
-    gate = float(
-        os.environ.get(
-            "GRAFT_BENCH_PROBE_GATE", "4.0" if probe_mode == "ray" else "4.5"
-        )
-    )
-    bench_retries = (
-        0
-        if os.environ.get("GRAFT_HEADLINE_ONLY") == "1"
-        else int(os.environ.get("GRAFT_BENCH_RETRIES", "2"))
-    )
-    # the single-thread probe is continuity-only (NOT the instrument —
-    # this host starves a lone vCPU up to 30 s under throttle), so it
-    # runs once, outside the retry loop; each attempt is bracketed by
-    # the cheap 2-process instrument probes only
-    probe_start = _cpu_probe()
-    attempts: list[dict] = []
-    # retries are bounded by wall time too: under deep throttle each
-    # attempt (headline + 2 probes) can cost minutes, and the per-round
-    # driver bench must finish inside its budget
-    retry_budget = float(os.environ.get("GRAFT_BENCH_RETRY_BUDGET", "420"))
-    loop_t0 = time.time()
-    for _attempt in range(bench_retries + 1):
-        rp_start = ray_probe_start if not attempts else _ray_probe()
-        par_probe_start = _par_probe()
-        t0 = time.time()
-        docs = ingest_pages(
-            rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])
-        )
-        res = near_dup_pipeline(docs, cfg, num_partitions=num_partitions)
-        n_docs = res.clusters.count()
-        headline = time.time() - t0
-        attempts.append(
-            {
-                "sec": round(headline, 3),
-                "ray_probes": [rp_start, _ray_probe()],
-                "par_probes": [par_probe_start, _par_probe()],
-            }
-        )
-        gating = attempts[-1][f"{probe_mode}_probes"]
-        if max(gating) <= gate:
-            break
-        if time.time() - loop_t0 > retry_budget:
-            break
-    kept = min(attempts, key=lambda a: max(a[f"{probe_mode}_probes"]))
-    headline = kept["sec"]
-    par_probe_start = kept["par_probes"][0]
-    ray_probe_start = kept["ray_probes"][0]
-    queries["dedup_synth"] = round(headline, 3)
-
-    if os.environ.get("GRAFT_HEADLINE_ONLY") == "1":
-        # scaling suite: the ratio uses only the headline; skip the
-        # secondary queries so each subprocess run stays short
+    # a leg given a gate aborts on a throttled start probe before paying
+    # the headline (a throttled 240k-doc 2-CPU leg costs minutes, the
+    # probe ~2 s); its parent records the leg as discarded and retries
+    abort_gate = os.environ.get("GRAFT_ABORT_GATE_SEC")
+    if abort_gate is not None and ray_probe_start > float(abort_gate):
         ray.shutdown()
         return {
-            "metric": "near-dup clustering throughput (synthetic CC-style corpus)",
-            "value": round(headline, 3),
-            "unit": "sec",
-            "queries": queries,
-            "sf": SF_DIR,
+            "metric": "scaling leg aborted on throttled start probe",
+            "aborted": True,
+            "value": None,
             "num_cpus": NUM_CPUS,
-            "n_docs": n_docs,
-            "docs_per_sec": round(n_docs / headline, 1),
-            "cpu_probe_sec": _cpu_probe(),
-            "cpu_probe_start_sec": probe_start,
-            # the attempt's own post-headline probes (single attempt in
-            # this mode; run_scaling reads these as the leg's bracket)
-            "par_probe_sec": kept["par_probes"][1],
-            "par_probe_start_sec": par_probe_start,
-            "ray_probe_sec": kept["ray_probes"][1],
             "ray_probe_start_sec": ray_probe_start,
         }
+
+    # Probe-gated headline: a headline in one of the benchmark VM's 5-20x
+    # throttle windows reports the VM, not the engine, so an attempt with a
+    # bracketing probe over the gate is retried. Every attempt is kept in
+    # `headline_attempts`; the one reported is chosen by its probes, never
+    # by its own time. A leg runs once: its parent gates it.
+    attempts: list[dict] = []
+    loop_t0 = time.time()
+    for _attempt in range((0 if headline_only else BENCH_RETRIES) + 1):
+        rp_start = ray_probe_start if not attempts else _ray_probe(probe)
+        t0 = time.time()
+        res = near_dup_pipeline(_read_docs(corpus), cfg, num_partitions=num_partitions)
+        n_docs = res.clusters.count()
+        attempts.append(
+            {"sec": round(time.time() - t0, 3), "ray_probes": [rp_start, _ray_probe(probe)]}
+        )
+        if (
+            max(attempts[-1]["ray_probes"]) <= BENCH_PROBE_GATE_SEC
+            or time.time() - loop_t0 > BENCH_RETRY_BUDGET_SEC
+        ):
+            break
+    kept = min(attempts, key=lambda a: max(a["ray_probes"]))
+    headline = kept["sec"]
+    queries["dedup_synth"] = headline
+    out = {
+        "metric": "near-dup clustering throughput (synthetic CC-style corpus)",
+        "value": headline,
+        "unit": "sec",
+        "queries": queries,
+        "sf": SF_DIR,
+        "num_cpus": NUM_CPUS,
+        "n_docs": n_docs,
+        "docs_per_sec": round(n_docs / headline, 1),
+        "ray_probe_sec": kept["ray_probes"][1],
+        "ray_probe_start_sec": kept["ray_probes"][0],
+    }
+    if headline_only:
+        # a scaling or soak leg: its parent reads only the headline
+        ray.shutdown()
+        return out
 
     # incremental query-vs-index (the reference's query mode): the index
     # build is checkpointed under the corpus dir (first run pays it once;
@@ -282,14 +227,7 @@ def run_bench() -> dict:
 
     # named by index format: a cached older-format index is never reused
     idx_root = os.path.join(corpus, "_index_f2")
-    build_index(
-        ingest_pages(
-            rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])
-        ),
-        cfg,
-        idx_root,
-        num_partitions=num_partitions,
-    )
+    build_index(_read_docs(corpus), cfg, idx_root, num_partitions=num_partitions)
     n_batch = min(10000, BENCH_DOCS)
     new_batch = rd.read_parquet(
         f"{corpus}/pages", columns=["url", "html", "text"]
@@ -327,11 +265,6 @@ def run_bench() -> dict:
     assert n_e == n_docs + n_batch
     shutil.rmtree(ext_root)
 
-    from metacache_mpi_ray.pipelines.queries import (
-        q_simhash_dup_pairs,
-        q_substring_candidates,
-    )
-
     for name, fn in [
         ("exact_dedup_sf", q_exact_dedup_groups),
         ("token_count_stats_sf", q_token_count_stats),
@@ -341,32 +274,14 @@ def run_bench() -> dict:
         ("substring_candidates_sf", q_substring_candidates),
     ]:
         t0 = time.time()
-        out = fn(SF_DIR)
-        out.count()
+        fn(SF_DIR).count()
         queries[name] = round(time.time() - t0, 3)
 
     ray.shutdown()
-    return {
-        "metric": "near-dup clustering throughput (synthetic CC-style corpus)",
-        "value": round(headline, 3),
-        "unit": "sec",
-        "queries": queries,
-        "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
-        "n_docs": n_docs,
-        "docs_per_sec": round(n_docs / headline, 1),
-        "cpu_probe_sec": _cpu_probe(),
-        "cpu_probe_start_sec": probe_start,
-        "par_probe_sec": _par_probe(),
-        "par_probe_start_sec": par_probe_start,
-        "ray_probe_sec": kept["ray_probes"][1],
-        "ray_probe_start_sec": ray_probe_start,
-        # every headline attempt, throttled ones included (the reported
-        # one is chosen by healthiest probe, never by its own time)
-        "headline_attempts": attempts,
-        "headline_probe_gate_sec": gate,
-        "headline_probe_mode": probe_mode,
-    }
+    # every headline attempt, throttled ones included
+    out["headline_attempts"] = attempts
+    out["headline_probe_gate_sec"] = BENCH_PROBE_GATE_SEC
+    return out
 
 
 def _hw_chunk(args):
@@ -382,15 +297,9 @@ def _hw_chunk(args):
 def hw_ceiling(lo: int, hi: int, total=160_000_000, reps=4) -> dict:
     """Ray-free strong-scaling ceiling of THIS VM for memory-bound numpy
     work: the same fixed total workload split across lo and hi worker
-    processes. The engine cannot scale better than its substrate; the
-    judge-facing number is engine_eff / hw_eff.
-
-    Fork pools with a warm first map and a TIMED second map: spawn
-    pools measure process-spawn + numpy-import latency, which on this
-    host swings independently of compute capacity (a spawn-pool
-    ceiling once reported a nonsense 10.7 "efficiency"). The timed
-    section is compute-only, the thing the engine legs actually
-    consume."""
+    processes (the engine cannot scale better than its substrate). Fork
+    pools with a warm first map and a TIMED second map, so spawn and
+    import latency, which swings apart from compute here, stay out."""
     import multiprocessing as mp
 
     def run(p: int) -> float:
@@ -426,186 +335,103 @@ def _run_leg(env: dict, what: str) -> dict:
         ) from e
 
 
-def run_scaling() -> dict:
-    # corpus size for the scaling pair (defaults to the bench corpus;
-    # a larger one amortizes fixed orchestration but also shifts more
-    # time into memory-bound phases, which this VM scales sub-linearly
-    # at higher active-core counts — see BASELINE.md hardware table)
-    scale_docs = int(os.environ.get("GRAFT_SCALE_DOCS", str(BENCH_DOCS)))
+def _leg_probes(r: dict) -> list[float]:
+    """A leg's [start, end] probes as multiples of the healthy reference
+    at its CPU count (an aborted leg has only its start probe)."""
+    ref = RAY_PROBE_REF_SEC.get(r["num_cpus"], 1.0)
+    return [
+        round(p / ref, 3)
+        for p in (r.get("ray_probe_start_sec"), r.get("ray_probe_sec"))
+        if p is not None
+    ]
 
-    def one(ncpu: int, allow_abort: bool = False, abort_gate_sec: float = 4.0) -> dict:
+
+def _gated_leg(ncpu: int, n_docs: int, discarded: list) -> dict:
+    """One headline-only run of this script at ``ncpu`` CPUs over
+    ``n_docs`` docs, gated on its probes: a leg with a probe over
+    LEG_PROBE_GATE is retried, up to LEG_RETRIES times, and every
+    discarded leg is appended to ``discarded``. Each attempt but the last
+    gets the gate in seconds and aborts on a throttled start probe; the
+    last runs to the end, so a suite finishes even when every window is
+    throttled (its probes stay in the leg's record). The gate reads the
+    probes, never the leg's own time, so it cannot favor fast runs."""
+    r = None
+    for attempt in range(LEG_RETRIES + 1):
         env = dict(
             os.environ,
             RAY_GRAFT_CPUS=str(ncpu),
-            GRAFT_BENCH_DOCS=str(scale_docs),
+            GRAFT_BENCH_DOCS=str(n_docs),
             GRAFT_HEADLINE_ONLY="1",
-            GRAFT_ABORT_ON_THROTTLED_START="1" if allow_abort else "0",
-            GRAFT_ABORT_GATE_SEC=f"{abort_gate_sec:.2f}",
         )
-        return _run_leg(env, f"scaling leg at {ncpu} CPUs")
+        env.pop("GRAFT_ABORT_GATE_SEC", None)
+        final = attempt == LEG_RETRIES
+        if not final:
+            gate_sec = LEG_PROBE_GATE * RAY_PROBE_REF_SEC.get(ncpu, 1.0)
+            env["GRAFT_ABORT_GATE_SEC"] = f"{gate_sec:.2f}"
+        r = _run_leg(env, f"leg at {ncpu} CPUs over {n_docs} docs")
+        if r.get("aborted"):
+            discarded.append(
+                {"cpus": ncpu, "sec": None, "aborted_on_probe": True,
+                 "probes": _leg_probes(r)}
+            )
+            continue
+        if max(_leg_probes(r) or [0.0]) <= LEG_PROBE_GATE:
+            return r
+        if not final:
+            discarded.append({"cpus": ncpu, "sec": r["value"], "probes": _leg_probes(r)})
+    return r  # every window throttled: keep the last leg
 
+
+def run_scaling(scale_docs: int | None = None) -> dict:
+    """The lo -> hi suite over ``scale_docs`` docs (default
+    GRAFT_SCALE_DOCS, else the bench corpus size): GRAFT_SCALE_REPS
+    pairs of gated legs, medians and per-pair efficiencies."""
+    if scale_docs is None:
+        scale_docs = int(os.environ.get("GRAFT_SCALE_DOCS", str(BENCH_DOCS)))
     _corpus_dir(scale_docs)  # generate + warm once, outside timing
     lo, hi = SCALE_LO, SCALE_HI
     reps = int(os.environ.get("GRAFT_SCALE_REPS", "3"))
-    # the sandbox VM's effective CPU capacity fluctuates (noisy
-    # neighbors); two mitigations: (1) alternate lo/hi runs and take
-    # medians; (2) probe-gate each leg — a leg whose bracketing
-    # single-thread probes show a throttled window (> GRAFT_PROBE_GATE
-    # seconds; healthy ~1.2) is retried, because a ratio between legs
-    # that ran on different effective hardware measures the VM, not the
-    # engine. The gate reads the probe, never the leg's own time, so it
-    # cannot bias the accepted samples toward fast runs of the engine.
-    # the gate reads the 2-PROCESS probe (~2.3 s healthy incl. pool
-    # spawn): measured 2026-08-17, this host starves a lone busy vCPU
-    # 6-29x while p>=2 procs run near-healthy in the same minutes, so a
-    # single-thread probe gates on the starved mode an engine leg never
-    # runs in. Single-thread probes are still recorded for continuity.
-    # which probe family gates and pair-matches: "ray" (default) =
-    # the fixed 2048-doc mini pipeline with the engine's own process
-    # shape; "par" = numpy 2-process pools (the rounds-2/3 instrument,
-    # still recorded). Measured 2026-08-18: this host schedules Ray's
-    # process group independently of small fork/spawn pools — a 2-CPU
-    # engine leg ran healthy while numpy probes around it read 7-50x
-    # starved — so only a Ray-shaped probe predicts leg health.
-    probe_mode = os.environ.get("GRAFT_PROBE_MODE", "ray")
-    # the mini job runs ~2x faster at 8 CPUs than at 2 (its parallel
-    # slice scales), so ray probes are NORMALIZED by a per-CPU-count
-    # healthy reference (measured 2026-08-18 on this box) and the gate
-    # is a multiple-of-healthy. par mode keeps absolute seconds.
-    ray_ref = {
-        lo: float(os.environ.get("GRAFT_RAY_REF_LO", "2.0")),
-        hi: float(os.environ.get("GRAFT_RAY_REF_HI", "1.0")),
-    }
-    gate = float(
-        os.environ.get(
-            "GRAFT_PROBE_GATE", "2.0" if probe_mode == "ray" else "3.5"
-        )
-    )
-    retries = int(os.environ.get("GRAFT_PROBE_RETRIES", "2"))
     discarded: list[dict] = []
-
-    def leg_probes(r: dict) -> list[float]:
-        """The gating family's probes; normalized to multiples of the
-        leg's healthy reference in ray mode, absolute seconds in par."""
-        norm = ray_ref.get(r.get("num_cpus"), 1.0) if probe_mode == "ray" else 1.0
-        return [
-            round(p / norm, 3)
-            for p in (
-                r.get(f"{probe_mode}_probe_start_sec"),
-                r.get(f"{probe_mode}_probe_sec"),
-            )
-            if p is not None
-        ]
-
-    def one_gated(ncpu: int) -> dict:
-        r = None
-        for attempt in range(retries + 1):
-            # non-final attempts may self-abort on a throttled START
-            # probe (~2 s + session setup instead of a full throttled
-            # leg); the final attempt always runs to completion so the
-            # suite finishes, disclosed as throttled
-            r = one(
-                ncpu,
-                allow_abort=attempt < retries,
-                abort_gate_sec=gate
-                * (ray_ref.get(ncpu, 1.0) if probe_mode == "ray" else 1.0),
-            )
-            if r.get("aborted"):
-                discarded.append(
-                    {"cpus": ncpu, "sec": None, "aborted_on_probe": True,
-                     "probes": leg_probes(r)}
-                )
-                continue
-            worst = max(leg_probes(r) or [0.0])
-            if worst <= gate:
-                return r
-            if attempt < retries:
-                # a truly DISCARDED leg (will be retried). The final
-                # throttled attempt is kept and used in the medians, so
-                # it must NOT appear here — its probes are already
-                # disclosed in par_probe_N (r3 review finding)
-                discarded.append(
-                    {"cpus": ncpu, "sec": r["value"],
-                     "probes": leg_probes(r)}
-                )
-        return r  # every window throttled: keep the last leg, disclosed
-
-    lows, highs, n_docs = [], [], None
-    probes_lo, probes_hi, par_lo, par_hi, hw_reps = [], [], [], [], []
-    ray_lo, ray_hi = [], []
-    pairs = []
+    lows, highs, ray_lo, ray_hi, pairs, hw_reps = [], [], [], [], [], []
+    n_docs = None
     for rep in range(reps):
-        # alternate leg order per rep: a monotone capacity drift then
-        # biases half the pairs up and half down instead of all one way.
-        # GRAFT_LEG_ORDER=hi_first|lo_first forces it: on this
-        # burst-credit host the hi leg burns the budget ~4x faster, so
-        # running it FIRST (right after a rest refill) measures it
-        # cleanest; the lo leg's ~2-core burn is sustainable after.
-        order = os.environ.get("GRAFT_LEG_ORDER")
-        hi_first = (rep % 2 == 1) if order is None else (order == "hi_first")
-        if not hi_first:
-            r_lo, r_hi = one_gated(lo), one_gated(hi)
+        # alternate the leg order per rep: a monotone capacity drift then
+        # biases half the pairs up and half down instead of all one way
+        if rep % 2 == 0:
+            r_lo = _gated_leg(lo, scale_docs, discarded)
+            r_hi = _gated_leg(hi, scale_docs, discarded)
         else:
-            r_hi, r_lo = one_gated(hi), one_gated(lo)
+            r_hi = _gated_leg(hi, scale_docs, discarded)
+            r_lo = _gated_leg(lo, scale_docs, discarded)
         lows.append(r_lo["value"])
         highs.append(r_hi["value"])
-        probes_lo.append(
-            [r_lo.get("cpu_probe_start_sec"), r_lo.get("cpu_probe_sec")]
-        )
-        probes_hi.append(
-            [r_hi.get("cpu_probe_start_sec"), r_hi.get("cpu_probe_sec")]
-        )
-        pp_lo = [r_lo.get("par_probe_start_sec"), r_lo.get("par_probe_sec")]
-        pp_hi = [r_hi.get("par_probe_start_sec"), r_hi.get("par_probe_sec")]
-        par_lo.append(pp_lo)
-        par_hi.append(pp_hi)
         ray_lo.append([r_lo.get("ray_probe_start_sec"), r_lo.get("ray_probe_sec")])
         ray_hi.append([r_hi.get("ray_probe_start_sec"), r_hi.get("ray_probe_sec")])
-        # per-ADJACENT-PAIR efficiency: the two legs of one rep ran
-        # back-to-back (minutes apart at most), so they share a VM
-        # capacity window far more often than the suite-wide medians
-        # do — the ratio-of-medians can pair a sec_lo from one window
-        # with a sec_hi from another (the round-2 failure mode). A
-        # pair is "matched" when its four bracketing probes (of the
-        # gating family — the Ray-shaped probe by default) agree
-        # within 1.5x: both legs saw the same effective hardware,
-        # which is exactly what the N-vs-4N criterion assumes.
-        pp = leg_probes(r_lo) + leg_probes(r_hi)
-        # matched = both legs saw comparable hardware. Two ways to
-        # show it: (a) every probe inside the healthy band (<= 1.5x
-        # the healthy reference; ray mode only, where values are
-        # normalized multiples) — probe noise AROUND healthy (e.g.
-        # 0.6x vs 1.3x) must not disqualify a healthy pair; (b) all
-        # probes within 1.5x of each other (matched-equal-throttle,
-        # any mode).
-        healthy_band = (
-            probe_mode == "ray" and bool(pp) and max(pp) <= 1.5
-        )
+        # per-adjacent-pair efficiency: the two legs of one rep ran
+        # back-to-back, so they share a capacity window far more often
+        # than the suite-wide medians do. A pair is matched when both
+        # legs saw comparable hardware: every probe within 1.5x of
+        # healthy (noise around healthy must not disqualify a pair), or
+        # all four probes within 1.5x of each other (equal throttle).
+        pp = _leg_probes(r_lo) + _leg_probes(r_hi)
         pairs.append(
             {
                 "eff": round((r_lo["value"] / r_hi["value"]) / (hi / lo), 3),
-                "par_probes": pp,
-                "probe_mode": probe_mode,
-                "matched": healthy_band
-                or (bool(pp) and max(pp) / max(min(pp), 0.01) <= 1.5),
+                "probes": pp,
+                "matched": bool(pp)
+                and (max(pp) <= 1.5 or max(pp) / max(min(pp), 0.01) <= 1.5),
             }
         )
         n_docs = r_lo["n_docs"]
-        # hw ceiling sampled INSIDE the suite, adjacent to the legs it
-        # normalizes — a single end-of-suite probe can land in a
-        # different capacity window than every engine leg (observed:
-        # "super-linear" 1.15 hw efficiency right after a suite whose
-        # legs all ran throttled)
+        # hw ceiling sampled per rep, next to the legs it normalizes: an
+        # end-of-suite sample can land in another capacity window
         hw_reps.append(hw_ceiling(lo, hi))
     med = lambda xs: sorted(xs)[len(xs) // 2]
     t_lo, t_hi = med(lows), med(highs)
     eff = (t_lo / t_hi) / (hi / lo)
     matched_effs = [p["eff"] for p in pairs if p["matched"]]
-    eff_paired = med(matched_effs) if matched_effs else None
-    # report the per-rep MEDIAN window's full dict: a separate
-    # end-of-suite probe would pair sec fields from one window with an
-    # efficiency from another (r3 review finding — suite #5 showed
-    # hw_sec_2 from a 12 s throttle next to the 0.611 median)
+    # report the per-rep MEDIAN window's full dict, so its sec fields
+    # and its efficiency come from one window
     hw_effs = [h["hw_efficiency"] for h in hw_reps]
     hw = dict(sorted(hw_reps, key=lambda h: h["hw_efficiency"])[len(hw_reps) // 2])
     hw["hw_efficiency_per_rep"] = hw_effs
@@ -616,71 +442,45 @@ def run_scaling() -> dict:
         f"sec_{hi}": t_hi,
         f"all_sec_{lo}": lows,
         f"all_sec_{hi}": highs,
-        # per-leg [start, end] single-thread probes (~1.2 s healthy),
-        # recorded for continuity with earlier rounds — NOT the gating
-        # instrument (this host starves lone busy vCPUs 6-29x while
-        # multi-process work runs near-healthy; see _par_probe)
-        f"cpu_probe_{lo}": probes_lo,
-        f"cpu_probe_{hi}": probes_hi,
-        # per-leg [start, end] 2-process numpy probes (~2.3 s healthy),
-        # recorded for continuity (see _par_probe docstring)
-        f"par_probe_{lo}": par_lo,
-        f"par_probe_{hi}": par_hi,
-        # per-leg [start, end] Ray-shaped probes (fixed 2048-doc mini
-        # pipeline, identical at both leg CPU counts): the gating +
-        # pair-matching instrument when probe_mode == "ray" (default)
+        # per-leg [start, end] probe seconds
         f"ray_probe_{lo}": ray_lo,
         f"ray_probe_{hi}": ray_hi,
-        "probe_mode": probe_mode,
-        # pair_efficiencies[].par_probes carry the GATING family's
-        # values: in ray mode, multiples of the per-CPU-count healthy
-        # reference below (1.0 = healthy); in par mode, seconds
-        "ray_probe_healthy_ref": {str(k): v for k, v in ray_ref.items()},
-        "probe_gate_sec": gate,
+        # discarded legs and pair_efficiencies[].probes are multiples of
+        # these healthy references (1.0 = healthy)
+        "ray_probe_healthy_ref": {str(c): RAY_PROBE_REF_SEC.get(c, 1.0) for c in (lo, hi)},
+        "probe_gate_sec": LEG_PROBE_GATE,
         "discarded_throttled_legs": discarded,
         "scaling_efficiency": round(eff, 3),
         # per-rep adjacent-pair efficiencies (window-local ratios) and
         # the median over MATCHED pairs — the substrate-robust headline
         "pair_efficiencies": pairs,
-        "scaling_efficiency_paired": eff_paired,
+        "scaling_efficiency_paired": med(matched_effs) if matched_effs else None,
         "n_docs": n_docs,
     }
     out.update(hw)
-    # the engine measured against what this VM can actually deliver for
-    # memory-bound parallel work (1.0 = engine adds no sub-linearity
-    # beyond the substrate)
+    # 1.0 = the engine adds no sub-linearity beyond the substrate
     out["efficiency_vs_hw_ceiling"] = round(eff / hw["hw_efficiency"], 3)
     return out
 
 
 def run_evidence() -> dict:
-    """One-command scaling-evidence refresh (r4 VERDICT item 10): the
-    probe-gated lo->hi scaling suite at a LARGE fixed input (default 4M
-    docs — the input size where the fixed-per-execution-overhead
-    ceiling measured in rounds 3/4 vanishes) plus a small size-soak
-    curve, persisted as SCALING_EVIDENCE_<tag>.json and appended to
-    BASELINE.md as one table row. Knobs: GRAFT_SCALE_DOCS,
-    GRAFT_SCALE_REPS, GRAFT_EVIDENCE_SOAK (comma doc counts),
-    GRAFT_EVIDENCE_TAG."""
+    """One-command scaling-evidence refresh: the scaling suite at a LARGE
+    fixed input (GRAFT_SCALE_DOCS, default 4M docs — the input size where
+    the fixed per-execution overhead measured in rounds 3/4 vanishes)
+    plus a size-soak curve (GRAFT_EVIDENCE_SOAK) of gated legs at
+    RAY_GRAFT_CPUS, persisted as SCALING_EVIDENCE_<tag>.json
+    (GRAFT_EVIDENCE_TAG) and appended to BASELINE.md as one table row."""
     here = os.path.dirname(os.path.abspath(__file__))
-    docs = int(os.environ.get("GRAFT_SCALE_DOCS", "4000000"))
-    os.environ["GRAFT_SCALE_DOCS"] = str(docs)  # run_scaling reads it
-    scaling = run_scaling()
+    scaling = run_scaling(int(os.environ.get("GRAFT_SCALE_DOCS", "4000000")))
     soak_sizes = [
         int(x)
         for x in os.environ.get("GRAFT_EVIDENCE_SOAK", "120000,1000000").split(",")
         if x.strip()
     ]
-    soak = []
+    soak, soak_discarded = [], []
     for n in soak_sizes:
         _corpus_dir(n)  # generate outside timing
-        env = dict(
-            os.environ,
-            GRAFT_BENCH_DOCS=str(n),
-            GRAFT_HEADLINE_ONLY="1",
-            RAY_GRAFT_CPUS=str(NUM_CPUS),
-        )
-        r = _run_leg(env, f"soak leg at {n} docs")
+        r = _gated_leg(NUM_CPUS, n, soak_discarded)
         soak.append(
             {
                 "n_docs": r["n_docs"],
@@ -689,14 +489,13 @@ def run_evidence() -> dict:
                 "ray_probes": [r.get("ray_probe_start_sec"), r.get("ray_probe_sec")],
             }
         )
-    tag = os.environ.get(
-        "GRAFT_EVIDENCE_TAG", time.strftime("%Y%m%d-%H%M%S")
-    )
+    tag = os.environ.get("GRAFT_EVIDENCE_TAG", time.strftime("%Y%m%d-%H%M%S"))
     evidence = {
         "generated_by": "python bench.py --evidence",
         "tag": tag,
         "scaling": scaling,
         "soak": soak,
+        "discarded_soak_legs": soak_discarded,
     }
     path = os.path.join(here, f"SCALING_EVIDENCE_{tag}.json")
     with open(path, "w") as f:

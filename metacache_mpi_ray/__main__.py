@@ -267,7 +267,7 @@ def cmd_info(args) -> int:
         "shards": shards,
         "files_per_shard": {
             stage: [len(shard_files(args.index, stage, p)) for p in range(shards)]
-            for stage in ("signatures", "bands", "clusters")
+            for stage in ("signatures", "bands", "verified", "clusters")
         },
         "cluster_log_batches": log_batches(log_files(args.index)),
     }

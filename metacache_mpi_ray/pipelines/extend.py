@@ -66,7 +66,6 @@ import ray
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.pipelines.incremental import (
     _CLUSTERS,
-    _VERIFIED,
     _check_config,
     _concat,
     _daily_batch,
@@ -130,11 +129,12 @@ def _contract(*verified):
 
 
 @ray.remote
-def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
-    """Shard p: stage the batch's signature, band and cluster rows as
-    one file per stage, merging the shard's files into one where the
-    count would pass MAX_SHARD_FILES, and folding the cluster log into
-    the clusters shard when ``fold_log`` (the log files to fold) is set.
+def _stage_shard(root, p, staging, name, fold_log, contract, verified, n_blocks, *pieces):
+    """Shard p: stage the batch's signature, band, verified and cluster
+    rows as one file per stage, merging the shard's files into one where
+    the count would pass MAX_SHARD_FILES, and folding the cluster log
+    into the clusters shard when ``fold_log`` (the log files to fold) is
+    set. ``verified`` holds the batch's edges whose ``b`` is in shard p.
     Returns (moves, removes, read counters)."""
     sig = _concat(pieces[:n_blocks])
     band = _concat(pieces[n_blocks:])
@@ -144,6 +144,7 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
     rows = {
         "signatures": sig,
         "bands": band,
+        "verified": verified.select(["a", "b", "est_sim"]),
         "clusters": pa.table(
             [ids, np.where(found, labels[pos], ids) if len(nodes) else ids, found],
             schema=_CLUSTERS,
@@ -170,6 +171,8 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
             removes += files
         if stage == "bands":
             tab = tab.sort_by("bkey")
+        elif stage == "verified":
+            tab = tab.sort_by([("a", "ascending"), ("b", "ascending")])
         staged = os.path.join(staging, stage, str(p), name)
         _write_table(tab, staged)
         moves.append([staged, os.path.join(root, stage, str(p), name)])
@@ -177,15 +180,10 @@ def _stage_shard(root, p, staging, name, fold_log, contract, n_blocks, *pieces):
 
 
 @ray.remote
-def _stage_log(root, staging, name, seq, fold_log, contract, *verified):
-    """The batch's verified file, and its remap and dup files unless the
-    log is being folded (then every log file is removed instead)."""
-    ver = _concat(verified)
-    files = {
-        os.path.join("verified", name): (
-            _VERIFIED.empty_table() if ver is None else ver
-        ).select(["a", "b", "est_sim"])
-    }
+def _stage_log(root, staging, name, seq, fold_log, contract):
+    """The batch's remap and dup files, unless the log is being folded
+    (then every log file is removed instead)."""
+    files = {}
     if fold_log is None:
         stem = os.path.join("cluster_log", f"{seq:06d}-{name[: -len('.parquet')]}")
         if len(contract["remap_from"]):
@@ -229,7 +227,7 @@ def extend_index(
     candidates against the signature shards and resolves the stored
     endpoints' clusters; ``contract`` runs components over the
     contracted edges; ``rewrite_clusters`` stages the batch's signature,
-    band and cluster rows, the log and the verified file, plus any
+    band, verified and cluster rows per shard and its log files, plus any
     compaction; ``commit`` journals and installs them.
 
     Precondition: new doc_ids are distinct from stored ones (ids are
@@ -288,15 +286,14 @@ def extend_index(
     staged = ray.get(
         [
             _stage_shard.remote(
-                ckpt_root, p, staging, name, fold_log, contract_ref,
+                ckpt_root, p, staging, name, fold_log, contract_ref, batch.verified[p],
                 len(batch.sigs), *batch.sig_pieces[p], *batch.band_pieces[p],
             )
             for p in range(shards)
         ]
         + [
             _stage_log.remote(
-                ckpt_root, staging, name, len(prior) + 1, fold_log, contract_ref,
-                *batch.verified,
+                ckpt_root, staging, name, len(prior) + 1, fold_log, contract_ref
             )
         ]
     )

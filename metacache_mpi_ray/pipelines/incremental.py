@@ -81,7 +81,6 @@ from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.blocks import split_by_key
 from metacache_mpi_ray.stages.banding import sign_split
 from metacache_mpi_ray.stages.candidates import (
-    _combine_keys,
     distinct_pairs,
     run_bounds,
     segment_all_pairs,
@@ -526,9 +525,11 @@ class ReplIndex:
     Loads the index artifacts (band table, signatures, clusters) into
     driver memory ONCE — like the reference, the interactive path
     assumes the index fits in RAM; batch workloads go through
-    ``query_against_index``. Each ``query(text)`` is pure numpy:
-    normalize -> sign -> band -> searchsorted probe -> signature
-    verification -> cluster resolution, a few ms per query."""
+    ``query_against_index``. Each ``query(text)`` runs in the driver:
+    the batch path's normalize -> sign -> band key fold
+    (``_ingest_documents_batch``, ``MinHashSigner``, ``band_key_rows``),
+    then searchsorted probe -> signature verification -> cluster
+    resolution, one to two ms per query."""
 
     #: refuse to load an index whose on-disk artifacts exceed this many
     #: bytes (in-RAM footprint is larger still after decompression);
@@ -539,7 +540,7 @@ class ReplIndex:
     DEFAULT_MAX_BYTES = 8 << 30
 
     def __init__(self, ckpt_root: str, max_bytes: int | None = None):
-        from metacache_mpi_ray.functions.hashing import minhash_perm_constants
+        from metacache_mpi_ray.stages.signatures import MinHashSigner
 
         shards = index_shards(ckpt_root)
         resume_pending_commit(ckpt_root)
@@ -562,11 +563,7 @@ class ReplIndex:
                 f"METACACHE_REPL_MAX_BYTES."
             )
         self.cfg = load_index_config(ckpt_root)
-        self._perm = (
-            minhash_perm_constants(self.cfg.n_perms, self.cfg.seed)
-            if self.cfg.minhash_scheme != "oph"
-            else (None, None)
-        )
+        self._signer = MinHashSigner(self.cfg)
         sig_tab = _read_files(files["signatures"], ["doc_id", "sig"])
         self.sig_ids = sig_tab["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(self.sig_ids)
@@ -597,28 +594,16 @@ class ReplIndex:
         (the reference's interactive shell re-parses query options per
         input line, mode_query.cpp:269-315; the REPL CLI's ``:set``
         maps onto these)."""
-        from metacache_mpi_ray.functions.text import normalize_text_py
-        from metacache_mpi_ray.stages.banding import _to_i63, band_hashes
-        from metacache_mpi_ray.stages.signatures import minhash_matrix
+        from metacache_mpi_ray.stages.banding import band_key_rows
+        from metacache_mpi_ray.stages.ingest import _ingest_documents_batch
 
-        norm = normalize_text_py(text).encode("utf-8")
-        sig = minhash_matrix([norm], self.cfg, *self._perm)
-        bh = _to_i63(band_hashes(sig, self.cfg)).reshape(-1)
-        key_tab = pa.table(
-            {
-                "band_id": pa.array(
-                    np.arange(self.cfg.n_bands, dtype=np.int64), type=pa.int64()
-                ),
-                "band_hash": pa.array(bh, type=pa.int64()),
-                "doc_id": pa.array(
-                    np.zeros(self.cfg.n_bands, dtype=np.int64), type=pa.int64()
-                ),
-            }
+        # signed and banded exactly as a batch doc is
+        doc = _ingest_documents_batch(
+            pa.table({"doc_id": pa.array([0], pa.int64()), "text": pa.array([text], pa.string())})
         )
-        qkeys = (
-            _combine_keys(key_tab, ["band_id", "band_hash"], "doc_id")["bkey"]
-            .to_numpy(zero_copy_only=False)
-        )
+        sig_tab = self._signer(doc)
+        sig = sig_from_arrow(sig_tab["sig"])
+        qkeys = band_key_rows(sig_tab, self.cfg)["bkey"].to_numpy(zero_copy_only=False)
         lo = np.searchsorted(self.band_keys, qkeys, side="left")
         hi = np.searchsorted(self.band_keys, qkeys, side="right")
         cap = self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap)

@@ -90,7 +90,7 @@ def test_cli_extend(tmp_path, corpus_dir, capsys):
     # the layout: the build's file plus the batch's in every shard
     assert info["format"] == 2 and info["shards"] == 4
     assert info["files_per_shard"] == {
-        stage: [2, 2, 2, 2] for stage in ("signatures", "bands", "clusters")
+        stage: [2, 2, 2, 2] for stage in ("signatures", "bands", "verified", "clusters")
     }
     assert info["cluster_log_batches"] in (0, 1)
 

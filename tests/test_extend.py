@@ -134,6 +134,63 @@ def test_extend_chains_and_queries_see_new_docs(built_a):
     assert bool(q.loc[0, "matched"]) and q.loc[0, "matched_cluster_id"] == 2000
 
 
+def test_extend_verified_edges_sit_in_their_shards(built_a, capsys):
+    """An extend batch stages its verified edges like the build does: by
+    the shard of ``b`` under ``verified/<p>/``, sorted by (a, b). After
+    two batches every verified file sits in a shard directory and holds
+    only that shard's rows, ``info`` counts the build's edges plus each
+    batch's ``n_new_edges``, and re-clustering every stored edge gives
+    the clusters ``read_clusters`` resolves."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from metacache_mpi_ray.__main__ import main
+    from metacache_mpi_ray.functions.blocks import split_by_key
+    from metacache_mpi_ray.pipelines.merge import merge_cluster_runs
+
+    root, a_ids, a_src = built_a
+    assert main(["info", "--index", root]) == 0
+    build_edges = json.loads(capsys.readouterr().out.strip())["rows_verified"]
+    b_ids, b_src = _b_batch()
+    c_ids = np.array([5000, 5003], dtype=np.int64)
+    c_src = np.array([777777, 3], dtype=np.int64)  # joins 2000's and 3's clusters
+    extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4)
+    extend_index(_token_docs(c_ids, c_src), root, CFG, num_partitions=4)
+
+    files = sorted(glob.glob(f"{root}/verified/**/*.parquet", recursive=True))
+    shards = 4
+    assert files
+    for f in files:
+        rel = os.path.relpath(f, f"{root}/verified").split(os.sep)
+        assert len(rel) == 2 and rel[0] in {str(p) for p in range(shards)}, f
+        t = pq.read_table(f, partitioning=None)
+        assert t.column_names == ["a", "b", "est_sim"]
+        assert t.equals(t.sort_by([("a", "ascending"), ("b", "ascending")])), f
+        pieces = split_by_key(t, ["b"], shards)
+        assert sum(x.num_rows for x in pieces) == pieces[int(rel[0])].num_rows, f
+    assert any("extend-b0002" in f for f in files)
+
+    with open(os.path.join(root, "extends.json")) as fh:
+        new_edges = [r["n_new_edges"] for r in json.load(fh)]
+    assert min(new_edges) > 0
+    assert main(["info", "--index", root]) == 0
+    info = json.loads(capsys.readouterr().out.strip())
+    assert info["rows_verified"] == build_edges + sum(new_edges)
+    assert info["files_per_shard"]["verified"] == [
+        len(glob.glob(f"{root}/verified/{p}/*.parquet")) for p in range(shards)
+    ]
+
+    all_docs = _token_docs(
+        np.concatenate([a_ids, b_ids, c_ids]), np.concatenate([a_src, b_src, c_src])
+    )
+    merged = merge_cluster_runs(all_docs, rd.read_parquet(f"{root}/verified"))
+    cols = ["doc_id", "cluster_id"]
+    pd.testing.assert_frame_equal(
+        _canon(merged.to_pandas())[cols], _canon(read_clusters(root).to_pandas())[cols]
+    )
+
+
 def test_extend_config_guard_and_batch_id_guard(built_a):
     root, _, _ = built_a
     other = DedupConfig(n_perms=CFG.n_perms, n_bands=CFG.n_bands // 2)
@@ -480,7 +537,7 @@ def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch)
         else:
             u_ids += list(b_ids)
             u_src += list(b_src)
-        for stage in ("signatures", "bands", "clusters"):
+        for stage in ("signatures", "bands", "verified", "clusters"):
             for p in range(2):
                 max_files = max(max_files, len(shard_files(root, stage, p)))
         log_hist.append(log_batches(log_files(root)))

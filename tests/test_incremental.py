@@ -551,6 +551,42 @@ def test_repl_index_agrees_with_batch_query(index_root):
     assert n_matched > 0
     # unknown text stays unmatched
     assert repl.query("never seen text " * 30)["matched"] is False
+
+    # raw, un-normalized text (mixed case, whitespace runs, an entity,
+    # accents) is normalized and signed as the batch path's documents
+    stored = pages[pages["text"].notna()]["text"].head(6).tolist()
+    raw = [
+        "  " + "\t".join(w.upper() if i % 3 == 0 else w for i, w in enumerate(t.split(" ")))
+        + " \n\n "
+        for t in stored[:3]
+    ] + [
+        t.replace(" ", "   ", 5) + " Café &amp; naïve ÉTÉ"
+        for t in stored[3:]
+    ] + ["Brand-NEW   téxt &amp; Nothing\n\nlike it " * 20]
+    raw_ids = list(range(40_000_000, 40_000_000 + len(raw)))
+    batch = (
+        query_against_index(
+            ingest_documents(
+                rd.from_arrow(
+                    pa.table({"doc_id": pa.array(raw_ids, pa.int64()), "text": raw})
+                )
+            ),
+            root,
+            num_partitions=4,
+        )
+        .to_pandas()
+        .set_index("doc_id")
+    )
+    n_matched = 0
+    for i, text in zip(raw_ids, raw):
+        got = repl.query(text)
+        assert got["matched"] == bool(batch.loc[i, "matched"]), i
+        if got["matched"]:
+            n_matched += 1
+            assert int(batch.loc[i, "matched_cluster_id"]) in {
+                m["cluster_id"] for m in got["matches"]
+            }
+    assert n_matched >= 3
 def test_repl_index_refuses_pre_format2_root(index_root, tmp_path):
     """An index without a format-2 index.json (an older unsharded
     writer's, e.g. without a bands artifact) is refused by the REPL and

@@ -1,7 +1,7 @@
 """Scale soak: checkpointed index build + crash-resume +
-incremental query at N docs (default 1M), with bracketing CPU probes so
-the numbers are attributable on the throttled sandbox (BASELINE.md
-methodology).
+incremental query at N docs (default 1M), bracketed by bench.py's
+capacity probe (``_ray_probe``, a fixed mini flagship) so the numbers
+are attributable on a throttled VM (BASELINE.md methodology).
 
 Usage: python tools/soak.py [n_docs] [--root DIR]
 
@@ -38,7 +38,7 @@ while args:
 root = root or f"/tmp/metacache_soak_idx_{n_docs}"
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from bench import _corpus_dir, _cpu_probe  # noqa: E402
+from bench import _corpus_dir, _probe_input, _ray_probe, _read_docs  # noqa: E402
 
 import ray  # noqa: E402
 
@@ -55,27 +55,20 @@ from metacache_mpi_ray.pipelines.incremental import (  # noqa: E402
     build_index,
     query_against_index,
 )
-from metacache_mpi_ray.stages.ingest import ingest_pages  # noqa: E402
 
 out: dict = {"n_docs": n_docs, "cpus": int(ray.cluster_resources()["CPU"])}
-out["probe_start"] = round(_cpu_probe(), 3)
-
 corpus = _corpus_dir(n_docs)
+probe = _probe_input(corpus)
+out["probe_start"] = _ray_probe(probe)
 cfg = DedupConfig()
 num_partitions = 32
-
-
-def docs_ds():
-    return ingest_pages(
-        rd.read_parquet(f"{corpus}/pages", columns=["url", "html", "text"])
-    )
 
 
 if os.path.exists(root):
     shutil.rmtree(root)
 
 t0 = time.perf_counter()
-clusters = build_index(docs_ds(), cfg, root, num_partitions=num_partitions)
+clusters = build_index(_read_docs(corpus), cfg, root, num_partitions=num_partitions)
 n_rows = clusters.count()
 out["cold_build_sec"] = round(time.perf_counter() - t0, 2)
 out["clusters_rows"] = n_rows
@@ -90,13 +83,13 @@ for stage in ("verified", "clusters"):
         elif os.path.exists(p):
             os.remove(p)
 t0 = time.perf_counter()
-clusters2 = build_index(docs_ds(), cfg, root, num_partitions=num_partitions)
+clusters2 = build_index(_read_docs(corpus), cfg, root, num_partitions=num_partitions)
 n2 = clusters2.count()
 out["resume_from_verified_sec"] = round(time.perf_counter() - t0, 2)
 assert n2 == n_rows, (n2, n_rows)
 
 t0 = time.perf_counter()
-n3 = build_index(docs_ds(), cfg, root, num_partitions=num_partitions).count()
+n3 = build_index(_read_docs(corpus), cfg, root, num_partitions=num_partitions).count()
 out["warm_full_resume_sec"] = round(time.perf_counter() - t0, 2)
 assert n3 == n_rows
 
@@ -144,6 +137,6 @@ for run in ("cold", "warm"):
             "bytes_decoded", "stored_bytes_read", "status",
         )
     }
-out["probe_end"] = round(_cpu_probe(), 3)
+out["probe_end"] = _ray_probe(probe)
 print(json.dumps(out))
 ray.shutdown()
