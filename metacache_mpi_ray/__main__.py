@@ -239,21 +239,22 @@ def cmd_info(args) -> int:
     (reference src/mode_info.cpp:288-345): config, layout (format,
     shard count, files per shard of each sharded stage, cluster-log
     length — compaction keeps the last two bounded), artifact row
-    counts (clusters through the resolving reader), band-bucket
-    occupancy moments."""
+    counts (from the Parquet footers; clusters through the resolving
+    reader), band-bucket occupancy moments (one census task per band
+    shard)."""
     _ensure_ray()
     from metacache_mpi_ray.pipelines.incremental import (
         INDEX_FORMAT,
-        _read_stage,
+        bucket_size_sums,
         index_shards,
         load_index_config,
         log_batches,
         log_files,
         read_clusters,
         shard_files,
+        stage_rows,
     )
-    from metacache_mpi_ray.stages.candidates import bucket_stats
-    from metacache_mpi_ray.stages.stats import grouped_moments
+    from metacache_mpi_ray.stages.stats import moments_from_sums
     from metacache_mpi_ray.state.checkpoint import resume_pending_commit
 
     cfg = load_index_config(args.index)
@@ -272,13 +273,12 @@ def cmd_info(args) -> int:
         "cluster_log_batches": log_batches(log_files(args.index)),
     }
     for stage in ("signatures", "verified", "bands"):
-        out[f"rows_{stage}"] = _read_stage(args.index, stage).count()
+        out[f"rows_{stage}"] = stage_rows(args.index, stage)
     out["rows_clusters"] = read_clusters(args.index).count()
-    sizes = bucket_stats(_read_stage(args.index, "bands"), ["bkey"])
-    mom = grouped_moments(sizes, None, "bucket_size").to_pandas()
+    sums = bucket_size_sums(args.index)
+    mean, var, skew = (float(m) for m in moments_from_sums(*sums))
     out["bucket_size_moments"] = {
-        k: (float(mom[k][0]) if k != "n" else int(mom[k][0]))
-        for k in ("n", "mean", "variance", "skewness")
+        "n": sums[0], "mean": mean, "variance": var, "skewness": skew
     }
     # extension lineage (reference 'modify' mode): which batches were
     # added, how many docs/edges/touched clusters each brought

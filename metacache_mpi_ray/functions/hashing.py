@@ -46,14 +46,6 @@ def mix2(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     return murmur3_fmix64(np.asarray(a, dtype=U64) ^ splitmix64(b))
 
 
-def hash_bytes_u64(data: bytes, seed: int = 0) -> int:
-    """Deterministic u64 hash of a byte string (FNV-1a 64 + fmix64)."""
-    h = 0xCBF29CE484222325 ^ (seed & 0xFFFFFFFFFFFFFFFF)
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return int(murmur3_fmix64(U64(h)))
-
-
 def hash_str_column(strings, seed: int = 0) -> np.ndarray:
     """Vectorized u64 hash of a column of strings / bytes.
 

@@ -170,12 +170,3 @@ def resolve_text_batch(batch: pa.Table) -> pa.Table:
     if isinstance(norm, pa.ChunkedArray):
         norm = norm.combine_chunks()
     return batch.append_column("norm_text", norm)
-
-
-def texts_to_bytes(col) -> list[bytes]:
-    """Arrow/numpy string column -> list of utf-8 byte strings."""
-    if isinstance(col, (pa.Array, pa.ChunkedArray)):
-        col = col.to_pylist()
-    elif isinstance(col, np.ndarray):
-        col = col.tolist()
-    return [("" if s is None else s).encode("utf-8") for s in col]

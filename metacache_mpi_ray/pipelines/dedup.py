@@ -284,7 +284,3 @@ def near_dup_pipeline(
         verified_edges=rd.from_arrow_refs(verified_refs),
         clusters=rd.from_arrow_refs(cluster_refs),
     )
-
-
-def dedup_clusters(docs, cfg: DedupConfig | None = None, **kw) -> "ray.data.Dataset":
-    return near_dup_pipeline(docs, cfg, **kw).clusters

@@ -72,6 +72,7 @@ from metacache_mpi_ray.pipelines.incremental import (
     _nbytes,
     _new_stats,
     _read_files,
+    _sorted_shard,
     _write_table,
     index_shards,
     load_log,
@@ -131,7 +132,8 @@ def _contract(*verified):
 @ray.remote
 def _stage_shard(root, p, staging, name, fold_log, contract, verified, n_blocks, *pieces):
     """Shard p: stage the batch's signature, band, verified and cluster
-    rows as one file per stage, merging the shard's files into one where
+    rows as one file per stage, written by build's rule
+    (``_sorted_shard``), merging the shard's files into one where
     the count would pass MAX_SHARD_FILES, and folding the cluster log
     into the clusters shard when ``fold_log`` (the log files to fold) is
     set. ``verified`` holds the batch's edges whose ``b`` is in shard p.
@@ -169,12 +171,8 @@ def _stage_shard(root, p, staging, name, fold_log, contract, verified, n_blocks,
                 remaps.append((contract["remap_from"], contract["remap_to"]))
                 tab = resolve_clusters(tab, remaps, np.union1d(dups, contract["dups"]))
             removes += files
-        if stage == "bands":
-            tab = tab.sort_by("bkey")
-        elif stage == "verified":
-            tab = tab.sort_by([("a", "ascending"), ("b", "ascending")])
         staged = os.path.join(staging, stage, str(p), name)
-        _write_table(tab, staged)
+        _write_table(_sorted_shard(tab, stage), staged)
         moves.append([staged, os.path.join(root, stage, str(p), name)])
     return moves, removes, stats
 

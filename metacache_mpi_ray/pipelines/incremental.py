@@ -52,6 +52,14 @@ directories the listing no longer holds; past ``RESIDENT_BYTES`` per process the
 recently used files are dropped, and a file larger than that is read
 through without being kept.
 
+One read path: only this module reads index files. The probe and
+verify tasks and ``ReplIndex`` share the decoders and the kernels
+(``_bucket_rows``, ``_probe_pairs``, ``_signature_rows``,
+``minhash_scores``, ``_cluster_labels``); ``info`` takes row counts from
+the Parquet footers and runs its bucket census as one task per band
+shard, so no Ray Data read touches the index. Every index file, built
+or extended, is written by one rule (``_sorted_shard``).
+
 The query then takes the minimum matched cluster per new doc. Each probe
 appends a telemetry row (candidate/verified/matched counts, the
 signature files and stored bytes consulted, and the files and bytes
@@ -63,7 +71,6 @@ doc_ids must be disjoint between the index corpus and the query batch
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import time
@@ -97,8 +104,12 @@ from metacache_mpi_ray.state.checkpoint import (
 )
 
 INDEX_FORMAT = 2
-_STAGES = ("signatures", "bands", "verified", "clusters")
+#: the stages of an index and the key each one's files are sorted by
+#: (``_sorted_shard``)
+_STAGE_KEYS = {"signatures": "doc_id", "bands": "bkey", "verified": "a", "clusters": "doc_id"}
+_STAGES = tuple(_STAGE_KEYS)
 _PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_NO_IDS = np.empty(0, dtype=np.int64)
 _BANDS = pa.schema([("bkey", pa.int64()), ("doc_id", pa.int64())])
 _EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())])
 _QUERY_OUT = pa.schema(
@@ -161,13 +172,13 @@ def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
     metrics = MetricsRecorder(root)
     t0 = time.time()
 
-    def write(stage: str, pieces: list, key: str, schema: pa.Schema):
+    def write(stage: str, pieces: list, schema: pa.Schema):
         if stage_done(root, stage):
             return None
         tmp = stage_tmp(root, stage)
         return [
             _write_shard_task.remote(
-                os.path.join(tmp, str(p), "part-0.parquet"), key, schema, *ps
+                os.path.join(tmp, str(p), "part-0.parquet"), stage, schema, *ps
             )
             for p, ps in enumerate(pieces)
         ]
@@ -189,14 +200,14 @@ def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
         band_pieces, sig_pieces = stored("bands"), stored("signatures")
     else:
         band_pieces, sig_pieces = _sign_pieces(docs, cfg, shards)
-    sig_writes = write("signatures", sig_pieces, "doc_id", signature_schema(cfg.n_perms))
-    band_writes = write("bands", band_pieces, "bkey", _BANDS)
+    sig_writes = write("signatures", sig_pieces, signature_schema(cfg.n_perms))
+    band_writes = write("bands", band_pieces, _BANDS)
     sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
     install("signatures", sig_writes)
     install("bands", band_writes)
     cluster_refs = _components(sig_refs, verified_refs, sum(ray.get(counts)))
-    verified_writes = write("verified", [[r] for r in verified_refs], "a", _EDGES)
-    cluster_writes = write("clusters", [[r] for r in cluster_refs], "doc_id", _CLUSTERS)
+    verified_writes = write("verified", [[r] for r in verified_refs], _EDGES)
+    cluster_writes = write("clusters", [[r] for r in cluster_refs], _CLUSTERS)
     install("verified", verified_writes)
     install("clusters", cluster_writes)
 
@@ -244,19 +255,6 @@ def _check_config(ckpt_root: str, cfg: DedupConfig | None) -> DedupConfig:
             "signatures are not comparable across configs"
         )
     return stored_cfg
-
-
-def _read_stage(ckpt_root: str, stage: str, columns=None):
-    """Read a whole stage checkpoint as a Dataset (``info``; the build
-    and the daily path read shard files in their own tasks). Heals a torn
-    extend commit first (one stat when there is none)."""
-    resume_pending_commit(ckpt_root)
-    files = sorted(
-        glob.glob(os.path.join(ckpt_root, stage, "**", "*.parquet"), recursive=True)
-    )
-    if not files:
-        raise FileNotFoundError(f"no checkpointed stage {stage!r} under {ckpt_root}")
-    return rd.read_parquet(files, columns=columns, partitioning=None)
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -313,17 +311,23 @@ def _write_table(t: pa.Table, path: str) -> None:
     pq.write_table(t, path)
 
 
-@ray.remote
-def _write_shard_task(path: str, key: str, schema: pa.Schema, *pieces) -> int:
-    """Write task: the pieces of one stage shard -> ``path``, sorted by
-    ``key`` and then by every other flat column (bands by ``(bkey,
-    doc_id)``) into one contiguous table, so the same rows write the same
-    bytes whatever order their pieces arrive in; a shard no row hashed to
-    is a typed empty file. Returns the row count."""
-    parts = [t for t in pieces if t.num_rows]
-    t = pa.concat_tables(parts) if parts else schema.empty_table()
+def _sorted_shard(t: pa.Table, stage: str) -> pa.Table:
+    """The write rule of every index file: rows sorted by the stage's
+    key (``_STAGE_KEYS``) and then by every other flat column (bands by
+    ``(bkey, doc_id)``) into one contiguous table, so the same rows
+    write the same bytes whatever order they arrive in."""
+    key = _STAGE_KEYS[stage]
     flat = [f.name for f in t.schema if f.name != key and not pa.types.is_nested(f.type)]
-    t = t.sort_by([(c, "ascending") for c in [key, *flat]]).combine_chunks()
+    return t.sort_by([(c, "ascending") for c in [key, *flat]]).combine_chunks()
+
+
+@ray.remote
+def _write_shard_task(path: str, stage: str, schema: pa.Schema, *pieces) -> int:
+    """Write task: the pieces of one stage shard -> ``path`` by
+    ``_sorted_shard``; a shard no row hashed to is a typed empty file.
+    Returns the row count."""
+    parts = [t for t in pieces if t.num_rows]
+    t = _sorted_shard(pa.concat_tables(parts) if parts else schema.empty_table(), stage)
     _write_table(t, path)
     return t.num_rows
 
@@ -516,20 +520,48 @@ def read_clusters(ckpt_root: str):
     )
 
 
+def stage_rows(ckpt_root: str, stage: str) -> int:
+    """The stored rows of a sharded stage, from its files' Parquet
+    footers (``info``; the clusters log adds no rows)."""
+    return sum(
+        pq.read_metadata(f).num_rows
+        for p in range(index_shards(ckpt_root))
+        for f in shard_files(ckpt_root, stage, p)
+    )
+
+
+@ray.remote
+def _bucket_size_sums(files) -> list[int]:
+    """Band shard files -> [n, Σx, Σx², Σx³] over its band buckets' sizes
+    x: a bucket is whole in the shard of its ``bkey``."""
+    bk = np.sort(np.concatenate([_NO_IDS, *(_resident(f, _decode_bands)[0] for f in _visit(files))]))
+    x = run_bounds(bk)[1]
+    return [len(x), *(int((x**k).sum()) for k in (1, 2, 3))]
+
+
+def bucket_size_sums(ckpt_root: str) -> list[int]:
+    """[n, Σx, Σx², Σx³] over the sizes x of the index's band buckets
+    (``info``'s census): one task per band shard, summed."""
+    shards = index_shards(ckpt_root)
+    parts = ray.get(
+        [_bucket_size_sums.remote(_listing(_shard_dir(ckpt_root, "bands", p))) for p in range(shards)]
+    )
+    return [sum(c) for c in zip(*parts)]
+
+
 class ReplIndex:
     """Interactive single-query lookup against a persisted index — the
     analog of the reference's interactive query shell (S13,
     /root/reference/src/mode_query.cpp:269-315: stdin lines queried
     against the in-RAM database).
 
-    Loads the index artifacts (band table, signatures, clusters) into
-    driver memory ONCE — like the reference, the interactive path
-    assumes the index fits in RAM; batch workloads go through
-    ``query_against_index``. Each ``query(text)`` runs in the driver:
-    the batch path's normalize -> sign -> band key fold
-    (``_ingest_documents_batch``, ``MinHashSigner``, ``band_key_rows``),
-    then searchsorted probe -> signature verification -> cluster
-    resolution, one to two ms per query."""
+    Loads the index into driver memory ONCE — like the reference, the
+    interactive path assumes the index fits in RAM; batch workloads go
+    through ``query_against_index``. The band and signature files are
+    decoded by the daily tasks' decoders into one sorted run per stage,
+    the clusters come from ``read_clusters``, and each ``query(text)``
+    signs like a batch doc and runs the daily kernels once over those
+    runs (1-2 ms)."""
 
     #: refuse to load an index whose on-disk artifacts exceed this many
     #: bytes (in-RAM footprint is larger still after decompression);
@@ -564,21 +596,10 @@ class ReplIndex:
             )
         self.cfg = load_index_config(ckpt_root)
         self._signer = MinHashSigner(self.cfg)
-        sig_tab = _read_files(files["signatures"], ["doc_id", "sig"])
-        self.sig_ids = sig_tab["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(self.sig_ids)
-        self.sig_ids = self.sig_ids[order]
-        self.sig_mat = sig_from_arrow(sig_tab["sig"])[order]
-        bands = _read_files(files["bands"], ["bkey", "doc_id"])
-        bk = bands["bkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(bk)
-        self.band_keys = bk[order]
-        self.band_docs = bands["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[order]
-        cl = read_clusters(ckpt_root).to_pandas()
-        ci = cl["doc_id"].to_numpy(dtype=np.int64)
-        order = np.argsort(ci)
-        self.cl_ids = ci[order]
-        self.cl_lab = cl["cluster_id"].to_numpy(dtype=np.int64)[order]
+        self.band_keys, self.band_docs = _sorted_run(files["bands"], _decode_bands)
+        self.sig_ids, self.sig_mat = _sorted_run(files["signatures"], _decode_signatures)
+        cl = pa.concat_tables(ray.get(read_clusters(ckpt_root).to_arrow_refs())).sort_by("doc_id")
+        self.cl_ids, self.cl_lab, self.cl_dup = (cl[c].to_numpy() for c in _CLUSTERS.names)
 
     def query(
         self,
@@ -602,61 +623,46 @@ class ReplIndex:
             pa.table({"doc_id": pa.array([0], pa.int64()), "text": pa.array([text], pa.string())})
         )
         sig_tab = self._signer(doc)
-        sig = sig_from_arrow(sig_tab["sig"])
-        qkeys = band_key_rows(sig_tab, self.cfg)["bkey"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(self.band_keys, qkeys, side="left")
-        hi = np.searchsorted(self.band_keys, qkeys, side="right")
-        cap = self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap)
-        cand = np.unique(
-            np.concatenate(
-                # over-cap buckets are non-discriminative and dropped,
-                # matching the batch probe's hot-feature-removal policy
-                # (and bounding per-query work, the reference's maxcand);
-                # like the batch probe, the bucket size counts the query
-                [
-                    self.band_docs[l:h]
-                    for l, h in zip(lo.tolist(), hi.tolist())
-                    if h - l + 1 <= cap
-                ]
-                or [np.empty(0, dtype=np.int64)]
-            )
+        bands = band_key_rows(sig_tab, self.cfg)
+        nk = bands["bkey"].to_numpy()
+        _, cand, _ = _probe_pairs(
+            *_bucket_rows(self.band_keys, self.band_docs, np.unique(nk)),
+            nk, bands["doc_id"].to_numpy(),
+            self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap), False,
         )
-        if len(cand) == 0:
-            return {"matched": False, "matches": []}
-        pos = np.searchsorted(self.sig_ids, cand)
-        pos = np.minimum(pos, len(self.sig_ids) - 1)
-        found = self.sig_ids[pos] == cand
-        cand, pos = cand[found], pos[found]
-        est = (self.sig_mat[pos] == sig[0][None, :]).mean(axis=1)
-        thresh = (
-            self.cfg.verify_threshold
-            if verify_threshold is None
-            else float(verify_threshold)
+        cand, mat = _signature_rows(self.sig_ids, self.sig_mat, cand)
+        est, keep = minhash_scores(
+            mat,
+            sig_from_arrow(sig_tab["sig"]),
+            self.cfg.verify_threshold if verify_threshold is None else float(verify_threshold),
         )
-        keep = est >= thresh
         cand, est = cand[keep], est[keep]
         order = np.argsort(-est)[:top_k]
-        cp = np.minimum(np.searchsorted(self.cl_ids, cand), max(len(self.cl_ids) - 1, 0))
-        cl_ok = len(self.cl_ids) > 0
+        labels, _ = _cluster_labels(self.cl_ids, self.cl_lab, self.cl_dup, cand[order])
         matches = [
-            {
-                "doc_id": int(d),
-                "est_sim": round(float(s), 4),
-                "cluster_id": int(self.cl_lab[p]) if cl_ok and self.cl_ids[p] == d else int(d),
-            }
-            for d, s, p in zip(cand[order], est[order], cp[order])
+            {"doc_id": int(d), "est_sim": round(float(s), 4), "cluster_id": int(c)}
+            for d, s, c in zip(cand[order], est[order], labels)
         ]
-        return {"matched": bool(len(matches)), "matches": matches}
+        return {"matched": bool(matches), "matches": matches}
+
+
+def _sorted_run(files: list[str], decode) -> tuple:
+    """The ``decode``d arrays of ``files``, concatenated and sorted by
+    the first (the decoders sort each file by its lookup key)."""
+    arrays = [np.concatenate(c) for c in zip(*map(decode, files))]
+    order = np.argsort(arrays[0], kind="stable")
+    return tuple(a[order] for a in arrays)
 
 
 # --- the daily batch: one graph of plain Ray tasks ------------------------
 
 
-def probe_bucket_pairs(t: pa.Table, cap: int, *, emit_new_new: bool = False) -> pa.Table:
-    """(bkey, id, side) rows, every bucket WHOLE -> (a=new, b=stored)
-    candidate pairs per band bucket (side 0 = stored, 1 = new). Buckets
-    larger than ``cap`` (stored + new rows) emit nothing — the
-    reference's hot-feature removal, sketch_database.h:398-417.
+def probe_bucket_pairs(keys, ids, side, cap: int, *, emit_new_new: bool = False):
+    """Parallel (bkey, id, side) arrays, every bucket WHOLE -> (a=new,
+    b=stored) candidate pair arrays per band bucket (side 0 = stored,
+    1 = new). Buckets larger than ``cap`` (stored + new rows) emit
+    nothing — the reference's hot-feature removal,
+    sketch_database.h:398-417.
 
     ``emit_new_new``: additionally emit all (new x new) pairs per
     surviving bucket — required by ``extend_index`` (the reference's
@@ -664,11 +670,6 @@ def probe_bucket_pairs(t: pa.Table, cap: int, *, emit_new_new: bool = False) -> 
     itself; ``query_against_index`` keeps it off (queries never join
     each other). For new x new pairs both sides are new ids with a < b.
     A pair shared by several buckets is emitted once per bucket."""
-    if t.num_rows == 0:
-        return _PAIRS.empty_table()
-    keys = t["bkey"].to_numpy(zero_copy_only=False)
-    ids = t["id"].to_numpy(zero_copy_only=False)
-    side = t["side"].to_numpy(zero_copy_only=False)
     order = np.lexsort((side, keys))
     keys, ids, side = keys[order], ids[order], side[order]
     starts, sizes = run_bounds(keys)
@@ -703,7 +704,7 @@ def probe_bucket_pairs(t: pa.Table, cap: int, *, emit_new_new: bool = False) -> 
             na, nb = segment_all_pairs(ids, starts + sizes - n_new_per, n_new_per, nn)
             a = np.concatenate([a, na])
             b = np.concatenate([b, nb])
-    return pa.table([a, b], schema=_PAIRS)
+    return a, b
 
 
 def _concat(tabs) -> pa.Table | None:
@@ -715,6 +716,44 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The concatenated ``arange(lo[i], hi[i])`` of every i."""
     n = hi - lo
     return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _bucket_rows(bk: np.ndarray, ids: np.ndarray, keys: np.ndarray):
+    """Stored band rows sorted by ``bkey`` -> the (bkey, doc_id) rows in
+    the ``searchsorted`` range of each of the sorted distinct batch
+    ``keys``: all the stored rows of every bucket a batch row hits."""
+    rows = _ranges(np.searchsorted(bk, keys, "left"), np.searchsorted(bk, keys, "right"))
+    return bk[rows], ids[rows]
+
+
+def _probe_pairs(sk, sid, nk, nid, cap: int, emit_new_new: bool):
+    """The stored rows of the hit buckets (``_bucket_rows``) and the
+    batch's (bkey, doc_id) rows -> the distinct (a, b) candidate pairs
+    of ``probe_bucket_pairs``, sorted, and the count it emitted."""
+    side = np.repeat(np.array([0, 1], dtype=np.int8), [len(sk), len(nk)])
+    a, b = probe_bucket_pairs(
+        np.concatenate([sk, nk]), np.concatenate([sid, nid]), side, cap,
+        emit_new_new=emit_new_new,
+    )
+    return (*distinct_pairs(a, b), len(a))
+
+
+def _signature_rows(ids: np.ndarray, mat: np.ndarray, need: np.ndarray):
+    """Stored signature rows sorted by doc_id -> the (ids, rows) of the
+    sorted ``need`` ids they hold."""
+    pos, found = lookup_sorted(ids, need)
+    pos = pos[found]
+    return ids[pos], mat[pos]
+
+
+def _cluster_labels(cl_ids, cl_lab, cl_dup, ids: np.ndarray):
+    """(doc_id, cluster_id, is_dup) arrays sorted by doc_id -> each of
+    ``ids``' current cluster and dup mark; an id without a row is its
+    own cluster and not a dup."""
+    pos, found = lookup_sorted(cl_ids, ids)
+    if not len(cl_ids):
+        return ids.copy(), found
+    return np.where(found, cl_lab[pos], ids), found & cl_dup[pos]
 
 
 @ray.remote
@@ -732,30 +771,12 @@ def _probe_shard(files, cap: int, emit_new_new: bool, shards: int, *pieces):
         return (*[_PAIRS.empty_table()] * shards, stats)
     nk = new["bkey"].to_numpy(zero_copy_only=False)
     keys = np.unique(nk)
-    sk, sid = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for f in _visit(files):
-        bk, ids = _resident(f, _decode_bands, stats)
-        rows = _ranges(np.searchsorted(bk, keys, "left"), np.searchsorted(bk, keys, "right"))
-        sk.append(bk[rows])
-        sid.append(ids[rows])
-    sk, sid = np.concatenate(sk), np.concatenate(sid)
-    t = pa.table(
-        {
-            "bkey": pa.array(np.concatenate([sk, nk]), type=pa.int64()),
-            "id": pa.array(
-                np.concatenate([sid, new["doc_id"].to_numpy(zero_copy_only=False)]),
-                type=pa.int64(),
-            ),
-            "side": pa.array(
-                np.repeat(np.array([0, 1], dtype=np.int8), [len(sk), len(nk)]),
-                type=pa.int8(),
-            ),
-        }
+    rows = [_bucket_rows(*_resident(f, _decode_bands, stats), keys) for f in _visit(files)]
+    sk, sid = (np.concatenate(c) for c in zip((_NO_IDS, _NO_IDS), *rows))
+    a, b, stats["pairs"] = _probe_pairs(
+        sk, sid, nk, new["doc_id"].to_numpy(zero_copy_only=False), cap, emit_new_new
     )
-    p = probe_bucket_pairs(t, cap, emit_new_new=emit_new_new)
-    pairs = pa.table(distinct_pairs(p["a"].to_numpy(), p["b"].to_numpy()), schema=_PAIRS)
-    stats["pairs"] = p.num_rows
-    return (*split_by_key(pairs, ["b"], shards), stats)
+    return (*split_by_key(pa.table([a, b], schema=_PAIRS), ["b"], shards), stats)
 
 
 @ray.remote(num_returns=2)
@@ -781,13 +802,8 @@ def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int
     if len(need):
         files = _visit(sig_files)
         stats["sig_files_read"] = len(files)
-        all_ids, all_mat = [ids], [mat]
-        for f in files:
-            sids, smat = _resident(f, _decode_signatures, stats)
-            pos, found = lookup_sorted(sids, need)
-            all_ids.append(sids[pos[found]])
-            all_mat.append(smat[pos[found]])
-        ids, mat = np.concatenate(all_ids), np.concatenate(all_mat)
+        rows = [_signature_rows(*_resident(f, _decode_signatures, stats), need) for f in files]
+        ids, mat = (np.concatenate(c) for c in zip((ids, mat), *rows))
         order = np.argsort(ids)
     ids_s, mat_s = ids[order], mat[order]
     pa_, fa = lookup_sorted(ids_s, a)
@@ -799,13 +815,12 @@ def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int
     want = np.unique(b[stored])
     if len(want):
         cl = _stored_clusters(cluster_files, log, stats, want)
-        if cl.num_rows:
-            cid = cl["doc_id"].to_numpy()
-            o = np.argsort(cid)
-            pos, found = lookup_sorted(cid[o], b)
-            found &= stored
-            label = np.where(found, cl["cluster_id"].to_numpy()[o][pos], b)
-            dup = found & cl["is_dup"].to_numpy(zero_copy_only=False)[o][pos]
+        cid = cl["doc_id"].to_numpy()
+        o = np.argsort(cid)
+        label, dup = _cluster_labels(
+            cid[o], cl["cluster_id"].to_numpy()[o],
+            cl["is_dup"].to_numpy(zero_copy_only=False)[o], b,
+        )
     stats["verified"] = len(a)
     return pa.table([a, b, est, label, stored, dup], schema=_VERIFIED), stats
 
@@ -916,15 +931,13 @@ def query_against_index(
     ``num_partitions`` is accepted for compatibility and has no effect:
     the index's shard count sets the task counts.
     """
-    import time as _time
-
     from metacache_mpi_ray.state.metrics import MetricsRecorder
 
     cfg = _check_config(ckpt_root, cfg)
     shards = index_shards(ckpt_root)
     resume_pending_commit(ckpt_root)
     metrics = MetricsRecorder(ckpt_root)
-    t0 = _time.time()
+    t0 = time.time()
 
     batch = _daily_batch(new_docs, ckpt_root, cfg, shards, extend=False)
     match_ref = _min_matched_cluster.remote(*batch.verified)

@@ -9,25 +9,12 @@ intermediate.
 
 from __future__ import annotations
 
-import ray.data
-
 from metacache_mpi_ray.stages.cluster import assign_clusters
-
-
-def merge_edge_sets(*edge_datasets):
-    """Union verified-edge sets from independent runs, dropping
-    duplicate pairs (D5 union semantics)."""
-    from ray.data.aggregate import Count, Max
-
-    merged = edge_datasets[0]
-    for e in edge_datasets[1:]:
-        merged = merged.union(e)
-    # keep one row per pair; track how many runs agreed
-    return merged.groupby(["a", "b"]).aggregate(Count(alias_name="n_runs"))
 
 
 def merge_cluster_runs(docs, *edge_datasets):
     """Re-cluster a docs dataset from the union of several runs'
-    verified edges (the merge-mode pipeline)."""
-    merged = merge_edge_sets(*edge_datasets).materialize()
-    return assign_clusters(docs, merged)
+    verified edges (the merge-mode pipeline; D5 union semantics:
+    connected components ignore a pair given by several runs)."""
+    first, *rest = edge_datasets
+    return assign_clusters(docs, first.union(*rest) if rest else first)

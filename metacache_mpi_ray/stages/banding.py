@@ -23,7 +23,7 @@ import ray
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.blocks import split_by_key
 from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
-from metacache_mpi_ray.stages.candidates import _combine_keys
+from metacache_mpi_ray.stages.candidates import fold_keys
 from metacache_mpi_ray.stages.signatures import MinHashSigner, sig_from_arrow
 
 def band_hashes(sig: np.ndarray, cfg: DedupConfig) -> np.ndarray:
@@ -77,8 +77,12 @@ def compute_bands(signatures, cfg: DedupConfig):
 
 def band_key_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
     """signature rows -> (bkey, doc_id) rows: each band key folded to the
-    one u64 ``bkey`` that ``bucket_edges`` folds (band_id, band_hash) to."""
-    return _combine_keys(make_band_batch(cfg)(sigs), ["band_id", "band_hash"], "doc_id")
+    one u64 ``bkey`` that ``bucket_edges`` folds (band_id, band_hash) to,
+    straight from the (n, n_bands) hash matrix."""
+    bh = _to_i63(band_hashes(sig_from_arrow(sigs["sig"]), cfg))
+    bk = fold_keys([np.arange(cfg.n_bands, dtype=np.int64), bh]).reshape(-1)
+    doc_id = np.repeat(sigs["doc_id"].to_numpy(zero_copy_only=False), cfg.n_bands)
+    return pa.table({"bkey": bk, "doc_id": doc_id.astype(np.int64, copy=False)})
 
 
 @ray.remote

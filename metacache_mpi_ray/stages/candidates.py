@@ -41,22 +41,25 @@ from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
 _EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
-def _combine_keys(batch: pa.Table, key_cols: list[str], id_col: str) -> pa.Table:
-    """Fold multiple key columns into one u64 (viewed int64) ``bkey``."""
+def fold_keys(cols) -> np.ndarray:
+    """Fold int64 key columns (or broadcastable arrays of them) into one
+    u64 key, viewed int64: splitmix64 of the first, ``mix2`` with each
+    next. The fold of ``_combine_keys`` and of ``band_key_rows``."""
     h = None
-    for c in key_cols:
-        col = batch[c].to_numpy(zero_copy_only=False).astype(np.int64).view(U64)
+    for col in cols:
+        col = np.asarray(col, dtype=np.int64).view(U64)
         h = splitmix64(col) if h is None else mix2(h, col)
-    bk = h.view(np.int64).copy()
+    bk = h.view(np.int64)
     # 0 -> 1 (a 2^-64 event): 0 was once a sentinel; the fold stays so
     # band keys already persisted in an index keep their values
     bk[bk == 0] = 1
-    return pa.table(
-        {
-            "bkey": pa.array(bk, type=pa.int64()),
-            id_col: batch[id_col],
-        }
-    )
+    return bk
+
+
+def _combine_keys(batch: pa.Table, key_cols: list[str], id_col: str) -> pa.Table:
+    """Fold multiple key columns into one u64 (viewed int64) ``bkey``."""
+    bk = fold_keys(batch[c].to_numpy(zero_copy_only=False) for c in key_cols)
+    return pa.table({"bkey": pa.array(bk, type=pa.int64()), id_col: batch[id_col]})
 
 
 def run_bounds(*cols: np.ndarray):

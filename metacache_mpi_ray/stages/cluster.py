@@ -28,21 +28,6 @@ from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.stages.verify import lookup_sorted
 
 
-@ray.remote
-def _uf_task(*tabs):
-    """Union-find over edge blocks as ONE task: the edge bytes and the
-    label table never cross the driver heap (round-3 — the driver-side
-    edge streaming was part of the fixed serial slice of a 2-CPU run);
-    the task's return object is the broadcast the assigners read."""
-    from metacache_mpi_ray.state.unionfind import connected_components_arrays
-
-    a = [t["a"].to_numpy(zero_copy_only=False) for t in tabs if len(t)]
-    b = [t["b"].to_numpy(zero_copy_only=False) for t in tabs if len(t)]
-    if not a:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return connected_components_arrays(np.concatenate(a), np.concatenate(b))
-
-
 @ray.remote(num_returns=2)
 def _forest_task(tab):
     """One edge block -> its local spanning forest as (child, parent)
@@ -98,7 +83,7 @@ def cluster_rows(ids, labels) -> pa.Table:
 def assign_clusters(docs, edges, *, id_col: str = "doc_id"):
     """docs + verified edges -> clusters dataset (doc_id, cluster_id, is_dup)."""
     refs = edges.to_arrow_refs()
-    if len(refs) > 1:
+    if refs:
         # two-level components: parallel per-block contraction, then one
         # serial merge over the forests — the serial slice of a low-CPU
         # run shrinks by the block count x band multiplicity
@@ -106,8 +91,6 @@ def assign_clusters(docs, edges, *, id_col: str = "doc_id"):
         labels_ref = _uf_forest_task.remote(
             *[r for pair in forests for r in pair]
         )
-    elif refs:
-        labels_ref = _uf_task.remote(*refs)
     else:
         labels_ref = ray.put(
             (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

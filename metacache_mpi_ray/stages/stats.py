@@ -14,6 +14,19 @@ import pyarrow as pa
 from ray.data.aggregate import Count, Sum
 
 
+def moments_from_sums(n, s1, s2, s3):
+    """(mean, variance, skewness) float64 arrays from the count and the
+    power sums Σx, Σx², Σx³ (arrays of one value per group)."""
+    n, s1, s2, s3 = (np.asarray(v).astype(np.float64) for v in (n, s1, s2, s3))
+    mean = s1 / n
+    var = np.maximum(s2 / n - mean**2, 0.0)
+    # E[(x-µ)³] = s3/n - 3µ s2/n + 2µ³ ; skew = m3 / σ³
+    m3 = s3 / n - 3 * mean * s2 / n + 2 * mean**3
+    sd = np.sqrt(var)
+    skew = np.where(sd > 0, m3 / np.where(sd > 0, sd, 1.0) ** 3, 0.0)
+    return mean, var, skew
+
+
 def grouped_moments(ds, group_cols, value_col: str):
     """-> per-group (group_cols..., n, sum_x, sum_x2, sum_x3 int64 and
     mean, variance, skewness float64). ``group_cols=None`` gives global
@@ -41,16 +54,9 @@ def grouped_moments(ds, group_cols, value_col: str):
     )
 
     def derive(t: pa.Table) -> pa.Table:
-        n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s1 = t["sum_x"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s2 = t["sum_x2"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s3 = t["sum_x3"].to_numpy(zero_copy_only=False).astype(np.float64)
-        mean = s1 / n
-        var = np.maximum(s2 / n - mean**2, 0.0)
-        # E[(x-µ)³] = s3/n - 3µ s2/n + 2µ³ ; skew = m3 / σ³
-        m3 = s3 / n - 3 * mean * s2 / n + 2 * mean**3
-        sd = np.sqrt(var)
-        skew = np.where(sd > 0, m3 / np.where(sd > 0, sd, 1.0) ** 3, 0.0)
+        mean, var, skew = moments_from_sums(
+            *(t[c].to_numpy(zero_copy_only=False) for c in ("n", "sum_x", "sum_x2", "sum_x3"))
+        )
         out = {c: t[c] for c in t.column_names}
         out["mean"] = pa.array(mean, type=pa.float64())
         out["variance"] = pa.array(var, type=pa.float64())

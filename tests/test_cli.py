@@ -106,6 +106,56 @@ def test_cli_extend(tmp_path, corpus_dir, capsys):
         )
 
 
+def test_cli_info_reads_the_index_without_ray_data(tmp_path, corpus_dir, capsys, monkeypatch):
+    """info takes its row counts from the Parquet footers and runs its
+    bucket census as one task per band shard, so it works with
+    ``ray.data.read_parquet`` broken, after a build and after an extend;
+    its numbers equal a direct read of the files."""
+    import glob
+
+    import numpy as np
+    import pytest
+    import ray.data
+
+    from metacache_mpi_ray.__main__ import main
+    from metacache_mpi_ray.sources.pages import write_pages_corpus
+
+    idx = str(tmp_path / "index")
+    batch_dir = write_pages_corpus(str(tmp_path / "batch"), 60, seed=778)
+    assert main(["build", "--pages", f"{corpus_dir}/pages", "--index", idx,
+                 "--num-partitions", "4"]) == 0
+
+    def refuse(*a, **k):
+        raise AssertionError("info read the index through Ray Data")
+
+    for step in ("build", "extend"):
+        if step == "extend":
+            assert main(["extend", "--pages", f"{batch_dir}/pages", "--index", idx]) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(ray.data, "read_parquet", refuse)
+            assert main(["info", "--index", idx]) == 0
+        info = json.loads(capsys.readouterr().out.strip())
+
+        def files(stage):
+            return sorted(glob.glob(f"{idx}/{stage}/*/*.parquet"))
+
+        for stage in ("signatures", "verified", "bands", "clusters"):
+            want = sum(pq.read_table(f, partitioning=None).num_rows for f in files(stage))
+            assert info[f"rows_{stage}"] == want, (step, stage)
+        bk = np.concatenate(
+            [pq.read_table(f, partitioning=None)["bkey"].to_numpy() for f in files("bands")]
+        )
+        x = np.unique(bk, return_counts=True)[1].astype(float)
+        mom = info["bucket_size_moments"]
+        assert mom["n"] == len(x)
+        assert mom["mean"] == pytest.approx(x.mean())
+        assert mom["variance"] == pytest.approx(x.var())
+        skew = ((x - x.mean()) ** 3).mean() / x.std() ** 3
+        assert mom["skewness"] == pytest.approx(skew)
+    assert info["rows_signatures"] == 560
+
+
 def test_cli_annotate_and_pipeline(tmp_path, corpus_dir, capsys):
     """Annotate mode (M7 analog): mapping lookup + header rewrite, with
     unmapped keys kept as 'NA' like the reference's miss handling."""

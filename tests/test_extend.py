@@ -548,3 +548,49 @@ def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch)
     assert any(b < a for a, b in zip(log_hist, log_hist[1:])), log_hist  # folded
     with open(os.path.join(root, "extends.json")) as f:
         assert len(json.load(f)) == bound + 3
+
+
+def test_extend_files_do_not_depend_on_batch_block_order(built_a, tmp_path, monkeypatch):
+    """The same batch rows given in opposite block orders extend two
+    copies of one root to byte-identical files, for a batch's new files
+    and for a batch that folds the cluster log into every clusters shard
+    (a compaction) alike: extend writes every stage by the build's rule
+    (sorted by the stage key, then every other column)."""
+    import glob
+    import shutil
+
+    import metacache_mpi_ray.pipelines.extend as ext_mod
+
+    root, _, _ = built_a
+    roots = [str(tmp_path / "fwd"), str(tmp_path / "rev")]
+    for r in roots:
+        shutil.copytree(root, r)
+
+    def files(r):
+        out = {}
+        for f in sorted(glob.glob(os.path.join(r, "**", "*.parquet"), recursive=True)):
+            with open(f, "rb") as fh:
+                out[os.path.relpath(f, r)] = fh.read()
+        return out
+
+    # copies of stored singletons (2, 5, 8, 11) log dup marks; the fold
+    # is decided in the driver: a log bound of 1 folds the log at n2
+    for batch, bound, src in (
+        ("n1", ext_mod.MAX_SHARD_FILES, [0, 2, 5, 777, 777, 888]),
+        ("n2", 1, [8, 11, 30, 999, 999, 555]),
+    ):
+        monkeypatch.setattr(ext_mod, "MAX_SHARD_FILES", bound)
+        src = np.array(src * 2)  # every doc has an exact twin
+        txt = np.char.multiply(np.char.add(np.char.add("tok", src.astype("U")), " "), 40)
+        ids = np.arange(len(src), dtype=np.int64) + (1000 if batch == "n1" else 2000)
+        t = pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(txt, pa.string())})
+        blocks = [t.slice(i, 4) for i in range(0, t.num_rows, 4)]
+        for r, order in zip(roots, (blocks, blocks[::-1])):
+            extend_index(ingest_documents(rd.from_arrow(order)), r, CFG, batch_id=batch)
+        fwd, rev = files(roots[0]), files(roots[1])
+        assert list(fwd) == list(rev)
+        assert [p for p in fwd if fwd[p] != rev[p]] == [], batch
+    assert not [p for p in fwd if p.startswith("cluster_log")]
+    assert [p for p in fwd if p.startswith("clusters")] == [
+        f"clusters/{p}/extend-n2.parquet" for p in range(4)
+    ]

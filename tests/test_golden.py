@@ -46,6 +46,26 @@ def test_golden_signature_values():
     ], checksums
 
 
+def test_golden_band_key_values():
+    """Band keys are persisted in an index's bands/: the fold of the
+    (n, n_bands) hash matrix is pinned, and equals the fold of the
+    (band_id, band_hash) rows that ``bucket_edges`` buckets on."""
+    from metacache_mpi_ray.stages.banding import band_key_rows, make_band_batch
+    from metacache_mpi_ray.stages.candidates import _combine_keys
+    from metacache_mpi_ray.stages.signatures import sig_to_arrow
+
+    a, b = minhash_perm_constants(CFG.n_perms, CFG.seed)
+    sig = minhash_matrix([t.encode() for t in _TEXTS], CFG, a, b)
+    t = pa.table({"doc_id": pa.array([7, 8, 9], pa.int64()), "sig": sig_to_arrow(sig)})
+    keys = band_key_rows(t, CFG)
+    bk = keys["bkey"].to_numpy()
+    assert int(np.bitwise_xor.reduce(bk)) == 3121705869610372331
+    assert [bk[0], bk[1], bk[-1]] == [
+        -4910616785371219494, 2225006525209839825, 1094146022057404635
+    ]
+    assert keys.equals(_combine_keys(make_band_batch(CFG)(t), ["band_id", "band_hash"], "doc_id"))
+
+
 def test_golden_simhash_values():
     sh = simhash_matrix([t.encode() for t in _TEXTS], CFG)
     assert sh.tolist() == [

@@ -417,15 +417,17 @@ def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int, emit_new_new=False):
         split_by_key(tab.slice(lo, hi - lo), ["bkey"], p)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    return pa.concat_tables(
-        [
-            probe_bucket_pairs(
-                pa.concat_tables([blk[q] for blk in pieces]), cap,
-                emit_new_new=emit_new_new,
-            )
-            for q in range(p)
-        ]
-    ).to_pandas()
+    shards = [pa.concat_tables([blk[q] for blk in pieces]) for q in range(p)]
+    pairs = [
+        probe_bucket_pairs(
+            *(t[c].to_numpy() for c in ("bkey", "id", "side")), cap,
+            emit_new_new=emit_new_new,
+        )
+        for t in shards
+    ]
+    return pd.DataFrame(
+        {"a": np.concatenate([a for a, _ in pairs]), "b": np.concatenate([b for _, b in pairs])}
+    )
 
 
 def test_probe_bridge_stitch_across_batch_boundary():

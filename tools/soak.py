@@ -18,6 +18,8 @@ Phases (each timed, probes before/after the suite):
      run decoded). Reports each run's telemetry row incl. sig_files_read
      vs total (signature shards consulted by the verify tasks) and
      files_decoded / bytes_decoded (files read from disk)
+  5. the REPL path: ``ReplIndex`` loads the index, then 500 single-text
+     lookups (half copies, half fresh) give ``repl_p50_ms``
 """
 import json
 import os
@@ -137,6 +139,18 @@ for run in ("cold", "warm"):
             "bytes_decoded", "stored_bytes_read", "status",
         )
     }
+from metacache_mpi_ray.pipelines.incremental import ReplIndex  # noqa: E402
+
+t0 = time.perf_counter()
+repl = ReplIndex(root)
+out["repl_load_sec"] = round(time.perf_counter() - t0, 2)
+lat = []
+for text in texts[:250] + fresh[:250]:
+    t0 = time.perf_counter()
+    repl.query(text)
+    lat.append(time.perf_counter() - t0)
+out["repl_p50_ms"] = round(float(np.median(lat)) * 1e3, 3)
+del repl
 out["probe_end"] = _ray_probe(probe)
 print(json.dumps(out))
 ray.shutdown()
