@@ -66,13 +66,17 @@ import ray
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.pipelines.incremental import (
     _CLUSTERS,
+    _batch_blocks,
+    _batch_key,
     _check_config,
     _concat,
     _daily_batch,
+    _index_state,
     _nbytes,
     _new_stats,
     _read_files,
     _sorted_shard,
+    _take_batch,
     _write_table,
     index_shards,
     load_log,
@@ -228,12 +232,21 @@ def extend_index(
     band, verified and cluster rows per shard and its log files, plus any
     compaction; ``commit`` journals and installs them.
 
+    When the last ``query_against_index`` call ran on this batch's
+    blocks against the same index state (incremental.py's docstring),
+    its batch graph is taken instead of a new one (``batch_reused`` in
+    the row): only contract, rewrite_clusters, commit and the
+    ``read_clusters`` run, the first three phases read 0.0, and the
+    read counters count only extend's own reads. The files and the
+    returned clusters are those of a fresh graph.
+
     Precondition: new doc_ids are distinct from stored ones (ids are
     content-keyed at ingest; re-submitting an already-indexed page is
     the caller's dedup-by-key problem, as in the reference where the
     same target added twice simply occurs twice)."""
     import time as _time
 
+    kept = _take_batch()
     cfg = _check_config(ckpt_root, cfg)
     shards = index_shards(ckpt_root)
     resume_pending_extend(ckpt_root)
@@ -269,7 +282,14 @@ def extend_index(
         phases[name] = round(now - t_ph, 3)
         t_ph = now
 
-    batch = _daily_batch(new_docs, ckpt_root, cfg, shards, extend=True, mark=_mark)
+    blocks, n = _batch_blocks(new_docs)
+    state = _index_state(ckpt_root, shards)
+    reused = kept is not None and kept[0] == _batch_key(ckpt_root, shards, cfg, blocks, state)
+    if reused:
+        batch = kept[1]
+        phases.update(sign_sort_stage=0.0, band_stage=0.0, probe_verify=0.0)
+    else:
+        batch = _daily_batch(blocks, n, cfg, shards, state, mark=_mark)
     if batch.n == 0:
         return read_clusters(ckpt_root)
 
@@ -315,13 +335,15 @@ def extend_index(
     os.replace(journal_path + ".tmp", journal_path)
     _install_files(ckpt_root, journal_path)
     _mark("commit")
-    stats = ray.get(batch.probe_stats) + ray.get(batch.verify_stats)
-    stats += [s for _, _, s in staged]
+    stats = [s for _, _, s in staged]
+    if not reused:  # a reused graph's reads are in its query's row
+        stats += ray.get(batch.probe_stats) + ray.get(batch.verify_stats)
     try:
         from metacache_mpi_ray.state.metrics import MetricsRecorder
 
         MetricsRecorder(ckpt_root).record(
             "extend_index", rows_out=lineage["n_new"], t_start=t_all, phases=phases,
+            batch_reused=reused,
             stored_bytes_read=sum(s["bytes"] for s in stats),
             files_decoded=sum(s["files_decoded"] for s in stats),
             bytes_decoded=sum(s["bytes_decoded"] for s in stats),

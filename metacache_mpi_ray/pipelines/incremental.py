@@ -29,12 +29,28 @@ index:
 2. probe task p takes the ``searchsorted`` range of each batch band key
    in every file of ``bands/<p>``, adds the batch's piece p and runs
    the bucket kernel ``probe_bucket_pairs`` (every bucket is whole in
-   one shard, so the hot-bucket cap counts stored and new rows);
+   one shard, so the hot-bucket cap counts stored and new rows) for
+   new x stored and new x new pairs, marking each pair whose ``b`` has
+   a stored row (``b_stored``: the rows a query answers from);
 3. verify task q looks up only the candidate rows of
    ``signatures/<q>``, keeps pairs with ``est_sim >=
    cfg.verify_threshold`` (the rule of ``verify_edges``), and resolves
    each stored endpoint to its cluster through ``clusters/<q>`` plus
    the log.
+
+A query keeps its batch graph for the extend that usually follows it on
+the same batch (the reference sketches and looks up a read once and
+feeds every output from that one candidate list): ``_last_batch`` holds
+one ``(key, _DailyBatch)``, set by each query and taken by each
+``extend_index`` call, hit or miss, so at most one batch's refs stay
+pinned and none after an extend. The key (``_batch_key``) is the Ray
+node and job, the root's realpath, the shard count, the config, the
+batch's non-empty block refs in order (refs are immutable and their ids
+never reused within a session), and the index state: every file of
+``bands/<p>``, ``signatures/<p>``, ``clusters/<p>`` and ``cluster_log/``
+with its ``_resident`` stamp, taken after any torn commit is healed. A
+batch whose key matches is the same function of the same files, so the
+extend's result equals a fresh graph's.
 
 Resident shards: the stored files are read in these tasks (and in
 ``read_clusters``' tasks) through ``_resident``, which keeps each
@@ -108,7 +124,7 @@ INDEX_FORMAT = 2
 #: (``_sorted_shard``)
 _STAGE_KEYS = {"signatures": "doc_id", "bands": "bkey", "verified": "a", "clusters": "doc_id"}
 _STAGES = tuple(_STAGE_KEYS)
-_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("b_stored", pa.bool_())])
 _NO_IDS = np.empty(0, dtype=np.int64)
 _BANDS = pa.schema([("bkey", pa.int64()), ("doc_id", pa.int64())])
 _EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())])
@@ -124,7 +140,7 @@ _VERIFIED = pa.schema(
         ("b", pa.int64()),
         ("est_sim", pa.float64()),
         ("b_label", pa.int64()),  # stored b: its resolved cluster; new b: b
-        ("b_stored", pa.bool_()),
+        ("b_stored", pa.bool_()),  # b has a stored row (the probe's view)
         ("b_dup", pa.bool_()),  # stored b already marked a dup
     ]
 )
@@ -355,6 +371,13 @@ def _new_stats() -> dict:
     return {"bytes": 0, "files_decoded": 0, "bytes_decoded": 0, "pid": os.getpid()}
 
 
+def _stamp(path: str) -> tuple:
+    """(inode, size, mtime_ns, ctime_ns) of a file: what tells an
+    installed index file from any later file at its path."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def _resident(path: str, decode, stats: dict | None = None) -> tuple:
     """``decode(path)`` (a tuple of arrays) of one index file, kept in
     this process for later tasks. Each use makes one ``os.stat``; a kept
@@ -363,10 +386,9 @@ def _resident(path: str, decode, stats: dict | None = None) -> tuple:
     (extend renames staged files in, compaction writes new names), and
     the stamp also tells a root deleted and rebuilt at the same path
     from the old one."""
-    st = os.stat(path)
-    stamp = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    stamp = _stamp(path)
     if stats is not None:
-        stats["bytes"] += st.st_size
+        stats["bytes"] += stamp[1]
     kept = _resident_files.pop(path, None)
     if kept is not None and kept[0] == stamp and kept[1] is decode:
         _resident_files[path] = kept
@@ -374,7 +396,7 @@ def _resident(path: str, decode, stats: dict | None = None) -> tuple:
     arrays = decode(path)
     if stats is not None:
         stats["files_decoded"] += 1
-        stats["bytes_decoded"] += st.st_size
+        stats["bytes_decoded"] += stamp[1]
     nbytes = sum(a.nbytes for a in arrays)
     if nbytes <= RESIDENT_BYTES:
         for a in arrays:
@@ -625,7 +647,7 @@ class ReplIndex:
         sig_tab = self._signer(doc)
         bands = band_key_rows(sig_tab, self.cfg)
         nk = bands["bkey"].to_numpy()
-        _, cand, _ = _probe_pairs(
+        _, cand, *_ = _probe_pairs(
             *_bucket_rows(self.band_keys, self.band_docs, np.unique(nk)),
             nk, bands["doc_id"].to_numpy(),
             self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap), False,
@@ -667,9 +689,11 @@ def probe_bucket_pairs(keys, ids, side, cap: int, *, emit_new_new: bool = False)
     ``emit_new_new``: additionally emit all (new x new) pairs per
     surviving bucket — required by ``extend_index`` (the reference's
     ``modify`` mode), where the new batch must also dedup against
-    itself; ``query_against_index`` keeps it off (queries never join
-    each other). For new x new pairs both sides are new ids with a < b.
-    A pair shared by several buckets is emitted once per bucket."""
+    itself. The daily batch turns it on for query and extend alike (a
+    query's answers keep only the new x stored rows); ``ReplIndex``
+    keeps it off. For new x new pairs both sides are new ids with
+    a < b. A pair shared by several buckets is emitted once per
+    bucket."""
     order = np.lexsort((side, keys))
     keys, ids, side = keys[order], ids[order], side[order]
     starts, sizes = run_bounds(keys)
@@ -729,13 +753,18 @@ def _bucket_rows(bk: np.ndarray, ids: np.ndarray, keys: np.ndarray):
 def _probe_pairs(sk, sid, nk, nid, cap: int, emit_new_new: bool):
     """The stored rows of the hit buckets (``_bucket_rows``) and the
     batch's (bkey, doc_id) rows -> the distinct (a, b) candidate pairs
-    of ``probe_bucket_pairs``, sorted, and the count it emitted."""
+    of ``probe_bucket_pairs``, sorted, whether each ``b`` is stored (has
+    a stored row in a hit bucket; a re-queried stored id is stored, a
+    batch-only id is not), and the counts it emitted of pairs with a
+    stored and with a new ``b``."""
     side = np.repeat(np.array([0, 1], dtype=np.int8), [len(sk), len(nk)])
     a, b = probe_bucket_pairs(
         np.concatenate([sk, nk]), np.concatenate([sid, nid]), side, cap,
         emit_new_new=emit_new_new,
     )
-    return (*distinct_pairs(a, b), len(a))
+    n_stored, n = int(np.isin(b, sid).sum()), len(a)
+    a, b = distinct_pairs(a, b)
+    return a, b, np.isin(b, sid), n_stored, n - n_stored
 
 
 def _signature_rows(ids: np.ndarray, mat: np.ndarray, need: np.ndarray):
@@ -757,15 +786,17 @@ def _cluster_labels(cl_ids, cl_lab, cl_dup, ids: np.ndarray):
 
 
 @ray.remote
-def _probe_shard(files, cap: int, emit_new_new: bool, shards: int, *pieces):
+def _probe_shard(files, cap: int, shards: int, *pieces):
     """Probe task p: the batch's pieces p against the resident files of
-    band shard p (``files``, a ``_listing``) -> distinct candidate pairs
-    split by the shard of ``b``, and a stats dict (pairs emitted, one
-    per bucket hit as in the kernel; the ``_new_stats`` read counters).
-    Each batch key takes its ``searchsorted`` range of every stored
-    file, so only stored rows whose bucket holds a new row enter the
-    kernel, and they are all of that bucket's stored rows."""
-    stats = {**_new_stats(), "pairs": 0}
+    band shard p (``files``, a ``_listing``) -> distinct (a, b,
+    b_stored) candidate pairs, new x stored and new x new, split by the
+    shard of ``b``, and a stats dict (pairs emitted with a stored and
+    with a new ``b``, one per bucket hit as in the kernel; the
+    ``_new_stats`` read counters). Each batch key takes its
+    ``searchsorted`` range of every stored file, so only stored rows
+    whose bucket holds a new row enter the kernel, and they are all of
+    that bucket's stored rows."""
+    stats = {**_new_stats(), "pairs": 0, "pairs_new": 0}
     new = _concat(pieces)
     if new is None:
         return (*[_PAIRS.empty_table()] * shards, stats)
@@ -773,26 +804,31 @@ def _probe_shard(files, cap: int, emit_new_new: bool, shards: int, *pieces):
     keys = np.unique(nk)
     rows = [_bucket_rows(*_resident(f, _decode_bands, stats), keys) for f in _visit(files)]
     sk, sid = (np.concatenate(c) for c in zip((_NO_IDS, _NO_IDS), *rows))
-    a, b, stats["pairs"] = _probe_pairs(
-        sk, sid, nk, new["doc_id"].to_numpy(zero_copy_only=False), cap, emit_new_new
+    *pairs, stats["pairs"], stats["pairs_new"] = _probe_pairs(
+        sk, sid, nk, new["doc_id"].to_numpy(zero_copy_only=False), cap, True
     )
-    return (*split_by_key(pa.table([a, b], schema=_PAIRS), ["b"], shards), stats)
+    return (*split_by_key(pa.table(pairs, schema=_PAIRS), ["b"], shards), stats)
 
 
 @ray.remote(num_returns=2)
 def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int, *refs):
     """Verify task q: candidate pair pieces whose ``b`` is in shard q,
     plus the batch signatures -> the pairs with ``est_sim >=
-    threshold``, each stored ``b`` resolved to its current cluster;
-    and a stats dict (pairs kept, signature files consulted, the
+    threshold``, each stored ``b`` (``b_stored`` from the probe)
+    resolved to its current cluster; a ``b`` in the batch is scored
+    with the batch's signature. And a stats dict (pairs kept with a
+    stored and with a new ``b``, signature files consulted, the
     ``_new_stats`` read counters). Stored signatures and clusters are
     looked up by binary search in the resident files of shard q (the
     three file arguments are ``_listing``s)."""
-    stats = {**_new_stats(), "verified": 0, "sig_files_read": 0}
+    stats = {**_new_stats(), "verified": 0, "verified_new": 0, "sig_files_read": 0}
     pairs = _concat(refs[:n_pieces])
     if pairs is None:
         return _VERIFIED.empty_table(), stats
-    a, b = distinct_pairs(pairs["a"].to_numpy(), pairs["b"].to_numpy())
+    b = pairs["b"].to_numpy()
+    in_index = np.unique(b[pairs["b_stored"].to_numpy(zero_copy_only=False)])
+    a, b = distinct_pairs(pairs["a"].to_numpy(), b)
+    stored = np.isin(b, in_index)
     new = pa.concat_tables([t.select(["doc_id", "sig"]) for t in refs[n_pieces:]])
     ids = new["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     mat = sig_from_arrow(new["sig"])
@@ -810,7 +846,7 @@ def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int
     pb, fb = lookup_sorted(ids_s, b)
     est, keep = minhash_scores(mat_s[pa_], mat_s[pb], threshold)
     keep &= fa & fb
-    a, b, est, stored = a[keep], b[keep], est[keep], ~b_new[keep]
+    a, b, est, stored = a[keep], b[keep], est[keep], stored[keep]
     label, dup = b.copy(), np.zeros(len(b), dtype=bool)
     want = np.unique(b[stored])
     if len(want):
@@ -821,7 +857,8 @@ def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int
             cid[o], cl["cluster_id"].to_numpy()[o],
             cl["is_dup"].to_numpy(zero_copy_only=False)[o], b,
         )
-    stats["verified"] = len(a)
+    stats["verified"] = int(stored.sum())
+    stats["verified_new"] = len(a) - stats["verified"]
     return pa.table([a, b, est, label, stored, dup], schema=_VERIFIED), stats
 
 
@@ -836,23 +873,73 @@ class _DailyBatch:
     verify_stats: list  # per verify task: stats dict
 
 
-def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
-    """Sign -> probe -> verify for one batch against the index's shards
-    (module docstring); an empty batch runs no task. Returns refs only;
-    ``mark(phase)``, when given, is called after waiting for each step
-    (extend's phase timings)."""
+@dataclass
+class _IndexState:
+    """The ``_listing``s one daily batch reads, taken once per call."""
+    bands: list  # per shard
+    signatures: list  # per shard
+    clusters: list  # per shard
+    log: tuple
 
-    def done(phase, refs):
-        if mark is not None:
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            mark(phase)
+    def stamps(self) -> tuple:
+        """Every listed file with its ``_stamp``."""
+        listings = [*self.bands, *self.signatures, *self.clusters, self.log]
+        return tuple((f, _stamp(f)) for _, files in listings for f in files)
 
+
+def _index_state(ckpt_root: str, shards: int) -> _IndexState:
+    def stage(name):
+        return [_listing(_shard_dir(ckpt_root, name, p)) for p in range(shards)]
+
+    return _IndexState(
+        stage("bands"), stage("signatures"), stage("clusters"), _listing(_log_dir(ckpt_root))
+    )
+
+
+def _batch_blocks(new_docs) -> tuple[list, int]:
+    """The batch's non-empty block refs, in order, and its row count."""
     blocks, n = [], 0
     for bundle in new_docs.iter_internal_ref_bundles():
         for ref, meta in zip(bundle.block_refs, bundle.metadata):
             if meta.num_rows:
                 blocks.append(ref)
                 n += meta.num_rows
+    return blocks, n
+
+
+def _batch_key(ckpt_root, shards, cfg, blocks, state: _IndexState) -> tuple:
+    """What a daily batch's graph is a function of (module docstring)."""
+    ctx = ray.get_runtime_context()
+    return (
+        ctx.get_node_id(), ctx.get_job_id(), os.path.realpath(ckpt_root), shards, cfg,
+        tuple(blocks), state.stamps(),
+    )
+
+
+#: the last query's (key, _DailyBatch), taken by the next extend_index
+_last_batch: tuple | None = None
+
+
+def _take_batch() -> tuple | None:
+    """Pop the kept query batch (``extend_index`` calls it first thing,
+    so no refs stay pinned after an extend, whatever it does next)."""
+    global _last_batch
+    kept, _last_batch = _last_batch, None
+    return kept
+
+
+def _daily_batch(blocks, n, cfg, shards, state: _IndexState, *, mark=None):
+    """Sign -> probe -> verify for the batch ``blocks`` (``n`` rows,
+    ``_batch_blocks``) against the index's shards as listed in
+    ``state`` (module docstring); an empty batch runs no task. Returns
+    refs only; ``mark(phase)``, when given, is called after waiting for
+    each step (extend's phase timings)."""
+
+    def done(phase, refs):
+        if mark is not None:
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+            mark(phase)
+
     if not blocks:
         return _DailyBatch(0, [], [], [], [], [], [])
     sign = sign_split.options(num_returns=1 + 2 * shards)
@@ -863,19 +950,15 @@ def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
     done("sign_sort_stage", sigs)
     probe = _probe_shard.options(num_returns=shards + 1)
     probes = [
-        probe.remote(
-            _listing(_shard_dir(ckpt_root, "bands", p)), cfg.bucket_cap, extend, shards,
-            *band_pieces[p],
-        )
+        probe.remote(state.bands[p], cfg.bucket_cap, shards, *band_pieces[p])
         for p in range(shards)
     ]
     done("band_stage", [r for pr in probes for r in pr])
-    log = _listing(_log_dir(ckpt_root))
     verifies = [
         _verify_shard.remote(
-            _listing(_shard_dir(ckpt_root, "signatures", q)),
-            _listing(_shard_dir(ckpt_root, "clusters", q)),
-            log,
+            state.signatures[q],
+            state.clusters[q],
+            state.log,
             cfg.verify_threshold,
             shards,
             *[pr[q] for pr in probes],
@@ -893,13 +976,14 @@ def _daily_batch(new_docs, ckpt_root, cfg, shards, *, extend, mark=None):
 
 @ray.remote
 def _min_matched_cluster(*tabs):
-    """Verified (a=new, b=stored) pieces -> (sorted new ids, minimum
-    resolved stored cluster per new id), as one task."""
+    """Verified pieces -> (sorted new ids, minimum resolved stored
+    cluster per new id) over the (a=new, b=stored) rows, as one task."""
     t = _concat(tabs)
-    if t is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = t["a"].to_numpy()
-    lab = t["b_label"].to_numpy()
+    stored = np.zeros(0, bool) if t is None else t["b_stored"].to_numpy(zero_copy_only=False)
+    if not stored.any():
+        return _NO_IDS, _NO_IDS
+    a = t["a"].to_numpy()[stored]
+    lab = t["b_label"].to_numpy()[stored]
     order = np.lexsort((lab, a))
     a_s, l_s = a[order], lab[order]
     starts, _ = run_bounds(a_s)
@@ -933,15 +1017,20 @@ def query_against_index(
     """
     from metacache_mpi_ray.state.metrics import MetricsRecorder
 
+    global _last_batch
+    _last_batch = None  # a new query replaces the kept batch
     cfg = _check_config(ckpt_root, cfg)
     shards = index_shards(ckpt_root)
     resume_pending_commit(ckpt_root)
     metrics = MetricsRecorder(ckpt_root)
     t0 = time.time()
 
-    batch = _daily_batch(new_docs, ckpt_root, cfg, shards, extend=False)
+    blocks, n = _batch_blocks(new_docs)
+    state = _index_state(ckpt_root, shards)
+    batch = _daily_batch(blocks, n, cfg, shards, state)
     match_ref = _min_matched_cluster.remote(*batch.verified)
     out_refs = [_emit_rows.remote(s, match_ref) for s in batch.sigs]
+    key = _batch_key(ckpt_root, shards, cfg, blocks, state)  # while the graph runs
     pstats, vstats = ray.get(batch.probe_stats), ray.get(batch.verify_stats)
     m_ids, _ = ray.get(match_ref)
     n_verified = sum(s["verified"] for s in vstats)
@@ -949,7 +1038,9 @@ def query_against_index(
     # telemetry (r3 verdict item 9): one metrics.jsonl row per probe
     # with the band-overlap/verified/matched counts, so any recurrence
     # of the session-9 anomaly (verified pairs present, zero match
-    # rows) is diagnosable post-hoc from the index root alone
+    # rows) is diagnosable post-hoc from the index root alone. The
+    # pair counts are new x stored only: the batch's new x new pairs
+    # (kept for extend) answer no query
     status = "inconsistent" if (len(m_ids) == 0 and n_verified > 0) else "ok"
     try:
         row = metrics.record(
@@ -960,9 +1051,7 @@ def query_against_index(
             n_verified=n_verified,
             n_matched_new_docs=len(m_ids),
             sig_files_read=sum(s["sig_files_read"] for s in vstats),
-            sig_files_total=sum(
-                len(shard_files(ckpt_root, "signatures", p)) for p in range(shards)
-            ),
+            sig_files_total=sum(len(files) for _, files in state.signatures),
             stored_bytes_read=sum(s["bytes"] for s in pstats + vstats),
             files_decoded=sum(s["files_decoded"] for s in pstats + vstats),
             bytes_decoded=sum(s["bytes_decoded"] for s in pstats + vstats),
@@ -974,8 +1063,8 @@ def query_against_index(
         # telemetry is best-effort, never a reason to fail a query
         # whose compute already finished
         row = {"status": status}
-    # impossible-state guard: every verified pair carries a new_id, so a
-    # non-empty verified table MUST yield match rows. Crash loudly
+    # impossible-state guard: every verified new x stored pair carries a
+    # new_id, so any such pair MUST yield match rows. Crash loudly
     # rather than return an all-unmatched result (a silent all-False
     # was observed once in a deeply-throttled window, BASELINE.md
     # session-9 — this converts any recurrence into a diagnosable error)
@@ -985,6 +1074,7 @@ def query_against_index(
             "cluster resolution produced no matches; re-run the query "
             f"(metrics.jsonl run_id={metrics.run_id})"
         )
+    _last_batch = (key, batch)
     if not out_refs:
         return rd.from_arrow(_QUERY_OUT.empty_table())
     return rd.from_arrow_refs(out_refs)

@@ -8,8 +8,10 @@ candidate pairs, no over-cap buckets), including exact cluster_id
 labels (min doc_id of the merged component) and is_dup flags.
 """
 
+import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -18,6 +20,7 @@ import pytest
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
+from metacache_mpi_ray.pipelines import incremental
 from metacache_mpi_ray.pipelines.extend import (
     extend_index,
     resume_pending_extend,
@@ -56,6 +59,29 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)[
         ["doc_id", "cluster_id", "is_dup"]
     ]
+
+
+def _parquet_bytes(root: str) -> dict:
+    """Every .parquet file under ``root``: relative path -> bytes."""
+    out = {}
+    for f in sorted(glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True)):
+        with open(f, "rb") as fh:
+            out[os.path.relpath(f, root)] = fh.read()
+    return out
+
+
+def _assert_same_files(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    assert [p for p in got if got[p] != want[p]] == []
+
+
+def _extend_row(root: str) -> dict:
+    """The last ``extend_index`` metrics.jsonl row of ``root``."""
+    with open(os.path.join(root, "metrics.jsonl")) as f:
+        rows = [json.loads(l) for l in f if l.strip()]
+    ext = [r for r in rows if r["stage"] == "extend_index"]
+    assert ext, "no extend_index telemetry row"
+    return ext[-1]
 
 
 @pytest.fixture()
@@ -141,8 +167,6 @@ def test_extend_verified_edges_sit_in_their_shards(built_a, capsys):
     only that shard's rows, ``info`` counts the build's edges plus each
     batch's ``n_new_edges``, and re-clustering every stored edge gives
     the clusters ``read_clusters`` resolves."""
-    import glob
-
     import pyarrow.parquet as pq
 
     from metacache_mpi_ray.__main__ import main
@@ -315,8 +339,6 @@ def test_extend_bandless_legacy_index(built_a):
     older writer, e.g. one without a bands artifact) is refused by
     query, extend, the REPL and a resuming build_index — never misread
     and never silently extended."""
-    import shutil
-
     root, a_ids, a_src = built_a
     os.remove(os.path.join(root, "index.json"))
     shutil.rmtree(os.path.join(root, "bands"))
@@ -426,23 +448,32 @@ def test_extend_empty_batch_is_noop(built_a):
 def test_extend_records_phase_timings(built_a):
     """Each extend appends one metrics.jsonl row with per-phase wall
     times (r4 verdict item 6: the sorted-staging cost must be visible
-    in telemetry, not re-derived from bench deltas)."""
+    in telemetry, not re-derived from bench deltas). An extend that
+    takes its query's batch graph says so (``batch_reused``), keeps the
+    graph's phase keys at 0.0 and counts only its own reads."""
     root, _, _ = built_a
+    graph = ("sign_sort_stage", "band_stage", "probe_verify")
     b_ids = np.arange(3000, 3020, dtype=np.int64)
     extend_index(_token_docs(b_ids), root, CFG, num_partitions=4,
                  batch_id="phase-timing")
-    rows = [
-        json.loads(l)
-        for l in open(os.path.join(root, "metrics.jsonl"))
-        if l.strip()
-    ]
-    ext = [r for r in rows if r["stage"] == "extend_index"]
-    assert ext, "no extend_index telemetry row"
-    ph = ext[-1]["phases"]
-    assert {"sign_sort_stage", "band_stage", "probe_verify", "contract",
-            "rewrite_clusters", "commit"} <= set(ph)
-    assert ext[-1]["n_new"] == 20
-    assert abs(sum(ph.values()) - ext[-1]["seconds"]) < 1.5
+    row = _extend_row(root)
+    ph = row["phases"]
+    assert {*graph, "contract", "rewrite_clusters", "commit"} <= set(ph)
+    assert row["n_new"] == 20
+    assert abs(sum(ph.values()) - row["seconds"]) < 1.5
+    assert row["batch_reused"] is False
+    assert row["stored_bytes_read"] > 0  # the probe consulted the band shards
+
+    docs = _token_docs(np.arange(4000, 4020, dtype=np.int64)).materialize()
+    query_against_index(docs, root, num_partitions=4)
+    extend_index(docs, root, CFG, num_partitions=4, batch_id="after-query")
+    row = _extend_row(root)
+    assert row["batch_reused"] is True
+    assert [row["phases"][k] for k in graph] == [0.0, 0.0, 0.0]
+    assert {"contract", "rewrite_clusters", "commit"} <= set(row["phases"])
+    assert row["n_new"] == 20
+    # no compaction and no log fold: extend itself read no stored file
+    assert (row["stored_bytes_read"], row["files_decoded"], row["bytes_decoded"]) == (0, 0, 0)
 
 
 def test_query_and_extend_run_no_keyed_range_sort_or_groupby(built_a, monkeypatch):
@@ -556,22 +587,12 @@ def test_extend_files_do_not_depend_on_batch_block_order(built_a, tmp_path, monk
     and for a batch that folds the cluster log into every clusters shard
     (a compaction) alike: extend writes every stage by the build's rule
     (sorted by the stage key, then every other column)."""
-    import glob
-    import shutil
-
     import metacache_mpi_ray.pipelines.extend as ext_mod
 
     root, _, _ = built_a
     roots = [str(tmp_path / "fwd"), str(tmp_path / "rev")]
     for r in roots:
         shutil.copytree(root, r)
-
-    def files(r):
-        out = {}
-        for f in sorted(glob.glob(os.path.join(r, "**", "*.parquet"), recursive=True)):
-            with open(f, "rb") as fh:
-                out[os.path.relpath(f, r)] = fh.read()
-        return out
 
     # copies of stored singletons (2, 5, 8, 11) log dup marks; the fold
     # is decided in the driver: a log bound of 1 folds the log at n2
@@ -587,10 +608,85 @@ def test_extend_files_do_not_depend_on_batch_block_order(built_a, tmp_path, monk
         blocks = [t.slice(i, 4) for i in range(0, t.num_rows, 4)]
         for r, order in zip(roots, (blocks, blocks[::-1])):
             extend_index(ingest_documents(rd.from_arrow(order)), r, CFG, batch_id=batch)
-        fwd, rev = files(roots[0]), files(roots[1])
-        assert list(fwd) == list(rev)
-        assert [p for p in fwd if fwd[p] != rev[p]] == [], batch
+        fwd, rev = _parquet_bytes(roots[0]), _parquet_bytes(roots[1])
+        _assert_same_files(fwd, rev)
     assert not [p for p in fwd if p.startswith("cluster_log")]
     assert [p for p in fwd if p.startswith("clusters")] == [
         f"clusters/{p}/extend-n2.parquet" for p in range(4)
     ]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_extend_reusing_its_querys_batch_writes_the_same_files(tmp_path, shards):
+    """query(d) then extend(d) takes the query's batch graph; its files
+    and returned clusters equal those of extend(d) alone on a copy of
+    the same root, byte for byte, and the kept batch is gone after."""
+    ids = np.arange(100, dtype=np.int64)
+    src = ids.copy()
+    src[ids % 3 == 1] -= 1
+    base = str(tmp_path / "base")
+    build_index(_token_docs(ids, src), CFG, base, num_partitions=shards)
+    roots = [str(tmp_path / "reuse"), str(tmp_path / "alone")]
+    for r in roots:
+        shutil.copytree(base, r)
+    docs = _token_docs(*_b_batch()).materialize()
+    assert query_against_index(docs, roots[0]).to_pandas()["matched"].sum() == 3
+    assert incremental._last_batch is not None
+    got = [_canon(extend_index(docs, r, CFG, batch_id="d1").to_pandas()) for r in roots]
+    assert incremental._last_batch is None
+    assert [_extend_row(r)["batch_reused"] for r in roots] == [True, False]
+    pd.testing.assert_frame_equal(got[0], got[1])
+    _assert_same_files(_parquet_bytes(roots[0]), _parquet_bytes(roots[1]))
+
+
+def test_extend_misses_a_batch_kept_for_another_state_or_dataset(built_a, tmp_path):
+    """The kept query batch is taken only for the same blocks against the
+    same index files. An extend in between, the root deleted and rebuilt
+    at the same path, and an equal-content but separately built dataset
+    each run a fresh graph (``batch_reused`` false) and equal an extend
+    of the batch alone; no extend, not even a refused one, leaves the
+    batch kept."""
+    root, a_ids, a_src = built_a
+    base = str(tmp_path / "base")
+    shutil.copytree(root, base)
+    docs = _token_docs(*_b_batch()).materialize()
+    other = _token_docs(np.array([5000, 5001]), np.array([0, 777777])).materialize()
+
+    def extend_alone(tag, before=None):
+        r = str(tmp_path / f"alone-{tag}")
+        shutil.copytree(base, r)
+        if before is not None:
+            extend_index(before, r, CFG, batch_id="other")
+        out = extend_index(docs, r, CFG, batch_id="d")
+        return _canon(out.to_pandas()), _parquet_bytes(r)
+
+    def check(r, out, want):
+        assert _extend_row(r)["batch_reused"] is False
+        assert incremental._last_batch is None
+        pd.testing.assert_frame_equal(_canon(out.to_pandas()), want[0])
+        _assert_same_files(_parquet_bytes(r), want[1])
+
+    alone = extend_alone("plain")
+
+    r = str(tmp_path / "between")
+    shutil.copytree(base, r)
+    query_against_index(docs, r)
+    extend_index(other, r, CFG, batch_id="other")
+    check(r, extend_index(docs, r, CFG, batch_id="d"), extend_alone("other", other))
+    query_against_index(docs, r)
+    with pytest.raises(ConfigMismatch, match="already installed"):
+        extend_index(docs, r, CFG, batch_id="d")
+    assert incremental._last_batch is None
+
+    r = str(tmp_path / "rebuilt")
+    shutil.copytree(base, r)
+    query_against_index(docs, r)
+    shutil.rmtree(r)
+    build_index(_token_docs(a_ids, a_src), CFG, r, num_partitions=4)
+    check(r, extend_index(docs, r, CFG, batch_id="d"), alone)
+
+    r = str(tmp_path / "equal-content")
+    shutil.copytree(base, r)
+    query_against_index(docs, r)
+    same = _token_docs(*_b_batch()).materialize()
+    check(r, extend_index(same, r, CFG, batch_id="d"), alone)

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
@@ -188,6 +189,47 @@ def test_query_probe_telemetry_and_sig_pruning(index_root):
     assert r2["n_verified"] > 0
     assert 1 <= r2["sig_files_read"] <= r2["sig_files_total"]
     assert r2["stored_bytes_read"] > r["stored_bytes_read"] > 0
+
+
+def test_query_ignores_new_x_new_pairs(index_root):
+    """The daily graph also verifies the batch's new x new pairs (for the
+    extend that may reuse it); a query answers and counts only new x
+    stored pairs: two near-identical new docs with no stored match both
+    come back unmatched, with zero candidate pairs and no
+    'inconsistent' guard."""
+    import json
+    import os
+
+    root, _, _ = index_root
+    rng = np.random.default_rng(5)
+    words = ["".join(rng.choice(list("qzxjvkw"), 6)) for _ in range(200)]
+    twin = list(words)
+    twin[100] = "kkkkkk"
+    docs = ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array([42_000_000, 42_000_001], type=pa.int64()),
+                    "text": pa.array([" ".join(words), " ".join(twin)], type=pa.string()),
+                }
+            )
+        )
+    ).materialize()
+    out = query_against_index(docs, root, num_partitions=4).to_pandas()
+    assert len(out) == 2
+    assert not out["matched"].any()
+    assert (out["matched_cluster_id"] == -1).all()
+    with open(os.path.join(root, "metrics.jsonl")) as f:
+        r = [json.loads(l) for l in f if '"query_probe"' in l][-1]
+    assert r["status"] == "ok"
+    assert r["n_candidate_pairs"] == 0
+    assert r["n_verified"] == 0
+    # the twins did verify, as the new x new pair the graph keeps
+    from metacache_mpi_ray.pipelines import incremental
+
+    verified = pa.concat_tables(ray.get(incremental._last_batch[1].verified))
+    assert verified.to_pydict()["a"] == [42_000_000]
+    assert verified.to_pydict()["b_stored"] == [False]
 
 
 def test_query_refuses_config_mismatch(index_root):
