@@ -240,8 +240,8 @@ def cmd_info(args) -> int:
     shard count, files per shard of each sharded stage, cluster-log
     length — compaction keeps the last two bounded), artifact row
     counts (from the Parquet footers; clusters through the resolving
-    reader), band-bucket occupancy moments (one census task per band
-    shard)."""
+    reader), band-bucket occupancy moments (one histogram task per band
+    shard, ``candidates.bucket_histogram``; the power sums are exact)."""
     _ensure_ray()
     from metacache_mpi_ray.pipelines.incremental import (
         INDEX_FORMAT,

@@ -35,18 +35,22 @@ def ensure_columns(df, columns: list[str]):
     return df.reindex(columns=columns)
 
 
+def doc_blocks(ds):
+    """The non-empty blocks of a dataset as (ref, rows) pairs, in order,
+    yielded as its execution streams them."""
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.num_rows:
+                yield ref, meta.num_rows
+
+
 def assemble_sorted_i64(mat, col: str):
     """ObjectRef to the sorted int64 numpy array of ``col`` over a
     MATERIALIZED dataset, assembled in ONE off-driver task from the
     block refs — the values never cross the driver heap. The shared
     broadcast-set builder for the boilerplate / decontamination /
     verify families."""
-    refs = [
-        ref
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in zip(bundle.block_refs, bundle.metadata)
-        if meta.num_rows
-    ]
+    refs = [ref for ref, _ in doc_blocks(mat)]
     if not refs:
         return ray.put(np.empty(0, dtype=np.int64))
 

@@ -10,9 +10,10 @@ pass. With P = ``num_partitions``, every split below is
 ``functions/blocks.split_by_key`` (the partition function of
 ``hash_exchange``), and each task gets its inputs as object refs:
 
-1. sign, one task per non-empty docs block, submitted as the block
-   arrives (``banding.sign_split``, the daily batch's sign task): MinHash
-   in slices of about ``signatures.SIGN_SLICE_BYTES`` of text, band keys
+1. sign (``_sign_pieces``, which ``build_index``, the daily batch and
+   ``bucket_census`` also run), one ``banding.sign_split`` task per
+   non-empty docs block, submitted as the block arrives: MinHash in
+   slices of about ``signatures.SIGN_SLICE_BYTES`` of text, band keys
    folded to ``bkey``; band rows split by the shard of ``bkey``,
    signature rows by the shard of ``doc_id``;
 2. bucket task p: every bucket of band shard p is whole, so the star
@@ -32,9 +33,9 @@ pass. With P = ``num_partitions``, every split below is
 
 The outputs are byte-identical to the Dataset-level stage chain
 ``compute_signatures`` -> ``compute_bands`` -> ``bucket_edges`` ->
-``verify_edges`` -> ``assign_clusters``, which the registered queries
-and the test oracle run (tests/test_dedup_pipeline.py compares the
-two). ``pipelines/incremental.build_index`` runs this same graph with a
+``verify_edges`` -> ``assign_clusters``, which the test oracle and
+perfbench's ``--trace 1`` run (tests/test_dedup_pipeline.py compares
+the two). ``pipelines/incremental.build_index`` runs this same graph with a
 sink that writes each shard of signatures, bands, verified edges and
 clusters from a task, and the checkpointed pipeline is a
 ``build_index`` over its input files. The lifecycle mirrors the
@@ -54,9 +55,15 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import split_by_key
+from metacache_mpi_ray.functions.blocks import doc_blocks, split_by_key
 from metacache_mpi_ray.stages.banding import sign_split
-from metacache_mpi_ray.stages.candidates import distinct_pairs, run_bounds, star_edges
+from metacache_mpi_ray.stages.candidates import (
+    bucket_histogram,
+    distinct_pairs,
+    merge_histograms,
+    run_bounds,
+    star_edges,
+)
 from metacache_mpi_ray.stages.cluster import (
     _forest_task,
     _uf_forest_task,
@@ -164,25 +171,38 @@ def _assign_task(sigs: pa.Table, labels) -> pa.Table:
     return cluster_rows(sigs["doc_id"], labels)
 
 
-def _sign_pieces(docs, cfg: DedupConfig, shards: int, blocks: list | None = None):
-    """Step 1 of the graph -> (band pieces, signature pieces), each a
-    list per shard of one ref per docs block. Sign tasks are submitted
-    while ``docs`` streams; ``blocks`` collects the docs block refs when
-    given."""
+def _sign_pieces(blocks, cfg: DedupConfig, shards: int):
+    """Step 1 of the graph, the sign step of every MinHash caller: docs
+    block refs -> (band pieces, signature pieces), each a list per shard
+    of one ref per block. A task is submitted as each ref comes, so a
+    ``doc_blocks`` walk signs while its dataset executes."""
     sign = sign_split.options(num_returns=2 * shards)
     band_pieces = [[] for _ in range(shards)]
     sig_pieces = [[] for _ in range(shards)]
-    for bundle in docs.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            if not meta.num_rows:
-                continue
-            out = sign.remote(ref, cfg, shards, False)
-            for p in range(shards):
-                band_pieces[p].append(out[p])
-                sig_pieces[p].append(out[shards + p])
-            if blocks is not None:
-                blocks.append(ref)
+    for ref in blocks:
+        out = sign.remote(ref, cfg, shards)
+        for p in range(shards):
+            band_pieces[p].append(out[p])
+            sig_pieces[p].append(out[shards + p])
     return band_pieces, sig_pieces
+
+
+@ray.remote
+def _census_task(*pieces) -> pa.Table:
+    """Census task p: the band pieces of shard p, where every bucket is
+    whole -> the histogram of their bucket sizes."""
+    return bucket_histogram([_ids(t, "bkey") for t in pieces])
+
+
+def bucket_census(docs, cfg: DedupConfig, num_partitions: int | None = None) -> pa.Table:
+    """The (bucket_size, n_buckets) histogram of the band buckets of a
+    canonical ``docs`` dataset: step 1 of the graph, then one census
+    task per band shard (the kernel ``info`` runs over band files)."""
+    from metacache_mpi_ray.stages.joins import default_num_partitions
+
+    shards = max(1, int(num_partitions or default_num_partitions()))
+    band_pieces, _ = _sign_pieces((ref for ref, _ in doc_blocks(docs)), cfg, shards)
+    return merge_histograms(ray.get([_census_task.remote(*ps) for ps in band_pieces]))
 
 
 def _score_graph(band_pieces, sig_pieces, cfg: DedupConfig, shards: int):
@@ -268,11 +288,13 @@ def near_dup_pipeline(
     if num_partitions is None:
         num_partitions = default_num_partitions()
     shards = max(1, int(num_partitions))
-    blocks = [] if include_substring else None
-    band_pieces, sig_pieces = _sign_pieces(docs, cfg, shards, blocks)
+    blocks = (ref for ref, _ in doc_blocks(docs))
+    if include_substring:  # listed first: the substring stage reads them again
+        blocks = list(blocks)
+    band_pieces, sig_pieces = _sign_pieces(blocks, cfg, shards)
     sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
     n_edges = 0
-    if blocks:
+    if include_substring and blocks:
         sub = _substring_edges(blocks, cfg, shards)
         verified_refs += sub.to_arrow_refs()
         n_edges = sub.count()

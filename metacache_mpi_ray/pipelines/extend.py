@@ -12,16 +12,16 @@ stored assignment, log only what the batch changes.
 Semantics vs a full rebuild over (stored ∪ new):
 
 * the probe verifies the FULL new x stored bipartite graph per band
-  bucket plus all new x new pairs (``probe_bucket_pairs``
-  emit_new_new), while a rebuild emits star edges per bucket — extend's
-  candidate set is a superset of the rebuild's restricted to pairs
-  touching a new doc, and both apply the same hot-bucket cap to total
-  bucket size, so extend finds every dup-pair a rebuild would and
-  possibly more (every extra pair still clears the same verification
-  threshold). On corpora without verification-failing co-bucketed pairs
-  (e.g. the planted test corpora, where co-bucketing implies
-  near-identity) the resulting cluster assignment is IDENTICAL to the
-  rebuild's (pytest-gated in tests/test_extend.py).
+  bucket plus all new x new pairs (``probe_bucket_pairs``), while a
+  rebuild emits star edges per bucket — extend's candidate set is a
+  superset of the rebuild's restricted to pairs touching a new doc, and
+  both apply the same hot-bucket cap to total bucket size, so extend
+  finds every dup-pair a rebuild would and possibly more (every extra
+  pair still clears the same verification threshold). On corpora
+  without verification-failing co-bucketed pairs (e.g. the planted test
+  corpora, where co-bucketing implies near-identity) the resulting
+  cluster assignment is IDENTICAL to the rebuild's (pytest-gated in
+  tests/test_extend.py).
 * a bucket whose stored fragment was under the cap in the original
   build but whose union size exceeds it stops yielding NEW pairs
   (hot-feature removal on the union total, like the reference marking
@@ -64,9 +64,9 @@ import pyarrow as pa
 import ray
 
 from metacache_mpi_ray.config import DedupConfig
+from metacache_mpi_ray.functions.blocks import doc_blocks
 from metacache_mpi_ray.pipelines.incremental import (
     _CLUSTERS,
-    _batch_blocks,
     _batch_key,
     _check_config,
     _concat,
@@ -282,15 +282,15 @@ def extend_index(
         phases[name] = round(now - t_ph, 3)
         t_ph = now
 
-    blocks, n = _batch_blocks(new_docs)
+    blocks = list(doc_blocks(new_docs))
     state = _index_state(ckpt_root, shards)
     reused = kept is not None and kept[0] == _batch_key(ckpt_root, shards, cfg, blocks, state)
     if reused:
         batch = kept[1]
         phases.update(sign_sort_stage=0.0, band_stage=0.0, probe_verify=0.0)
     else:
-        batch = _daily_batch(blocks, n, cfg, shards, state, mark=_mark)
-    if batch.n == 0:
+        batch = _daily_batch(blocks, cfg, shards, state, mark=_mark)
+    if not blocks:
         return read_clusters(ckpt_root)
 
     contract_ref = _contract.remote(*batch.verified)
@@ -305,7 +305,7 @@ def extend_index(
         [
             _stage_shard.remote(
                 ckpt_root, p, staging, name, fold_log, contract_ref, batch.verified[p],
-                len(batch.sigs), *batch.sig_pieces[p], *batch.band_pieces[p],
+                len(blocks), *batch.sig_pieces[p], *batch.band_pieces[p],
             )
             for p in range(shards)
         ]
@@ -319,7 +319,7 @@ def extend_index(
 
     lineage = {
         "batch_id": batch_id,
-        "n_new": batch.n,
+        "n_new": sum(rows for _, rows in blocks),
         "n_new_edges": c["n_edges"],
         "n_touched_clusters": c["n_touched"],
     }

@@ -25,15 +25,16 @@ The daily batch (``_daily_batch``, shared by query and extend) is one
 graph of plain Ray tasks; no Ray Data execution touches the stored
 index:
 
-1. one task per batch block signs, bands and splits the block by shard;
+1. the flagship's sign step (``dedup._sign_pieces``): one task per
+   batch block signs, bands and splits the block by shard;
 2. probe task p takes the ``searchsorted`` range of each batch band key
-   in every file of ``bands/<p>``, adds the batch's piece p and runs
-   the bucket kernel ``probe_bucket_pairs`` (every bucket is whole in
-   one shard, so the hot-bucket cap counts stored and new rows) for
+   in every file of ``bands/<p>``, adds the batch's band pieces p and
+   runs the bucket kernel ``probe_bucket_pairs`` (every bucket is whole
+   in one shard, so the hot-bucket cap counts stored and new rows) for
    new x stored and new x new pairs, marking each pair whose ``b`` has
    a stored row (``b_stored``: the rows a query answers from);
-3. verify task q looks up only the candidate rows of
-   ``signatures/<q>``, keeps pairs with ``est_sim >=
+3. verify task q takes the batch's signature pieces, looks up only the
+   candidate rows of ``signatures/<q>``, keeps pairs with ``est_sim >=
    cfg.verify_threshold`` (the rule of ``verify_edges``), and resolves
    each stored endpoint to its cluster through ``clusters/<q>`` plus
    the log.
@@ -72,9 +73,9 @@ One read path: only this module reads index files. The probe and
 verify tasks and ``ReplIndex`` share the decoders and the kernels
 (``_bucket_rows``, ``_probe_pairs``, ``_signature_rows``,
 ``minhash_scores``, ``_cluster_labels``); ``info`` takes row counts from
-the Parquet footers and runs its bucket census as one task per band
-shard, so no Ray Data read touches the index. Every index file, built
-or extended, is written by one rule (``_sorted_shard``).
+the Parquet footers and runs the census kernel ``bucket_histogram`` as
+one task per band shard, so no Ray Data read touches the index. Every
+index file, built or extended, is written by one rule (``_sorted_shard``).
 
 The query then takes the minimum matched cluster per new doc. Each probe
 appends a telemetry row (candidate/verified/matched counts, the
@@ -101,10 +102,13 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import split_by_key
-from metacache_mpi_ray.stages.banding import sign_split
+from metacache_mpi_ray.functions.blocks import _as_table, doc_blocks, split_by_key
+from metacache_mpi_ray.pipelines.dedup import _components, _score_graph, _sign_pieces
 from metacache_mpi_ray.stages.candidates import (
+    bucket_histogram,
     distinct_pairs,
+    histogram_sums,
+    merge_histograms,
     run_bounds,
     segment_all_pairs,
 )
@@ -182,7 +186,6 @@ def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
     """The flagship graph plus the index sink (``build_index``): one
     write task per (stage, shard) into the stage's tmp directory, each
     stage installed once its writes finish, with one lineage row."""
-    from metacache_mpi_ray.pipelines.dedup import _components, _score_graph, _sign_pieces
     from metacache_mpi_ray.state.metrics import MetricsRecorder
 
     metrics = MetricsRecorder(root)
@@ -215,7 +218,9 @@ def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
         # one read task per stored file in place of the sign tasks
         band_pieces, sig_pieces = stored("bands"), stored("signatures")
     else:
-        band_pieces, sig_pieces = _sign_pieces(docs, cfg, shards)
+        band_pieces, sig_pieces = _sign_pieces(
+            (ref for ref, _ in doc_blocks(docs)), cfg, shards
+        )
     sig_writes = write("signatures", sig_pieces, signature_schema(cfg.n_perms))
     band_writes = write("bands", band_pieces, _BANDS)
     sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
@@ -553,22 +558,17 @@ def stage_rows(ckpt_root: str, stage: str) -> int:
 
 
 @ray.remote
-def _bucket_size_sums(files) -> list[int]:
-    """Band shard files -> [n, Σx, Σx², Σx³] over its band buckets' sizes
-    x: a bucket is whole in the shard of its ``bkey``."""
-    bk = np.sort(np.concatenate([_NO_IDS, *(_resident(f, _decode_bands)[0] for f in _visit(files))]))
-    x = run_bounds(bk)[1]
-    return [len(x), *(int((x**k).sum()) for k in (1, 2, 3))]
+def _band_histogram(files) -> pa.Table:
+    """Band shard files (a ``_listing``) -> the histogram of its bucket
+    sizes: a bucket is whole in the shard of its ``bkey``."""
+    return bucket_histogram([_resident(f, _decode_bands)[0] for f in _visit(files)])
 
 
 def bucket_size_sums(ckpt_root: str) -> list[int]:
     """[n, Σx, Σx², Σx³] over the sizes x of the index's band buckets
-    (``info``'s census): one task per band shard, summed."""
-    shards = index_shards(ckpt_root)
-    parts = ray.get(
-        [_bucket_size_sums.remote(_listing(_shard_dir(ckpt_root, "bands", p))) for p in range(shards)]
-    )
-    return [sum(c) for c in zip(*parts)]
+    (``info``'s census), exact: one histogram task per band shard."""
+    bands = [_listing(_shard_dir(ckpt_root, "bands", p)) for p in range(index_shards(ckpt_root))]
+    return histogram_sums(merge_histograms(ray.get([_band_histogram.remote(b) for b in bands])))
 
 
 class ReplIndex:
@@ -650,7 +650,7 @@ class ReplIndex:
         _, cand, *_ = _probe_pairs(
             *_bucket_rows(self.band_keys, self.band_docs, np.unique(nk)),
             nk, bands["doc_id"].to_numpy(),
-            self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap), False,
+            self.cfg.bucket_cap if bucket_cap is None else int(bucket_cap),
         )
         cand, mat = _signature_rows(self.sig_ids, self.sig_mat, cand)
         est, keep = minhash_scores(
@@ -679,21 +679,17 @@ def _sorted_run(files: list[str], decode) -> tuple:
 # --- the daily batch: one graph of plain Ray tasks ------------------------
 
 
-def probe_bucket_pairs(keys, ids, side, cap: int, *, emit_new_new: bool = False):
-    """Parallel (bkey, id, side) arrays, every bucket WHOLE -> (a=new,
-    b=stored) candidate pair arrays per band bucket (side 0 = stored,
-    1 = new). Buckets larger than ``cap`` (stored + new rows) emit
-    nothing — the reference's hot-feature removal,
-    sketch_database.h:398-417.
-
-    ``emit_new_new``: additionally emit all (new x new) pairs per
-    surviving bucket — required by ``extend_index`` (the reference's
-    ``modify`` mode), where the new batch must also dedup against
-    itself. The daily batch turns it on for query and extend alike (a
-    query's answers keep only the new x stored rows); ``ReplIndex``
-    keeps it off. For new x new pairs both sides are new ids with
-    a < b. A pair shared by several buckets is emitted once per
-    bucket."""
+def probe_bucket_pairs(keys, ids, side, cap: int):
+    """Parallel (bkey, id, side) arrays, every bucket WHOLE -> the
+    candidate pair arrays of every band bucket (side 0 = stored, 1 =
+    new): (a=new, b=stored) for each new x stored pair, and every new x
+    new pair with a < b, which ``extend_index`` needs (the reference's
+    ``modify`` mode, where the new batch also dedups against itself; a
+    query's answers keep only the pairs with a stored ``b``, and the
+    REPL's one-doc batch forms none). Buckets larger than ``cap``
+    (stored + new rows) emit nothing — the reference's hot-feature
+    removal, sketch_database.h:398-417. A pair shared by several buckets
+    is emitted once per bucket."""
     order = np.lexsort((side, keys))
     keys, ids, side = keys[order], ids[order], side[order]
     starts, sizes = run_bounds(keys)
@@ -719,15 +715,14 @@ def probe_bucket_pairs(keys, ids, side, cap: int, *, emit_new_new: bool = False)
     else:
         a = np.empty(0, dtype=np.int64)
         b = np.empty(0, dtype=np.int64)
-    if emit_new_new:
-        # all (new x new) pairs of surviving buckets: the new rows
-        # of a bucket are its contiguous tail (stored sort first),
-        # so reuse the flagship's equal-size-grouped pair kernel
-        nn = (n_new_per >= 2) & (sizes <= cap)
-        if nn.any():
-            na, nb = segment_all_pairs(ids, starts + sizes - n_new_per, n_new_per, nn)
-            a = np.concatenate([a, na])
-            b = np.concatenate([b, nb])
+    # all (new x new) pairs of surviving buckets: the new rows of a
+    # bucket are its contiguous tail (stored sort first), so reuse the
+    # flagship's equal-size-grouped pair kernel
+    nn = (n_new_per >= 2) & (sizes <= cap)
+    if nn.any():
+        na, nb = segment_all_pairs(ids, starts + sizes - n_new_per, n_new_per, nn)
+        a = np.concatenate([a, na])
+        b = np.concatenate([b, nb])
     return a, b
 
 
@@ -750,7 +745,7 @@ def _bucket_rows(bk: np.ndarray, ids: np.ndarray, keys: np.ndarray):
     return bk[rows], ids[rows]
 
 
-def _probe_pairs(sk, sid, nk, nid, cap: int, emit_new_new: bool):
+def _probe_pairs(sk, sid, nk, nid, cap: int):
     """The stored rows of the hit buckets (``_bucket_rows``) and the
     batch's (bkey, doc_id) rows -> the distinct (a, b) candidate pairs
     of ``probe_bucket_pairs``, sorted, whether each ``b`` is stored (has
@@ -759,8 +754,7 @@ def _probe_pairs(sk, sid, nk, nid, cap: int, emit_new_new: bool):
     stored and with a new ``b``."""
     side = np.repeat(np.array([0, 1], dtype=np.int8), [len(sk), len(nk)])
     a, b = probe_bucket_pairs(
-        np.concatenate([sk, nk]), np.concatenate([sid, nid]), side, cap,
-        emit_new_new=emit_new_new,
+        np.concatenate([sk, nk]), np.concatenate([sid, nid]), side, cap
     )
     n_stored, n = int(np.isin(b, sid).sum()), len(a)
     a, b = distinct_pairs(a, b)
@@ -805,7 +799,7 @@ def _probe_shard(files, cap: int, shards: int, *pieces):
     rows = [_bucket_rows(*_resident(f, _decode_bands, stats), keys) for f in _visit(files)]
     sk, sid = (np.concatenate(c) for c in zip((_NO_IDS, _NO_IDS), *rows))
     *pairs, stats["pairs"], stats["pairs_new"] = _probe_pairs(
-        sk, sid, nk, new["doc_id"].to_numpy(zero_copy_only=False), cap, True
+        sk, sid, nk, new["doc_id"].to_numpy(zero_copy_only=False), cap
     )
     return (*split_by_key(pa.table(pairs, schema=_PAIRS), ["b"], shards), stats)
 
@@ -813,7 +807,7 @@ def _probe_shard(files, cap: int, shards: int, *pieces):
 @ray.remote(num_returns=2)
 def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int, *refs):
     """Verify task q: candidate pair pieces whose ``b`` is in shard q,
-    plus the batch signatures -> the pairs with ``est_sim >=
+    then the batch's signature pieces -> the pairs with ``est_sim >=
     threshold``, each stored ``b`` (``b_stored`` from the probe)
     resolved to its current cluster; a ``b`` in the batch is scored
     with the batch's signature. And a stats dict (pairs kept with a
@@ -864,8 +858,8 @@ def _verify_shard(sig_files, cluster_files, log, threshold: float, n_pieces: int
 
 @dataclass
 class _DailyBatch:
-    n: int  # batch rows
-    sigs: list  # per block: the block's signatures
+    """The refs of one batch's graph (``_sign_pieces``' pieces, then the
+    probe and verify outputs)."""
     sig_pieces: list  # [shard][block]: signature rows by shard of doc_id
     band_pieces: list  # [shard][block]: band rows by shard of bkey
     verified: list  # per shard q: verified pairs whose b is in q
@@ -896,17 +890,6 @@ def _index_state(ckpt_root: str, shards: int) -> _IndexState:
     )
 
 
-def _batch_blocks(new_docs) -> tuple[list, int]:
-    """The batch's non-empty block refs, in order, and its row count."""
-    blocks, n = [], 0
-    for bundle in new_docs.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            if meta.num_rows:
-                blocks.append(ref)
-                n += meta.num_rows
-    return blocks, n
-
-
 def _batch_key(ckpt_root, shards, cfg, blocks, state: _IndexState) -> tuple:
     """What a daily batch's graph is a function of (module docstring)."""
     ctx = ray.get_runtime_context()
@@ -928,9 +911,9 @@ def _take_batch() -> tuple | None:
     return kept
 
 
-def _daily_batch(blocks, n, cfg, shards, state: _IndexState, *, mark=None):
-    """Sign -> probe -> verify for the batch ``blocks`` (``n`` rows,
-    ``_batch_blocks``) against the index's shards as listed in
+def _daily_batch(blocks, cfg, shards, state: _IndexState, *, mark=None):
+    """Sign -> probe -> verify for the batch ``blocks`` (its
+    ``doc_blocks`` pairs) against the index's shards as listed in
     ``state`` (module docstring); an empty batch runs no task. Returns
     refs only; ``mark(phase)``, when given, is called after waiting for
     each step (extend's phase timings)."""
@@ -941,13 +924,9 @@ def _daily_batch(blocks, n, cfg, shards, state: _IndexState, *, mark=None):
             mark(phase)
 
     if not blocks:
-        return _DailyBatch(0, [], [], [], [], [], [])
-    sign = sign_split.options(num_returns=1 + 2 * shards)
-    outs = [sign.remote(b, cfg, shards, True) for b in blocks]
-    sigs = [o[0] for o in outs]
-    band_pieces = [[o[1 + p] for o in outs] for p in range(shards)]
-    sig_pieces = [[o[1 + shards + p] for o in outs] for p in range(shards)]
-    done("sign_sort_stage", sigs)
+        return _DailyBatch([], [], [], [], [])
+    band_pieces, sig_pieces = _sign_pieces([ref for ref, _ in blocks], cfg, shards)
+    done("sign_sort_stage", [r for ps in sig_pieces for r in ps])
     probe = _probe_shard.options(num_returns=shards + 1)
     probes = [
         probe.remote(state.bands[p], cfg.bucket_cap, shards, *band_pieces[p])
@@ -962,15 +941,14 @@ def _daily_batch(blocks, n, cfg, shards, state: _IndexState, *, mark=None):
             cfg.verify_threshold,
             shards,
             *[pr[q] for pr in probes],
-            *sigs,
+            *[r for ps in sig_pieces for r in ps],
         )
         for q in range(shards)
     ]
     verified = [v[0] for v in verifies]
     done("probe_verify", verified)
     return _DailyBatch(
-        n, sigs, sig_pieces, band_pieces, verified,
-        [pr[shards] for pr in probes], [v[1] for v in verifies],
+        sig_pieces, band_pieces, verified, [pr[shards] for pr in probes], [v[1] for v in verifies]
     )
 
 
@@ -991,9 +969,11 @@ def _min_matched_cluster(*tabs):
 
 
 @ray.remote
-def _emit_rows(sig: pa.Table, match) -> pa.Table:
+def _emit_rows(block, match) -> pa.Table:
+    """One batch docs block -> its (doc_id, matched, matched_cluster_id)
+    rows, in block order."""
     ids_s, cl = match
-    ids = sig["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ids = _as_table(block)["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     pos, found = lookup_sorted(ids_s, ids)
     mcl = np.where(found, cl[pos], -1) if len(ids_s) else np.full(len(ids), -1)
     return pa.table([ids, found, mcl], schema=_QUERY_OUT)
@@ -1025,11 +1005,11 @@ def query_against_index(
     metrics = MetricsRecorder(ckpt_root)
     t0 = time.time()
 
-    blocks, n = _batch_blocks(new_docs)
+    blocks = list(doc_blocks(new_docs))
     state = _index_state(ckpt_root, shards)
-    batch = _daily_batch(blocks, n, cfg, shards, state)
+    batch = _daily_batch(blocks, cfg, shards, state)
     match_ref = _min_matched_cluster.remote(*batch.verified)
-    out_refs = [_emit_rows.remote(s, match_ref) for s in batch.sigs]
+    out_refs = [_emit_rows.remote(ref, match_ref) for ref, _ in blocks]
     key = _batch_key(ckpt_root, shards, cfg, blocks, state)  # while the graph runs
     pstats, vstats = ray.get(batch.probe_stats), ray.get(batch.verify_stats)
     m_ids, _ = ray.get(match_ref)

@@ -927,16 +927,12 @@ def q_index_bucket_moments(sf_dir: str):
     """Index statistics over REAL LSH bucket sizes (the non-SQL variant
     of the moments operator): global mean/variance/skew of band-bucket
     occupancy — what the reference's info mode prints for its feature
-    multimap."""
-    from metacache_mpi_ray.stages.banding import compute_bands
-    from metacache_mpi_ray.stages.candidates import bucket_stats
-    from metacache_mpi_ray.stages.signatures import compute_signatures
-    from metacache_mpi_ray.stages.stats import grouped_moments
+    multimap, and what ``info`` prints for a stored index: exact power
+    sums of the census histogram."""
+    from metacache_mpi_ray.pipelines.dedup import bucket_census
+    from metacache_mpi_ray.stages.stats import histogram_moments
 
-    docs = read_docs(sf_dir)
-    sigs = compute_signatures(docs, CFG, batch_size=128)
-    sizes = bucket_stats(compute_bands(sigs, CFG), ["band_id", "band_hash"])
-    return grouped_moments(sizes, None, "bucket_size")
+    return rd.from_arrow(histogram_moments(bucket_census(read_docs(sf_dir), CFG)))
 
 
 def q_url_canonical(sf_dir: str):
@@ -1238,15 +1234,12 @@ def q_merged_dedup_runs(sf_dir: str):
 def q_band_bucket_census(sf_dir: str):
     """Feature-frequency census (A8 analog — the ~230 lines of MPI
     tree-reduction in the reference, /root/reference/src/mode_build.cpp:
-    847-1074, as one groupby): LSH bucket-size histogram."""
-    from metacache_mpi_ray.stages.banding import compute_bands
-    from metacache_mpi_ray.stages.candidates import bucket_stats
-    from metacache_mpi_ray.stages.signatures import compute_signatures
+    847-1074, as one histogram task per band shard of the flagship's
+    sign step, the kernel ``info`` runs over an index's band files): LSH
+    bucket-size histogram."""
+    from metacache_mpi_ray.pipelines.dedup import bucket_census
 
-    docs = read_docs(sf_dir)
-    sigs = compute_signatures(docs, CFG, batch_size=128)
-    stats = bucket_stats(compute_bands(sigs, CFG), ["band_id", "band_hash"])
-    return stats.groupby("bucket_size").aggregate(Count(alias_name="n_buckets"))
+    return rd.from_arrow(bucket_census(read_docs(sf_dir), CFG))
 
 
 def q_cluster_lcs(sf_dir: str):
@@ -1394,32 +1387,27 @@ def q_simhash_dup_pairs_planted(sf_dir: str):
     return simhash_dedup(docs, CFG, num_partitions=8)
 
 
-def _planted_band_stats(sf_dir: str):
-    from metacache_mpi_ray.stages.banding import compute_bands
-    from metacache_mpi_ray.stages.candidates import bucket_stats
-    from metacache_mpi_ray.stages.signatures import compute_signatures
+def _planted_band_stats(sf_dir: str) -> pa.Table:
+    """The band-bucket histogram of the planted corpus."""
+    from metacache_mpi_ray.pipelines.dedup import bucket_census
 
-    docs = _planted_token_corpus(sf_dir)
-    sigs = compute_signatures(docs, CFG, batch_size=128)
-    return bucket_stats(compute_bands(sigs, CFG), ["band_id", "band_hash"])
+    return bucket_census(_planted_token_corpus(sf_dir), CFG)
 
 
 def q_band_census_planted(sf_dir: str):
     """A8 census with an exact oracle: on the planted corpus every
     (band, bucket) holds one distinct text group — copies give size-2
     buckets, everything else size 1, in every one of the 32 bands."""
-    return _planted_band_stats(sf_dir).groupby("bucket_size").aggregate(
-        Count(alias_name="n_buckets")
-    )
+    return rd.from_arrow(_planted_band_stats(sf_dir))
 
 
 def q_bucket_moments_planted(sf_dir: str):
     """A9 moments with an exact oracle: integer power sums over the
     planted bucket-size distribution (32 bands x {1,2}-sized buckets)."""
-    from metacache_mpi_ray.stages.stats import grouped_moments
+    from metacache_mpi_ray.stages.stats import histogram_moments
 
-    out = grouped_moments(_planted_band_stats(sf_dir), None, "bucket_size")
-    return out.select_columns(["n", "sum_x", "sum_x2", "sum_x3"])
+    out = histogram_moments(_planted_band_stats(sf_dir))
+    return rd.from_arrow(out.select(["n", "sum_x", "sum_x2", "sum_x3"]))
 
 
 def _planted_embeddings(sf_dir: str, d: int = 8):

@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import split_by_key
+from metacache_mpi_ray.functions.blocks import _as_table, split_by_key
 from metacache_mpi_ray.functions.hashing import U64, mix2, splitmix64
 from metacache_mpi_ray.stages.candidates import fold_keys
 from metacache_mpi_ray.stages.signatures import MinHashSigner, sig_from_arrow
@@ -86,16 +86,11 @@ def band_key_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
 
 
 @ray.remote
-def sign_split(block, cfg: DedupConfig, shards: int, whole: bool):
-    """The sign task of the flagship graph and the daily batch: one docs
-    block -> its band rows split by the shard of ``bkey``, then its
-    signature rows split by the shard of ``doc_id`` (``shards`` pieces
-    each), preceded by the block's whole signature table when ``whole``.
-    One ``MinHashSigner`` call signs the block (it slices by bytes)."""
-    from ray.data.block import BlockAccessor
-
-    t = BlockAccessor.for_block(block).to_arrow()
-    sig = MinHashSigner(cfg)(t).combine_chunks()
+def sign_split(block, cfg: DedupConfig, shards: int):
+    """The sign task of ``pipelines/dedup._sign_pieces``: one docs block
+    -> its band rows split by the shard of ``bkey``, then its signature
+    rows split by the shard of ``doc_id`` (``shards`` pieces each). One
+    ``MinHashSigner`` call signs the block (it slices by bytes)."""
+    sig = MinHashSigner(cfg)(_as_table(block)).combine_chunks()
     bands = split_by_key(band_key_rows(sig, cfg), ["bkey"], shards)
-    pieces = (*bands, *split_by_key(sig, ["doc_id"], shards))
-    return (sig, *pieces) if whole else pieces
+    return (*bands, *split_by_key(sig, ["doc_id"], shards))

@@ -22,9 +22,9 @@ Semantics per bucket (band_id, band_hash):
 Implementation: fold the key columns into one 64-bit ``bkey``, then
 ``functions/blocks.hash_exchange`` on it — every row of one bucket lands
 in one partition, whose reduce sorts by ``bkey`` and runs a vectorized
-segment kernel. Pair dedup (``dedupe_edges`` / ``unique_pairs``) and
-``bucket_stats`` run on the same exchange; no stage here range-sorts or
-stitches bucket fragments.
+segment kernel. Pair dedup (``dedupe_edges`` / ``unique_pairs``) runs on
+the same exchange; no stage here range-sorts or stitches bucket
+fragments. The census kernel ``bucket_histogram`` runs per band shard.
 """
 
 from __future__ import annotations
@@ -73,6 +73,35 @@ def run_bounds(*cols: np.ndarray):
         change[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(change)
     return starts, np.diff(np.append(starts, n))
+
+
+_HISTOGRAM = pa.schema([("bucket_size", pa.int64()), ("n_buckets", pa.int64())])
+
+
+def bucket_histogram(keys) -> pa.Table:
+    """The census kernel (A8 analog, mode_build.cpp:847-1074 and
+    mode_info.cpp:288-345): the ``bkey`` arrays of one band shard, every
+    bucket whole in it -> (bucket_size, n_buckets), sorted by size."""
+    k = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *keys]))
+    size, n = np.unique(run_bounds(k)[1], return_counts=True)
+    return pa.table([size.astype(np.int64), n.astype(np.int64)], schema=_HISTOGRAM)
+
+
+def merge_histograms(parts) -> pa.Table:
+    """``bucket_histogram``s of disjoint bucket sets (one per band
+    shard) -> one histogram, sorted by size."""
+    t = pa.concat_tables([_HISTOGRAM.empty_table(), *parts])
+    size, inv = np.unique(t["bucket_size"].to_numpy(), return_inverse=True)
+    n = np.zeros(len(size), dtype=np.int64)
+    np.add.at(n, inv, t["n_buckets"].to_numpy())
+    return pa.table([size, n], schema=_HISTOGRAM)
+
+
+def histogram_sums(hist: pa.Table) -> list[int]:
+    """[n, Σx, Σx², Σx³] over the bucket sizes x of a histogram, exact
+    as Python ints (in int64, Σx³ wraps at a 2^21-row bucket)."""
+    rows = list(zip(hist["bucket_size"].to_pylist(), hist["n_buckets"].to_pylist()))
+    return [sum(n * x**k for x, n in rows) for k in range(4)]
 
 
 def star_edges(ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray, cap: int):
@@ -339,41 +368,3 @@ def ambiguity_filter(ds, key_col: str, source_col: str, max_sources: int):
         return t.filter(pa.array(~found))
 
     return ds.map_batches(drop, batch_format="pyarrow")
-
-
-def _bucket_counts(key_cols: list[str], weight: str | None):
-    """Arrow group-by count (``weight=None``) or sum of ``weight`` per
-    key -> key_cols + ["bucket_size"] — the census's combine and reduce."""
-    schema = pa.schema([(c, pa.int64()) for c in key_cols] + [("bucket_size", pa.int64())])
-
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
-        if weight is None:
-            g = t.group_by(key_cols).aggregate([([], "count_all")])
-            n = g["count_all"]
-        else:
-            g = t.group_by(key_cols).aggregate([(weight, "sum")])
-            n = g[f"{weight}_sum"]
-        return pa.Table.from_arrays(
-            [g[c].cast(pa.int64()) for c in key_cols] + [n], schema=schema
-        )
-
-    return kernel
-
-
-def bucket_stats(ds, key_cols: list[str]):
-    """Feature-frequency census (analog of A8: the distributed
-    feature-count census that costs ~230 lines of MPI in the reference's
-    mode_build.cpp:847-1074) -> key_cols + ["bucket_size"] over int64
-    keys: one ``hash_exchange`` whose map-side combine counts each
-    block's keys and whose reduce sums the partial counts."""
-    from metacache_mpi_ray.stages.joins import default_num_partitions
-
-    return hash_exchange(
-        ds.select_columns(key_cols),
-        key_cols,
-        _bucket_counts(key_cols, "bucket_size"),
-        num_partitions=default_num_partitions(),
-        combine=_bucket_counts(key_cols, None),
-    )

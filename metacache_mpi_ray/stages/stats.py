@@ -4,6 +4,8 @@ built on accumulating moments (/root/reference/src/stat_moments.h):
 mean / variance / skewness over grouped values via distributed power
 sums — one hash-shuffle groupby carrying Sum(x), Sum(x²), Sum(x³),
 Count; the higher moments are derived in a final vectorized map.
+``histogram_moments`` derives the same row from a bucket-size histogram
+(the census of ``info`` and the census queries).
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ import numpy as np
 import pyarrow as pa
 
 from ray.data.aggregate import Count, Sum
+
+from metacache_mpi_ray.stages.candidates import histogram_sums
+
+
+_SUMS = ("n", "sum_x", "sum_x2", "sum_x3")
 
 
 def moments_from_sums(n, s1, s2, s3):
@@ -53,14 +60,21 @@ def grouped_moments(ds, group_cols, value_col: str):
         )
     )
 
-    def derive(t: pa.Table) -> pa.Table:
-        mean, var, skew = moments_from_sums(
-            *(t[c].to_numpy(zero_copy_only=False) for c in ("n", "sum_x", "sum_x2", "sum_x3"))
-        )
-        out = {c: t[c] for c in t.column_names}
-        out["mean"] = pa.array(mean, type=pa.float64())
-        out["variance"] = pa.array(var, type=pa.float64())
-        out["skewness"] = pa.array(skew, type=pa.float64())
-        return pa.table(out)
+    return agg.map_batches(_with_moments, batch_format="pyarrow")
 
-    return agg.map_batches(derive, batch_format="pyarrow")
+
+def _with_moments(t: pa.Table) -> pa.Table:
+    """A table with n, sum_x, sum_x2, sum_x3 columns -> it with mean,
+    variance and skewness appended (derived views of the exact sums)."""
+    floats = moments_from_sums(*(t[c].to_numpy(zero_copy_only=False) for c in _SUMS))
+    for c, v in zip(("mean", "variance", "skewness"), floats):
+        t = t.append_column(c, pa.array(v, type=pa.float64()))
+    return t
+
+
+def histogram_moments(hist: pa.Table) -> pa.Table:
+    """A (bucket_size, n_buckets) histogram (``candidates.bucket_histogram``)
+    -> the one row ``grouped_moments`` gives with no group columns; the
+    sums are exact, so one past int64 raises instead of wrapping."""
+    sums = histogram_sums(hist)
+    return _with_moments(pa.table({c: pa.array([v], type=pa.int64()) for c, v in zip(_SUMS, sums)}))

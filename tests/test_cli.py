@@ -110,15 +110,19 @@ def test_cli_info_reads_the_index_without_ray_data(tmp_path, corpus_dir, capsys,
     """info takes its row counts from the Parquet footers and runs its
     bucket census as one task per band shard, so it works with
     ``ray.data.read_parquet`` broken, after a build and after an extend;
-    its numbers equal a direct read of the files."""
+    its numbers equal a direct read of the files, and its bucket moments
+    equal the census queries' over the same docs."""
     import glob
 
     import numpy as np
     import pytest
     import ray.data
 
-    from metacache_mpi_ray.__main__ import main
+    from metacache_mpi_ray.__main__ import _read_pages, main
+    from metacache_mpi_ray.config import DedupConfig
+    from metacache_mpi_ray.pipelines.dedup import bucket_census
     from metacache_mpi_ray.sources.pages import write_pages_corpus
+    from metacache_mpi_ray.stages.stats import histogram_moments
 
     idx = str(tmp_path / "index")
     batch_dir = write_pages_corpus(str(tmp_path / "batch"), 60, seed=778)
@@ -153,6 +157,13 @@ def test_cli_info_reads_the_index_without_ray_data(tmp_path, corpus_dir, capsys,
         assert mom["variance"] == pytest.approx(x.var())
         skew = ((x - x.mean()) ** 3).mean() / x.std() ** 3
         assert mom["skewness"] == pytest.approx(skew)
+        docs = _read_pages(f"{corpus_dir}/pages", canonicalize_urls=False)
+        if step == "extend":
+            docs = docs.union(_read_pages(f"{batch_dir}/pages", canonicalize_urls=False))
+        census = histogram_moments(bucket_census(docs, DedupConfig(), 4))
+        assert mom["n"] == census["n"][0].as_py()
+        for c in ("mean", "variance", "skewness"):  # one scalar, one array expression
+            assert mom[c] == pytest.approx(census[c][0].as_py(), rel=1e-12), c
     assert info["rows_signatures"] == 560
 
 

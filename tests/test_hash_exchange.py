@@ -4,6 +4,7 @@ segment and grouped stages run on."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data as rd
@@ -122,41 +123,14 @@ def test_hash_exchange_multi_key_and_combine():
     assert got == {(1, 7): 2, (1, 8): 1, (2, 7): 1}
 
 
-def test_bucket_stats_counts_and_empty_schema():
-    """The census sums per-block counts to the exact bucket sizes, and
-    an empty input still yields key_cols + ["bucket_size"]."""
-    from metacache_mpi_ray.stages.candidates import bucket_stats
-
-    rng = np.random.default_rng(4)
-    band_id = rng.integers(0, 3, 500)
-    band_hash = rng.integers(0, 40, 500)
-    tab = pa.table(
-        {
-            "band_id": pa.array(band_id, type=pa.int64()),
-            "band_hash": pa.array(band_hash, type=pa.int64()),
-            "doc_id": pa.array(np.arange(500), type=pa.int64()),
-        }
-    )
-    got = bucket_stats(rd.from_arrow(tab).repartition(4), ["band_id", "band_hash"])
-    got = got.to_pandas()
-    assert list(got.columns) == ["band_id", "band_hash", "bucket_size"]
-    want = tab.to_pandas().groupby(["band_id", "band_hash"]).size()
-    assert dict(zip(zip(got["band_id"], got["band_hash"]), got["bucket_size"])) == {
-        k: int(v) for k, v in want.items()
-    }
-    empty = bucket_stats(rd.from_arrow(tab.slice(0, 0)), ["band_id", "band_hash"])
-    assert empty.count() == 0
-    assert empty.schema().names == ["band_id", "band_hash", "bucket_size"]
-
-
 def test_bucket_and_segment_stages_run_no_sort_or_groupby(monkeypatch):
     """Every bucket and segment stage keys its groups through
     hash_exchange: the flagship, all-pairs bucketing, anchor candidates,
     the scored substring stages, the cluster LCS report and the bucket
     census call neither ``Dataset.sort`` nor ``Dataset.groupby``."""
     from metacache_mpi_ray.config import DedupConfig
-    from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
-    from metacache_mpi_ray.stages.candidates import bucket_all_pairs, bucket_stats
+    from metacache_mpi_ray.pipelines.dedup import bucket_census, near_dup_pipeline
+    from metacache_mpi_ray.stages.candidates import bucket_all_pairs
     from metacache_mpi_ray.stages.ingest import ingest_documents
     from metacache_mpi_ray.stages.substring import (
         anchor_candidates,
@@ -209,7 +183,10 @@ def test_bucket_and_segment_stages_run_no_sort_or_groupby(monkeypatch):
         )
     )
     assert bucket_all_pairs(keyed, ["k"], cap=8).count() == 1 + 3
-    assert bucket_stats(keyed, ["k"]).count() == 3
+    census = bucket_census(docs, cfg, 2)
+    assert pc.sum(pc.multiply(census["bucket_size"], census["n_buckets"])).as_py() == (
+        len(texts) * cfg.n_bands
+    )
     assert anchor_candidates(docs, cfg, num_partitions=2, max_hosts=None).count() > 0
     assert scored_substring_edges(docs, cfg, num_partitions=2).count() > 0
     with_clusters = docs.map_batches(

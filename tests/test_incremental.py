@@ -447,7 +447,7 @@ def test_incremental_agrees_with_full_recompute(tmp_path, corpus_dir):
 BLOCKS_X_PARTITIONS = [(k, p) for k in (1, 3, 8) for p in (1, 2, 5)]
 
 
-def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int, emit_new_new=False):
+def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int):
     """The daily probe's layout: ``tab`` cut into k batch blocks, each
     split by shard of bkey (blocks.split_by_key), and the bucket kernel
     run on each shard's concatenated pieces."""
@@ -461,10 +461,7 @@ def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int, emit_new_new=False):
     ]
     shards = [pa.concat_tables([blk[q] for blk in pieces]) for q in range(p)]
     pairs = [
-        probe_bucket_pairs(
-            *(t[c].to_numpy() for c in ("bkey", "id", "side")), cap,
-            emit_new_new=emit_new_new,
-        )
+        probe_bucket_pairs(*(t[c].to_numpy() for c in ("bkey", "id", "side")), cap)
         for t in shards
     ]
     return pd.DataFrame(
@@ -474,8 +471,9 @@ def _probe_sharded(tab: pa.Table, k: int, p: int, cap: int, emit_new_new=False):
 
 def test_probe_bridge_stitch_across_batch_boundary():
     """A band bucket spread over many input blocks must emit its full
-    new x stored cross product at every shard count, and a bucket
-    over the cap (stored + new rows) must emit nothing."""
+    new x stored cross product and its new x new pairs at every shard
+    count, and a bucket over the cap (stored + new rows) must emit
+    nothing."""
     # bucket bkey=5: stored {1,2,3} + new {11,12,13}; bucket bkey=9:
     # stored {4} + new {14}
     tab = pa.table(
@@ -486,6 +484,7 @@ def test_probe_bridge_stitch_across_batch_boundary():
         }
     )
     want = {(n, s) for n in (11, 12, 13) for s in (1, 2, 3)} | {(14, 4)}
+    want |= {(11, 12), (11, 13), (12, 13)}
     for k, p in BLOCKS_X_PARTITIONS:
         pairs = _probe_sharded(tab, k, p, cap=256)
         assert set(zip(pairs["a"], pairs["b"])) == want, (k, p)
@@ -497,8 +496,8 @@ def test_probe_bridge_stitch_across_batch_boundary():
 
 
 def test_probe_emit_new_new_across_batch_boundaries():
-    """emit_new_new (the extend-mode probe): every (new x new) and
-    (new x stored) pair of a bucket within the cap is emitted, and no
+    """The probe emits every (new x new) and (new x stored) pair of a
+    bucket within the cap (extend needs both), and no
     pair of an over-cap bucket, whatever the input block count and
     shard count — compared against a brute-force enumeration."""
     import itertools
@@ -536,14 +535,15 @@ def test_probe_emit_new_new_across_batch_boundaries():
             want_min |= set(itertools.combinations(new, 2))
     assert len(by_key[21]) > cap  # the over-cap bucket is exercised
     for k, p in BLOCKS_X_PARTITIONS:
-        pairs = _probe_sharded(tab, k, p, cap=cap, emit_new_new=True)
+        pairs = _probe_sharded(tab, k, p, cap=cap)
         got = set(zip(pairs["a"], pairs["b"]))
         assert got == want_min, (k, p, got ^ want_min)
 
 
 def test_query_with_tiny_probe_batches_matches_default(index_root):
     """End-to-end: the query result must not depend on how the batch is
-    split into blocks or on the probe's partition count."""
+    split into blocks or on the probe's partition count, and it holds
+    one row per batch doc in the batch's block order."""
     from metacache_mpi_ray.pipelines.incremental import query_against_index
 
     root, _, corpus_dir = index_root
@@ -555,9 +555,10 @@ def test_query_with_tiny_probe_batches_matches_default(index_root):
     b = base.sort_values("doc_id").reset_index(drop=True)
     assert b["matched"].any()
     for k, p in BLOCKS_X_PARTITIONS:
-        got = query_against_index(
-            new_docs.repartition(k), root, num_partitions=p
-        ).to_pandas()
+        batch = new_docs.repartition(k).materialize()
+        assert batch.num_blocks() == k
+        got = query_against_index(batch, root, num_partitions=p).to_pandas()
+        assert list(got["doc_id"]) == list(batch.to_pandas()["doc_id"]), (k, p)
         t = got.sort_values("doc_id").reset_index(drop=True)
         assert (b["doc_id"] == t["doc_id"]).all(), (k, p)
         assert (b["matched"] == t["matched"]).all(), (k, p)
