@@ -12,7 +12,8 @@ operator's internal schema. One exchange moves one or several keyed
 inputs, so a join is one exchange whose reduce sees both sides of each
 key whole. Its partition function, ``split_by_key``, also names the
 persisted index's shards, so the daily batch splits itself the same
-way and each probe task reads only its own shard files.
+way and each probe task reads only its own shard files. Its split half,
+``split_blocks``, also feeds the verify step (``stages/verify.py``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def assemble_sorted_i64(mat, col: str):
     """ObjectRef to the sorted int64 numpy array of ``col`` over a
     MATERIALIZED dataset, assembled in ONE off-driver task from the
     block refs — the values never cross the driver heap. The shared
-    broadcast-set builder for the boilerplate / decontamination /
-    verify families."""
+    broadcast-set helper for the boilerplate and decontamination
+    families."""
     refs = [ref for ref, _ in doc_blocks(mat)]
     if not refs:
         return ray.put(np.empty(0, dtype=np.int64))
@@ -126,6 +127,19 @@ def _exchange_split(block, key_cols, num_partitions, combine):
     return pieces[0] if num_partitions == 1 else tuple(pieces)
 
 
+def split_blocks(ds, key_cols: list[str], num_partitions: int, combine=None) -> list[list]:
+    """The split half of ``hash_exchange``: one ``_exchange_split`` task
+    per non-empty block of ``ds`` -> one list of piece refs per
+    partition, in block order."""
+    split = _exchange_split.options(num_returns=num_partitions)
+    pieces = [[] for _ in range(num_partitions)]
+    for ref, _ in doc_blocks(ds):
+        out = split.remote(ref, key_cols, num_partitions, combine)
+        for p, r in enumerate([out] if num_partitions == 1 else out):
+            pieces[p].append(r)
+    return pieces
+
+
 def _concat_pieces(pieces) -> pa.Table:
     """One input's pieces of a partition as one table. With no rows the
     result keeps the schema of the input's non-empty blocks (their empty
@@ -171,23 +185,12 @@ def hash_exchange(ds, key_cols: list[str], reduce, *, num_partitions: int, combi
     num_partitions = max(1, int(num_partitions))
     inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
     combines = combine if isinstance(combine, (list, tuple)) else [combine] * len(inputs)
-    split = _exchange_split.options(num_returns=num_partitions)
-    pieces = [
-        [
-            split.remote(ref, key_cols, num_partitions, comb)
-            for bundle in d.iter_internal_ref_bundles()
-            for ref, meta in zip(bundle.block_refs, bundle.metadata)
-            if meta.num_rows != 0
-        ]
-        for d, comb in zip(inputs, combines)
+    sides = [
+        split_blocks(d, key_cols, num_partitions, comb) for d, comb in zip(inputs, combines)
     ]
-    if num_partitions == 1:
-        pieces = [[[p] for p in side] for side in pieces]
-    sizes = [len(side) for side in pieces]
+    sizes = [len(side[0]) for side in sides]
     out = [
-        _exchange_reduce.remote(
-            reduce, sizes, *[p[i] for side in pieces for p in side]
-        )
+        _exchange_reduce.remote(reduce, sizes, *[r for side in sides for r in side[i]])
         for i in range(num_partitions)
     ]
     return rd.from_arrow_refs(out)

@@ -19,26 +19,28 @@ pass. With P = ``num_partitions``, every split below is
 2. bucket task p: every bucket of band shard p is whole, so the star
    kernel ``candidates.star_edges`` (capped at ``cfg.bucket_cap``)
    runs as in ``bucket_edges``; distinct pairs split by the shard of ``a``;
-3. pair task q: every copy of a pair shares its ``a``, so dropping
-   duplicate (a, b) pairs here is exact; attaches sig[a] from signature
-   shard q and splits by the shard of ``b``. It also returns signature
-   shard q whole: the P blocks of ``DedupResult.signatures``;
-4. score task r: sig[b] from signature shard r, pairs kept by
-   ``verify.minhash_scores`` (the rule of ``verify_edges``);
+3-4. verify (``verify.pair_score``, the one verify step, which
+   ``verify_edges`` and the other verify adapters also run): pair task q
+   drops duplicate (a, b) pairs (exact: every copy of a pair shares its
+   ``a``), attaches sig[a] from signature shard q, splits by the shard
+   of ``b`` and returns signature shard q whole (the P blocks of
+   ``DedupResult.signatures``); score task r attaches sig[b] from
+   signature shard r and keeps the pairs ``verify.minhash_scores``
+   accepts;
 5. components: one spanning forest per score output, one union-find
    merge, one assign task per signature shard (``cluster.cluster_rows``,
    the lookup of ``assign_clusters``); past
    ``CLUSTER_DRIVER_EDGE_LIMIT`` verified edges, distributed min-label
    propagation (``assign_clusters_distributed``) instead.
 
-The outputs are byte-identical to the Dataset-level stage chain
-``compute_signatures`` -> ``compute_bands`` -> ``bucket_edges`` ->
-``verify_edges`` -> ``assign_clusters``, which the test oracle and
-perfbench's ``--trace 1`` run (tests/test_dedup_pipeline.py compares
-the two). ``pipelines/incremental.build_index`` runs this same graph with a
-sink that writes each shard of signatures, bands, verified edges and
-clusters from a task, and the checkpointed pipeline is a
-``build_index`` over its input files. The lifecycle mirrors the
+tests/test_dedup_pipeline.py checks the outputs byte for byte against
+an in-process numpy reference over the whole corpus and against the
+Dataset-level stage chain ``compute_signatures`` -> ``compute_bands``
+-> ``bucket_edges`` -> ``verify_edges`` -> ``assign_clusters``, which
+perfbench's ``--trace 1`` runs. ``pipelines/incremental.build_index``
+runs this same graph with a sink that writes each shard of signatures,
+bands, verified edges and clusters from a task, and the checkpointed
+pipeline is a ``build_index`` over its input files. The lifecycle mirrors the
 reference's build + query fused into one streaming job (SURVEY.md §3,
 §7.1); its build is one streaming pass per rank that sketches a window
 and inserts it into the multimap (sketch_database.h:1079-1097).
@@ -47,6 +49,7 @@ and inserts it into the multimap (sketch_database.h:1079-1097).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -70,8 +73,8 @@ from metacache_mpi_ray.stages.cluster import (
     assign_clusters_distributed,
     cluster_rows,
 )
-from metacache_mpi_ray.stages.signatures import sig_from_arrow, signature_schema
-from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores
+from metacache_mpi_ray.stages.signatures import signature_schema
+from metacache_mpi_ray.stages.verify import _ids, pair_score, sig_payload, sig_scores
 
 # verified-edge count past which components come from distributed
 # min-label propagation instead of the union-find task
@@ -86,15 +89,6 @@ class DedupResult:
     signatures: "ray.data.Dataset"
     verified_edges: "ray.data.Dataset"
     clusters: "ray.data.Dataset"
-
-
-def _concat(tabs, schema: pa.Schema) -> pa.Table:
-    parts = [t for t in tabs if t.num_rows]
-    return pa.concat_tables(parts) if parts else schema.empty_table()
-
-
-def _ids(t: pa.Table, col: str) -> np.ndarray:
-    return t[col].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def _returns(pieces):
@@ -119,51 +113,6 @@ def _bucket_task(cap: int, shards: int, *pieces):
     a, b = star_edges(_ids(t, "doc_id")[order], *run_bounds(keys[order]), cap)
     pairs = pa.table(distinct_pairs(a, b), schema=_PAIRS)
     return _returns(split_by_key(pairs, ["a"], shards))
-
-
-@ray.remote
-def _pair_task(shards: int, n_pairs: int, n_perms: int, *pieces):
-    """Pair task q: pair pieces whose ``a`` is in shard q, then signature
-    pieces of shard q -> the distinct pairs with sig[a] attached, split
-    by the shard of ``b``, and signature shard q whole."""
-    sigs = _concat(pieces[n_pairs:], signature_schema(n_perms))
-    pairs = _concat(pieces[:n_pairs], _PAIRS)
-    a, b = distinct_pairs(_ids(pairs, "a"), _ids(pairs, "b"))
-    ids = _ids(sigs, "doc_id")
-    order = np.argsort(ids)
-    pos, found = lookup_sorted(ids[order], a)
-    rows = pa.table(
-        {
-            "a": pa.array(a[found], type=pa.int64()),
-            "b": pa.array(b[found], type=pa.int64()),
-            "sig_a": sigs["sig"].take(order[pos[found]]),
-        }
-    )
-    return (*split_by_key(rows, ["b"], shards), sigs)
-
-
-@ray.remote(num_returns=2)
-def _score_task(threshold: float, n_pairs: int, *refs):
-    """Score task r: pieces of (a, b, sig[a]) whose ``b`` is in shard r,
-    then signature shard r -> (the verified (a, b, est_sim) rows, their
-    count)."""
-    sigs = refs[n_pairs]
-    parts = [t for t in refs[:n_pairs] if t.num_rows]
-    if not parts or sigs.num_rows == 0:
-        return _VERIFIED.empty_table(), 0
-    pairs = pa.concat_tables(parts)
-    ids = _ids(sigs, "doc_id")
-    order = np.argsort(ids)
-    b = _ids(pairs, "b")
-    pos, found = lookup_sorted(ids[order], b)
-    mat = sig_from_arrow(sigs["sig"])
-    est, keep = minhash_scores(
-        sig_from_arrow(pairs["sig_a"])[found], mat[order[pos[found]]], threshold
-    )
-    out = pa.table(
-        [_ids(pairs, "a")[found][keep], b[found][keep], est[keep]], schema=_VERIFIED
-    )
-    return out, out.num_rows
 
 
 @ray.remote
@@ -213,21 +162,16 @@ def _score_graph(band_pieces, sig_pieces, cfg: DedupConfig, shards: int):
         _refs(bucket.remote(cfg.bucket_cap, shards, *band_pieces[p]), shards)
         for p in range(shards)
     ]
-    pair = _pair_task.options(num_returns=shards + 1)
-    pairs = [
-        pair.remote(
-            shards, shards, cfg.n_perms, *[bk[q] for bk in buckets], *sig_pieces[q]
-        )
-        for q in range(shards)
-    ]
-    sig_refs = [pr[shards] for pr in pairs]
-    scores = [
-        _score_task.remote(
-            cfg.verify_threshold, shards, *[pr[r] for pr in pairs], sig_refs[r]
-        )
-        for r in range(shards)
-    ]
-    return sig_refs, [s[0] for s in scores], [s[1] for s in scores]
+    return pair_score(
+        [[bk[q] for bk in buckets] for q in range(shards)],
+        sig_pieces,
+        id_col="doc_id",
+        pack=sig_payload,
+        score=partial(sig_scores, threshold=cfg.verify_threshold),
+        value_col="est_sim",
+        value_type=pa.float64(),
+        schema=signature_schema(cfg.n_perms),
+    )
 
 
 def _components(sig_refs: list, verified_refs: list, n_edges: int) -> list:

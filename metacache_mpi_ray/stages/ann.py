@@ -426,7 +426,6 @@ def embedding_near_dup(
     seed: int = 7,
     cap: int = 512,
     num_partitions: int = 16,
-    verify_strategy: str = "auto",
 ):
     """Embedding-cosine near-duplicate pairs.
 
@@ -480,11 +479,9 @@ def embedding_near_dup(
     edges = bucket_all_pairs(
         codes, key_cols=["table_id", "code"], id_col="doc_id", cap=cap
     )
-    # exact cosine verification through the shared payload-sized
-    # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
-    # the endpoint vector matrix (d x 8 bytes/doc) rides one broadcast
-    # object while it fits, and ships through two keyed exchanges as packed
-    # binary past that — the 100-TB dup-rate scale path
+    # exact cosine verification through the flagship's verify step
+    # (stages/verify.verify_pairs_payload): each pair and score task
+    # packs only the vectors (d x 8 bytes/doc) its pairs need
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 
     def extract(batch: pa.Table):
@@ -505,6 +502,5 @@ def embedding_near_dup(
         value_col="cos_sim",
         value_type=pa.float64(),
         payload_dtype=np.float64,
-        strategy=verify_strategy,
         num_partitions=num_partitions,
     )

@@ -325,8 +325,7 @@ def filter_unseen(
     Bloom prune -> (exact mode) verify the positives against the
     corpus keys. Two exact strategies (``strategy="auto"`` picks by
     the positive-set bound ``|new| * 8`` bytes vs
-    ``broadcast_bytes_limit``, the same payload-sized switch as
-    stages/verify.py):
+    ``broadcast_bytes_limit``):
 
     - ``broadcast``: ship the positive hash set (``true_seen + fpp *
       |new|`` u64s) to the workers and scan the corpus key column once

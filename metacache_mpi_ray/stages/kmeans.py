@@ -21,8 +21,8 @@ Ray Data shapes:
   the broadcast centroids (ties -> lowest cell id, deterministic).
 * ``semantic_dedup`` — assign cells, emit capped all-pairs per cell
   (``bucket_all_pairs``: the flagship's bucket hash exchange),
-  verify pairs by exact cosine through the shared payload-sized
-  broadcast-vs-join switch, union-find the surviving edges, and keep
+  verify pairs by exact cosine through the flagship's verify step
+  (``verify.verify_pairs_payload``), union-find the surviving edges, and keep
   min-id per component. Identical vectors always share a cell (the
   assignment is a pure function of the vector), so exact duplicates
   are never lost to cell boundaries; near-duplicates split across
@@ -278,7 +278,6 @@ def semantic_dedup(
     seed: int = 3,
     cap: int = 512,
     num_partitions: int = 16,
-    verify_strategy: str = "auto",
     centroids: np.ndarray | None = None,
     id_col: str = "vec_id",
 ):
@@ -338,7 +337,6 @@ def semantic_dedup(
         value_col="cos_sim",
         value_type=pa.float64(),
         payload_dtype=np.float64,
-        strategy=verify_strategy,
         num_partitions=num_partitions,
     )
     ids_only = embeddings.select_columns([id_col])

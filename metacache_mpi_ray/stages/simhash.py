@@ -143,7 +143,6 @@ def simhash_dedup(
     cfg: DedupConfig | None = None,
     *,
     num_partitions: int = 16,
-    verify_strategy: str = "auto",
 ):
     """docs -> candidate edges within simhash Hamming distance, verified
     exactly (Hamming check on the full 64-bit signatures via join)."""
@@ -165,11 +164,9 @@ def simhash_dedup(
         blocks, key_cols=["block_id", "block_val"], id_col="doc_id",
         cap=cfg.bucket_cap,
     )
-    # exact Hamming verification through the shared payload-sized
-    # broadcast-vs-join auto switch (stages/verify.verify_pairs_payload):
-    # broadcast the edge-endpoint simhashes while the dup subset fits in
-    # one object, exchange the packed values past that — the same scale
-    # story as the flagship's signature verification
+    # exact Hamming verification through the flagship's verify step
+    # (stages/verify.verify_pairs_payload): each pair and score task
+    # packs only the simhashes its pairs need
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 
     hmax = cfg.simhash_hamming
@@ -195,6 +192,5 @@ def simhash_dedup(
         value_col="hamming",
         value_type=pa.int64(),
         payload_dtype=U64,
-        strategy=verify_strategy,
         num_partitions=num_partitions,
     )

@@ -75,6 +75,11 @@ def _with_moments(t: pa.Table) -> pa.Table:
 def histogram_moments(hist: pa.Table) -> pa.Table:
     """A (bucket_size, n_buckets) histogram (``candidates.bucket_histogram``)
     -> the one row ``grouped_moments`` gives with no group columns; the
-    sums are exact, so one past int64 raises instead of wrapping."""
+    sums are exact, so one past int64 raises instead of wrapping. The
+    floats come from the exact Python-int sums, as ``info`` derives
+    them, so both report the same values."""
     sums = histogram_sums(hist)
-    return _with_moments(pa.table({c: pa.array([v], type=pa.int64()) for c, v in zip(_SUMS, sums)}))
+    t = pa.table({c: pa.array([v], type=pa.int64()) for c, v in zip(_SUMS, sums)})
+    for c, v in zip(("mean", "variance", "skewness"), moments_from_sums(*sums)):
+        t = t.append_column(c, pa.array([float(v)], type=pa.float64()))
+    return t

@@ -2,7 +2,10 @@
 hit-counting / top-k candidate filter (/root/reference/src/candidates.h:
 118-289): LSH gives candidates, a similarity check keeps real ones.
 
-One core (``_verify_core``) serves three thin adapters:
+One step, ``pair_score``, verifies candidate pairs for every caller: the
+flagship graph and ``build_index`` call it over their shard refs
+(``pipelines/dedup._score_graph``), and three thin Dataset adapters
+drive it through ``_verify_core``:
 
 * ``verify_edges`` — MinHash: the fraction of agreeing signature values
   estimates Jaccard (sigma ~= sqrt(s(1-s)/n_perms) ~= 0.044 at 128
@@ -13,24 +16,20 @@ One core (``_verify_core``) serves three thin adapters:
 * ``verify_edges_exact_jaccard`` — exact n-gram Jaccard over each doc's
   unique shingle set.
 
-Every adapter packs its payload as ONE ``large_binary`` value per id, so
-both strategies below hand the same scorer the same Arrow types. The
-core always reduces the edges to distinct (a, b) pairs first (LSH emits
-a pair once per agreeing band, and the join path would otherwise ship a
-payload row per raw edge — measured >50 GB of spill at 4M docs),
-filters the payload table to the edge endpoints once, materializes it,
-and then picks a strategy by the filtered payload's BYTES (block
-metadata):
+With P shards, the step takes edge pieces split by the shard of ``a``
+and payload-table pieces split by the shard of their id (both by
+``functions/blocks.split_by_key``, so an id names one shard on both
+sides; ``_verify_core`` splits with ``blocks.split_blocks``, the split
+half of ``hash_exchange``):
 
-* ``broadcast`` — the subset fits ``broadcast_bytes_limit``: one task
-  assembles the id-sorted subset off-driver, its return object is the
-  broadcast, and edges score in map_batches with a searchsorted lookup
-  (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
-* ``join`` — scale fallback past the limit: two two-input
-  ``hash_exchange`` calls move the distinct edges against the same
-  filtered blocks. The first is keyed on ``a`` and attaches ``pay_a``;
-  the second is keyed on ``b``, attaches ``pay_b`` and scores. Each
-  reduce looks its edges up in its id-sorted payload piece.
+1. pair task q: every copy of a pair shares its ``a``, so dropping
+   duplicate (a, b) rows here is exact (LSH emits a pair once per
+   agreeing band, and a payload per raw edge measured >50 GB of spill
+   at 4M docs). It packs only the payload rows its ``a`` ids need,
+   attaches them as ``pay_a`` and splits the pairs by the shard of
+   ``b``; it also returns payload shard q whole;
+2. score task r: packs the rows of payload shard r that its ``b`` ids
+   need and keeps the pairs ``score`` accepts.
 """
 
 from __future__ import annotations
@@ -44,10 +43,12 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import hash_exchange
+from metacache_mpi_ray.functions.blocks import _concat_pieces, split_blocks, split_by_key
+from metacache_mpi_ray.stages.candidates import distinct_pairs
 from metacache_mpi_ray.stages.signatures import sig_from_arrow
 
 _PAYLOAD = pa.schema([("doc_id", pa.int64()), ("payload", pa.large_binary())])
+_U64 = np.dtype(np.uint64)
 
 
 def lookup_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,54 +62,114 @@ def lookup_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
     return pos, sorted_ids[pos] == ids
 
 
-def filter_to_ids(id_col: str, wanted_ref):
-    """map_batches fn: keep rows whose ``id_col`` is in the broadcast
-    sorted id array ``wanted_ref`` (ray.put once, read per task)."""
+def _ids(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def pick(batch: pa.Table) -> pa.Table:
-        w = ray.get(wanted_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        _, found = lookup_sorted(w, ids)
-        return batch.filter(pa.array(found))
 
-    return pick
+def _column(pieces, col: str) -> np.ndarray:
+    parts = [_ids(t, col) for t in pieces if t.num_rows]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _payload_of(table: pa.Table, id_col: str, pack, ids: np.ndarray):
+    """(found mask, payload of each found id) for ``ids``: ``pack`` runs
+    on only the rows of ``table`` whose id is among them."""
+    found = np.zeros(len(ids), dtype=bool)
+    if table.num_rows == 0 or len(ids) == 0:
+        return found, pa.nulls(0)
+    _, need = lookup_sorted(np.unique(ids), _ids(table, id_col))
+    if not need.any():
+        return found, pa.nulls(0)
+    packed = pack(table.filter(pa.array(need)))
+    pid = _ids(packed, "doc_id")
+    order = np.argsort(pid)
+    pos, found = lookup_sorted(pid[order], ids)
+    return found, packed["payload"].take(order[pos[found]])
 
 
 @ray.remote
-def _block_edge_ids(t):
-    """Per-block unique endpoint ids (parallel pre-contraction before
-    the serial merge)."""
-    if len(t) == 0:  # empty blocks can arrive schema-less
-        return np.empty(0, dtype=np.int64)
-    return np.unique(
-        np.concatenate(
-            [
-                t["a"].to_numpy(zero_copy_only=False),
-                t["b"].to_numpy(zero_copy_only=False),
-            ]
-        )
+def _pair_task(pack, id_col: str, schema, shards: int, n_edges: int, *pieces):
+    """Pair task q: edge pieces whose ``a`` is in shard q, then payload
+    pieces of shard q -> the distinct pairs with ``pay_a`` attached,
+    split by the shard of ``b``, and payload shard q whole."""
+    table = _concat_pieces(pieces[n_edges:])
+    if table.num_columns == 0 and schema is not None:
+        table = schema.empty_table()
+    edges = pieces[:n_edges]
+    a, b = distinct_pairs(_column(edges, "a"), _column(edges, "b"))
+    found, pay = _payload_of(table, id_col, pack, a)
+    rows = pa.table(
+        {
+            "a": pa.array(a[found], type=pa.int64()),
+            "b": pa.array(b[found], type=pa.int64()),
+            "pay_a": pay,
+        }
     )
+    return (*split_by_key(rows, ["b"], shards), table)
 
 
-@ray.remote
-def _assemble_edge_ids(*parts):
-    """Sorted unique edge-endpoint ids from per-block unique arrays —
-    the merge touches the contracted id sets, not the raw edge bytes,
-    and nothing crosses the driver heap."""
-    parts = [p for p in parts if len(p)]
-    return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+@ray.remote(num_returns=2)
+def _score_task(pack, score, id_col: str, schema: pa.Schema, n_pairs: int, *refs):
+    """Score task r: pieces of (a, b, pay_a) whose ``b`` is in shard r,
+    then payload shard r -> (the kept (a, b, value) rows, their count)."""
+    table = refs[n_pairs]
+    parts = [t for t in refs[:n_pairs] if t.num_rows]
+    if not parts:
+        return schema.empty_table(), 0
+    pairs = pa.concat_tables(parts)
+    b = _ids(pairs, "b")
+    found, pay_b = _payload_of(table, id_col, pack, b)
+    if not found.any():
+        return schema.empty_table(), 0
+    pay_a = pairs["pay_a"] if found.all() else pairs["pay_a"].filter(pa.array(found))
+    vals, keep = score(pay_a, pay_b)
+    out = pa.table(
+        [_ids(pairs, "a")[found][keep], b[found][keep], vals[keep]], schema=schema
+    )
+    return out, out.num_rows
 
 
-@ray.remote
-def _assemble_payload(*tabs):
-    """(id-sorted ids, payload large_binary array) from the filtered,
-    packed blocks — built off-driver in ONE task; the task's return
-    object IS the broadcast. The caller only broadcasts a non-empty
-    side."""
-    t = pa.concat_tables([x for x in tabs if len(x)])  # empties may lack a schema
-    ids = t["doc_id"].to_numpy()
-    order = np.argsort(ids)
-    return ids[order], t["payload"].take(order).combine_chunks()
+def pair_score(
+    edge_pieces,
+    payload_pieces,
+    *,
+    id_col: str,
+    pack,
+    score,
+    value_col: str,
+    value_type,
+    schema: pa.Schema | None = None,
+):
+    """The verify step over refs. ``edge_pieces[q]`` holds the refs of
+    the edge pieces (a, b, ...) whose ``a`` is in shard q and
+    ``payload_pieces[q]`` those of the payload-table rows whose
+    ``id_col`` is in shard q -> (payload shard refs, scored refs, scored
+    count refs), one of each per shard. A scored block holds one
+    (a, b, ``value_col``) row per distinct pair that ``score`` keeps;
+    a payload shard with no rows is ``schema``'s empty table (it has no
+    columns without one).
+
+    ``pack(table) -> Table(doc_id int64, payload)`` turns rows of the
+    payload table into one payload value per id (any Arrow type; it may
+    drop rows); ``score(pay_a, pay_b) -> (values, keep)`` scores aligned
+    payload columns. Contract: ONE payload row per id. Endpoints without
+    one drop their edges."""
+    shards = len(edge_pieces)
+    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)])
+    pair = _pair_task.options(num_returns=shards + 1)
+    pairs = [
+        pair.remote(pack, id_col, schema, shards, len(edge_pieces[q]), *edge_pieces[q],
+                    *payload_pieces[q])
+        for q in range(shards)
+    ]
+    tables = [pr[shards] for pr in pairs]
+    scored = [
+        _score_task.remote(
+            pack, score, id_col, out_schema, shards, *[pr[r] for pr in pairs], tables[r]
+        )
+        for r in range(shards)
+    ]
+    return tables, [s[0] for s in scored], [s[1] for s in scored]
 
 
 def _verify_core(
@@ -120,118 +181,29 @@ def _verify_core(
     score,
     value_col: str,
     value_type,
-    strategy: str,
-    broadcast_bytes_limit: int,
     num_partitions: int,
 ):
-    """Shared verify path: edges(a, b, ...) x ``table`` -> (a, b,
-    ``value_col``), one row per distinct pair that ``score`` keeps.
-
-    ``pack(batch) -> Table(doc_id int64, payload large_binary)`` turns
-    the endpoint-filtered rows of ``table`` (id column ``id_col``) into
-    one packed payload per id; ``score(pay_a, pay_b) -> (values, keep)``
-    scores aligned large_binary arrays. Contract: ONE payload per id —
-    the sorted-id lookups of both paths assume it. Endpoints without
-    a payload row drop their edges.
-
-    ``strategy``: ``auto`` broadcasts when the filtered payload's bytes
-    fit ``broadcast_bytes_limit``, else joins; ``broadcast`` / ``join``
-    force a path. Both paths score the same distinct pairs against the
-    same materialized blocks, so their outputs are identical."""
-    from metacache_mpi_ray.stages.candidates import unique_pairs
-
-    def rows(a, b, vals) -> pa.Table:
-        return pa.table(
-            {
-                "a": pa.array(a, type=pa.int64()),
-                "b": pa.array(b, type=pa.int64()),
-                value_col: pa.array(vals, type=value_type),
-            }
-        )
-
-    empty = rows([], [], [])
-
-    def scored(a, b, pay_a, pay_b) -> pa.Table:
-        if len(a) == 0:
-            return empty
-        vals, keep = score(pay_a, pay_b)
-        return rows(a[keep], b[keep], vals[keep])
-
-    # distinct pairs on EVERY path: scores depend only on the two
-    # payloads, so multiplicity is pure cost
-    edges = unique_pairs(edges, num_partitions)
-    wanted_ref = _assemble_edge_ids.remote(
-        *[_block_edge_ids.remote(r) for r in edges.to_arrow_refs()]
+    """edges(a, b, ...) x ``table`` -> (a, b, ``value_col``): the verify
+    step (``pair_score``) over both datasets' blocks, one output block
+    per shard."""
+    shards = max(1, int(num_partitions))
+    _, scored, _ = pair_score(
+        split_blocks(edges, ["a"], shards),
+        split_blocks(table, [id_col], shards),
+        id_col=id_col,
+        pack=pack,
+        score=score,
+        value_col=value_col,
+        value_type=value_type,
     )
-
-    def pack_rows(batch: pa.Table) -> pa.Table:
-        return pack(batch) if len(batch) else _PAYLOAD.empty_table()
-
-    # materialized ONCE: the broadcast assembly or both exchanges read
-    # these blocks (Ray Data has no cross-branch CSE)
-    side = (
-        table.map_batches(filter_to_ids(id_col, wanted_ref), batch_format="pyarrow")
-        .map_batches(pack_rows, batch_format="pyarrow")
-        .materialize()
-    )
-    if side.count() == 0:
-        # no edges, or edges whose endpoints are all absent from the
-        # table: every edge drops
-        return rd.from_arrow(empty)
-
-    if strategy == "broadcast" or (
-        strategy == "auto" and side.size_bytes() <= broadcast_bytes_limit
-    ):
-        lookup_ref = _assemble_payload.remote(*side.to_arrow_refs())
-
-        def score_b(batch: pa.Table) -> pa.Table:
-            ids_s, pay = ray.get(lookup_ref)
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b = batch["b"].to_numpy(zero_copy_only=False)
-            ia, fa = lookup_sorted(ids_s, a)
-            ib, fb = lookup_sorted(ids_s, b)
-            found = fa & fb
-            return scored(a[found], b[found], pay.take(ia[found]), pay.take(ib[found]))
-
-        return edges.map_batches(score_b, batch_format="pyarrow")
-
-    def attach(e: pa.Table, s: pa.Table, key: str, pay: str):
-        """This partition's edges whose ``key`` endpoint has a payload
-        row in its piece of side, with that payload as column ``pay``."""
-        if e.num_rows == 0 or s.num_rows == 0:
-            return None
-        ids = s[key].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids)
-        pos, found = lookup_sorted(ids[order], e[key].to_numpy(zero_copy_only=False))
-        return e.filter(pa.array(found)).append_column(
-            pay, s[pay].take(order[pos[found]])
-        )
-
-    with_pay_a = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("pay_a", pa.large_binary())])
-
-    def join_a(e: pa.Table, s: pa.Table) -> pa.Table:
-        j = attach(e, s, "a", "pay_a")
-        return with_pay_a.empty_table() if j is None else j.select(with_pay_a.names)
-
-    def join_b_score(e: pa.Table, s: pa.Table) -> pa.Table:
-        j = attach(e, s, "b", "pay_b")
-        if j is None:
-            return empty
-        a = j["a"].to_numpy(zero_copy_only=False)
-        b = j["b"].to_numpy(zero_copy_only=False)
-        return scored(a, b, j["pay_a"], j["pay_b"])
-
-    sa = side.rename_columns({"doc_id": "a", "payload": "pay_a"})
-    sb = side.rename_columns({"doc_id": "b", "payload": "pay_b"})
-    j = hash_exchange([edges, sa], ["a"], join_a, num_partitions=num_partitions)
-    return hash_exchange([j, sb], ["b"], join_b_score, num_partitions=num_partitions)
+    return rd.from_arrow_refs(scored)
 
 
 def _binary_offsets(col) -> tuple[pa.Array, np.ndarray]:
     """(combined array, int64 value offsets) of a binary/large_binary
     column, honoring the array's slice offset."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     off_dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
     offs = np.frombuffer(col.buffers()[1], dtype=off_dt)[
         col.offset : col.offset + len(col) + 1
@@ -276,19 +248,17 @@ def verify_pairs_payload(
     value_col: str,
     value_type=None,
     payload_dtype,
-    strategy: str = "auto",
-    broadcast_bytes_limit: int = 2 << 30,
     num_partitions: int = 16,
 ):
     """Pair verification against one fixed-width payload row per id
-    (MinHash signatures, SimHash values, embedding vectors).
+    (SimHash values, embedding vectors).
 
     ``extract(batch) -> (ids int64, payload 2D ndarray)`` pulls the
     payload rows out of a ``table`` batch (it may drop rows, e.g. null
     embeddings); rows ship packed as ``payload_dtype`` and ``score(pa,
     pb) -> (values ndarray, keep bool mask)`` scores the aligned
-    unpacked matrices. Strategy and multiplicity semantics are the
-    core's (``_verify_core``): one row per distinct surviving pair."""
+    unpacked matrices. One row per distinct surviving pair
+    (``pair_score``)."""
     dtype = np.dtype(payload_dtype)
 
     def pack(batch: pa.Table) -> pa.Table:
@@ -305,8 +275,6 @@ def verify_pairs_payload(
         score=score_packed,
         value_col=value_col,
         value_type=value_type or pa.float64(),
-        strategy=strategy,
-        broadcast_bytes_limit=broadcast_bytes_limit,
         num_partitions=num_partitions,
     )
 
@@ -321,6 +289,18 @@ def minhash_scores(sa: np.ndarray, sb: np.ndarray, threshold: float):
     return est, est >= threshold
 
 
+def sig_payload(sigs: pa.Table) -> pa.Table:
+    """Signature rows -> the verify step's (doc_id, payload) rows, each
+    ``sig`` packed as one fixed-width value (Arrow takes and filters
+    packed binary rows ~2.5x faster than fixed-size lists)."""
+    return _pack_fixed(_ids(sigs, "doc_id"), sig_from_arrow(sigs["sig"]), _U64)
+
+
+def sig_scores(col_a, col_b, threshold: float):
+    """``minhash_scores`` over two aligned ``sig_payload`` columns."""
+    return minhash_scores(_unpack_fixed(col_a, _U64), _unpack_fixed(col_b, _U64), threshold)
+
+
 def verify_edges(
     edges,
     signatures,
@@ -328,25 +308,21 @@ def verify_edges(
     num_partitions: int = 32,
     *,
     strategy: str = "auto",
-    broadcast_bytes_limit: int = 2 << 30,
 ):
     """edges(a, b, ...) x signatures(doc_id, sig) -> (a, b, est_sim) for
     distinct pairs whose estimated Jaccard clears the verification
-    threshold."""
-
-    def extract(batch: pa.Table):
-        return batch["doc_id"].to_numpy(zero_copy_only=False), sig_from_arrow(batch["sig"])
-
-    return verify_pairs_payload(
+    threshold: the flagship's verify step with its pack and score.
+    ``strategy`` accepts only ``"auto"`` (there is one verify step)."""
+    if strategy != "auto":
+        raise ValueError(f"strategy must be 'auto', got {strategy!r}")
+    return _verify_core(
         edges,
         signatures.select_columns(["doc_id", "sig"]),
         id_col="doc_id",
-        extract=extract,
-        score=partial(minhash_scores, threshold=cfg.verify_threshold),
+        pack=sig_payload,
+        score=partial(sig_scores, threshold=cfg.verify_threshold),
         value_col="est_sim",
-        payload_dtype=np.uint64,
-        strategy=strategy,
-        broadcast_bytes_limit=broadcast_bytes_limit,
+        value_type=pa.float64(),
         num_partitions=num_partitions,
     )
 
@@ -422,16 +398,13 @@ def verify_edges_exact_jaccard(
     docs,
     cfg: DedupConfig,
     *,
-    strategy: str = "auto",
-    broadcast_bytes_limit: int = 2 << 30,
     num_partitions: int = 16,
 ):
     """Exact n-gram Jaccard verification of candidate pairs — the
     precision-grade alternative to MinHash-estimated verification.
-    ``docs(doc_id, norm_text)`` is filtered to the edge endpoints first,
-    so shingle sets (``shingle_sets``) are built only for those docs;
-    scoring is one lexsort + reduct per edge batch
-    (``_jaccard_batch``)."""
+    Shingle sets (``shingle_sets``) are built only for the docs whose
+    ids the verify step's tasks need; scoring is one lexsort + reduct
+    per task (``_jaccard_batch``)."""
     thresh = cfg.sim_threshold
 
     def score(col_a, col_b):
@@ -448,7 +421,5 @@ def verify_edges_exact_jaccard(
         score=score,
         value_col="jaccard",
         value_type=pa.float64(),
-        strategy=strategy,
-        broadcast_bytes_limit=broadcast_bytes_limit,
         num_partitions=num_partitions,
     )

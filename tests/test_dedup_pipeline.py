@@ -20,12 +20,22 @@ from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.hashing import concat_shingle_hashes
 from metacache_mpi_ray.functions.text import extract_text_from_html, normalize_text_py
 from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
-from metacache_mpi_ray.stages.banding import compute_bands
-from metacache_mpi_ray.stages.candidates import bucket_edges
+from metacache_mpi_ray.stages.banding import band_key_rows, compute_bands
+from metacache_mpi_ray.stages.candidates import (
+    bucket_edges,
+    distinct_pairs,
+    run_bounds,
+    star_edges,
+)
 from metacache_mpi_ray.stages.cluster import assign_clusters
 from metacache_mpi_ray.stages.ingest import ingest_documents, ingest_pages
-from metacache_mpi_ray.stages.signatures import compute_signatures
-from metacache_mpi_ray.stages.verify import verify_edges
+from metacache_mpi_ray.stages.signatures import (
+    MinHashSigner,
+    compute_signatures,
+    sig_from_arrow,
+)
+from metacache_mpi_ray.stages.verify import minhash_scores, verify_edges
+from metacache_mpi_ray.state.unionfind import connected_components_arrays
 
 CFG = DedupConfig()
 
@@ -177,29 +187,68 @@ def _stage_chain(docs, cfg, num_partitions):
 _KEYS = (["doc_id"], ["a", "b"], ["doc_id"])
 
 
+def _numpy_reference(docs, cfg):
+    """The flagship's signatures, verified edges and clusters computed in
+    this process over the whole corpus at once, sorted like
+    ``_sorted_table``: one ``MinHashSigner`` call, ``band_key_rows``, one
+    sort of every band key + ``star_edges``, ``distinct_pairs``,
+    ``minhash_scores`` on the looked-up signatures, and
+    ``connected_components_arrays``. No Ray task, no shard split and no
+    verify step of the engine."""
+    t = pa.concat_tables([b for b in ray.get(docs.to_arrow_refs()) if b.num_rows])
+    sigs = MinHashSigner(cfg)(t.combine_chunks())
+    bands = band_key_rows(sigs, cfg)
+    keys = bands["bkey"].to_numpy()
+    order = np.argsort(keys, kind="stable")
+    a, b = distinct_pairs(
+        *star_edges(bands["doc_id"].to_numpy()[order], *run_bounds(keys[order]), cfg.bucket_cap)
+    )
+    ids = sigs["doc_id"].to_numpy()
+    rows = np.argsort(ids)
+    mat = sig_from_arrow(sigs["sig"])
+    sa = mat[rows[np.searchsorted(ids, a, sorter=rows)]]
+    sb = mat[rows[np.searchsorted(ids, b, sorter=rows)]]
+    est, keep = minhash_scores(sa, sb, cfg.verify_threshold)
+    verified = pa.table({"a": a[keep], "b": b[keep], "est_sim": est[keep]})
+    nodes, labels = connected_components_arrays(a[keep], b[keep])
+    dup = np.isin(ids, nodes)
+    cluster_id = ids.copy()
+    cluster_id[dup] = labels[np.searchsorted(nodes, ids[dup])]
+    clusters = pa.table({"doc_id": ids, "cluster_id": cluster_id, "is_dup": dup})
+    return [
+        x.sort_by([(k, "ascending") for k in keys_]).combine_chunks()
+        for x, keys_ in zip((sigs, verified, clusters), _KEYS)
+    ]
+
+
 def test_pipeline_deterministic(corpus_dir):
-    """near_dup_pipeline equals the stage chain byte for byte, sorted:
-    signatures, verified edges and clusters, at P = 1, 4 and 8, over a
-    planted crawl and a templated corpus, each as 1 block, 7 blocks and
-    7 blocks with empty blocks between them."""
+    """near_dup_pipeline equals an in-process numpy reference and the
+    stage chain byte for byte, sorted: signatures, verified edges and
+    clusters, at P = 1, 4 and 8, over a planted crawl and a templated
+    corpus, each as 1 block, 7 blocks and 7 blocks with empty blocks
+    between them. The chain verifies with the graph's own step
+    (``verify_edges``), so the reference is the independent oracle."""
     corpora = {
         "planted": ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")),
         "templated": _templated_docs(),
     }
     for name, docs in corpora.items():
+        ref = _numpy_reference(docs, CFG)
+        assert ref[1].num_rows > 0, name
+        if name == "templated":  # the 300 copies meet only in over-cap buckets
+            cl = ref[2].to_pandas().set_index("doc_id")
+            assert not cl.loc[np.arange(300) * 7 + 3, "is_dup"].any()
         for layout, ds in _layouts(docs).items():
             want = [
                 _sorted_table(x, k) for x, k in zip(_stage_chain(ds, CFG, 4), _KEYS)
             ]
-            assert want[1].num_rows > 0, name
-            if name == "templated":  # the 300 copies meet only in over-cap buckets
-                cl = want[2].to_pandas().set_index("doc_id")
-                assert not cl.loc[np.arange(300) * 7 + 3, "is_dup"].any()
+            for field, w, r in zip(("signatures", "verified", "clusters"), want, ref):
+                assert w.equals(r), (name, layout, "chain", field)
             for p in (1, 4, 8):
                 res = near_dup_pipeline(ds, CFG, num_partitions=p)
                 got = (res.signatures, res.verified_edges, res.clusters)
-                for field, g, w, k in zip(("signatures", "verified", "clusters"), got, want, _KEYS):
-                    assert _sorted_table(g, k).equals(w), (name, layout, p, field)
+                for field, g, r, k in zip(("signatures", "verified", "clusters"), got, ref, _KEYS):
+                    assert _sorted_table(g, k).equals(r), (name, layout, p, field)
                     assert g.num_blocks() == p, (name, layout, p, field)
 
 
@@ -247,9 +296,9 @@ def test_pipeline_block_size_invariant(corpus_dir):
     assert (m["is_dup_x"] == m["is_dup_y"]).all()
 
 
-def _join_left_inputs():
-    """(entry-point name -> callable(edges, strategy)) over tiny inputs
-    for the three public verify adapters."""
+def _verify_inputs():
+    """(entry-point name -> callable(edges, num_partitions)) over tiny
+    inputs for the three public verify adapters."""
     import pyarrow as pa
 
     from metacache_mpi_ray.stages.signatures import sig_to_arrow
@@ -279,24 +328,24 @@ def _join_left_inputs():
         return x[:, 0] - y[:, 0], np.ones(len(x), dtype=bool)
 
     return {
-        "minhash": lambda e, s: verify_edges(e, sigs, cfg, num_partitions=4, strategy=s),
-        "payload": lambda e, s: verify_pairs_payload(
+        "minhash": lambda e, p: verify_edges(e, sigs, cfg, num_partitions=p),
+        "payload": lambda e, p: verify_pairs_payload(
             e, vals, id_col="doc_id", extract=extract, score=score,
             value_col="d", value_type=pa.int64(), payload_dtype=np.int64,
-            strategy=s, num_partitions=4,
+            num_partitions=p,
         ),
-        "exact_jaccard": lambda e, s: verify_edges_exact_jaccard(
-            e, docs, cfg, strategy=s, num_partitions=4
+        "exact_jaccard": lambda e, p: verify_edges_exact_jaccard(
+            e, docs, cfg, num_partitions=p
         ),
     }
 
 
 @pytest.mark.parametrize("entry", ["minhash", "payload", "exact_jaccard"])
 def test_verify_join_left_side_is_distinct_pairs(monkeypatch, entry):
-    """Spill pin: the join path attaches a payload row to every LEFT
-    row of its first join exchange, so raw per-band edge multiplicity there
-    re-creates the measured payload-times-multiplicity spill at 4M docs.
-    Every entry point must hand the first join exactly one row per
+    """Spill pin: the pair task attaches a payload to each row it
+    emits, so raw per-band edge multiplicity there re-creates the
+    measured payload-times-multiplicity spill at 4M docs. Every entry
+    point's pair tasks must emit exactly one row, with its payload, per
     distinct pair, however duplicated its input."""
     import pyarrow as pa
 
@@ -311,18 +360,29 @@ def test_verify_join_left_side_is_distinct_pairs(monkeypatch, entry):
             }
         )
     ).repartition(3)
-    run = _join_left_inputs()[entry]
-    lefts = []
-    real = verify.hash_exchange
+    run = _verify_inputs()[entry]
+    emitted = []
+    real = verify._pair_task
 
-    def spy(inputs, *args, **kw):
-        lefts.append(inputs[0])
-        return real(inputs, *args, **kw)
+    class Spy:
+        def options(self, **kw):
+            task = real.options(**kw)
 
-    monkeypatch.setattr(verify, "hash_exchange", spy)
-    out = run(edges, "join").to_pandas()
-    assert lefts, "strategy='join' never reached the join exchange"
-    left = lefts[0].to_pandas()
-    assert len(left) == len(pairs)
-    assert set(zip(left["a"], left["b"])) == set(pairs)
-    assert len(out) <= len(pairs)
+            class Submit:
+                def remote(self, *args):
+                    out = task.remote(*args)
+                    emitted.extend(out[:-1])  # the pieces split by b
+                    return out
+
+            return Submit()
+
+    monkeypatch.setattr(verify, "_pair_task", Spy())
+    for p in (1, 3):
+        emitted.clear()
+        out = run(edges, p).to_pandas()
+        rows = pa.concat_tables([t for t in ray.get(emitted) if t.num_rows])
+        assert len(emitted) == p * p
+        assert rows.num_rows == len(pairs), p
+        assert set(zip(rows["a"].to_pylist(), rows["b"].to_pylist())) == set(pairs)
+        assert rows["pay_a"].null_count == 0
+        assert len(out) <= len(pairs)

@@ -227,7 +227,7 @@ def test_two_input_exchange_sees_both_sides_of_each_key():
 def test_joins_run_no_dataset_join(monkeypatch):
     """Every join and the connected-components rounds go through
     hash_exchange: with ``Dataset.join`` (and, for the components,
-    ``Dataset.sort``) raising, large_join, verify's join strategy,
+    ``Dataset.sort``) raising, large_join, the verify step,
     distributed components, decontamination, bloom's exact join path
     and boilerplate removal all still run and give the expected rows."""
     import pandas as pd
@@ -244,10 +244,12 @@ def test_joins_run_no_dataset_join(monkeypatch):
     from metacache_mpi_ray.stages.ingest import ingest_documents
     from metacache_mpi_ray.stages.joins import large_join
     from metacache_mpi_ray.stages.signatures import compute_signatures
+    from metacache_mpi_ray.stages.signatures import sig_from_arrow
     from metacache_mpi_ray.stages.verify import (
         verify_edges,
         verify_edges_exact_jaccard,
     )
+    from test_verify_parity import oracle, shingle_jaccard, verified_rows
 
     def forbid(name):
         def f(self, *args, **kwargs):
@@ -285,15 +287,20 @@ def test_joins_run_no_dataset_join(monkeypatch):
     n = len(texts)
     a, b = np.triu_indices(n, 1)
     edges = rd.from_arrow(pa.table({"a": a.astype(np.int64), "b": b.astype(np.int64)}))
-    for fn, table in ((verify_edges, sigs), (verify_edges_exact_jaccard, docs)):
-        joined = fn(edges, table, cfg, num_partitions=3, strategy="join").to_pandas()
-        bcast = fn(edges, table, cfg, num_partitions=3, strategy="broadcast").to_pandas()
-        assert len(joined) > 0
-        key = ["a", "b"]
-        pd.testing.assert_frame_equal(
-            joined.sort_values(key).reset_index(drop=True),
-            bcast.sort_values(key).reset_index(drop=True),
-        )
+    st = pa.concat_tables(ray.get(sigs.to_arrow_refs()))
+    dt = pa.concat_tables(ray.get(docs.to_arrow_refs()))
+    mat = sig_from_arrow(st["sig"])
+    jac = shingle_jaccard(dt["norm_text"].to_pylist(), cfg.shingle_k)
+    edge_t = pa.table({"a": a.astype(np.int64), "b": b.astype(np.int64)})
+    for fn, table, col, ids, score in (
+        (verify_edges, sigs, "est_sim", st["doc_id"].to_pylist(),
+         lambda i, j: (est := float((mat[i] == mat[j]).mean()), est >= cfg.verify_threshold)),
+        (verify_edges_exact_jaccard, docs, "jaccard", dt["doc_id"].to_pylist(),
+         lambda i, j: (jac(i, j), jac(i, j) >= cfg.sim_threshold)),
+    ):
+        want = oracle(edge_t, ids, score, col)
+        assert len(want) > 0
+        assert verified_rows(fn(edges, table, cfg, num_partitions=3), col) == want
 
     chain = rd.from_arrow(pa.table({"a": np.arange(20, dtype=np.int64),
                                     "b": np.arange(1, 21, dtype=np.int64)}))

@@ -343,45 +343,68 @@ def test_unique_pairs_matches_pandas(n_blocks):
         pd.testing.assert_frame_equal(got, want)
 
 
-# ----------------------------------------- shared verify strategy switch
+# ------------------------------------------------ the one verify step
+
+def _brute_pairs(ids, score) -> set:
+    """Every (a, b) with a < b that ``score(i, j) -> (value, keep)``
+    keeps, as (a, b, value) rows: the candidate-free oracle."""
+    out = set()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            v, keep = score(i, j)
+            if keep:
+                out.add((int(ids[i]), int(ids[j]), v))
+    return out
+
 
 def test_simhash_dedup_join_strategy_matches_broadcast():
-    """The payload-sized auto switch (verify_pairs_payload) must give
-    identical pairs down the join path as down the broadcast path."""
-    from metacache_mpi_ray.stages.simhash import simhash_dedup
+    """simhash_dedup through the verify step equals a brute-force
+    all-pairs Hamming check on in-process simhashes, at P = 1, 3, 8."""
+    from metacache_mpi_ray.stages.simhash import SimHasher, simhash_dedup
 
     base = "the quick brown fox jumps over the lazy dog and runs far away " * 8
     near = base.replace("lazy", "sleepy")
     other = "completely different content about mountains rivers and lakes " * 8
     texts = [base, base, near, other]
-    got = {}
-    for strat in ("broadcast", "join"):
-        pairs = simhash_dedup(
-            _docs_ds(texts), CFG, num_partitions=4, verify_strategy=strat
-        ).to_pandas()
-        got[strat] = set(
-            zip(pairs["a"], pairs["b"], pairs["hamming"])
-        )
-    assert got["broadcast"] == got["join"]
-    assert any(h == 0 for _, _, h in got["broadcast"])  # identical pair
+    docs = _docs_ds(texts)
+    sh = SimHasher(CFG)(docs.take_batch(10, batch_format="pyarrow"))
+    vals = sh["simhash"].to_numpy().view(np.uint64)
+
+    def score(i, j):
+        h = bin(int(vals[i] ^ vals[j])).count("1")
+        return h, h <= CFG.simhash_hamming
+
+    want = _brute_pairs(sh["doc_id"].to_pylist(), score)
+    assert any(h == 0 for _, _, h in want)  # identical pair
+    for p in (1, 3, 8):
+        pairs = simhash_dedup(docs, CFG, num_partitions=p).to_pandas()
+        assert set(zip(pairs["a"], pairs["b"], pairs["hamming"])) == want, p
 
 
 def test_embedding_near_dup_join_strategy_matches_broadcast(emb_ds):
+    """embedding_near_dup through the verify step equals a brute-force
+    all-pairs cosine check, at P = 1, 3, 8."""
     from metacache_mpi_ray.stages.ann import embedding_near_dup
 
-    got = {}
-    for strat in ("broadcast", "join"):
-        pairs = embedding_near_dup(
-            emb_ds, sim_threshold=0.98, num_partitions=4, verify_strategy=strat
-        ).to_pandas()
-        got[strat] = set(zip(pairs["a"], pairs["b"], pairs["cos_sim"].round(9)))
-    assert got["broadcast"] == got["join"]
-    assert {(p[0], p[1]) for p in got["join"]} >= {(0, 1), (0, 2)}
+    t = emb_ds.take_batch(100, batch_format="pyarrow")
+    mat = np.array(t["embedding"].to_pylist(), dtype=np.float64)
+    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+
+    def score(i, j):
+        c = float(mat[i] @ mat[j])
+        return round(c, 9), c >= 0.98
+
+    want = _brute_pairs(t["vec_id"].to_pylist(), score)
+    assert {(a, b) for a, b, _ in want} >= {(0, 1), (0, 2)}
+    for p in (1, 3, 8):
+        pairs = embedding_near_dup(emb_ds, sim_threshold=0.98, num_partitions=p).to_pandas()
+        got = set(zip(pairs["a"], pairs["b"], pairs["cos_sim"].round(9)))
+        assert got == want, p
 
 
 def test_verify_pairs_payload_auto_spills_to_join():
-    """A one-byte broadcast budget must force the join fallback and
-    still score pairs correctly."""
+    """The verify step scores pairs whose endpoints fall in different
+    shards (the join on ``a`` then ``b``) at every partition count."""
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 
     vals = pa.table(
@@ -407,20 +430,19 @@ def test_verify_pairs_payload_auto_spills_to_join():
         d = np.abs(x[:, 0] - y[:, 0])
         return d, d == 0
 
-    out = verify_pairs_payload(
-        edges,
-        rd.from_arrow(vals),
-        id_col="doc_id",
-        extract=extract,
-        score=score,
-        value_col="dist",
-        value_type=pa.int64(),
-        payload_dtype=np.int64,
-        strategy="auto",
-        broadcast_bytes_limit=1,
-        num_partitions=2,
-    ).to_pandas()
-    assert set(zip(out["a"], out["b"], out["dist"])) == {(1, 2, 0)}
+    for p in (1, 2, 8):
+        out = verify_pairs_payload(
+            edges,
+            rd.from_arrow(vals),
+            id_col="doc_id",
+            extract=extract,
+            score=score,
+            value_col="dist",
+            value_type=pa.int64(),
+            payload_dtype=np.int64,
+            num_partitions=p,
+        ).to_pandas()
+        assert set(zip(out["a"], out["b"], out["dist"])) == {(1, 2, 0)}, p
 
 
 def test_ivf_indexed_prunes_reads_and_keeps_recall(tmp_path):
@@ -571,7 +593,7 @@ def test_trigram_langid_batch_composition_invariant():
 
 def test_verify_pairs_payload_join_empty_block():
     """r3 review regression: an empty block on the payload side (width-0
-    extracted matrix) must not ZeroDivisionError in the join pack()."""
+    extracted matrix) must not ZeroDivisionError in pack()."""
     from metacache_mpi_ray.stages.verify import verify_pairs_payload
 
     vals = pa.table(
@@ -598,14 +620,13 @@ def test_verify_pairs_payload_join_empty_block():
     out = verify_pairs_payload(
         edges, table, id_col="doc_id", extract=extract, score=score,
         value_col="dist", value_type=pa.int64(), payload_dtype=np.int64,
-        strategy="join", num_partitions=2,
+        num_partitions=2,
     ).to_pandas()
     assert set(zip(out["a"], out["b"], out["dist"])) == {(1, 2, 0)}
 def test_verify_join_paths_absent_endpoints():
     """Edges whose endpoints are all ABSENT from the payload table must
-    yield zero verified pairs down the join strategy, not crash: the
-    endpoint pre-filter legitimately empties the payload join side, and
-    Ray 2.49's hash join cannot take a globally-empty side."""
+    yield zero verified pairs, not crash: no pair task finds a payload
+    row to attach."""
     from metacache_mpi_ray.config import DedupConfig
     from metacache_mpi_ray.stages.ingest import ingest_documents
     from metacache_mpi_ray.stages.signatures import compute_signatures
@@ -632,18 +653,15 @@ def test_verify_join_paths_absent_endpoints():
         pa.table({"a": pa.array([1000, 1001], type=pa.int64()),
                   "b": pa.array([2000, 2001], type=pa.int64())})
     )
-    v = verify_edges(ghost_edges, sigs, cfg, num_partitions=2, strategy="join")
+    v = verify_edges(ghost_edges, sigs, cfg, num_partitions=2)
     assert v.count() == 0
-    vj = verify_edges_exact_jaccard(
-        ghost_edges, docs, cfg, strategy="join", num_partitions=2
-    )
+    vj = verify_edges_exact_jaccard(ghost_edges, docs, cfg, num_partitions=2)
     assert vj.count() == 0
 
 
 def test_verify_join_paths_zero_edges():
-    """A globally-empty edge list mustnot crash the join-strategy
-    verify paths (Ray 2.49 hash join finalizes schema-less empty
-    partitions when one side has no rows at all)."""
+    """A globally-empty edge list must not crash the verify step, and
+    its output keeps the (a, b, value) schema."""
     from metacache_mpi_ray.stages.verify import verify_edges, verify_pairs_payload
     from metacache_mpi_ray.stages.signatures import compute_signatures
     from metacache_mpi_ray.stages.ingest import ingest_documents
@@ -667,7 +685,7 @@ def test_verify_join_paths_zero_edges():
         pa.table({"a": pa.array([], type=pa.int64()),
                   "b": pa.array([], type=pa.int64())})
     )
-    out = verify_edges(no_edges, sigs, cfg, num_partitions=2, strategy="join")
+    out = verify_edges(no_edges, sigs, cfg, num_partitions=2)
     # NB: Ray 2.49 to_pandas() drops columns on empty datasets; assert
     # on the dataset schema instead
     assert out.count() == 0 and out.schema().names == ["a", "b", "est_sim"]
@@ -690,7 +708,7 @@ def test_verify_join_paths_zero_edges():
     out2 = verify_pairs_payload(
         no_edges, vals, id_col="doc_id", extract=extract, score=score,
         value_col="dist", value_type=pa.int64(), payload_dtype=np.int64,
-        strategy="join", num_partitions=2,
+        num_partitions=2,
     )
     assert out2.count() == 0 and out2.schema().names == ["a", "b", "dist"]
 def test_emb_matrix_null_and_ragged_rows():
@@ -755,8 +773,8 @@ def test_ann_all_null_embedding_block():
 
 
 def test_verify_join_paths_empty_signatures():
-    """A globally-empty signatures/payload side of the join-strategy
-    verify paths must return empty, not crash the hash join."""
+    """A globally-empty signatures/payload side of the verify step must
+    return empty, not crash."""
     from metacache_mpi_ray.config import DedupConfig
     from metacache_mpi_ray.stages.verify import verify_edges
 
@@ -769,7 +787,7 @@ def test_verify_join_paths_empty_signatures():
         pa.table({"doc_id": pa.array([], type=pa.int64()),
                   "sig": pa.array([], type=pa.large_binary())})
     )
-    out = verify_edges(edges, no_sigs, cfg, num_partitions=2, strategy="join")
+    out = verify_edges(edges, no_sigs, cfg, num_partitions=2)
     assert out.count() == 0 and out.schema().names == ["a", "b", "est_sim"]
 def _overcap_layout_rows():
     """Filler bucket (7 rows), hot bucket H (20 rows) and filler bucket

@@ -1,34 +1,64 @@
-"""Broadcast/join multiplicity parity (r4 review finding).
+"""The one verify step against in-process oracles.
 
-The r4 surface deduped duplicate (a, b) edge rows only on the join
-fallback (a side-effect of its shuffle-size pruning), so the auto
-strategy switch changed OUTPUT MULTIPLICITY for non-pre-deduped inputs.
-Round 5 hoists the distinct-pairs dedup in front of every strategy:
-these tests feed DUPLICATED edges to both paths and require
-byte-identical sorted output — one row per distinct surviving pair.
+Every verify adapter runs ``verify.pair_score``. These tests feed it
+duplicated and reversed edges, edge and payload datasets with empty
+blocks between their rows and, for the payload adapter, null payload
+rows, at P = 1, 3 and 8. The sorted output must equal an oracle that
+takes the distinct (a, b) rows, looks both endpoints up in the whole
+payload table (the broadcast lookup) and scores one pair at a time:
+one row per distinct surviving pair, reversed pairs included.
 """
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
 
-
-def _dup_edges(pairs: list[tuple[int, int]], times: int = 3):
-    """Edge dataset repeating every pair ``times`` times across blocks."""
-    a = np.array([p[0] for p in pairs] * times, dtype=np.int64)
-    b = np.array([p[1] for p in pairs] * times, dtype=np.int64)
-    return rd.from_arrow(
-        pa.table({"a": pa.array(a), "b": pa.array(b)})
-    ).repartition(3)
+PARTITIONS = (1, 3, 8)
 
 
-def _sorted_df(ds, value_col: str) -> pd.DataFrame:
-    df = ds.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    df[value_col] = df[value_col].round(12)
-    return df
+def blocks(t: pa.Table, n: int):
+    """``t`` as ``n`` blocks, each after an empty block."""
+    cuts = np.linspace(0, t.num_rows, n + 1).astype(int)
+    parts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        parts += [t.slice(0, 0), t.slice(lo, hi - lo)]
+    return rd.from_arrow(parts)
+
+
+def dup_edges(pairs: list[tuple[int, int]], times: int = 3) -> pa.Table:
+    """Every pair ``times`` times and once reversed, shuffled."""
+    rows = pairs * times + [(b, a) for a, b in pairs]
+    order = np.random.default_rng(0).permutation(len(rows))
+    return pa.table(
+        {
+            "a": pa.array([rows[i][0] for i in order], type=pa.int64()),
+            "b": pa.array([rows[i][1] for i in order], type=pa.int64()),
+        }
+    )
+
+
+def oracle(edges: pa.Table, ids, score, value_col: str) -> list[tuple]:
+    """Sorted (a, b, value) rows: each distinct (a, b) row of ``edges``
+    whose endpoints are both in ``ids``, scored by ``score(i, j)`` on
+    their positions in ``ids``, kept when it says so."""
+    pos = {int(x): i for i, x in enumerate(ids)}
+    rows = []
+    for a, b in sorted(set(zip(edges["a"].to_pylist(), edges["b"].to_pylist()))):
+        if a in pos and b in pos:
+            v, keep = score(pos[a], pos[b])
+            if keep:
+                rows.append((a, b, round(float(v), 12)))
+    return rows
+
+
+def verified_rows(ds, value_col: str) -> list[tuple]:
+    df = ds.to_pandas()
+    return sorted(
+        (int(a), int(b), round(float(v), 12))
+        for a, b, v in zip(df.get("a", []), df.get("b", []), df.get(value_col, []))
+    )
 
 
 def test_verify_pairs_payload_paths_identical_on_duplicated_edges():
@@ -39,46 +69,50 @@ def test_verify_pairs_payload_paths_identical_on_duplicated_edges():
     vecs = rng.normal(size=(n, d))
     vecs[1] = vecs[0] + 1e-9  # one genuinely near pair
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    table = rd.from_arrow(
+    rows = [None if i in (6, 13) else vecs[i].tolist() for i in range(n)]
+    table = blocks(
         pa.table(
             {
                 "doc_id": pa.array(np.arange(n, dtype=np.int64)),
-                "emb": pa.array(list(vecs)),
+                "emb": pa.array(rows, type=pa.list_(pa.float64())),
             }
-        )
-    ).repartition(2)
-    pairs = [(0, 1), (2, 3), (4, 5), (0, 7), (6, 9)]
-    edges = _dup_edges(pairs, times=4)
+        ),
+        2,
+    )
+    # 6 and 13 have null payloads, 99 has no row
+    pairs = [(0, 1), (2, 3), (4, 5), (0, 7), (6, 9), (9, 13), (8, 99), (10, 11)]
+    edges = dup_edges(pairs, times=4)
 
     def extract(batch: pa.Table):
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        emb = np.stack(batch["emb"].to_numpy(zero_copy_only=False))
+        t = batch.filter(batch["emb"].is_valid())
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        emb = np.array(t["emb"].to_pylist(), dtype=np.float64).reshape(-1, d)
         return ids, emb
 
     def score(va: np.ndarray, vb: np.ndarray):
         sim = (va * vb).sum(axis=1)
-        return sim, sim >= -2.0  # keep every pair: multiplicity is the test
+        return sim, sim >= 0.0
 
-    out = {}
-    for strat in ("broadcast", "join"):
-        out[strat] = _sorted_df(
-            verify_pairs_payload(
-                edges,
-                table,
-                id_col="doc_id",
-                extract=extract,
-                score=score,
-                value_col="sim",
-                payload_dtype=np.float64,
-                strategy=strat,
-                num_partitions=4,
-            ),
-            "sim",
+    valid = [i for i in range(n) if rows[i] is not None]
+    want = oracle(
+        edges,
+        valid,
+        lambda i, j: (s := float(vecs[valid[i]] @ vecs[valid[j]]), s >= 0.0),
+        "sim",
+    )
+    assert {(0, 1), (1, 0)} <= {(a, b) for a, b, _ in want}
+    for p in PARTITIONS:
+        out = verify_pairs_payload(
+            blocks(edges, 3),
+            table,
+            id_col="doc_id",
+            extract=extract,
+            score=score,
+            value_col="sim",
+            payload_dtype=np.float64,
+            num_partitions=p,
         )
-    pd.testing.assert_frame_equal(out["broadcast"], out["join"])
-    # exactly ONE row per distinct input pair on both paths
-    assert len(out["broadcast"]) == len(pairs)
-    assert set(zip(out["broadcast"]["a"], out["broadcast"]["b"])) == set(pairs)
+        assert verified_rows(out, "sim") == want, p
 
 
 def test_verify_edges_paths_identical_on_duplicated_edges():
@@ -89,60 +123,71 @@ def test_verify_edges_paths_identical_on_duplicated_edges():
     rng = np.random.default_rng(5)
     n = 30
     sig_mat = rng.integers(0, 2**63, size=(n, cfg.n_perms)).astype(np.uint64)
-    # every tested pair agrees on enough perms to clear the threshold
     for x, y in [(0, 1), (2, 3), (10, 11), (5, 20)]:
         sig_mat[y, :8] = sig_mat[x, :8]
     sig_mat[1] = sig_mat[0]  # one exact-duplicate signature pair
-    sigs = rd.from_arrow(
+    sigs = blocks(
         pa.table(
             {
                 "doc_id": pa.array(np.arange(n, dtype=np.int64)),
                 "sig": sig_to_arrow(sig_mat),
             }
-        )
-    ).repartition(2)
-    pairs = [(0, 1), (2, 3), (10, 11), (5, 20)]
-    edges = _dup_edges(pairs, times=5)
-    out = {
-        strat: _sorted_df(
-            verify_edges(edges, sigs, cfg, num_partitions=4, strategy=strat),
-            "est_sim",
-        )
-        for strat in ("broadcast", "join")
-    }
-    pd.testing.assert_frame_equal(out["broadcast"], out["join"])
-    assert len(out["broadcast"]) == len(pairs)
+        ),
+        2,
+    )
+    pairs = [(0, 1), (2, 3), (10, 11), (5, 20), (4, 9), (7, 50)]
+    edges = dup_edges(pairs, times=5)
+
+    def score(i, j):
+        est = float((sig_mat[i] == sig_mat[j]).mean())
+        return est, est >= cfg.verify_threshold
+
+    want = oracle(edges, range(n), score, "est_sim")
+    assert len(want) == 8  # 4 agreeing pairs, each both ways
+    for p in PARTITIONS:
+        out = verify_edges(blocks(edges, 3), sigs, cfg, num_partitions=p)
+        assert verified_rows(out, "est_sim") == want, p
+    with pytest.raises(ValueError, match="auto"):
+        verify_edges(edges, sigs, cfg, strategy="join")
+
+
+def shingle_jaccard(texts: list[str], k: int):
+    """jaccard(i, j): exact Jaccard of the byte k-gram sets of two texts."""
+    sets = [{t[i : i + k] for i in range(len(t) - k + 1)} for t in map(str.encode, texts)]
+    return lambda i, j: len(sets[i] & sets[j]) / len(sets[i] | sets[j])
 
 
 def test_exact_jaccard_paths_identical_on_duplicated_edges():
     from metacache_mpi_ray.stages.verify import verify_edges_exact_jaccard
 
-    cfg = DedupConfig(shingle_k=3, sim_threshold=0.001)
+    cfg = DedupConfig(shingle_k=3, sim_threshold=0.2)
     texts = [
         "the quick brown fox jumps over the lazy dog again and again",
         "the quick brown fox jumps over the lazy dog again and again",
         "a completely different document about ray data pipelines",
         "yet another unrelated string of words for the corpus here",
+        "the quick brown fox jumps over a lazy cat again and again",
+        "a completely different document about ray data pipelines too",
     ]
-    docs = rd.from_arrow(
+    docs = blocks(
         pa.table(
             {
                 "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
                 "norm_text": pa.array(texts),  # shingle_sets reads norm_text
             }
-        )
+        ),
+        2,
     )
-    pairs = [(0, 1), (0, 2), (2, 3)]
-    edges = _dup_edges(pairs, times=3)
-    out = {
-        strat: _sorted_df(
-            verify_edges_exact_jaccard(edges, docs, cfg, strategy=strat,
-                                       num_partitions=4),
-            "jaccard",
-        )
-        for strat in ("broadcast", "join")
-    }
-    pd.testing.assert_frame_equal(out["broadcast"], out["join"])
-    assert len(out["broadcast"]) == len(pairs)
-    dup_row = out["broadcast"].set_index(["a", "b"]).loc[(0, 1)]
-    assert dup_row["jaccard"] == pytest.approx(1.0)
+    pairs = [(0, 1), (0, 2), (2, 3), (1, 4), (2, 5), (3, 8)]
+    edges = dup_edges(pairs, times=3)
+    jac = shingle_jaccard(texts, cfg.shingle_k)
+
+    def score(i, j):
+        return jac(i, j), jac(i, j) >= cfg.sim_threshold
+
+    want = oracle(edges, range(len(texts)), score, "jaccard")
+    assert (0, 1, 1.0) in want and (1, 0, 1.0) in want
+    assert len(want) == 6
+    for p in PARTITIONS:
+        out = verify_edges_exact_jaccard(blocks(edges, 3), docs, cfg, num_partitions=p)
+        assert verified_rows(out, "jaccard") == want, p

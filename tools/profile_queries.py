@@ -2,14 +2,29 @@
 given sf dir, mimicking the driver's CORRECTNESS pass.
 
 Usage: python tools/profile_queries.py [sf_dir] [--only name1,name2]
-Prints one line per query: engine_sec oracle_sec rows, plus a total.
+Prints one line per query: engine_sec oracle_sec rows and the sha256 of
+its output (``output_digest``), plus a total. Two checkouts' outputs of
+a query are equal when their digests are.
 """
+import hashlib
 import json
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def output_digest(df) -> str:
+    """sha256 of a query's output frame, its rows sorted by every column
+    (column order kept): the CSV of the sorted rows, with list and
+    array cells written as their Python lists."""
+    key = df.copy()
+    for c in key.columns:
+        if key[c].dtype == object:
+            key[c] = key[c].map(lambda v: repr(v.tolist() if hasattr(v, "tolist") else v))
+    key = key.sort_values(list(key.columns), kind="stable")
+    return hashlib.sha256(key.to_csv(index=False).encode()).hexdigest()
 
 
 def main() -> None:
@@ -55,6 +70,7 @@ def main() -> None:
         t0 = time.perf_counter()
         err = None
         nrows = -1
+        digest = None
         try:
             out = fn(sf_dir)
             if hasattr(out, "to_pandas") and not isinstance(out, pd.DataFrame):
@@ -66,6 +82,11 @@ def main() -> None:
         except Exception as e:  # noqa: BLE001
             err = f"{type(e).__name__}: {e}"[:200]
         t_engine = time.perf_counter() - t0
+        if err is None:
+            try:
+                digest = output_digest(pd.DataFrame(out))
+            except Exception as e:  # noqa: BLE001
+                err = f"digest {type(e).__name__}: {e}"[:200]
 
         t_oracle = 0.0
         orows = None
@@ -83,11 +104,12 @@ def main() -> None:
             "oracle_sec": round(t_oracle, 3),
             "rows": nrows,
             "oracle_rows": orows,
+            "sha256": digest,
             "err": err,
         }
         print(
             f"{name:34s} eng {t_engine:7.2f}s  orc {t_oracle:7.2f}s  "
-            f"rows {nrows:>7}  {err or ''}",
+            f"rows {nrows:>7}  sha256 {(digest or '-')[:16]}  {err or ''}",
             flush=True,
         )
 
