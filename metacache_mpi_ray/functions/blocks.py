@@ -48,25 +48,19 @@ def doc_blocks(ds):
 def assemble_sorted_i64(mat, col: str):
     """ObjectRef to the sorted int64 numpy array of ``col`` over a
     MATERIALIZED dataset, assembled in ONE off-driver task from the
-    block refs — the values never cross the driver heap. The shared
-    broadcast-set helper for the boilerplate and decontamination
-    families."""
+    block refs — the values never cross the driver heap. The broadcast
+    side of ``stages/joins.probe_key_set`` and of ``filter_unseen``'s
+    exact verify (stages/bloom.py)."""
     refs = [ref for ref, _ in doc_blocks(mat)]
     if not refs:
         return ray.put(np.empty(0, dtype=np.int64))
+    return _assemble_sorted.remote(col, *refs)
 
-    @ray.remote
-    def _assemble(*tabs):
-        parts = [
-            t[col].to_numpy(zero_copy_only=False) for t in tabs if len(t)
-        ]
-        return (
-            np.sort(np.concatenate(parts).astype(np.int64))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
 
-    return _assemble.remote(*refs)
+@ray.remote
+def _assemble_sorted(col: str, *tabs) -> np.ndarray:
+    parts = [t[col].to_numpy(zero_copy_only=False) for t in tabs if len(t)]
+    return np.sort(np.concatenate(parts).astype(np.int64))
 
 
 def _as_table(block) -> pa.Table:

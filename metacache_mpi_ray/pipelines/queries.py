@@ -1592,9 +1592,7 @@ def q_unseen_docs(sf_dir: str):
         build_new, batch_format="pyarrow"
     )
     n = _documents(sf_dir, columns=["doc_id"]).count()
-    return filter_unseen(
-        new, corpus, "key", n_expected=max(1, n), fpp=0.001, n_new=n
-    )
+    return filter_unseen(new, corpus, "key", n_expected=max(1, n), fpp=0.001)
 
 
 def q_chunked_docs(sf_dir: str):
@@ -1768,32 +1766,15 @@ def _planted_line_corpus(sf_dir: str):
 
 
 def q_boilerplate_removed_planted(sf_dir: str):
-    """Corpus-wide boilerplate-line removal (broadcast removal set) —
-    the line-feature analog of the reference's overpopulated-feature
-    removal (sketch_database.h:356-417, census at mode_build.cpp:847-
-    1074), checked against a full SQL line census."""
+    """Corpus-wide boilerplate-line removal — the line-feature analog
+    of the reference's overpopulated-feature removal
+    (sketch_database.h:356-417, census at mode_build.cpp:847-1074),
+    checked against a full SQL line census."""
     from metacache_mpi_ray.stages.corpus_clean import remove_boilerplate_lines
 
     n = _doc_count(sf_dir)
     return remove_boilerplate_lines(
-        _planted_line_corpus(sf_dir),
-        min_docs=max(2, n // 20),
-        strategy="broadcast",
-    )
-
-
-def q_boilerplate_removed_join(sf_dir: str):
-    """Same semantics via the hash-partitioned anti-join + sort/segment
-    reassembly path (the 100-TB route when the removal set outgrows the
-    object store) — identical oracle to the broadcast variant."""
-    from metacache_mpi_ray.stages.corpus_clean import remove_boilerplate_lines
-
-    n = _doc_count(sf_dir)
-    return remove_boilerplate_lines(
-        _planted_line_corpus(sf_dir),
-        min_docs=max(2, n // 20),
-        strategy="join",
-        num_partitions=8,
+        _planted_line_corpus(sf_dir), min_docs=max(2, n // 20)
     )
 
 
@@ -1890,7 +1871,7 @@ def q_clean_pipeline_planted(sf_dir: str):
 
     docs = ids_ds.map_batches(build, batch_format="pyarrow")
     n = _doc_count(sf_dir)
-    return clean_corpus(docs, min_docs=max(2, n // 20), strategy="broadcast")
+    return clean_corpus(docs, min_docs=max(2, n // 20))
 
 
 def _decon_corpus(sf_dir: str):
@@ -1928,31 +1909,14 @@ def _decon_benchmark():
 
 
 def q_decontaminate_planted(sf_dir: str):
-    """Benchmark decontamination (broadcast gram set): flag corpus docs
-    sharing any 5-token gram with a planted benchmark table — the
-    clade-exclusion anti-filter (classification.cpp:141-183) with a
-    token n-gram as the excluded key. The oracle recomputes the full
-    n-gram overlap join string-wise in SQL."""
+    """Benchmark decontamination: flag corpus docs sharing any 5-token
+    gram with a planted benchmark table — the clade-exclusion
+    anti-filter (classification.cpp:141-183) with a token n-gram as the
+    excluded key. The oracle recomputes the full n-gram overlap join
+    string-wise in SQL."""
     from metacache_mpi_ray.stages.decontaminate import decontaminate
 
-    return decontaminate(
-        _decon_corpus(sf_dir), _decon_benchmark(), n=5, strategy="broadcast"
-    )
-
-
-def q_decontaminate_join(sf_dir: str):
-    """Same semantics via the exploded-gram inner join + per-doc
-    aggregation (the route when the benchmark gram table outgrows the
-    object store) — identical oracle to the broadcast variant."""
-    from metacache_mpi_ray.stages.decontaminate import decontaminate
-
-    return decontaminate(
-        _decon_corpus(sf_dir),
-        _decon_benchmark(),
-        n=5,
-        strategy="join",
-        num_partitions=8,
-    )
+    return decontaminate(_decon_corpus(sf_dir), _decon_benchmark(), n=5)
 
 
 def q_events_running_sum(sf_dir: str):
@@ -2033,9 +1997,7 @@ QUERIES = {
     # keep every oracle <=1 round stale and drive the rows-only set.
     # -- 21 oracle-checked queries last driven in r3 --
     "sample_docs_hashed": q_sample_docs_hashed,
-    "boilerplate_removed_join": q_boilerplate_removed_join,
     "clean_pipeline_planted": q_clean_pipeline_planted,
-    "decontaminate_join": q_decontaminate_join,
     "events_running_sum": q_events_running_sum,
     "chunked_docs": q_chunked_docs,
     "packed_sequences": q_packed_sequences,
@@ -2356,9 +2318,7 @@ ORACLE_SQL = {
         "FROM g JOIN s USING (grp)"
     ),
     "decontaminate_planted": _decontaminate_oracle(),
-    "decontaminate_join": _decontaminate_oracle(),
     "boilerplate_removed_planted": _boilerplate_oracle(),
-    "boilerplate_removed_join": _boilerplate_oracle(),
     "redact_pii_planted": _redact_pii_oracle(),
     "repetition_stats_planted": (
         "SELECT doc_id, CAST(4 + doc_id % 3 AS BIGINT) AS n_lines, "

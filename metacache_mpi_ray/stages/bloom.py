@@ -20,19 +20,22 @@ Design (scale notes):
   (one ``(n_shards, m_shard/64)`` u64 matrix) is ``ray.put`` once and
   every probe batch tests k double-hashed positions
   (Kirsch–Mitzenmacher, public technique) with numpy gathers.
-- **Sizing**: a Bloom filter is O(n) bits, so a single broadcastable
-  filter covers frontiers up to ~10^10 keys on 128 GiB nodes
-  (~12 GB at fpp 1%). Past ``bitmap_broadcast_limit`` the build and
-  probe degrade automatically to the shard-keyed path
+- **Sizing**: a Bloom filter is O(n) bits (~1.2 bytes a key at fpp
+  1%). ``filter_unseen`` builds the whole filter while its bitmap is
+  at most ``joins.KEY_SET_BROADCAST_BYTES`` (256 MiB, ~2*10^8 keys at
+  1%), the bound every broadcast key set in the engine shares; past it
+  the build and probe take the shard-keyed path
   (``ShardedBloomFilter``): slices live as separate object refs and
   probe rows are exchanged on their shard, with per-task memory
   bounded by the slices a partition touches.
-- **Exactness**: ``filter_unseen`` uses the filter only to PRUNE. A
-  bloom negative is definitely-new; the (rare) positives are
-  exact-verified against the corpus keys with a broadcast semi-join
-  bounded by ``true_seen + fpp * |batch|`` rows, so results are exact
-  and DuckDB-oracle-checkable (anti-join semantics). ``mode="approx"``
-  skips the verify scan for callers that accept the documented fpp.
+- **Exactness**: ``filter_unseen`` marks each new row once through
+  ``probe_bloom`` (either filter kind) and uses the marks only to
+  PRUNE. A bloom negative is definitely new; the positives (``true_seen
+  + fpp * |batch|`` rows) are exact-verified against the corpus key
+  hashes — broadcast while that set fits the same bound, else one
+  keyed exchange — so results are exact and DuckDB-oracle-checkable
+  (anti-join semantics). ``mode="approx"`` skips the verify for callers
+  that accept the documented fpp.
 
 Key identity convention: a key IS its 64-bit content hash, matching
 the engine's exact-dedup convention (8-byte raw-hash shuffle,
@@ -48,11 +51,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
 from metacache_mpi_ray.functions.hashing import (
     arrow_string_buffer,
     doc_hashes_from_buffer,
     mix2,
 )
+from metacache_mpi_ray.stages import joins
+from metacache_mpi_ray.stages.verify import lookup_sorted
 from metacache_mpi_ray.stages.windows import _group_exchange
 
 U64 = np.uint64
@@ -119,7 +125,7 @@ class BloomFilter:
 
 @dataclass(frozen=True)
 class ShardedBloomFilter:
-    """Degrade path past the broadcast limit (~10^10 keys): the shard
+    """Degrade path past ``joins.KEY_SET_BROADCAST_BYTES``: the shard
     bitmap slices stay in the object store as SEPARATE refs — the full
     bitmap is never assembled on the driver or shipped as one object.
     Probes route rows to their shard (one keyed exchange on the shard
@@ -315,242 +321,88 @@ def filter_unseen(
     seed: int = 101,
     mode: str = "exact",
     bloom: "BloomFilter | ShardedBloomFilter | None" = None,
-    strategy: str = "auto",
-    broadcast_bytes_limit: int = 2 << 30,
-    n_new: int | None = None,
-    bitmap_broadcast_limit: int = 2 << 30,
 ):
     """Rows of ``new_ds`` whose key does not appear in ``corpus_ds``.
 
-    Bloom prune -> (exact mode) verify the positives against the
-    corpus keys. Two exact strategies (``strategy="auto"`` picks by
-    the positive-set bound ``|new| * 8`` bytes vs
-    ``broadcast_bytes_limit``):
-
-    - ``broadcast``: ship the positive hash set (``true_seen + fpp *
-      |new|`` u64s) to the workers and scan the corpus key column once
-      — no corpus-sized structure ever reaches the driver; right when
-      the incoming batch is small relative to the corpus (the frontier
-      case).
-    - ``join``: bloom-negative rows pass straight through (no
-      shuffle); only the positives take a hash-partitioned left-outer
-      join against the distinct corpus keys (8-byte rows) — nothing is
-      ever collected to the driver, for batch sizes where even the
-      positive set outgrows one object.
-
-    ``mode="approx"`` returns the pruned set directly: exact up to the
-    documented fpp (a false positive drops a genuinely-new row; never
-    the reverse). ``n_new`` (row-count hint for ``auto``) avoids a
-    count() execution of ``new_ds`` when the caller already knows it.
-
-    When the filter bitmap itself would exceed
-    ``bitmap_broadcast_limit`` bytes (n_expected past ~10^10 keys at
-    1% fpp on default limits), the build/probe degrade to the
-    shard-keyed path automatically: slices stay as separate object
-    refs and probes route rows to their shard — identical results,
-    bounded worker memory.
+    The Bloom filter over the corpus keys (built here unless ``bloom``
+    is given: a ``ShardedBloomFilter`` when its bitmap would exceed
+    ``joins.KEY_SET_BROADCAST_BYTES``, else a ``BloomFilter``) marks
+    each new row once through ``probe_bloom``. A negative is
+    definitely new. ``mode="approx"`` returns the negatives: exact up
+    to the filter's fpp (a false positive drops a genuinely-new row;
+    never the reverse). ``mode="exact"`` also keeps the positives whose
+    key hash no corpus key has: while their distinct hashes fit
+    ``joins.KEY_SET_BROADCAST_BYTES`` they are broadcast and one corpus
+    scan finds the seen ones, else one keyed exchange on the hash.
     """
-    if mode != "approx":
-        # the exact paths consume new_ds TWICE (positive-set emission +
-        # the final filter, or the neg/pos split): materialize once so
-        # a lazy nondeterministic upstream (limit over a parallel read,
-        # a sample) cannot hand DIFFERENT rows to the two passes — rows
-        # missing from the first pass never enter the positive set, are
-        # never looked up in the corpus, and leak out as phantom
-        # "unseen" rows (measured: a limit(50k) frontier over a 1M
-        # corpus returned 28k-46k unseen rows, varying across runs,
-        # where the true answer is 0)
-        new_ds = new_ds.materialize()
     if bloom is None:
         m_total, _k = bloom_params(n_expected, fpp)
-        if m_total // 8 > bitmap_broadcast_limit:
-            bloom = build_bloom_sharded(
-                corpus_ds, col, n_expected, fpp=fpp, seed=seed
-            )
+        if m_total // 8 > joins.KEY_SET_BROADCAST_BYTES:
+            bloom = build_bloom_sharded(corpus_ds, col, n_expected, fpp=fpp, seed=seed)
         else:
             bloom = build_bloom(
                 corpus_ds, col, n_expected, fpp=fpp, n_shards=n_shards, seed=seed
             )
 
-    if isinstance(bloom, ShardedBloomFilter):
-        # shard-keyed degrade path: membership marks come from the
-        # shard-routed probe; everything downstream (exact verify /
-        # join) consumes the marked rows, never the filter itself
-        marked = probe_bloom(new_ds, bloom, col, "__might")
-        if mode == "approx":
-            return marked.map_batches(
-                lambda t: t.filter(pc.invert(t["__might"])).drop_columns(
-                    ["__might"]
-                ),
-                batch_format="pyarrow",
-            )
-        marked = marked.materialize()
-        if strategy == "auto":
-            est = n_new if n_new is not None else new_ds.count()
-            strategy = "broadcast" if est * 8 <= broadcast_bytes_limit else "join"
-        if strategy == "join":
-            out_cols = [c for c in marked.schema().names if c != "__might"]
-            neg = marked.map_batches(
-                lambda t: t.filter(pc.invert(t["__might"])).drop_columns(
-                    ["__might"]
-                ),
-                batch_format="pyarrow",
-            )
+    def negatives(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(t["__might"])).drop_columns(["__might"])
 
-            def pos_h1(t: pa.Table) -> pa.Table:
-                t = t.filter(t["__might"]).drop_columns(["__might"])
-                h1, _ = key_hashes(t, col, seed)
-                return t.append_column("_h1", pa.array(h1.view(np.int64)))
-
-            pos_ds = marked.map_batches(pos_h1, batch_format="pyarrow").materialize()
-            return _anti_join_positives(neg, pos_ds, corpus_ds, col, seed, out_cols)
-
-        def emit_pos_sharded(t: pa.Table) -> pa.Table:
-            h1, _ = key_hashes(t, col, seed)
-            return pa.table(
-                {"h1": np.unique(h1[t["__might"].to_numpy(zero_copy_only=False)])}
-            )
-
-        pos = np.unique(
-            np.concatenate(
-                [
-                    b["h1"].to_numpy(zero_copy_only=False).view(U64)
-                    for b in marked.map_batches(
-                        emit_pos_sharded, batch_format="pyarrow"
-                    ).iter_batches(batch_size=None, batch_format="pyarrow")
-                ]
-                or [np.empty(0, dtype=U64)]
-            )
-        )
-        return _verify_positives_broadcast(new_ds, corpus_ds, col, seed, pos)
-
-    bref = ray.put(bloom)
-
+    marked = probe_bloom(new_ds, bloom, col, "__might")
     if mode == "approx":
+        return marked.map_batches(negatives, batch_format="pyarrow")
+    # the exact path reads the marked rows more than once: materialize
+    # them so a lazy nondeterministic upstream (limit over a parallel
+    # read, a sample) cannot hand DIFFERENT rows to the reads (measured:
+    # a limit(50k) frontier over a 1M corpus returned 28k-46k phantom
+    # unseen rows, varying across runs, where the answer is 0)
+    marked = marked.materialize()
 
-        def keep_neg(t: pa.Table) -> pa.Table:
-            b = ray.get(bref)
-            h1, h2 = key_hashes(t, col, b.seed)
-            return t.filter(pa.array(~b.might_contain(h1, h2)))
-
-        return new_ds.map_batches(keep_neg, batch_format="pyarrow")
-
-    if strategy == "auto":
-        est = n_new if n_new is not None else new_ds.count()
-        strategy = "broadcast" if est * 8 <= broadcast_bytes_limit else "join"
-    if strategy == "join":
-        return _filter_unseen_join(new_ds, corpus_ds, col, seed, bref)
-
-    # broadcast: collect positive h1 values (small by construction)
-    def emit_pos(t: pa.Table) -> pa.Table:
-        b = ray.get(bref)
-        h1, h2 = key_hashes(t, col, b.seed)
-        return pa.table({"h1": np.unique(h1[b.might_contain(h1, h2)])})
-
-    pos = np.unique(
-        np.concatenate(
-            [
-                b["h1"].to_numpy(zero_copy_only=False).view(U64)
-                for b in new_ds.map_batches(
-                    emit_pos, batch_format="pyarrow"
-                ).iter_batches(batch_size=None, batch_format="pyarrow")
-            ]
-            or [np.empty(0, dtype=U64)]
-        )
-    )
-    return _verify_positives_broadcast(new_ds, corpus_ds, col, seed, pos)
-
-
-def _verify_positives_broadcast(new_ds, corpus_ds, col: str, seed: int, pos: np.ndarray):
-    """Exact-verify bloom positives: one corpus key-column scan against
-    the broadcast positive set, then one pass over new rows dropping
-    true hits."""
-    pos_ref = ray.put(pos)
-
-    def emit_found(t: pa.Table) -> pa.Table:
-        p = ray.get(pos_ref)
-        if len(p) == 0:
-            return pa.table({"h1": np.empty(0, dtype=U64)})
-        h1, _ = key_hashes(t, col, seed)
-        idx = np.searchsorted(p, h1)
-        idx[idx == len(p)] = 0
-        return pa.table({"h1": np.unique(h1[p[idx] == h1])})
-
-    found = np.unique(
-        np.concatenate(
-            [
-                b["h1"].to_numpy(zero_copy_only=False).view(U64)
-                for b in corpus_ds.map_batches(
-                    emit_found, batch_format="pyarrow"
-                ).iter_batches(batch_size=None, batch_format="pyarrow")
-            ]
-            or [np.empty(0, dtype=U64)]
-        )
-    )
-    found_ref = ray.put(found)
-
-    def keep_unseen(t: pa.Table) -> pa.Table:
-        f = ray.get(found_ref)
-        h1, _ = key_hashes(t, col, seed)
-        if len(f) == 0:
-            return t
-        idx = np.searchsorted(f, h1)
-        idx[idx == len(f)] = 0
-        return t.filter(pa.array(f[idx] != h1))
-
-    return new_ds.map_batches(keep_unseen, batch_format="pyarrow")
-
-
-def _filter_unseen_join(new_ds, corpus_ds, col: str, seed: int, bref):
-    """Distributed exact path: negatives stream through untouched;
-    positives anti-join the corpus keys (8-byte rows, one keyed
-    exchange, nothing on the driver)."""
-    out_cols = list(new_ds.schema().names)
-
-    def split(keep_positive: bool):
-        def f(t: pa.Table) -> pa.Table:
-            b = ray.get(bref)
-            h1, h2 = key_hashes(t, col, b.seed)
-            m = b.might_contain(h1, h2)
-            if keep_positive:
-                t = t.append_column("_h1", pa.array(h1.view(np.int64)))
-                return t.filter(pa.array(m))
-            return t.filter(pa.array(~m))
-
-        return f
-
-    neg = new_ds.map_batches(split(False), batch_format="pyarrow")
-    pos = new_ds.map_batches(split(True), batch_format="pyarrow").materialize()
-    return _anti_join_positives(neg, pos, corpus_ds, col, seed, out_cols)
-
-
-def _anti_join_positives(neg, pos, corpus_ds, col: str, seed: int, out_cols):
-    """Shared tail of the join strategy: ``pos`` rows (carrying their
-    key hash in ``_h1``) meet the raw corpus key hashes in ONE two-input
-    ``hash_exchange`` on ``_h1``, whose reduce keeps the positives no
-    corpus key matches; survivors union with the untouched negatives."""
-    from metacache_mpi_ray.functions.blocks import hash_exchange
-    from metacache_mpi_ray.stages.corpus_clean import _is_in_sorted
-    from metacache_mpi_ray.stages.joins import default_num_partitions
-
-    if pos.count() == 0:
-        return neg  # nothing bloom-positive: every row is new
-
-    def corpus_keys(t: pa.Table) -> pa.Table:
+    def distinct_hashes(t: pa.Table) -> pa.Table:
         h1, _ = key_hashes(t, col, seed)
         return pa.table({"_h1": pa.array(np.unique(h1).view(np.int64))})
 
-    def unseen(p: pa.Table, keys: pa.Table) -> pa.Table:
-        if p.num_rows == 0 or keys.num_rows == 0:
-            return p.select(out_cols)
-        k = np.sort(keys["_h1"].to_numpy(zero_copy_only=False))
-        seen = _is_in_sorted(k, p["_h1"].to_numpy(zero_copy_only=False))
-        return p.filter(pa.array(~seen)).select(out_cols)
+    pos = marked.map_batches(
+        lambda t: distinct_hashes(t.filter(t["__might"])), batch_format="pyarrow"
+    ).materialize()
+    if pos.count() * 8 <= joins.KEY_SET_BROADCAST_BYTES:
+        # broadcast the positive key hashes; one corpus scan keeps the
+        # ones it holds (the found set, at most as large)
+        pos_ref = assemble_sorted_i64(pos, "_h1")
 
-    anti = hash_exchange(
-        [pos, corpus_ds.map_batches(corpus_keys, batch_format="pyarrow")],
+        def found(t: pa.Table) -> pa.Table:
+            k = distinct_hashes(t)
+            return k.filter(pa.array(lookup_sorted(ray.get(pos_ref), k["_h1"].to_numpy())[1]))
+
+        found_ref = assemble_sorted_i64(
+            corpus_ds.map_batches(found, batch_format="pyarrow").materialize(), "_h1"
+        )
+
+        def unseen(t: pa.Table) -> pa.Table:
+            h1 = key_hashes(t, col, seed)[0].view(np.int64)
+            seen = lookup_sorted(ray.get(found_ref), h1)[1]
+            return t.filter(pa.array(~seen)).drop_columns(["__might"])
+
+        return marked.map_batches(unseen, batch_format="pyarrow")
+
+    # past the bound the positive rows meet the corpus key hashes in ONE
+    # two-input exchange on the hash; the negatives pass untouched
+    def positives(t: pa.Table) -> pa.Table:
+        t = t.filter(t["__might"]).drop_columns(["__might"])
+        return t.append_column("_h1", pa.array(key_hashes(t, col, seed)[0].view(np.int64)))
+
+    def unseen_part(p: pa.Table, keys: pa.Table) -> pa.Table:
+        if p.num_columns == 0:
+            return p  # no positives anywhere
+        k = np.sort(keys["_h1"].to_numpy()) if keys.num_rows else np.empty(0, np.int64)
+        return p.filter(pa.array(~lookup_sorted(k, p["_h1"].to_numpy())[1])).drop_columns(["_h1"])
+
+    unseen_pos = hash_exchange(
+        [
+            marked.map_batches(positives, batch_format="pyarrow"),
+            corpus_ds.map_batches(distinct_hashes, batch_format="pyarrow"),
+        ],
         ["_h1"],
-        unseen,
-        num_partitions=default_num_partitions(minimum=2),
+        unseen_part,
+        num_partitions=joins.default_num_partitions(minimum=2),
     )
-    return neg.union(anti)
+    return marked.map_batches(negatives, batch_format="pyarrow").union(unseen_pos)

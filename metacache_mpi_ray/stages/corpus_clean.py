@@ -11,8 +11,8 @@ Gopher style) that sit beside the dedup family:
   distributed census at mode_build.cpp:847-1074: census -> threshold ->
   broadcast removal set) with a literal text line as the feature, and
   it reuses the same shape as the band census: partial counts inside
-  ``map_batches``, ONE keyed sum exchange, then a broadcast-vs-join
-  auto switch for the removal set.
+  ``map_batches``, ONE keyed sum exchange, then the removal set is the
+  key set of the shared key-set step (``stages/joins.probe_key_set``).
 * ``redact_pii_batch`` — vectorized RE2 scrubbing of emails / phone
   numbers (Arrow ``replace_substring_regex``; DuckDB's regexp engine is
   RE2 too, so the oracle patterns are byte-identical).
@@ -24,13 +24,11 @@ Scale notes: the census never materializes the exploded line table —
 within-batch (row, line) dedup happens in numpy before the ONE
 ``hash_exchange`` on ``line_hash`` (functions/blocks.py; a map-side sum
 per block, a sum per key in the reduce), so the exchanged table is one
-row per distinct (block, line), not per line occurrence. The removal
-set is broadcast when ``count * 8 bytes`` fits ``broadcast_limit``
-(boilerplate vocabularies are small by construction — a line must
-repeat across ``min_docs`` docs to qualify); otherwise the filter runs
-as two exchanges: the exploded lines meet the hot set on
-``line_hash``, and the kept lines meet the documents on ``doc_id``,
-where each reduce reassembles its documents whole.
+row per distinct (block, line), not per line occurrence. Boilerplate
+vocabularies are small by construction (a line must repeat across
+``min_docs`` docs to qualify), so the removal set is normally
+broadcast; past the key-set step's byte bound the same filter runs as
+its two keyed exchanges.
 """
 
 from __future__ import annotations
@@ -39,14 +37,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
-from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
+from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.functions.hashing import (
     arrow_string_buffer,
     doc_hashes_from_buffer,
 )
-from metacache_mpi_ray.stages.verify import lookup_sorted
+from metacache_mpi_ray.stages.joins import default_num_partitions, probe_key_set
 
 LINE_SEED = 41
 
@@ -100,7 +96,6 @@ def line_census(docs, *, text_col: str = "text", seed: int = LINE_SEED):
     merge is one ``hash_exchange`` on ``line_hash`` that sums per key
     on the map side and again in the reduce.
     """
-    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         flat, sizes = _split_lines(t[text_col])
@@ -149,170 +144,47 @@ def _sum_per_line(t: pa.Table) -> pa.Table:
     return pa.table([g["line_hash"], g["n_docs_sum"]], schema=_CENSUS)
 
 
-def _is_in_sorted(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    if len(sorted_vals) == 0 or len(vals) == 0:
-        return np.zeros(len(vals), dtype=bool)
-    pos = np.searchsorted(sorted_vals, vals)
-    pos_c = np.minimum(pos, len(sorted_vals) - 1)
-    return (pos < len(sorted_vals)) & (sorted_vals[pos_c] == vals)
-
-
 def remove_boilerplate_lines(
     docs,
     *,
     min_docs: int = 30,
     text_col: str = "text",
     id_col: str = "doc_id",
-    strategy: str = "auto",
-    broadcast_limit: int = 256 << 20,
-    num_partitions: int | None = None,
     seed: int = LINE_SEED,
 ):
     """Remove lines occurring in >= ``min_docs`` distinct documents.
 
     Returns (doc_id, clean_text, n_kept, n_removed): the document with
     hot lines dropped (original line order preserved, '\n'-rejoined; ''
-    when every line was removed) plus kept/removed line counts.
+    when every line was removed, and for a null text, which is one
+    empty line) plus kept/removed line counts.
 
-    ``strategy``: 'broadcast' ships the sorted hot-hash array via the
-    object store (assembled in ONE off-driver task from the census
-    block refs — the hashes never cross the driver heap); 'join' drops
-    the hot lines in one exchange of the exploded lines against the hot
-    table on ``line_hash`` and reassembles each document in one exchange
-    on ``doc_id``; 'auto'
-    picks by removal-set size (count x 8 bytes vs ``broadcast_limit``).
+    The hot line hashes are the key set of ``joins.probe_key_set``;
+    each doc's keys are its line hashes.
 
-    ``docs`` is consumed TWICE (line census + rewrite) and is
+    ``docs`` is consumed more than once (line census + rewrite) and is
     corpus-sized, so it is NOT materialized here; its lineage must be
     deterministic across executions (parquet reads + map_batches are;
     ``limit`` over a parallel read or an unseeded sample is not —
     materialize such inputs first, or the census and the rewrite see
     different rows).
     """
-    if strategy not in ("auto", "broadcast", "join"):
-        raise ValueError(
-            f"strategy must be 'auto', 'broadcast' or 'join', got {strategy!r}"
-        )
-    hot = line_census(docs, text_col=text_col, seed=seed).filter(
-        expr=f"n_docs >= {int(min_docs)}"
+    hot = line_census(docs, text_col=text_col, seed=seed).map_batches(
+        lambda t: t.filter(pc.greater_equal(t["n_docs"], int(min_docs))).select(["line_hash"]),
+        batch_format="pyarrow",
     ).materialize()
-    n_hot = hot.count()
 
-    if n_hot == 0:
-        # nothing to remove: pass-through
-        def passthrough(t: pa.Table) -> pa.Table:
-            _, sizes = _split_lines(t[text_col])
-            txt = t[text_col]
-            if isinstance(txt, pa.ChunkedArray):
-                txt = txt.combine_chunks()
-            if pa.types.is_large_string(txt.type):
-                txt = txt.cast(pa.string())
-            return pa.table(
-                {
-                    "doc_id": t[id_col].cast(pa.int64()),
-                    "clean_text": txt,
-                    "n_kept": pa.array(sizes, type=pa.int64()),
-                    "n_removed": pa.array(
-                        np.zeros(len(sizes), dtype=np.int64), type=pa.int64()
-                    ),
-                }
-            )
-
-        return docs.map_batches(passthrough, batch_format="pyarrow")
-
-    if strategy == "broadcast" or (
-        strategy == "auto" and n_hot * 8 <= broadcast_limit
-    ):
-        hot_ref = assemble_sorted_i64(hot, "line_hash")
-
-        def clean(t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            flat, sizes = _split_lines(t[text_col])
-            h = _line_hashes(flat, seed)
-            keep = ~_is_in_sorted(ray.get(hot_ref), h)  # zero-copy read
-            row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-            n_kept = np.bincount(row[keep], minlength=len(sizes)).astype(np.int64)
-            return _cleaned(ids, flat.filter(pa.array(keep)), n_kept, sizes)
-
-        return docs.map_batches(clean, batch_format="pyarrow")
-
-    # ---- join path: exploded lines anti-join the hot table ----------
-    from metacache_mpi_ray.stages.joins import default_num_partitions
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions(minimum=2)
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def explode(t: pa.Table):
         flat, sizes = _split_lines(t[text_col])
-        row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        seg0 = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[row], type=pa.int64()),
-                "ord": pa.array(np.arange(len(flat), dtype=np.int64) - seg0),
-                "line": flat,
-                "line_hash": pa.array(_line_hashes(flat, seed), type=pa.int64()),
-            }
-        )
+        return _line_hashes(flat, seed), np.repeat(np.arange(len(sizes)), sizes)
 
-    kept_schema = pa.schema(
-        [("doc_id", pa.int64()), ("ord", pa.int64()), ("line", pa.string())]
-    )
+    def finish(t: pa.Table, row: np.ndarray, hit: np.ndarray) -> pa.Table:
+        flat, sizes = _split_lines(t[text_col])
+        n_kept = np.bincount(row[~hit], minlength=len(sizes)).astype(np.int64)
+        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return _cleaned(ids, flat.filter(pa.array(~hit)), n_kept, sizes)
 
-    def drop_hot(lines: pa.Table, hot_p: pa.Table) -> pa.Table:
-        if lines.num_rows == 0:
-            return kept_schema.empty_table()
-        if hot_p.num_rows:
-            hot_h = np.sort(hot_p["line_hash"].to_numpy(zero_copy_only=False))
-            is_hot = _is_in_sorted(hot_h, lines["line_hash"].to_numpy(zero_copy_only=False))
-            lines = lines.filter(pa.array(~is_hot))
-        return lines.select(kept_schema.names)
-
-    kept = hash_exchange(
-        [docs.map_batches(explode, batch_format="pyarrow"), hot.select_columns(["line_hash"])],
-        ["line_hash"],
-        drop_hot,
-        num_partitions=num_partitions,
-    )
-
-    # docs whose every line was hot have NO kept row: the reduce keys
-    # on doc_id, so it sees every kept line of its docs and the docs
-    # themselves, rebuilds each text in line order and fills ''/0
-    def id_counts(t: pa.Table) -> pa.Table:
-        _, sizes = _split_lines(t[text_col])
-        return pa.table(
-            {
-                "doc_id": t[id_col].cast(pa.int64()),
-                "n_lines": pa.array(sizes, type=pa.int64()),
-            }
-        )
-
-    def reassemble(d: pa.Table, k: pa.Table) -> pa.Table:
-        if d.num_rows == 0:
-            none = np.empty(0, dtype=np.int64)
-            return _cleaned(none, pa.array([], type=pa.string()), none, none)
-        # docs and their kept lines both in doc_id order, lines in line
-        # order within a doc: the kept lines lay out doc after doc
-        d = d.sort_by("doc_id")
-        ids = d["doc_id"].to_numpy(zero_copy_only=False)
-        n_kept = np.zeros(len(ids), dtype=np.int64)
-        lines = pa.array([], type=pa.string())
-        if k.num_rows:
-            kid = k["doc_id"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((k["ord"].to_numpy(zero_copy_only=False), kid))
-            u, cnt = np.unique(kid, return_counts=True)
-            pos, found = lookup_sorted(u, ids)
-            n_kept[found] = cnt[pos[found]]
-            lines = k["line"].take(pa.array(order))
-        return _cleaned(ids, lines, n_kept, d["n_lines"].to_numpy(zero_copy_only=False))
-
-    return hash_exchange(
-        [docs.map_batches(id_counts, batch_format="pyarrow"), kept],
-        ["doc_id"],
-        reassemble,
-        num_partitions=num_partitions,
-    )
+    return probe_key_set(docs, hot, explode, finish, id_col=id_col)
 
 
 def _cleaned(ids, kept_lines, n_kept: np.ndarray, n_lines: np.ndarray) -> pa.Table:

@@ -6,19 +6,14 @@ every document sharing an n-token gram with the held-out set (the
 GPT-3/PaLM-style 13-gram rule; we default to n=5 so small test corpora
 actually overlap). Structurally this is the reference's clade-exclusion
 anti-filter (/root/reference/src/classification.cpp:141-183: drop hits
-whose key appears in an excluded set) with a token n-gram as the key,
-and it reuses the repo's broadcast-vs-join auto switch:
-
-* the benchmark's distinct gram hashes are tiny by construction
-  (benchmarks are ~1e5 docs even when the corpus is 1e12), so the
-  default path assembles them OFF-driver into one sorted u64 array,
-  broadcast once via the object store, and every corpus batch does a
-  vectorized ``searchsorted`` membership test — no shuffle at all;
-* when the gram table outgrows the object store the same semantics run
-  as two keyed exchanges (functions/blocks.hash_exchange): exploded
-  ``(doc_id, gram)`` rows meet the distinct benchmark grams on the gram
-  key and count hits per document, then the hit counts meet the
-  documents on the document key.
+whose key appears in an excluded set) with a token n-gram as the key:
+the benchmark's distinct gram hashes (one keyed exchange) are the key
+set of the shared key-set step, ``stages/joins.probe_key_set``, and
+each corpus doc's keys are its gram hashes. Benchmarks are small by
+construction (~1e5 docs even when the corpus is 1e12), so the gram set
+is normally broadcast as one sorted array and probed per batch with no
+shuffle; a set past the step's byte bound runs as its two keyed
+exchanges instead, with the same answer.
 
 Hashing: each token gets a content hash (zero-copy from the Arrow
 buffer), and an n-gram's hash is a position-normalized polynomial over
@@ -35,9 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
-from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
+from metacache_mpi_ray.functions.blocks import hash_exchange
 from metacache_mpi_ray.functions.hashing import (
     U64,
     _pow_seq,
@@ -46,8 +39,7 @@ from metacache_mpi_ray.functions.hashing import (
     doc_hashes_from_buffer,
     murmur3_fmix64,
 )
-from metacache_mpi_ray.stages.corpus_clean import _is_in_sorted
-from metacache_mpi_ray.stages.verify import lookup_sorted
+from metacache_mpi_ray.stages.joins import default_num_partitions, probe_key_set
 
 DECON_SEED = 67
 
@@ -107,8 +99,6 @@ def _batch_grams(t: pa.Table, text_col: str, n: int, seed: int):
 
 
 _GRAMS = pa.schema([("g", pa.int64())])
-_HITS = pa.schema([("doc_id", pa.int64()), ("n_hits", pa.int64())])
-_FLAGS = _HITS.append(pa.field("is_contaminated", pa.int64()))
 
 
 def _distinct_grams(t: pa.Table) -> pa.Table:
@@ -126,7 +116,6 @@ def benchmark_grams(bench, *, n: int = 5, text_col: str = "text", seed: int = DE
     carried as int64 via a bijective u64->i64 view (order differs,
     equality doesn't).
     """
-    from metacache_mpi_ray.stages.joins import default_num_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         h, _ = _batch_grams(t, text_col, n, seed)
@@ -149,9 +138,6 @@ def decontaminate(
     mode: str = "flag",
     text_col: str = "text",
     id_col: str = "doc_id",
-    strategy: str = "auto",
-    broadcast_limit: int = 256 << 20,
-    num_partitions: int | None = None,
     seed: int = DECON_SEED,
 ):
     """Flag or drop corpus docs sharing any n-token gram with ``bench``.
@@ -162,144 +148,27 @@ def decontaminate(
     for oracle-compare stability). ``mode='filter'`` returns the input
     rows of clean documents unchanged.
 
-    ``strategy``: 'broadcast' ships the sorted benchmark gram array
-    (assembled off-driver from block refs); 'join' explodes corpus
-    grams, matches them against the distinct benchmark grams in one
-    exchange on the gram and sums the hits onto the docs in one
-    exchange on the doc id; 'auto' picks by benchmark gram count x 8 bytes vs
-    ``broadcast_limit``.
+    The distinct benchmark grams are the key set of
+    ``joins.probe_key_set``; each doc's keys are its gram hashes.
     """
     if mode not in ("flag", "filter"):
         raise ValueError(f"mode must be 'flag' or 'filter', got {mode!r}")
-    if strategy not in ("auto", "broadcast", "join"):
-        raise ValueError(
-            f"strategy must be 'auto', 'broadcast' or 'join', got {strategy!r}"
-        )
 
-    def zero_flags(t: pa.Table) -> pa.Table:
-        z = np.zeros(len(t), dtype=np.int64)
+    def explode(t: pa.Table):
+        h, row = _batch_grams(t, text_col, n, seed)
+        return h.view(np.int64), row
+
+    def finish(t: pa.Table, row: np.ndarray, hit: np.ndarray) -> pa.Table:
+        n_hits = np.bincount(row[hit], minlength=len(t)).astype(np.int64)
+        if mode == "filter":
+            return t.filter(pa.array(n_hits == 0))
         return pa.table(
             {
                 "doc_id": t[id_col].cast(pa.int64()),
-                "n_hits": pa.array(z, type=pa.int64()),
-                "is_contaminated": pa.array(z, type=pa.int64()),
+                "n_hits": pa.array(n_hits, type=pa.int64()),
+                "is_contaminated": pa.array((n_hits > 0).astype(np.int64), type=pa.int64()),
             }
         )
 
     bg = benchmark_grams(bench, n=n, text_col=text_col, seed=seed)
-    n_grams = bg.count()
-
-    if n_grams == 0:
-        # empty benchmark: nothing is contaminated
-        if mode == "filter":
-            return docs
-        return docs.map_batches(zero_flags, batch_format="pyarrow")
-
-    if strategy == "broadcast" or (
-        strategy == "auto" and n_grams * 8 <= broadcast_limit
-    ):
-        gram_ref = assemble_sorted_i64(bg, "g")
-
-        def score(t: pa.Table) -> pa.Table:
-            h, row = _batch_grams(t, text_col, n, seed)
-            grams = ray.get(gram_ref)  # zero-copy shared-memory read
-            hit = _is_in_sorted(grams, h.view(np.int64))
-            n_hits = np.bincount(row[hit], minlength=len(t)).astype(np.int64)
-            if mode == "filter":
-                return t.filter(pa.array(n_hits == 0))
-            return pa.table(
-                {
-                    "doc_id": t[id_col].cast(pa.int64()),
-                    "n_hits": pa.array(n_hits, type=pa.int64()),
-                    "is_contaminated": pa.array(
-                        (n_hits > 0).astype(np.int64), type=pa.int64()
-                    ),
-                }
-            )
-
-        return docs.map_batches(score, batch_format="pyarrow")
-
-    # ---- join path: exploded corpus grams x distinct benchmark grams
-    from metacache_mpi_ray.stages.joins import default_num_partitions
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions(minimum=2)
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        h, row = _batch_grams(t, text_col, n, seed)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[row], type=pa.int64()),
-                "g": pa.array(h.view(np.int64), type=pa.int64()),
-            }
-        )
-
-    def hits_per_doc(cg: pa.Table, grams: pa.Table) -> pa.Table:
-        """This gram partition's hit count per doc (a doc's grams spread
-        over every partition, so these are partial counts)."""
-        if cg.num_rows == 0 or grams.num_rows == 0:
-            return _HITS.empty_table()
-        hit = _is_in_sorted(
-            np.sort(grams["g"].to_numpy(zero_copy_only=False)),
-            cg["g"].to_numpy(zero_copy_only=False),
-        )
-        ids, cnt = np.unique(
-            cg["doc_id"].to_numpy(zero_copy_only=False)[hit], return_counts=True
-        )
-        return pa.table([ids, cnt.astype(np.int64)], schema=_HITS)
-
-    hits = hash_exchange(
-        [docs.map_batches(explode, batch_format="pyarrow"), bg],
-        ["g"],
-        hits_per_doc,
-        num_partitions=num_partitions,
-    )
-
-    # the hit counts meet the documents on the document key: the reduce
-    # sums each doc's partial counts and left-joins them onto its rows
-    def doc_hits(d: pa.Table, h: pa.Table, key: str) -> np.ndarray:
-        ids = d[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = np.zeros(len(ids), dtype=np.int64)
-        if h.num_rows:
-            hit_ids, inv = np.unique(h[key].to_numpy(), return_inverse=True)
-            total = np.bincount(inv, weights=h["n_hits"].to_numpy()).astype(np.int64)
-            pos, found = lookup_sorted(hit_ids, ids)
-            out[found] = total[pos[found]]
-        return out
-
-    if mode == "filter":
-        # filter keeps the caller's rows and id column name
-        def clean_rows(d: pa.Table, h: pa.Table) -> pa.Table:
-            if d.num_rows == 0:
-                return d
-            return d.filter(pa.array(doc_hits(d, h, id_col) == 0))
-
-        return hash_exchange(
-            [docs, hits.rename_columns({"doc_id": id_col})],
-            [id_col],
-            clean_rows,
-            num_partitions=num_partitions,
-        )
-
-    def ids_only(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t[id_col].cast(pa.int64())})
-
-    def flags(d: pa.Table, h: pa.Table) -> pa.Table:
-        if d.num_rows == 0:
-            return _FLAGS.empty_table()
-        nh = doc_hits(d, h, "doc_id")
-        return pa.table(
-            {
-                "doc_id": d["doc_id"],
-                "n_hits": pa.array(nh, type=pa.int64()),
-                "is_contaminated": pa.array((nh > 0).astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    return hash_exchange(
-        [docs.map_batches(ids_only, batch_format="pyarrow"), hits],
-        ["doc_id"],
-        flags,
-        num_partitions=num_partitions,
-    )
+    return probe_key_set(docs, bg, explode, finish, id_col=id_col)

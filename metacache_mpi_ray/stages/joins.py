@@ -14,6 +14,12 @@
   prefix match).
 * ``anti_join_broadcast`` — exclusion filtering (M9 clade-exclusion
   analog, /root/reference/src/classification.cpp:141-157).
+* ``probe_key_set`` — the one key-set filter step (decontamination,
+  boilerplate-line removal): each row's int64 keys are tested against
+  a key set, broadcast as one sorted array while it is at most
+  ``KEY_SET_BROADCAST_BYTES``, else met in two keyed exchanges (the
+  reference's census -> threshold -> one removal set rule,
+  sketch_database.h:356-417).
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from metacache_mpi_ray.stages.verify import lookup_sorted
+
+# key sets (and frontier Bloom bitmaps) up to this many bytes ship to
+# every worker as one object; larger ones take the keyed-exchange side
+KEY_SET_BROADCAST_BYTES = 256 << 20
 
 
 def broadcast_join(big, small, on: str, *, how: str = "inner"):
@@ -147,14 +159,86 @@ def anti_join_broadcast(ds, exclude_keys, on: str):
     ref = ray.put(keys)
 
     def f(batch: pa.Table) -> pa.Table:
-        k = ray.get(ref)
         vals = batch[on].to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return batch
-        pos = np.minimum(np.searchsorted(k, vals), len(k) - 1)
-        return batch.filter(pa.array(k[pos] != vals))
+        return batch.filter(pa.array(~lookup_sorted(ray.get(ref), vals)[1]))
 
     return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _row_starts(row: np.ndarray, n_rows: int) -> np.ndarray:
+    """Index of each row's first key (``row`` grouped in row order)."""
+    counts = np.bincount(row, minlength=n_rows)
+    return np.cumsum(counts) - counts
+
+
+def probe_key_set(docs, keys, explode, finish, *, id_col: str):
+    """Test every row's keys against a key set -> ``finish`` per batch.
+
+    ``keys`` is a materialized Dataset of one int64 column (duplicates
+    allowed). ``explode(t)`` returns ``(k, row)``: the int64 keys of
+    ``t``'s rows, grouped row after row in row order, and each key's
+    row index. ``finish(t, row, hit)`` builds the output batch from the
+    rows of ``t`` and the hit mask of their keys.
+
+    While the key set is at most ``KEY_SET_BROADCAST_BYTES`` (8 bytes a
+    key), it is sorted in one off-driver task and every batch of
+    ``docs`` probes it in ``map_batches``. Past that, two keyed
+    exchanges: the exploded ``(id, pos, k)`` rows meet the keys on
+    ``k`` and emit the hit positions; the hit positions meet the docs
+    on ``id_col``, where the reduce explodes each doc again and calls
+    the same ``finish``. That side needs unique ``id_col`` values and
+    reads ``docs`` twice, so its lineage must be deterministic.
+    """
+    from metacache_mpi_ray.functions.blocks import assemble_sorted_i64, hash_exchange
+
+    col = keys.schema().names[0]
+    if keys.count() * 8 <= KEY_SET_BROADCAST_BYTES:
+        ref = assemble_sorted_i64(keys, col)
+
+        def probe(t: pa.Table) -> pa.Table:
+            k, row = explode(t)
+            return finish(t, row, lookup_sorted(ray.get(ref), k)[1])
+
+        return docs.map_batches(probe, batch_format="pyarrow")
+
+    def positions(t: pa.Table) -> pa.Table:
+        k, row = explode(t)
+        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        pos = np.arange(len(k)) - _row_starts(row, len(t))[row]
+        return pa.table({id_col: ids[row], "pos": pos, col: k})
+
+    hits_schema = pa.schema([(id_col, pa.int64()), ("pos", pa.int64())])
+
+    def hit_positions(ex: pa.Table, ks: pa.Table) -> pa.Table:
+        if ex.num_rows == 0 or ks.num_rows == 0:
+            return hits_schema.empty_table()
+        k = np.sort(ks[col].to_numpy(zero_copy_only=False))
+        hit = lookup_sorted(k, ex[col].to_numpy(zero_copy_only=False))[1]
+        return ex.select(hits_schema.names).filter(pa.array(hit))
+
+    n_part = default_num_partitions(minimum=2)
+    hits = hash_exchange(
+        [docs.map_batches(positions, batch_format="pyarrow"), keys],
+        [col],
+        hit_positions,
+        num_partitions=n_part,
+    )
+
+    def finish_docs(d: pa.Table, h: pa.Table) -> pa.Table:
+        if d.num_columns == 0:
+            return d  # no docs anywhere
+        k, row = explode(d)
+        hit = np.zeros(len(k), dtype=bool)
+        if h.num_rows:
+            # hit (id, pos) is key ``pos`` of the row holding ``id``
+            ids = d[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            order = np.argsort(ids, kind="stable")
+            at, found = lookup_sorted(ids[order], h[id_col].to_numpy(zero_copy_only=False))
+            start = _row_starts(row, len(d))[order[at[found]]]
+            hit[start + h["pos"].to_numpy(zero_copy_only=False)[found]] = True
+        return finish(d, row, hit)
+
+    return hash_exchange([docs, hits], [id_col], finish_docs, num_partitions=n_part)
 
 
 def asof_lookup(ds, keys_sorted: np.ndarray, values: np.ndarray, on: str, out_col: str):

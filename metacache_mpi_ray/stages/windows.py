@@ -46,7 +46,8 @@ def _group_exchange(
     partition (after ``prepare``, Table -> Table) sorted by ``sort_cols``
     and (starts, sizes) bound its groups, every group whole.
     ``combine`` is the exchange's map-side step. An empty ``ds`` runs
-    ``kernel`` once over a zero-row table with its schema."""
+    ``kernel`` once over a zero-row table with its schema; one with no
+    schema either (a map over no rows) comes back as it is."""
     from metacache_mpi_ray.stages.joins import default_num_partitions
 
     descending = descending or [False] * len(sort_cols)
@@ -59,6 +60,8 @@ def _group_exchange(
     if mat.count() == 0:
         # the exchange would see no schema: rebuild the typed empty input
         sch = mat.schema() or ds.schema()
+        if sch is None:
+            return mat
         empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
         return rd.from_arrow(reduce(empty))
     return hash_exchange(

@@ -29,3 +29,20 @@ def corpus_dir(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("corpus")
     return write_pages_corpus(str(out), 500, seed=42)
+
+
+@pytest.fixture
+def key_set_side(monkeypatch):
+    """``pin(side)`` puts the key-set step (``joins.probe_key_set``, the
+    Bloom switch and ``filter_unseen``'s exact verify) on one side of
+    ``joins.KEY_SET_BROADCAST_BYTES``: ``"broadcast"`` keeps the default
+    bound, ``"join"`` sets it to -1, so every key set, even an empty
+    one, takes the keyed-exchange side."""
+    from metacache_mpi_ray.stages import joins
+
+    bounds = {"broadcast": joins.KEY_SET_BROADCAST_BYTES, "join": -1}
+
+    def pin(side: str) -> None:
+        monkeypatch.setattr(joins, "KEY_SET_BROADCAST_BYTES", bounds[side])
+
+    return pin

@@ -1,6 +1,7 @@
-"""Corpus-cleaning operators: boilerplate-line removal (broadcast and
-join strategies vs a pandas reference), PII redaction vs Python re,
-within-doc repetition stats vs a pandas reference."""
+"""Corpus-cleaning operators: boilerplate-line removal (both sides of
+the key-set step, ``key_set_side``: broadcast and keyed exchange, vs a
+pandas reference), PII redaction vs Python re, within-doc repetition
+stats vs a pandas reference."""
 
 import re
 
@@ -54,45 +55,81 @@ def _run(df, min_docs, **kw) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def test_remove_boilerplate_broadcast_matches_pandas():
+SIDES = ("broadcast", "join")
+
+
+def test_remove_boilerplate_broadcast_matches_pandas(key_set_side):
     df = _corpus()
     want = (
         _pandas_remove_boilerplate(df, 25)
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
-    got = _run(df, 25, strategy="broadcast")
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # 'cookie banner' (120 docs) and 'footer k' (40 each) removed;
-    # bodies kept — the check is non-vacuous in both directions
-    assert (got["n_removed"] > 0).any() and (got["n_kept"] > 0).any()
+    for side in SIDES:
+        key_set_side(side)
+        got = _run(df, 25)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        # 'cookie banner' (120 docs) and 'footer k' (40 each) removed;
+        # bodies kept — the check is non-vacuous in both directions
+        assert (got["n_removed"] > 0).any() and (got["n_kept"] > 0).any()
 
 
-def test_remove_boilerplate_join_parity():
-    df = _corpus()
-    b = _run(df, 25, strategy="broadcast")
-    j = _run(df, 25, strategy="join", num_partitions=4)
+def test_remove_boilerplate_join_parity(key_set_side):
+    """Both sides agree with each other and with pandas on a second
+    corpus, where the 'promo' line (30 docs) is hot at min_docs=30."""
+    df = _corpus(n=130, seed=8)
+    want = _pandas_remove_boilerplate(df, 30).sort_values("doc_id").reset_index(drop=True)
+    key_set_side("broadcast")
+    b = _run(df, 30)
+    key_set_side("join")
+    j = _run(df, 30)
     pd.testing.assert_frame_equal(b, j, check_dtype=False)
+    pd.testing.assert_frame_equal(j, want, check_dtype=False)
 
 
-def test_remove_boilerplate_all_lines_removed():
+def test_remove_boilerplate_all_lines_removed(key_set_side):
     # every doc is a single shared hot line -> every clean_text == ''
     df = pd.DataFrame({"doc_id": range(40), "text": ["same line"] * 40})
-    for strat in ("broadcast", "join"):
-        out = _run(df, 10, strategy=strat, num_partitions=3)
+    for side in SIDES:
+        key_set_side(side)
+        out = _run(df, 10)
         assert (out["clean_text"] == "").all()
         assert (out["n_kept"] == 0).all()
         assert (out["n_removed"] == 1).all()
 
 
-def test_remove_boilerplate_nothing_hot():
+def test_remove_boilerplate_nothing_hot(key_set_side):
     df = pd.DataFrame(
         {"doc_id": range(10), "text": [f"unique {i}\nalso {i}" for i in range(10)]}
     )
-    for strat in ("broadcast", "join"):
-        out = _run(df, 5, strategy=strat, num_partitions=3)
+    for side in SIDES:
+        key_set_side(side)
+        out = _run(df, 5)
         assert (out["clean_text"] == df["text"]).all()
         assert (out["n_removed"] == 0).all()
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("min_docs", [2, 5])
+def test_null_text_is_one_empty_line(side, min_docs, key_set_side):
+    """A null text is one empty line whether or not any line is hot
+    (min_docs=2 makes 'a' hot; at 5 nothing is): clean_text '', one
+    kept line, none removed."""
+    from metacache_mpi_ray.stages.corpus_clean import remove_boilerplate_lines
+
+    key_set_side(side)
+    docs = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([0, 1, 2], type=pa.int64()),
+                "text": pa.array(["a\nb", None, "a"]),
+            }
+        )
+    )
+    out = remove_boilerplate_lines(docs, min_docs=min_docs).to_pandas().set_index("doc_id")
+    assert out.loc[1, "clean_text"] == ""
+    assert out.loc[1, "n_kept"] == 1 and out.loc[1, "n_removed"] == 0
+    assert out.loc[0, "n_removed"] == (1 if min_docs == 2 else 0)
 
 
 def test_line_census_counts_distinct_docs():
@@ -204,18 +241,3 @@ def test_null_text_rows_survive_cleaning():
         )
     )
     assert rep["n_dup_lines"].to_pylist() == [0]
-
-
-def test_bad_strategy_raises():
-    from metacache_mpi_ray.stages.corpus_clean import remove_boilerplate_lines
-
-    docs = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array([0], type=pa.int64()),
-                "text": pa.array(["a"]),
-            }
-        )
-    )
-    with pytest.raises(ValueError, match="strategy"):
-        remove_boilerplate_lines(docs, strategy="brodcast")

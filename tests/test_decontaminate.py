@@ -1,4 +1,5 @@
-"""Benchmark-decontamination stage: kernel, strategies, edge cases."""
+"""Benchmark-decontamination stage: kernel, both sides of the key-set
+step (``key_set_side``: broadcast and keyed exchange), edge cases."""
 
 import numpy as np
 import pyarrow as pa
@@ -81,16 +82,18 @@ def _pandas_decon(texts, bench_texts, n):
     return sorted(rows)
 
 
-@pytest.mark.parametrize("strategy", ["broadcast", "join"])
-def test_strategies_match_pandas_reference(strategy):
+SIDES = ["broadcast", "join"]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_strategies_match_pandas_reference(side, key_set_side):
+    key_set_side(side)
     rng = np.random.default_rng(11)
     texts = _rng_texts(rng, 80, vocab=8, max_len=10)
     bench_texts = _rng_texts(rng, 6, vocab=8, max_len=10)
     docs = _mk_docs(texts)
     bench = rd.from_arrow(pa.table({"text": pa.array(bench_texts)}))
-    out = decontaminate(
-        docs, bench, n=3, strategy=strategy, num_partitions=4
-    ).to_pandas()
+    out = decontaminate(docs, bench, n=3).to_pandas()
     got = sorted(
         zip(
             out["doc_id"].astype(int),
@@ -102,27 +105,29 @@ def test_strategies_match_pandas_reference(strategy):
     assert any(h > 0 for _, h, _ in got)  # non-vacuous: some overlap exists
 
 
-@pytest.mark.parametrize("strategy", ["broadcast", "join"])
-def test_empty_benchmark_all_clean(strategy):
+@pytest.mark.parametrize("side", SIDES)
+def test_empty_benchmark_all_clean(side, key_set_side):
+    key_set_side(side)
     docs = _mk_docs(["alpha beta gamma delta", "one two three four"])
     bench = rd.from_arrow(pa.table({"text": pa.array([], type=pa.string())}))
-    out = decontaminate(docs, bench, n=3, strategy=strategy).to_pandas()
+    out = decontaminate(docs, bench, n=3).to_pandas()
     assert len(out) == 2 and out["n_hits"].sum() == 0
-    kept = decontaminate(docs, bench, n=3, mode="filter", strategy=strategy)
+    kept = decontaminate(docs, bench, n=3, mode="filter")
     assert kept.count() == 2
 
 
-def test_join_path_no_matches_branch():
+def test_join_path_no_matches_branch(key_set_side):
     docs = _mk_docs(["alpha beta gamma delta", "one two three four"])
     bench = rd.from_arrow(pa.table({"text": pa.array(["zz yy xx ww vv"])}))
-    out = decontaminate(
-        docs, bench, n=3, strategy="join", num_partitions=2
-    ).to_pandas()
-    assert len(out) == 2 and out["is_contaminated"].sum() == 0
+    for side in SIDES:
+        key_set_side(side)
+        out = decontaminate(docs, bench, n=3).to_pandas()
+        assert len(out) == 2 and out["is_contaminated"].sum() == 0
 
 
-@pytest.mark.parametrize("strategy", ["broadcast", "join"])
-def test_filter_mode_drops_exactly_contaminated(strategy):
+@pytest.mark.parametrize("side", SIDES)
+def test_filter_mode_drops_exactly_contaminated(side, key_set_side):
+    key_set_side(side)
     texts = [
         "clean page about cooking rice slowly",
         "the exam answer is here today",  # contains the benchmark gram
@@ -132,30 +137,36 @@ def test_filter_mode_drops_exactly_contaminated(strategy):
     bench = rd.from_arrow(
         pa.table({"text": pa.array(["leak: the exam answer is here now"])})
     )
-    kept = decontaminate(
-        docs, bench, n=5, mode="filter", strategy=strategy, num_partitions=2
-    ).to_pandas()
+    kept = decontaminate(docs, bench, n=5, mode="filter").to_pandas()
     assert sorted(kept["doc_id"].astype(int)) == [0, 2]
     # filter mode preserves the input columns untouched
     assert sorted(kept.columns) == ["doc_id", "text"]
     assert set(kept["text"]) == {texts[0], texts[2]}
 
 
-def test_auto_picks_broadcast_and_matches_join():
+def test_auto_picks_broadcast_and_matches_join(key_set_side):
+    """The default bound and the forced exchange side give the pandas
+    reference's flags and the same filtered rows."""
     rng = np.random.default_rng(3)
     texts = _rng_texts(rng, 50, vocab=6, max_len=9)
     bench_texts = _rng_texts(rng, 4, vocab=6, max_len=9)
     docs, bench = _mk_docs(texts), rd.from_arrow(
         pa.table({"text": pa.array(bench_texts)})
     )
-    a = decontaminate(docs, bench, n=3, strategy="auto").to_pandas()
-    b = decontaminate(
-        docs, bench, n=3, strategy="join", num_partitions=2
-    ).to_pandas()
-    key = lambda d: sorted(
-        zip(d["doc_id"].astype(int), d["n_hits"].astype(int))
-    )
-    assert key(a) == key(b)
+    want = _pandas_decon(texts, bench_texts, 3)
+    for side in SIDES:
+        key_set_side(side)
+        flags = decontaminate(docs, bench, n=3).to_pandas()
+        got = sorted(
+            zip(
+                flags["doc_id"].astype(int),
+                flags["n_hits"].astype(int),
+                flags["is_contaminated"].astype(int),
+            )
+        )
+        assert got == want
+        kept = decontaminate(docs, bench, n=3, mode="filter").to_pandas()
+        assert sorted(kept["doc_id"].astype(int)) == [i for i, h, _ in want if h == 0]
 
 
 def test_null_text_rows_are_clean_not_crash():
@@ -175,11 +186,12 @@ def test_null_text_rows_are_clean_not_crash():
     assert out.loc[1, "n_hits"] == 0 and out.loc[0, "n_hits"] > 0
 
 
-@pytest.mark.parametrize("strategy", ["broadcast", "join"])
-def test_filter_mode_honors_custom_id_col(strategy):
+@pytest.mark.parametrize("side", SIDES)
+def test_filter_mode_honors_custom_id_col(side, key_set_side):
     """filter mode must key the clean-doc join on id_col, not a
     hardcoded 'doc_id' (regression: contaminated docs silently kept,
     or a crash, when the id column has another name)."""
+    key_set_side(side)
     texts = [
         "clean page about cooking rice slowly",
         "the exam answer is here today",
@@ -196,16 +208,6 @@ def test_filter_mode_honors_custom_id_col(strategy):
     bench = rd.from_arrow(
         pa.table({"text": pa.array(["leak: the exam answer is here now"])})
     )
-    kept = decontaminate(
-        docs, bench, n=5, mode="filter", strategy=strategy,
-        id_col="uid", num_partitions=2,
-    ).to_pandas()
+    kept = decontaminate(docs, bench, n=5, mode="filter", id_col="uid").to_pandas()
     assert sorted(kept["uid"].astype(int)) == [10, 12]
     assert sorted(kept.columns) == ["text", "uid"]
-
-
-def test_bad_strategy_raises():
-    docs = _mk_docs(["a b c"])
-    bench = rd.from_arrow(pa.table({"text": pa.array(["a b c"])}))
-    with pytest.raises(ValueError, match="strategy"):
-        decontaminate(docs, bench, strategy="Broadcast")

@@ -224,12 +224,13 @@ def test_two_input_exchange_sees_both_sides_of_each_key():
     assert (out["y"] == (out["k"] * 10)).all()
 
 
-def test_joins_run_no_dataset_join(monkeypatch):
+def test_joins_run_no_dataset_join(monkeypatch, key_set_side):
     """Every join and the connected-components rounds go through
     hash_exchange: with ``Dataset.join`` (and, for the components,
     ``Dataset.sort``) raising, large_join, the verify step,
-    distributed components, decontamination, bloom's exact join path
-    and boilerplate removal all still run and give the expected rows."""
+    distributed components, and the keyed-exchange side of the key-set
+    step (decontamination, boilerplate removal, bloom's exact verify)
+    all still run and give the expected rows."""
     import pandas as pd
 
     from metacache_mpi_ray.config import DedupConfig
@@ -320,25 +321,22 @@ def test_joins_run_no_dataset_join(monkeypatch):
     corpus = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
                                      "text": pa.array(["a b c d e", "x y z w v", "p q r s t"])}))
     bench = rd.from_arrow(pa.table({"text": pa.array(["zz a b c yy"])}))
-    flags = decontaminate(corpus, bench, n=3, strategy="join", num_partitions=2).to_pandas()
+    key_set_side("join")  # the keyed-exchange side of every key-set step
+    flags = decontaminate(corpus, bench, n=3).to_pandas()
     assert dict(zip(flags["doc_id"], flags["n_hits"])) == {1: 1, 2: 0, 3: 0}
-    kept = decontaminate(
-        corpus, bench, n=3, mode="filter", strategy="join", num_partitions=2
-    ).to_pandas()
+    kept = decontaminate(corpus, bench, n=3, mode="filter").to_pandas()
     assert sorted(kept["doc_id"]) == [2, 3]
 
     seen = rd.from_arrow(pa.table({"key": np.arange(100, dtype=np.int64)}))
     new = rd.from_arrow(pa.table({"key": np.arange(90, 110, dtype=np.int64)}))
-    unseen = filter_unseen(new, seen, "key", n_expected=100, strategy="join").to_pandas()
+    unseen = filter_unseen(new, seen, "key", n_expected=100).to_pandas()
     assert sorted(unseen["key"]) == list(range(100, 110))
 
     pages = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(4), type=pa.int64()),
         "text": pa.array(["nav\nbody one\nfoot", "nav\nbody two", "foot\nnav", "solo"]),
     }))
-    clean = remove_boilerplate_lines(
-        pages, min_docs=2, strategy="join", num_partitions=3
-    ).to_pandas().sort_values("doc_id")
+    clean = remove_boilerplate_lines(pages, min_docs=2).to_pandas().sort_values("doc_id")
     assert list(clean["clean_text"]) == ["body one", "body two", "", "solo"]
     assert list(clean["n_removed"]) == [2, 1, 2, 0]
 

@@ -37,12 +37,11 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-import duckdb
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import __ray_entry__ as E
+from oracle_frames import compare, oracle_connection  # tools/, the script's own dir
 
 # --- smoke ---
 t0 = time.perf_counter()
@@ -55,23 +54,7 @@ print(f"entry(): {len(res)} rows, cols={list(res.columns)} "
 qs = E.queries()
 oracles = E.oracle_sql()
 
-con = duckdb.connect()
-for t in ("region nation customer supplier part orders lineitem events "
-          "documents embeddings").split():
-    con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                f"read_parquet('{sf_dir}/{t}.parquet')")
-
-
-def canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    for c in df.columns:
-        if pd.api.types.is_integer_dtype(df[c]) or str(df[c].dtype).startswith(
-                ("uint", "int")):
-            df[c] = df[c].astype("int64")
-        elif pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].astype("float64").round(6)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
+con = oracle_connection(sf_dir)
 
 n_pass = n_rows_only = n_fail = 0
 fails = []
@@ -96,31 +79,22 @@ for name, fn in qs.items():
                   f"{eng_s:6.2f}s", flush=True)
             continue
         odf = con.execute(oracles[name]).df()
-        a, b = canon(out.copy()), canon(odf)
-        ok_rows = len(a) == len(b)
-        ok_schema = list(a.columns) == list(b.columns)
-        ok_vals = False
-        if ok_rows and ok_schema:
-            try:
-                pd.testing.assert_frame_equal(a, b, check_dtype=False,
-                                              atol=1e-6, rtol=1e-6)
-                ok_vals = True
-            except AssertionError:
-                ok_vals = False
-        if ok_rows and ok_schema and ok_vals:
+        cmp = compare(out, odf)
+        if cmp["ok"]:
             n_pass += 1
-            records[name] = {"status": "pass", "rows": len(a),
+            records[name] = {"status": "pass", "rows": cmp["rows"],
                              "sec": round(eng_s, 2)}
-            print(f"{name:36s} PASS       {len(a):>7} rows  "
+            print(f"{name:36s} PASS       {cmp['rows']:>7} rows  "
                   f"{eng_s:6.2f}s", flush=True)
         else:
             n_fail += 1
             fails.append(name)
-            records[name] = {"status": "fail", "rows": len(a),
-                             "oracle_rows": len(b), "schema_ok": ok_schema,
+            records[name] = {"status": "fail", "rows": cmp["rows"],
+                             "oracle_rows": cmp["oracle_rows"],
+                             "schema_ok": cmp["schema_ok"],
                              "sec": round(eng_s, 2)}
-            print(f"{name:36s} FAIL rows={len(a)}/{len(b)} "
-                  f"schema={ok_schema} cols_eng={list(out.columns)} "
+            print(f"{name:36s} FAIL rows={cmp['rows']}/{cmp['oracle_rows']} "
+                  f"schema={cmp['schema_ok']} cols_eng={list(out.columns)} "
                   f"cols_orc={list(odf.columns)}", flush=True)
     except Exception as e:  # noqa: BLE001
         n_fail += 1
