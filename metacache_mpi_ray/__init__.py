@@ -7,11 +7,16 @@ Common-Crawl-style web pages:
 
     pages (url, warc_ts, html, text, lang)
       -> HTML->text extraction + normalization      (map_batches, Arrow)
-      -> w-shingling + 128-perm MinHash signatures  (map_batches, NumPy)
-      -> LSH band hashing -> candidate buckets      (sort-shuffle by band hash)
-      -> candidate pair verification                (signature joins)
+      -> w-shingling + 128-perm MinHash signatures  (one sign task per block)
+      -> LSH band keys -> bucket star-edges         (one task per band-key shard)
+      -> candidate pair verification                (pair + score tasks per doc shard)
       -> union-find connected components            (driver / label propagation)
       -> clusters (doc_id, cluster_id, is_dup)
+
+The flagship runs as one graph of plain Ray tasks over the blocks of its
+input (``pipelines/dedup.py``); every other batch stage is a plain
+``map_batches`` task whose state is built on the driver and ships in the
+pickled callable.
 
 The reference's structural skeleton (documents -> sketches -> inverted
 index -> candidate merge -> classification; see SURVEY.md) maps stage by

@@ -19,7 +19,6 @@ from ray.data.aggregate import Count, Max, Min, Sum
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.stages.ingest import ingest_documents, read_docs
 from metacache_mpi_ray.stages.textstats import (
-    LangIdScorer,
     fingerprint_batch,
     quality_score_batch,
     token_count_batch,
@@ -665,35 +664,14 @@ def q_simhash_dup_pairs(sf_dir: str):
     return simhash_dedup(docs, CFG, num_partitions=8)
 
 
-def q_lang_id(sf_dir: str):
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
-
-    ds = _documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(
-        LangIdScorer,
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=(1, default_actor_concurrency(reserve=2, cap=8)),
-        num_cpus=1,
-    )
-
-
 def q_lang_id_trigram(sf_dir: str):
     """Character-trigram language ID (26+ languages incl. script
-    detection; VERDICT r2 item 10) — profiles build once per actor."""
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
+    detection; VERDICT r2 item 10) — profiles build once, on the
+    driver."""
     from metacache_mpi_ray.stages.langid import TrigramLangId
 
     ds = _documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(
-        TrigramLangId,
-        batch_format="pyarrow",
-        batch_size=4096,
-        # autoscaling pool: tiny inputs spin one actor instead of
-        # paying 8 actor startups for a 500-doc table
-        concurrency=(1, default_actor_concurrency(reserve=2, cap=8)),
-        num_cpus=1,
-    )
+    return ds.map_batches(TrigramLangId(), batch_format="pyarrow", batch_size=4096)
 
 
 def q_lang_id_planted(sf_dir: str):
@@ -703,7 +681,6 @@ def q_lang_id_planted(sf_dir: str):
     asserted in tests), so pred_lang is doc_id-derivable in SQL. The
     full classifier runs: lowercasing, trigram hashing, per-language
     profile scoring, script override, unknown threshold."""
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
     from metacache_mpi_ray.stages.langid import _SEED_TEXT, TrigramLangId
 
     langs = sorted(_SEED_TEXT)
@@ -719,11 +696,7 @@ def q_lang_id_planted(sf_dir: str):
         )
 
     out = ids_ds.map_batches(build, batch_format="pyarrow").map_batches(
-        TrigramLangId,
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=(1, default_actor_concurrency(reserve=2, cap=8)),
-        num_cpus=1,
+        TrigramLangId(), batch_format="pyarrow", batch_size=4096
     )
     return out.select_columns(["doc_id", "pred_lang"])
 
@@ -1143,7 +1116,7 @@ def q_sample_docs(sf_dir: str):
 def q_media_features(sf_dir: str):
     """Multimodal decode: real pure-numpy codecs (BMP headers/pixels,
     WAV RIFF chunks, MJBM frame container) parse actually-encoded bytes
-    in an actor-pool stage; unknown codecs flow through the documented
+    in a batch stage; unknown codecs flow through the documented
     'fake' stand-in policy."""
     from metacache_mpi_ray.stages.multimodal import (
         media_feature_pipeline,
@@ -1151,7 +1124,7 @@ def q_media_features(sf_dir: str):
     )
 
     media = rd.from_arrow(synth_media_table(256, seed=7))
-    out = media_feature_pipeline(media, concurrency=2, batch_size=64)
+    out = media_feature_pipeline(media, batch_size=64)
     return out.select_columns(["media_id", "width", "height"])
 
 
@@ -1164,12 +1137,7 @@ def q_video_frame_sample(sf_dir: str):
         batch_format="pyarrow",
     )
     out = vids.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"n_frames": 4},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=2,
-        num_cpus=1,
+        FrameSampler(n_frames=4), batch_format="pyarrow", batch_size=32
     )
     return out.select_columns(["media_id", "frame_id"])
 
@@ -2032,7 +2000,6 @@ QUERIES = {
     "band_bucket_census": q_band_bucket_census,
     "media_features": q_media_features,
     "video_frame_sample": q_video_frame_sample,
-    "lang_id": q_lang_id,
     "lang_id_trigram": q_lang_id_trigram,
     # -- 13 headline dedup/similarity oracles (green r4; re-driven
     # every round so the flagship family never goes stale) --

@@ -1,18 +1,20 @@
 """Similarity search over an embedding column (list<float>).
 
 * ``brute_force_topk`` — baseline: every batch computes a float64
-  matmul against a broadcast query matrix (ray.put once, read per
-  actor), emits per-batch partial top-k, then a final per-query top-k
-  reduction. The canonical broadcast-small-side pattern: no shuffle of
-  the big side at all.
-* ``lsh_bucketed_topk`` — scale path: random-hyperplane LSH buckets
-  both sides; only matching buckets are scored (bounded recall,
-  documented). Partitioning key = (plane-sign pattern).
+  matmul against the query matrix (built on the driver, shipped inside
+  the pickled ``BruteForceScorer``) and keeps each query's best k rows
+  of the batch; ``windows.topk_per_group`` ranks the partials. The
+  canonical broadcast-small-side pattern: no shuffle of the big side.
+* ``ivf_topk`` / ``build_ivf_index`` + ``ivf_topk_indexed`` — scale
+  path: a coarse k-means quantizer; only the nprobe nearest cells of
+  each query are scored (bounded recall). The indexed form writes one
+  parquet directory per cell and reads only the probed ones.
 * ``embedding_near_dup`` — embedding-cosine near-duplicate pairs via
-  the same hyperplane bucketing + exact cosine verification.
+  multi-table random-hyperplane bucketing + exact cosine verification.
 
 Reference analog: the top-k candidate list (bounded sorted insert,
-/root/reference/src/candidates.h:191-289) — here partial+final top-k.
+/root/reference/src/candidates.h:191-289) — here partial+final top-k,
+both ordered by (sim desc, neighbor_id asc).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+import ray.data as rd
 
 from metacache_mpi_ray.functions.hashing import U64, splitmix64
 
@@ -89,90 +92,85 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class BruteForceScorer:
-    """Actor-pool stage: batch of vectors -> partial top-k rows vs the
-    broadcast query matrix (queries fetched once per actor)."""
+    """Batch of vectors -> each query's best k rows of the batch by
+    (sim desc, neighbor_id asc), self-matches excluded: the exact
+    per-block step under ``windows.topk_per_group``. Built on the driver
+    with the query ids and matrix; the instance ships in the pickled
+    callable, so the stage runs on the task pool."""
 
-    def __init__(self, queries_ref, k: int):
-        q = ray.get(queries_ref)
-        self.q_ids = q["ids"]
-        self.q_mat = _normalize(q["mat"])
+    def __init__(self, q_ids: np.ndarray, q_mat: np.ndarray, k: int):
+        self.q_ids = np.asarray(q_ids, dtype=np.int64)
+        self.q_mat = _normalize(np.asarray(q_mat, dtype=np.float64))
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, raw = _valid_emb(batch)
-        if len(ids) == 0:
+        if len(ids) == 0 or len(self.q_ids) == 0:
             return pa.table(
                 {"query_id": pa.array([], type=pa.int64()),
                  "neighbor_id": pa.array([], type=pa.int64()),
                  "sim": pa.array([], type=pa.float64())}
             )
-        vecs = _normalize(raw)
-        sims = self.q_mat @ vecs.T  # (nq, nb)
-        nq, nb = sims.shape
-        k = min(self.k, nb)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(nq):
-            row = sims[qi]
-            mask = ids != self.q_ids[qi]  # exclude self-match
-            cand = np.flatnonzero(mask)
-            if len(cand) == 0:
-                continue
-            kk = min(k, len(cand))
-            top = cand[np.argpartition(-row[cand], kk - 1)[:kk]]
-            out_q.append(np.full(kk, self.q_ids[qi], dtype=np.int64))
-            out_n.append(ids[top].astype(np.int64))
-            out_s.append(row[top])
-        if not out_q:
-            return pa.table(
-                {"query_id": pa.array([], type=pa.int64()),
-                 "neighbor_id": pa.array([], type=pa.int64()),
-                 "sim": pa.array([], type=pa.float64())}
-            )
+        sims = self.q_mat @ _normalize(raw).T  # (nq, nb)
+        # columns in neighbor_id order, then a stable sort on sim desc:
+        # each row lists its neighbours by (sim desc, neighbor_id asc)
+        by_id = np.argsort(ids, kind="stable")
+        ids, sims = ids[by_id], sims[:, by_id]
+        self_match = ids[None, :] == self.q_ids[:, None]
+        ranked = np.where(self_match, -np.inf, sims)
+        top = np.argsort(-ranked, axis=1, kind="stable")[:, : self.k]
+        rows = np.arange(len(self.q_ids))[:, None]
+        keep = ~self_match[rows, top]  # only when fewer than k others
         return pa.table(
             {
-                "query_id": pa.array(np.concatenate(out_q)),
-                "neighbor_id": pa.array(np.concatenate(out_n)),
-                "sim": pa.array(np.concatenate(out_s), type=pa.float64()),
+                "query_id": pa.array(
+                    np.broadcast_to(self.q_ids[:, None], top.shape)[keep]
+                ),
+                "neighbor_id": pa.array(ids[top][keep]),
+                "sim": pa.array(sims[rows, top][keep], type=pa.float64()),
             }
         )
 
 
-def brute_force_topk(embeddings, query_ids: list[int], k: int = 5, *, concurrency: int | None = None):
+def _ranked_topk(candidates, q_ids: np.ndarray, q_mat: np.ndarray, k: int):
+    """(query_id, neighbor_id, rank) of each query's k nearest
+    ``candidates`` rows: per-block partials from ``BruteForceScorer``,
+    ranked by ``windows.topk_per_group`` with neighbor_id breaking ties."""
+    from metacache_mpi_ray.stages.windows import topk_per_group
+
+    partials = candidates.map_batches(
+        BruteForceScorer(q_ids, q_mat, k), batch_format="pyarrow", batch_size=4096
+    )
+    ranked = topk_per_group(partials, "query_id", "sim", k, tiebreak=["neighbor_id"])
+    # at most nq * k rows: select on the driver, as a map over the
+    # zero-row blocks of empty partitions would emit schemaless blocks
+    # (Ray logs a schema-divergence warning for each)
+    cols = ["query_id", "neighbor_id", "rank"]
+    return rd.from_arrow([t.select(cols) for t in ray.get(ranked.to_arrow_refs())])
+
+
+def _query_matrix(embeddings, query_ids) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, raw matrix) of the query rows with a non-null embedding."""
+    qset = pa.array([int(q) for q in query_ids], type=pa.int64())
+    rows = embeddings.map_batches(
+        lambda t: _drop_null_emb(
+            t.filter(pc.is_in(pc.cast(t["vec_id"], pa.int64()), value_set=qset))
+        ),
+        batch_format="pyarrow",
+    ).take_all()
+    ids = np.array([r["vec_id"] for r in rows], dtype=np.int64)
+    if not rows:
+        return ids, np.empty((0, 0))
+    return ids, np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in rows])
+
+
+def brute_force_topk(embeddings, query_ids: list[int], k: int = 5):
     """Exact cosine top-k of each query vector against the whole table.
 
     Returns (query_id, neighbor_id, rank) with rank 1..k, deterministic
     tie-break on neighbor_id."""
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
-
-    if concurrency is None:
-        concurrency = default_actor_concurrency(reserve=2)
-    qset = pa.array([int(q) for q in query_ids], type=pa.int64())
-    qtab = embeddings.map_batches(
-        lambda t: t.filter(pc.is_in(pc.cast(t["vec_id"], pa.int64()), value_set=qset)),
-        batch_format="pyarrow",
-    ).to_pandas()
-    qmat = np.stack([np.asarray(v, dtype=np.float64) for v in qtab["embedding"]])
-    queries_ref = ray.put({"ids": qtab["vec_id"].to_numpy(np.int64), "mat": qmat})
-
-    partials = embeddings.map_batches(
-        BruteForceScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-    # final per-query top-k: partials are tiny (nq * k per batch)
-    import pandas as pd
-
-    pdf = partials.to_pandas()
-    pdf = pdf.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
-    pdf = pdf.groupby("query_id", as_index=False).head(k)
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
-    import ray.data as rd
-
-    return rd.from_pandas(out)
+    q_ids, q_mat = _query_matrix(embeddings, query_ids)
+    return _ranked_topk(embeddings, q_ids, q_mat, k)
 
 
 def _kmeans(sample: np.ndarray, n_cells: int, seed: int, iters: int = 10) -> np.ndarray:
@@ -190,6 +188,34 @@ def _kmeans(sample: np.ndarray, n_cells: int, seed: int, iters: int = 10) -> np.
     return cent
 
 
+def _coarse_quantizer(embeddings, n_cells: int, seed: int, train_sample: int) -> np.ndarray:
+    """IVF centroids, L2-normalized: ``_kmeans`` over the normalized
+    hash-spread sample of ``kmeans._fit_sample`` (null embeddings
+    skipped)."""
+    from metacache_mpi_ray.stages.kmeans import _fit_sample
+
+    sample = _fit_sample(embeddings, n_cells, seed, train_sample, "vec_id")
+    return _normalize(_kmeans(_normalize(sample), n_cells, seed))
+
+
+def _cell_of(batch: pa.Table, cent: np.ndarray) -> np.ndarray:
+    """Nearest-centroid cell of each row of ``batch`` (non-null
+    embeddings only): ``kmeans._assign_cells`` under cosine."""
+    from metacache_mpi_ray.stages.kmeans import _assign_cells
+
+    if len(batch) == 0:
+        return np.empty(0, dtype=np.int64)
+    mat = _normalize(_emb_matrix(batch["embedding"]))
+    return _assign_cells(mat, cent, "cos").astype(np.int64)
+
+
+def _probe_cells(q_unit: np.ndarray, cent: np.ndarray, nprobe: int) -> np.ndarray:
+    """Sorted union over queries of each query's nprobe nearest cells
+    (``q_unit``: the L2-normalized query matrix)."""
+    qcells = np.argsort(-(q_unit @ cent.T), axis=1)[:, :nprobe]
+    return np.unique(qcells)
+
+
 def ivf_topk(
     embeddings,
     query_ids: list[int],
@@ -201,52 +227,21 @@ def ivf_topk(
     train_sample: int = 4096,
 ):
     """IVF approximate top-k: coarse k-means cells (trained driver-side
-    on a sample, centroids broadcast), search restricted to the nprobe
-    nearest cells per query — the scale path where brute force over the
-    full table is too expensive. Bounded recall by construction.
+    on a sample, centroids shipped in the cell filter), search
+    restricted to the nprobe nearest cells per query — the scale path
+    where brute force over the full table is too expensive. Bounded
+    recall by construction.
     """
-    # deterministic hash-spread training sample: limit() alone would
-    # train the quantizer on the first block(s) only, biasing centroids
-    # toward whatever the leading files contain
-    def hash_sample(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = (splitmix64(ids.view(U64) ^ U64(seed)) & U64(7)) == 0
-        return t.filter(pa.array(keep))
-
-    samp = embeddings.map_batches(hash_sample, batch_format="pyarrow").limit(
-        train_sample
-    ).to_pandas()
-    if len(samp) == 0:
-        samp = embeddings.limit(train_sample).to_pandas()
-    smat = _normalize(np.stack([np.asarray(v, dtype=np.float64) for v in samp["embedding"]]))
-    cent = _kmeans(smat, n_cells, seed)
-    cent = _normalize(cent)
-    cent_ref = ray.put(cent)
-
-    qset = pa.array([int(q) for q in query_ids], type=pa.int64())
-    qtab = embeddings.map_batches(
-        lambda t: t.filter(pc.is_in(pc.cast(t["vec_id"], pa.int64()), value_set=qset)),
-        batch_format="pyarrow",
-    ).to_pandas()
-    qmat = _normalize(np.stack([np.asarray(v, dtype=np.float64) for v in qtab["embedding"]]))
-    # cells to probe = union over queries of their nprobe nearest cells
-    qcells = np.argsort(-(qmat @ cent.T), axis=1)[:, :nprobe]
-    probe_cells = np.unique(qcells)
-    probe_ref = ray.put(np.sort(probe_cells))
+    cent = _coarse_quantizer(embeddings, n_cells, seed, train_sample)
+    q_ids, q_mat = _query_matrix(embeddings, query_ids)
+    probe = _probe_cells(_normalize(q_mat), cent, nprobe)
 
     def cell_filter(batch: pa.Table) -> pa.Table:
         batch = _drop_null_emb(batch)  # null rows belong to no cell
-        if len(batch) == 0:
-            return batch
-        c = ray.get(cent_ref)
-        pr = ray.get(probe_ref)
-        mat = _normalize(_emb_matrix(batch["embedding"]))
-        cells = (mat @ c.T).argmax(axis=1)
-        pos = np.minimum(np.searchsorted(pr, cells), len(pr) - 1)
-        return batch.filter(pa.array(pr[pos] == cells))
+        return batch.filter(pa.array(np.isin(_cell_of(batch, cent), probe)))
 
     candidates = embeddings.map_batches(cell_filter, batch_format="pyarrow")
-    return brute_force_topk(candidates, query_ids, k)
+    return _ranked_topk(candidates, q_ids, q_mat, k)
 
 
 def build_ivf_index(
@@ -268,31 +263,11 @@ def build_ivf_index(
     import json
     import os
 
-    def hash_sample(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = (splitmix64(ids.view(U64) ^ U64(seed)) & U64(7)) == 0
-        return t.filter(pa.array(keep))
-
-    samp = embeddings.map_batches(hash_sample, batch_format="pyarrow").limit(
-        train_sample
-    ).to_pandas()
-    if len(samp) == 0:
-        samp = embeddings.limit(train_sample).to_pandas()
-    smat = _normalize(
-        np.stack([np.asarray(v, dtype=np.float64) for v in samp["embedding"]])
-    )
-    cent = _normalize(_kmeans(smat, n_cells, seed))
-    cent_ref = ray.put(cent)
+    cent = _coarse_quantizer(embeddings, n_cells, seed, train_sample)
 
     def assign(batch: pa.Table) -> pa.Table:
         batch = _drop_null_emb(batch)  # null rows are not indexable
-        c = ray.get(cent_ref)
-        mat = _normalize(_emb_matrix(batch["embedding"]))
-        if len(batch) == 0:
-            cells = np.empty(0, dtype=np.int64)
-        else:
-            cells = (mat @ c.T).argmax(axis=1).astype(np.int64)
-        return batch.append_column("cell", pa.array(cells, type=pa.int64()))
+        return batch.append_column("cell", pa.array(_cell_of(batch, cent)))
 
     os.makedirs(out_dir, exist_ok=True)
     embeddings.map_batches(assign, batch_format="pyarrow").write_parquet(
@@ -323,12 +298,9 @@ def ivf_topk_indexed(
     import glob
     import os
 
-    import ray.data as rd
-
     cent = np.load(os.path.join(index_dir, "centroids.npy"))
     qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
-    qcells = np.argsort(-(qmat @ cent.T), axis=1)[:, : min(nprobe, len(cent))]
-    probe_cells = np.unique(qcells)
+    probe_cells = _probe_cells(qmat, cent, nprobe)
 
     def cell_files(c: int) -> list[str]:
         return sorted(glob.glob(os.path.join(index_dir, f"cell={c}", "*.parquet")))
@@ -348,33 +320,7 @@ def ivf_topk_indexed(
             }
         )
     candidates = rd.read_parquet(probe_files, columns=["vec_id", "embedding"])
-    queries_ref = ray.put(
-        {"ids": np.asarray(query_ids, dtype=np.int64), "mat": qmat}
-    )
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
-
-    partials = candidates.map_batches(
-        BruteForceScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=default_actor_concurrency(reserve=2),
-        num_cpus=1,
-    )
-    import pandas as pd
-
-    pdf = partials.to_pandas()
-    pdf = pdf.sort_values(
-        ["query_id", "sim", "neighbor_id"], ascending=[True, False, True]
-    )
-    pdf = pdf.groupby("query_id", as_index=False).head(k)
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    return rd.from_arrow(
-        pa.Table.from_pandas(
-            pdf[["query_id", "neighbor_id", "rank"]].reset_index(drop=True),
-            preserve_index=False,
-        )
-    )
+    return _ranked_topk(candidates, np.asarray(query_ids, dtype=np.int64), qmat, k)
 
 
 def hyperplane_codes(mat: np.ndarray, n_planes: int, seed: int) -> np.ndarray:
@@ -430,9 +376,8 @@ def embedding_near_dup(
     """Embedding-cosine near-duplicate pairs.
 
     Multi-table hyperplane LSH: ``n_tables`` independent sign-pattern
-    bucketings; same-bucket rows become candidate star-edges (capped),
-    verified by exact cosine via a vectorized pairwise check after a
-    signature join on the packed vectors.
+    bucketings; same-bucket rows become candidate pairs (capped),
+    verified by exact cosine through the flagship's verify step.
 
     ``n_planes=None`` auto-sizes from the corpus (see _auto_planes).
     ``n_tables=None`` auto-sizes with it: 4 tables at the 12-plane

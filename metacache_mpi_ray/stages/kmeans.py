@@ -62,8 +62,8 @@ def _fit_sample(
     emb_col: str = "embedding",
 ) -> np.ndarray:
     """Deterministic hash-spread init sample (limit() alone would seed
-    from the leading blocks only — the same bias fix as the IVF
-    trainer). take_all (not to_pandas): fixed-size-list columns with
+    from the leading blocks only); the IVF coarse quantizer trains on
+    it too (``ann._coarse_quantizer``). take_all (not to_pandas): fixed-size-list columns with
     null rows fail Ray's pandas tensor-extension cast."""
 
     def hash_sample(t: pa.Table) -> pa.Table:

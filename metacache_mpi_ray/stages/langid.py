@@ -1,13 +1,13 @@
 """Character-trigram language identification — the round-3 upgrade of
 the 4-language stopword heuristic (VERDICT r2 item 10).
 
-Two layers, both vectorized and actor-pool friendly:
+Two layers, both vectorized:
 
 1. *Script detection*: languages written in a distinctive script
    (Cyrillic, Greek, Arabic, Hebrew, CJK, Hangul, Devanagari, Thai) are
    decided from UTF-8 lead-byte histograms — O(bytes), no model.
 2. *Trigram profiles* for Latin-script languages: per-language trigram
-   weight tables built once per actor from the embedded seed text
+   weight tables built once, on the driver, from the embedded seed text
    (hand-written common-usage sentences — no external data, the model
    ships with the code). A document's score for language L is the sum
    of L's profile weights over the document's trigram occurrences (the
@@ -169,10 +169,10 @@ def _lower_ascii(data: np.ndarray) -> np.ndarray:
 
 
 class TrigramLangId:
-    """Actor-pool stage: docs -> (doc_id, pred_lang, lang_score).
+    """Batch stage: docs -> (doc_id, pred_lang, lang_score).
 
-    Profiles build once per actor in ``__init__`` (the stateful-stage
-    pattern); scoring is one searchsorted gather + reduceat per language
+    Profiles build once in ``__init__`` on the driver and the instance
+    ships in the pickled callable (task pool); scoring is one searchsorted gather + reduceat per language
     over the batch's concatenated trigram stream."""
 
     def __init__(self, extra_seed_text: dict | None = None):

@@ -15,7 +15,7 @@ are sliced zero-copy out of the shared Arrow binary buffer (no
 ``.as_py()``) and all pixel/sample math is numpy.
 
 Batch-size note: binary payloads are large; callers should pass small
-``batch_size`` (e.g. 64) so batch x concurrency fits worker heaps.
+``batch_size`` (e.g. 64) so a batch fits a worker's heap.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def synth_media_table(n: int, seed: int = 7, opaque_every: int = 8) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# actor-pool stages
+# batch stages: built on the driver, shipped in the pickled callable
 # ---------------------------------------------------------------------------
 
 def _fake_dims_feature(row: np.ndarray):
@@ -202,7 +202,7 @@ def _fake_dims_feature(row: np.ndarray):
 
 
 class ImageDecoder:
-    """Actor-pool stage: payload -> (media_id, width, height, feature).
+    """Batch stage: payload -> (media_id, width, height, feature).
 
     BMP decodes for real (header dims + 8-bin pixel histogram); MJBM
     decodes its first frame; WAV maps to (n_samples, n_channels) with a
@@ -273,7 +273,7 @@ class ImageDecoder:
 
 
 class ImageResizer:
-    """Actor-pool stage: BMP payload -> re-encoded BMP resized to
+    """Batch stage: BMP payload -> re-encoded BMP resized to
     (target_w, target_h) via real block-mean/nearest resampling."""
 
     def __init__(self, target_w: int = 8, target_h: int = 8, on_unknown: str = "error"):
@@ -311,7 +311,7 @@ class ImageResizer:
 
 
 class FrameSampler:
-    """Actor-pool stage: MJBM video payload -> up to ``n_frames`` evenly
+    """Batch stage: MJBM video payload -> up to ``n_frames`` evenly
     spaced decoded frames (1 row -> k rows of real BMP bytes)."""
 
     def __init__(self, n_frames: int = 4, on_unknown: str = "error"):
@@ -345,18 +345,11 @@ class FrameSampler:
         )
 
 
-def media_feature_pipeline(
-    media_ds, *, concurrency: int = 2, batch_size: int = 64, on_unknown: str = "fake"
-):
-    """Decode (actor pool, small batches for large binary rows) ->
+def media_feature_pipeline(media_ds, *, batch_size: int = 64, on_unknown: str = "fake"):
+    """Decode (small batches for large binary rows) ->
     (media_id, width, height, feature). ``on_unknown='fake'`` keeps
     opaque-codec rows flowing with stand-in features; pass 'skip' to
     drop them or 'error' to fail loudly."""
     return media_ds.map_batches(
-        ImageDecoder,
-        fn_constructor_kwargs={"on_unknown": on_unknown},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+        ImageDecoder(on_unknown), batch_format="pyarrow", batch_size=batch_size
     )

@@ -87,7 +87,8 @@ def hamming_distance_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SimHasher:
-    """Actor-pool stage: docs -> (doc_id, simhash)."""
+    """Batch stage: docs -> (doc_id, simhash). Built on the driver; the
+    instance ships in the pickled callable (task pool)."""
 
     def __init__(self, cfg: DedupConfig | None = None):
         self.cfg = cfg or DedupConfig()
@@ -145,16 +146,11 @@ def simhash_dedup(
     num_partitions: int = 16,
 ):
     """docs -> candidate edges within simhash Hamming distance, verified
-    exactly (Hamming check on the full 64-bit signatures via join)."""
-    from metacache_mpi_ray.config import DedupConfig as _C
-
-    from metacache_mpi_ray.functions.resources import default_actor_concurrency
-
-    cfg = cfg or _C()
+    exactly (Hamming check on the full 64-bit signatures in the
+    flagship's verify step)."""
+    cfg = cfg or DedupConfig()
     sims = docs.map_batches(
-        SimHasher, fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=default_actor_concurrency(reserve=2), num_cpus=1,
+        SimHasher(cfg), batch_format="pyarrow", batch_size=4096
     ).materialize()
     blocks = sims.map_batches(simhash_block_rows(cfg), batch_format="pyarrow")
     # pair-LISTING semantics: all pairs per pigeonhole bucket (a star

@@ -1,7 +1,8 @@
 """Text-analysis operators over the documents table — the training-data
-pipeline extras (language-ID heuristic, quality scoring, token counting,
-document fingerprinting). All vectorized Arrow/pandas kernels inside
-map_batches; no per-row Python in hot paths.
+pipeline extras (quality scoring, token counting, document
+fingerprinting; language ID lives in ``stages/langid.py``). All
+vectorized Arrow/pandas kernels inside map_batches; no per-row Python in
+hot paths.
 
 Analog of the reference's per-record feature extraction utilities
 (header/id extractors /root/reference/src/sequence_io.cpp:576-748,
@@ -16,14 +17,6 @@ import pyarrow.compute as pc
 
 
 STOPWORD_RE = r"\b(the|and|of|a|to|in|is|it|that|for)\b"
-
-# tiny per-language character/stopword profiles for the n-gram heuristic
-_LANG_MARKERS: dict[str, list[str]] = {
-    "en": [" the ", " and ", " of ", " to ", " is "],
-    "de": [" der ", " und ", " die ", " das ", " ist "],
-    "es": [" el ", " la ", " los ", " que ", " es "],
-    "fr": [" le ", " la ", " les ", " est ", " une "],
-}
 
 
 def token_count_batch(batch: pa.Table) -> pa.Table:
@@ -79,36 +72,6 @@ def quality_score_batch(batch: pa.Table) -> pa.Table:
             "n_stopwords": n_stop,
         }
     )
-
-
-class LangIdScorer:
-    """Actor-pool stage: heuristic language ID via stopword-marker hits.
-
-    Marker tables are built once per actor (__init__), scored per batch
-    with vectorized count_substring — the stateful-stage pattern
-    (SURVEY.md §2.3)."""
-
-    def __init__(self):
-        self.langs = list(_LANG_MARKERS)
-        self.markers = _LANG_MARKERS
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        text = pc.binary_join_element_wise(
-            pa.array([" "] * len(batch)), batch["text"], pa.array([" "] * len(batch)), ""
-        )
-        scores = np.zeros((len(batch), len(self.langs)), dtype=np.int64)
-        for j, lang in enumerate(self.langs):
-            for m in self.markers[lang]:
-                scores[:, j] += pc.count_substring(text, m).to_numpy(zero_copy_only=False)
-        best = np.asarray(self.langs)[scores.argmax(axis=1)]
-        best = np.where(scores.max(axis=1) > 0, best, "unknown")
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "pred_lang": pa.array(best.tolist(), type=pa.string()),
-                "lang_score": pa.array(scores.max(axis=1), type=pa.int64()),
-            }
-        )
 
 
 def fingerprint_batch(batch: pa.Table) -> pa.Table:

@@ -130,7 +130,7 @@ def test_multimodal_real_codecs():
     assert len(dec) == 2 and dec[0][1].tobytes() == frames[0]
 
     media = rd.from_arrow(synth_media_table(64, seed=3))
-    feats = media_feature_pipeline(media, concurrency=2, batch_size=16).to_pandas()
+    feats = media_feature_pipeline(media, batch_size=16).to_pandas()
     assert len(feats) == 64  # 'fake' policy keeps opaque rows
     assert {"media_id", "width", "height", "feature"} <= set(feats.columns)
 
@@ -144,7 +144,7 @@ def test_multimodal_real_codecs():
 
     # determinism across runs
     feats2 = media_feature_pipeline(
-        rd.from_arrow(synth_media_table(64, seed=3)), concurrency=2, batch_size=16
+        rd.from_arrow(synth_media_table(64, seed=3)), batch_size=16
     ).to_pandas()
     a = feats.sort_values("media_id").reset_index(drop=True)
     b = feats2.sort_values("media_id").reset_index(drop=True)
@@ -200,7 +200,7 @@ def test_ivf_topk_recall_vs_brute_force():
         }
     )
     ds = rd.from_arrow(tab)
-    bf = brute_force_topk(ds, [0, 1, 2], k=5, concurrency=2).to_pandas()
+    bf = brute_force_topk(ds, [0, 1, 2], k=5).to_pandas()
     iv = ivf_topk(ds, [0, 1, 2], k=5, n_cells=4, nprobe=3).to_pandas()
     # nprobe=3 of 4 cells: expect most of the true top-5 recovered
     overlap = 0

@@ -116,7 +116,7 @@ def emb_ds():
 def test_brute_force_topk(emb_ds):
     from metacache_mpi_ray.stages.ann import brute_force_topk
 
-    out = brute_force_topk(emb_ds, query_ids=[0], k=3, concurrency=2).to_pandas()
+    out = brute_force_topk(emb_ds, query_ids=[0], k=3).to_pandas()
     assert len(out) == 3
     top2 = set(out[out["rank"] <= 2]["neighbor_id"])
     assert top2 == {1, 2}
@@ -150,26 +150,6 @@ def test_propagate_min_labels_matches_union_find():
 
 
 # ------------------------------------------------------------- text stats
-
-def test_lang_id_markers():
-    from metacache_mpi_ray.stages.textstats import LangIdScorer
-
-    scorer = LangIdScorer()
-    batch = pa.table(
-        {
-            "doc_id": pa.array([0, 1, 2], type=pa.int64()),
-            "text": pa.array(
-                [
-                    "the cat is on the mat and the dog is here",
-                    "der hund und die katze das ist gut",
-                    "zzz qqq xxx",
-                ]
-            ),
-        }
-    )
-    out = scorer(batch)
-    assert out["pred_lang"].to_pylist() == ["en", "de", "unknown"]
-
 
 def test_fingerprint_stable_and_distinct():
     from metacache_mpi_ray.stages.textstats import fingerprint_batch
@@ -487,7 +467,7 @@ def test_ivf_indexed_prunes_reads_and_keeps_recall(tmp_path):
     assert len(stats["probed_cells"]) <= 3 * 2
     # same answers as global brute force (clusters are well separated,
     # so every true neighbor lives in the query's own probed cell)
-    want = brute_force_topk(emb, query_ids=qids, k=3, concurrency=2).to_pandas()
+    want = brute_force_topk(emb, query_ids=qids, k=3).to_pandas()
     key = lambda df: set(zip(df["query_id"], df["neighbor_id"], df["rank"]))
     assert key(got) == key(want)
 
