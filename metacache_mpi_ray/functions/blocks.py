@@ -71,6 +71,18 @@ def _as_table(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
+def task_returns(pieces):
+    """A task's pieces as its return value: Ray stores the one value of
+    a ``num_returns=1`` task as it is, so one piece goes back alone."""
+    return pieces[0] if len(pieces) == 1 else tuple(pieces)
+
+
+def returned_refs(out, n: int) -> list:
+    """The refs of a task submitted with ``num_returns=n`` as a list
+    (Ray gives one ref, not a tuple, when ``n`` is 1)."""
+    return [out] if n == 1 else list(out)
+
+
 def _key_u64(col) -> np.ndarray:
     """u64 view of one key column: integer-like values as their int64
     bits, strings and binaries as a content hash."""
@@ -118,7 +130,7 @@ def _exchange_split(block, key_cols, num_partitions, combine):
         if combine is not None:
             t = combine(t)
         pieces = split_by_key(t, key_cols, num_partitions)
-    return pieces[0] if num_partitions == 1 else tuple(pieces)
+    return task_returns(pieces)
 
 
 def split_blocks(ds, key_cols: list[str], num_partitions: int, combine=None) -> list[list]:
@@ -129,7 +141,7 @@ def split_blocks(ds, key_cols: list[str], num_partitions: int, combine=None) -> 
     pieces = [[] for _ in range(num_partitions)]
     for ref, _ in doc_blocks(ds):
         out = split.remote(ref, key_cols, num_partitions, combine)
-        for p, r in enumerate([out] if num_partitions == 1 else out):
+        for p, r in enumerate(returned_refs(out, num_partitions)):
             pieces[p].append(r)
     return pieces
 

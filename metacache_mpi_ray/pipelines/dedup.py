@@ -22,16 +22,16 @@ pass. With P = ``num_partitions``, every split below is
 3-4. verify (``verify.pair_score``, the one verify step, which
    ``verify_edges`` and the other verify adapters also run): pair task q
    drops duplicate (a, b) pairs (exact: every copy of a pair shares its
-   ``a``), attaches sig[a] from signature shard q, splits by the shard
-   of ``b`` and returns signature shard q whole (the P blocks of
-   ``DedupResult.signatures``); score task r attaches sig[b] from
-   signature shard r and keeps the pairs ``verify.minhash_scores``
-   accepts;
-5. components: one spanning forest per score output, one union-find
-   merge, one assign task per signature shard (``cluster.cluster_rows``,
-   the lookup of ``assign_clusters``); past
-   ``CLUSTER_DRIVER_EDGE_LIMIT`` verified edges, distributed min-label
-   propagation (``assign_clusters_distributed``) instead.
+   ``a``), attaches sig[a] from the signature pieces of shard q and
+   splits by the shard of ``b``; score task r attaches sig[b] from the
+   signature pieces of shard r and keeps the pairs
+   ``verify.minhash_scores`` accepts. The sign pieces are the one copy
+   of each signature shard: no task concatenates or returns one;
+5. components (``cluster.components``, which ``assign_clusters`` also
+   runs): one spanning forest per score output, one union-find merge,
+   one assign task per shard over the ``doc_id`` column of its
+   signature pieces; past ``cluster.CLUSTER_DRIVER_EDGE_LIMIT``
+   verified edges, distributed min-label propagation instead.
 
 tests/test_dedup_pipeline.py checks the outputs byte for byte against
 an in-process numpy reference over the whole corpus and against the
@@ -58,7 +58,12 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import doc_blocks, split_by_key
+from metacache_mpi_ray.functions.blocks import (
+    doc_blocks,
+    returned_refs,
+    split_by_key,
+    task_returns,
+)
 from metacache_mpi_ray.stages.banding import sign_split
 from metacache_mpi_ray.stages.candidates import (
     bucket_histogram,
@@ -67,18 +72,8 @@ from metacache_mpi_ray.stages.candidates import (
     run_bounds,
     star_edges,
 )
-from metacache_mpi_ray.stages.cluster import (
-    _forest_task,
-    _uf_forest_task,
-    assign_clusters_distributed,
-    cluster_rows,
-)
-from metacache_mpi_ray.stages.signatures import signature_schema
+from metacache_mpi_ray.stages.cluster import components
 from metacache_mpi_ray.stages.verify import _ids, pair_score, sig_payload, sig_scores
-
-# verified-edge count past which components come from distributed
-# min-label propagation instead of the union-find task
-CLUSTER_DRIVER_EDGE_LIMIT = 50_000_000
 
 _PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _VERIFIED = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.float64())])
@@ -86,18 +81,8 @@ _VERIFIED = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_sim", pa.floa
 
 @dataclass
 class DedupResult:
-    signatures: "ray.data.Dataset"
     verified_edges: "ray.data.Dataset"
     clusters: "ray.data.Dataset"
-
-
-def _returns(pieces):
-    """A task's pieces as its return value (one ref when there is one)."""
-    return pieces[0] if len(pieces) == 1 else tuple(pieces)
-
-
-def _refs(out, n: int) -> list:
-    return [out] if n == 1 else list(out)
 
 
 @ray.remote
@@ -106,18 +91,13 @@ def _bucket_task(cap: int, shards: int, *pieces):
     distinct star pairs of its buckets, split by the shard of ``a``."""
     parts = [t for t in pieces if t.num_rows]
     if not parts:
-        return _returns([_PAIRS.empty_table()] * shards)
+        return task_returns([_PAIRS.empty_table()] * shards)
     t = pa.concat_tables(parts)
     keys = _ids(t, "bkey")
     order = np.argsort(keys, kind="stable")
     a, b = star_edges(_ids(t, "doc_id")[order], *run_bounds(keys[order]), cap)
     pairs = pa.table(distinct_pairs(a, b), schema=_PAIRS)
-    return _returns(split_by_key(pairs, ["a"], shards))
-
-
-@ray.remote
-def _assign_task(sigs: pa.Table, labels) -> pa.Table:
-    return cluster_rows(sigs["doc_id"], labels)
+    return task_returns(split_by_key(pairs, ["a"], shards))
 
 
 def _sign_pieces(blocks, cfg: DedupConfig, shards: int):
@@ -156,10 +136,10 @@ def bucket_census(docs, cfg: DedupConfig, num_partitions: int | None = None) -> 
 
 def _score_graph(band_pieces, sig_pieces, cfg: DedupConfig, shards: int):
     """Steps 2-4 of the graph over the pieces of every shard ->
-    (signature shard refs, verified refs, verified count refs)."""
+    (verified refs, verified count refs)."""
     bucket = _bucket_task.options(num_returns=shards)
     buckets = [
-        _refs(bucket.remote(cfg.bucket_cap, shards, *band_pieces[p]), shards)
+        returned_refs(bucket.remote(cfg.bucket_cap, shards, *band_pieces[p]), shards)
         for p in range(shards)
     ]
     return pair_score(
@@ -170,25 +150,7 @@ def _score_graph(band_pieces, sig_pieces, cfg: DedupConfig, shards: int):
         score=partial(sig_scores, threshold=cfg.verify_threshold),
         value_col="est_sim",
         value_type=pa.float64(),
-        schema=signature_schema(cfg.n_perms),
     )
-
-
-def _components(sig_refs: list, verified_refs: list, n_edges: int) -> list:
-    """Step 5 of the graph -> one (doc_id, cluster_id, is_dup) ref per
-    signature shard, on either branch."""
-    if n_edges <= CLUSTER_DRIVER_EDGE_LIMIT:
-        forests = [_forest_task.remote(r) for r in verified_refs]
-        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
-        return [_assign_task.remote(s, labels) for s in sig_refs]
-    # past this many edges even the union-find task outgrows one
-    # process: components come from rounds of the keyed exchange, whose
-    # partition p holds the doc_ids of signature shard p
-    return assign_clusters_distributed(
-        rd.from_arrow_refs(sig_refs),
-        rd.from_arrow_refs(verified_refs),
-        num_partitions=len(sig_refs),
-    ).to_arrow_refs()
 
 
 def _substring_edges(blocks: list, cfg: DedupConfig, num_partitions: int):
@@ -236,7 +198,7 @@ def near_dup_pipeline(
     if include_substring:  # listed first: the substring stage reads them again
         blocks = list(blocks)
     band_pieces, sig_pieces = _sign_pieces(blocks, cfg, shards)
-    sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
+    verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
     n_edges = 0
     if include_substring and blocks:
         sub = _substring_edges(blocks, cfg, shards)
@@ -244,9 +206,8 @@ def near_dup_pipeline(
         n_edges = sub.count()
     n_edges += sum(ray.get(counts))
     # submitted before the datasets below block on block metadata
-    cluster_refs = _components(sig_refs, verified_refs, n_edges)
+    cluster_refs = components(sig_pieces, verified_refs, n_edges)
     return DedupResult(
-        signatures=rd.from_arrow_refs(sig_refs),
         verified_edges=rd.from_arrow_refs(verified_refs),
         clusters=rd.from_arrow_refs(cluster_refs),
     )

@@ -87,11 +87,8 @@ from metacache_mpi_ray.pipelines.incremental import (
     shard_files,
 )
 from metacache_mpi_ray.stages.verify import lookup_sorted
-from metacache_mpi_ray.state.checkpoint import (
-    ConfigMismatch,
-    _checkpoint_install_files,
-    resume_pending_commit,
-)
+from metacache_mpi_ray.state import checkpoint
+from metacache_mpi_ray.state.checkpoint import ConfigMismatch
 from metacache_mpi_ray.state.unionfind import connected_components_arrays
 
 #: a shard (or the cluster log) holding more files than this after a
@@ -201,13 +198,6 @@ def _stage_log(root, staging, name, seq, fold_log, contract):
     return moves, list(fold_log or []), _new_stats()
 
 
-# journal roll-forward lives in state/checkpoint.py so every index
-# READER (query_against_index, ReplIndex, info) heals a torn commit
-# before consuming the artifacts, without a pipelines-level import cycle
-_install_files = _checkpoint_install_files
-resume_pending_extend = resume_pending_commit
-
-
 def extend_index(
     new_docs,
     ckpt_root: str,
@@ -249,7 +239,7 @@ def extend_index(
     kept = _take_batch()
     cfg = _check_config(ckpt_root, cfg)
     shards = index_shards(ckpt_root)
-    resume_pending_extend(ckpt_root)
+    checkpoint.resume_pending_commit(ckpt_root)
 
     extends_path = os.path.join(ckpt_root, "extends.json")
     prior = []
@@ -333,7 +323,9 @@ def extend_index(
     with open(journal_path + ".tmp", "w") as f:
         json.dump(journal, f, indent=1)
     os.replace(journal_path + ".tmp", journal_path)
-    _install_files(ckpt_root, journal_path)
+    # the roll-forward lives in state/checkpoint.py, so every index
+    # reader heals a torn commit the same way before reading
+    checkpoint._checkpoint_install_files(ckpt_root, journal_path)
     _mark("commit")
     stats = [s for _, _, s in staged]
     if not reused:  # a reused graph's reads are in its query's row

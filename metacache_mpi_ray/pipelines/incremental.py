@@ -103,7 +103,7 @@ import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.blocks import _as_table, doc_blocks, split_by_key
-from metacache_mpi_ray.pipelines.dedup import _components, _score_graph, _sign_pieces
+from metacache_mpi_ray.pipelines.dedup import _score_graph, _sign_pieces
 from metacache_mpi_ray.stages.candidates import (
     bucket_histogram,
     distinct_pairs,
@@ -112,6 +112,7 @@ from metacache_mpi_ray.stages.candidates import (
     run_bounds,
     segment_all_pairs,
 )
+from metacache_mpi_ray.stages.cluster import components
 from metacache_mpi_ray.stages.signatures import sig_from_arrow, signature_schema
 from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores
 from metacache_mpi_ray.state.checkpoint import (
@@ -223,10 +224,10 @@ def _build(docs, cfg: DedupConfig, root: str, shards: int) -> None:
         )
     sig_writes = write("signatures", sig_pieces, signature_schema(cfg.n_perms))
     band_writes = write("bands", band_pieces, _BANDS)
-    sig_refs, verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
+    verified_refs, counts = _score_graph(band_pieces, sig_pieces, cfg, shards)
     install("signatures", sig_writes)
     install("bands", band_writes)
-    cluster_refs = _components(sig_refs, verified_refs, sum(ray.get(counts)))
+    cluster_refs = components(sig_pieces, verified_refs, sum(ray.get(counts)))
     verified_writes = write("verified", [[r] for r in verified_refs], _EDGES)
     cluster_writes = write("clusters", [[r] for r in cluster_refs], _CLUSTERS)
     install("verified", verified_writes)
@@ -659,7 +660,8 @@ class ReplIndex:
             self.cfg.verify_threshold if verify_threshold is None else float(verify_threshold),
         )
         cand, est = cand[keep], est[keep]
-        order = np.argsort(-est)[:top_k]
+        # est_sim descending, then doc_id: ties rank as in brute_force_topk
+        order = np.lexsort((cand, -est))[:top_k]
         labels, _ = _cluster_labels(self.cl_ids, self.cl_lab, self.cl_dup, cand[order])
         matches = [
             {"doc_id": int(d), "est_sim": round(float(s), 4), "cluster_id": int(c)}

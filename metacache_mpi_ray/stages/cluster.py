@@ -1,11 +1,19 @@
 """Cluster assignment — verified edges -> (doc_id, cluster_id, is_dup).
 
-Two interchangeable implementations of connected components:
+One components step, ``components``, for every caller: the flagship
+graph and ``build_index`` (``pipelines/dedup.py``) run it over the
+signature pieces of each shard, and ``assign_clusters`` over the blocks
+of a docs dataset. It picks one of two interchangeable engines by the
+verified-edge count:
 
-* ``assign_clusters`` — driver-side union-find over the (small) verified
-  edge list, labels broadcast once via ``ray.put`` and applied to every
-  doc batch (the broadcast-small-side join pattern, SURVEY.md §2.4 J2).
-* ``propagate_min_labels`` — fully distributed iterative min-label
+* up to ``CLUSTER_DRIVER_EDGE_LIMIT`` edges, union-find in one task:
+  each edge block is first contracted to its spanning forest in
+  parallel (the serial merge's input shrinks by the block count x band
+  multiplicity), one task merges the forests, and its labels go by ref
+  to one assign task per shard (the broadcast-small-side join pattern,
+  SURVEY.md §2.4 J2);
+* past it, ``assign_clusters_distributed`` over
+  ``propagate_min_labels`` — fully distributed iterative min-label
   propagation over the edge list (for edge lists too large for one
   process): each round is ONE ``hash_exchange`` on the node id whose
   reduce applies the incoming label messages (a segmented min) and
@@ -23,9 +31,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+import ray.data as rd
 
-from metacache_mpi_ray.functions.blocks import hash_exchange
-from metacache_mpi_ray.stages.verify import lookup_sorted
+from metacache_mpi_ray.functions.blocks import _as_table, doc_blocks, hash_exchange
+from metacache_mpi_ray.stages.verify import _ids, lookup_sorted
+
+# verified-edge count past which ``components`` runs distributed
+# min-label propagation instead of the union-find task
+CLUSTER_DRIVER_EDGE_LIMIT = 50_000_000
+
+_CLUSTERS = pa.schema(
+    [("doc_id", pa.int64()), ("cluster_id", pa.int64()), ("is_dup", pa.bool_())]
+)
 
 
 @ray.remote(num_returns=2)
@@ -37,6 +54,7 @@ def _forest_task(tab):
     PARALLEL, before the single serial merge task)."""
     from metacache_mpi_ray.state.unionfind import connected_components_arrays
 
+    tab = _as_table(tab)
     if len(tab) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     nodes, labels = connected_components_arrays(
@@ -61,45 +79,60 @@ def _uf_forest_task(*parts):
     return connected_components_arrays(np.concatenate(a), np.concatenate(b))
 
 
-def cluster_rows(ids, labels) -> pa.Table:
-    """An id column and the components' (sorted nodes, labels) ->
-    (doc_id, cluster_id, is_dup): an id that is a node of a verified
-    edge is a dup labelled with its component's label, any other id is
-    its own singleton. The lookup of ``assign_clusters`` and of the
-    flagship's assign task."""
+@ray.remote
+def _assign_task(id_col: str, labels, *pieces) -> pa.Table:
+    """Assign task p: the id pieces of shard p, in order, and the
+    components' (sorted nodes, labels) -> (doc_id, cluster_id, is_dup):
+    an id that is a node of a verified edge is a dup labelled with its
+    component's label, any other id is its own singleton."""
+    parts = [_ids(t, id_col) for t in map(_as_table, pieces) if t.num_rows]
+    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     nodes_s, labs = labels
-    ids = ids.to_numpy(zero_copy_only=False).astype(np.int64)
     pos, dup = lookup_sorted(nodes_s, ids)
     out = np.where(dup, labs[pos], ids) if len(nodes_s) else ids
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "cluster_id": pa.array(out, type=pa.int64()),
-            "is_dup": pa.array(dup, type=pa.bool_()),
-        }
-    )
+    return pa.table([ids, out, dup], schema=_CLUSTERS)
+
+
+def components(id_pieces, edge_refs, n_edges: int, *, id_col: str = "doc_id") -> list:
+    """The components step over refs (module docstring):
+    ``id_pieces[p]`` holds the refs of the blocks whose ``id_col`` rows
+    make up shard p, ``edge_refs`` those of the (a, b, ...) edge blocks,
+    ``n_edges`` rows in all -> one (doc_id, cluster_id, is_dup) ref per
+    shard. Below the limit a shard's rows keep its pieces' order, and a
+    shard with no pieces gives a typed empty block."""
+    if n_edges <= CLUSTER_DRIVER_EDGE_LIMIT:
+        forests = [_forest_task.remote(r) for r in edge_refs]
+        labels = _uf_forest_task.remote(*[r for pair in forests for r in pair])
+        return [_assign_task.remote(id_col, labels, *ps) for ps in id_pieces]
+    # past this many edges even the union-find task outgrows one
+    # process: components come from rounds of the keyed exchange, whose
+    # partition p holds the ids of shard p when the shards are those of
+    # ``split_by_key``
+    return assign_clusters_distributed(
+        rd.from_arrow_refs([r for ps in id_pieces for r in ps]),
+        rd.from_arrow_refs(edge_refs),
+        id_col=id_col,
+        num_partitions=len(id_pieces),
+    ).to_arrow_refs()
 
 
 def assign_clusters(docs, edges, *, id_col: str = "doc_id"):
-    """docs + verified edges -> clusters dataset (doc_id, cluster_id, is_dup)."""
-    refs = edges.to_arrow_refs()
-    if refs:
-        # two-level components: parallel per-block contraction, then one
-        # serial merge over the forests — the serial slice of a low-CPU
-        # run shrinks by the block count x band multiplicity
-        forests = [_forest_task.remote(r) for r in refs]
-        labels_ref = _uf_forest_task.remote(
-            *[r for pair in forests for r in pair]
+    """docs + verified edges -> clusters dataset (doc_id, cluster_id,
+    is_dup): ``components`` with one shard per non-empty docs block, so
+    below the edge limit output block i holds the rows of docs block i.
+    An empty ``docs`` gives a typed empty dataset."""
+    edge_blocks = list(doc_blocks(edges))
+    id_pieces = [[ref] for ref, _ in doc_blocks(docs)]
+    if not id_pieces:
+        return rd.from_arrow(_CLUSTERS.empty_table())
+    return rd.from_arrow_refs(
+        components(
+            id_pieces,
+            [ref for ref, _ in edge_blocks],
+            sum(rows for _, rows in edge_blocks),
+            id_col=id_col,
         )
-    else:
-        labels_ref = ray.put(
-            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        )
-
-    def assign(batch: pa.Table) -> pa.Table:
-        return cluster_rows(batch[id_col], ray.get(labels_ref))
-
-    return docs.map_batches(assign, batch_format="pyarrow")
+    )
 
 
 def assign_clusters_distributed(
@@ -122,13 +155,7 @@ def assign_clusters_distributed(
             lt = lt.sort_by("doc_id")
             pos, dup = lookup_sorted(_np(lt, "doc_id"), node)
             lab = np.where(dup, _np(lt, "cluster_id")[pos], node)
-        return pa.table(
-            {
-                "doc_id": pa.array(node, type=pa.int64()),
-                "cluster_id": pa.array(lab, type=pa.int64()),
-                "is_dup": pa.array(dup, type=pa.bool_()),
-            }
-        )
+        return pa.table([node, lab, dup], schema=_CLUSTERS)
 
     return hash_exchange(
         [docs.map_batches(ids, batch_format="pyarrow"), labels],

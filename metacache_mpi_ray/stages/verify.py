@@ -27,9 +27,12 @@ half of ``hash_exchange``):
    agreeing band, and a payload per raw edge measured >50 GB of spill
    at 4M docs). It packs only the payload rows its ``a`` ids need,
    attaches them as ``pay_a`` and splits the pairs by the shard of
-   ``b``; it also returns payload shard q whole;
-2. score task r: packs the rows of payload shard r that its ``b`` ids
-   need and keeps the pairs ``score`` accepts.
+   ``b``;
+2. score task r: packs the rows of the payload pieces of shard r that
+   its ``b`` ids need and keeps the pairs ``score`` accepts. Neither
+   task concatenates or returns a payload shard: each payload row is
+   stored once, in its piece (the reference reads every candidate's
+   sketch from its rank's one shard, sketch_database.h:540).
 """
 
 from __future__ import annotations
@@ -43,7 +46,12 @@ import ray
 import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
-from metacache_mpi_ray.functions.blocks import _concat_pieces, split_blocks, split_by_key
+from metacache_mpi_ray.functions.blocks import (
+    returned_refs,
+    split_blocks,
+    split_by_key,
+    task_returns,
+)
 from metacache_mpi_ray.stages.candidates import distinct_pairs
 from metacache_mpi_ray.stages.signatures import sig_from_arrow
 
@@ -71,16 +79,23 @@ def _column(pieces, col: str) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _payload_of(table: pa.Table, id_col: str, pack, ids: np.ndarray):
+def _payload_of(pieces, id_col: str, pack, ids: np.ndarray):
     """(found mask, payload of each found id) for ``ids``: ``pack`` runs
-    on only the rows of ``table`` whose id is among them."""
+    on only the rows of each payload piece whose id is among them."""
     found = np.zeros(len(ids), dtype=bool)
-    if table.num_rows == 0 or len(ids) == 0:
+    if len(ids) == 0:
         return found, pa.nulls(0)
-    _, need = lookup_sorted(np.unique(ids), _ids(table, id_col))
-    if not need.any():
+    want = np.unique(ids)
+    packed = []
+    for t in pieces:
+        if t.num_rows:
+            _, need = lookup_sorted(want, _ids(t, id_col))
+            if need.any():
+                packed.append(pack(t.filter(pa.array(need))))
+    packed = [t for t in packed if t.num_rows]
+    if not packed:
         return found, pa.nulls(0)
-    packed = pack(table.filter(pa.array(need)))
+    packed = pa.concat_tables(packed)
     pid = _ids(packed, "doc_id")
     order = np.argsort(pid)
     pos, found = lookup_sorted(pid[order], ids)
@@ -88,16 +103,13 @@ def _payload_of(table: pa.Table, id_col: str, pack, ids: np.ndarray):
 
 
 @ray.remote
-def _pair_task(pack, id_col: str, schema, shards: int, n_edges: int, *pieces):
+def _pair_task(pack, id_col: str, shards: int, n_edges: int, *pieces):
     """Pair task q: edge pieces whose ``a`` is in shard q, then payload
     pieces of shard q -> the distinct pairs with ``pay_a`` attached,
-    split by the shard of ``b``, and payload shard q whole."""
-    table = _concat_pieces(pieces[n_edges:])
-    if table.num_columns == 0 and schema is not None:
-        table = schema.empty_table()
+    split by the shard of ``b``."""
     edges = pieces[:n_edges]
     a, b = distinct_pairs(_column(edges, "a"), _column(edges, "b"))
-    found, pay = _payload_of(table, id_col, pack, a)
+    found, pay = _payload_of(pieces[n_edges:], id_col, pack, a)
     rows = pa.table(
         {
             "a": pa.array(a[found], type=pa.int64()),
@@ -105,20 +117,20 @@ def _pair_task(pack, id_col: str, schema, shards: int, n_edges: int, *pieces):
             "pay_a": pay,
         }
     )
-    return (*split_by_key(rows, ["b"], shards), table)
+    return task_returns(split_by_key(rows, ["b"], shards))
 
 
 @ray.remote(num_returns=2)
 def _score_task(pack, score, id_col: str, schema: pa.Schema, n_pairs: int, *refs):
     """Score task r: pieces of (a, b, pay_a) whose ``b`` is in shard r,
-    then payload shard r -> (the kept (a, b, value) rows, their count)."""
-    table = refs[n_pairs]
+    then payload pieces of shard r -> (the kept (a, b, value) rows,
+    their count)."""
     parts = [t for t in refs[:n_pairs] if t.num_rows]
     if not parts:
         return schema.empty_table(), 0
     pairs = pa.concat_tables(parts)
     b = _ids(pairs, "b")
-    found, pay_b = _payload_of(table, id_col, pack, b)
+    found, pay_b = _payload_of(refs[n_pairs:], id_col, pack, b)
     if not found.any():
         return schema.empty_table(), 0
     pay_a = pairs["pay_a"] if found.all() else pairs["pay_a"].filter(pa.array(found))
@@ -138,16 +150,15 @@ def pair_score(
     score,
     value_col: str,
     value_type,
-    schema: pa.Schema | None = None,
 ):
     """The verify step over refs. ``edge_pieces[q]`` holds the refs of
     the edge pieces (a, b, ...) whose ``a`` is in shard q and
     ``payload_pieces[q]`` those of the payload-table rows whose
-    ``id_col`` is in shard q -> (payload shard refs, scored refs, scored
-    count refs), one of each per shard. A scored block holds one
-    (a, b, ``value_col``) row per distinct pair that ``score`` keeps;
-    a payload shard with no rows is ``schema``'s empty table (it has no
-    columns without one).
+    ``id_col`` is in shard q -> (scored refs, scored count refs), one of
+    each per shard. A scored block holds one (a, b, ``value_col``) row
+    per distinct pair that ``score`` keeps. Pair task q and score task q
+    both read the payload pieces of shard q, so no task holds a shard
+    whole.
 
     ``pack(table) -> Table(doc_id int64, payload)`` turns rows of the
     payload table into one payload value per id (any Arrow type; it may
@@ -156,20 +167,23 @@ def pair_score(
     one drop their edges."""
     shards = len(edge_pieces)
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)])
-    pair = _pair_task.options(num_returns=shards + 1)
+    pair = _pair_task.options(num_returns=shards)
     pairs = [
-        pair.remote(pack, id_col, schema, shards, len(edge_pieces[q]), *edge_pieces[q],
-                    *payload_pieces[q])
+        returned_refs(
+            pair.remote(pack, id_col, shards, len(edge_pieces[q]), *edge_pieces[q],
+                        *payload_pieces[q]),
+            shards,
+        )
         for q in range(shards)
     ]
-    tables = [pr[shards] for pr in pairs]
     scored = [
         _score_task.remote(
-            pack, score, id_col, out_schema, shards, *[pr[r] for pr in pairs], tables[r]
+            pack, score, id_col, out_schema, shards, *[pr[r] for pr in pairs],
+            *payload_pieces[r],
         )
         for r in range(shards)
     ]
-    return tables, [s[0] for s in scored], [s[1] for s in scored]
+    return [s[0] for s in scored], [s[1] for s in scored]
 
 
 def _verify_core(
@@ -187,7 +201,7 @@ def _verify_core(
     step (``pair_score``) over both datasets' blocks, one output block
     per shard."""
     shards = max(1, int(num_partitions))
-    _, scored, _ = pair_score(
+    scored, _ = pair_score(
         split_blocks(edges, ["a"], shards),
         split_blocks(table, [id_col], shards),
         id_col=id_col,

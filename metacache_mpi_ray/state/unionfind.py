@@ -4,12 +4,13 @@ candidates are merged into one final assignment per record; here the
 assignment is a connected-component (cluster) id, taken as the minimum
 doc_id of the component (deterministic representative).
 
-Driver-side DSU is the default: after similarity verification the edge
-list is proportional to the number of *duplicate pairs*, which is small
-relative to the corpus (and is streamed batch-by-batch, never
-materialized as Python rows). For edge lists too big for one process,
-``metacache_mpi_ray.stages.cluster`` provides the distributed
-min-label-propagation equivalent.
+``connected_components_arrays`` is the vectorized kernel that
+``stages/cluster.components`` runs in its forest and union-find tasks:
+after similarity verification the edge list is proportional to the
+number of *duplicate pairs*, which is small relative to the corpus.
+For edge lists too big for one process, the same step switches to the
+distributed min-label-propagation equivalent. ``UnionFind`` is the
+plain dict DSU the tests use as a naive oracle.
 """
 
 from __future__ import annotations
@@ -94,24 +95,3 @@ def connected_components_arrays(
     # nodes are sorted ascending, so the min dense index IS the min doc_id
     return nodes, nodes[parent]
 
-
-def labels_arrays_from_edges(edges_ds, cols=("a", "b")) -> tuple[np.ndarray, np.ndarray]:
-    """Stream an edges Dataset and compute (nodes_sorted, cluster_ids)
-    via the vectorized component kernel."""
-    ca, cb = cols
-    parts_a, parts_b = [], []
-    for batch in edges_ds.iter_batches(batch_size=262144, batch_format="pyarrow"):
-        parts_a.append(batch[ca].to_numpy(zero_copy_only=False))
-        parts_b.append(batch[cb].to_numpy(zero_copy_only=False))
-    if not parts_a:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return connected_components_arrays(
-        np.concatenate(parts_a), np.concatenate(parts_b)
-    )
-
-
-def labels_from_edges(edges_ds, cols=("a", "b")) -> dict[int, int]:
-    """doc_id -> cluster_id dict for every id in at least one edge
-    (dict view over labels_arrays_from_edges)."""
-    nodes, labels = labels_arrays_from_edges(edges_ds, cols)
-    return dict(zip(nodes.tolist(), labels.tolist()))

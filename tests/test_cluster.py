@@ -174,9 +174,9 @@ def test_flagship_distributed_cluster_method_parity(
     import os
 
     from metacache_mpi_ray.config import DedupConfig
-    from metacache_mpi_ray.pipelines import dedup
     from metacache_mpi_ray.pipelines.dedup import near_dup_pipeline
     from metacache_mpi_ray.pipelines.incremental import build_index
+    from metacache_mpi_ray.stages import cluster
     from metacache_mpi_ray.stages.ingest import ingest_pages
 
     docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages"))
@@ -189,14 +189,14 @@ def test_flagship_distributed_cluster_method_parity(
     )
     roots = [str(tmp_path / "uf"), str(tmp_path / "distributed")]
     build_index(docs, cfg, roots[0], num_partitions=4)
-    monkeypatch.setattr(dedup, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
+    monkeypatch.setattr(cluster, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
     calls = []
 
     def spy(*args, **kw):
         calls.append(kw)
         return assign_clusters_distributed(*args, **kw)
 
-    monkeypatch.setattr(dedup, "assign_clusters_distributed", spy)
+    monkeypatch.setattr(cluster, "assign_clusters_distributed", spy)
     dst = (
         near_dup_pipeline(docs, cfg, num_partitions=4)
         .clusters.to_pandas()
@@ -212,6 +212,43 @@ def test_flagship_distributed_cluster_method_parity(
     assert names[0] == names[1] and len(names[0]) == 4
     for a, b in zip(*files):
         assert open(a, "rb").read() == open(b, "rb").read(), a
+
+
+def test_assign_clusters_past_the_limit_runs_distributed(ray_session, monkeypatch):
+    """``assign_clusters`` runs the flagship's components step: past
+    ``CLUSTER_DRIVER_EDGE_LIMIT`` (forced by a limit of 0) its labels
+    come from distributed propagation and equal the union-find task's,
+    over pandas docs and edge blocks; an empty docs input gives a typed
+    empty dataset on either branch."""
+    from metacache_mpi_ray.stages import cluster
+
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 200, 150).astype(np.int64)
+    b = rng.integers(0, 200, 150).astype(np.int64)
+    docs = rd.from_pandas(
+        [pd.DataFrame({"doc_id": np.arange(i, 220, 3, dtype=np.int64)}) for i in range(3)]
+    )
+    edges = rd.from_pandas(
+        [pd.DataFrame({"a": a[i::2], "b": b[i::2]}) for i in range(2)]
+    )
+    empty = rd.from_pandas(pd.DataFrame({"doc_id": np.array([], dtype=np.int64)}))
+    want = assign_clusters(docs, edges).to_pandas().sort_values("doc_id")
+    assert assign_clusters(empty, edges).schema().names == ["doc_id", "cluster_id", "is_dup"]
+    monkeypatch.setattr(cluster, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        return assign_clusters_distributed(*args, **kw)
+
+    monkeypatch.setattr(cluster, "assign_clusters_distributed", spy)
+    got = assign_clusters(docs, edges).to_pandas().sort_values("doc_id")
+    assert len(calls) == 1
+    assert len(got) == 220
+    pd.testing.assert_frame_equal(
+        want.reset_index(drop=True), got.reset_index(drop=True), check_dtype=False
+    )
+    assert assign_clusters(empty, edges).count() == 0
 
 
 def test_assign_clusters_distributed_zero_edges(ray_session):

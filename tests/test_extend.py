@@ -21,10 +21,7 @@ import ray.data as rd
 
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.pipelines import incremental
-from metacache_mpi_ray.pipelines.extend import (
-    extend_index,
-    resume_pending_extend,
-)
+from metacache_mpi_ray.pipelines.extend import extend_index
 from metacache_mpi_ray.pipelines.incremental import (
     ReplIndex,
     build_index,
@@ -32,7 +29,8 @@ from metacache_mpi_ray.pipelines.incremental import (
     read_clusters,
 )
 from metacache_mpi_ray.stages.ingest import ingest_documents
-from metacache_mpi_ray.state.checkpoint import ConfigMismatch
+from metacache_mpi_ray.state import checkpoint
+from metacache_mpi_ray.state.checkpoint import ConfigMismatch, resume_pending_commit
 
 CFG = DedupConfig()
 
@@ -234,12 +232,10 @@ def test_extend_config_guard_and_batch_id_guard(built_a):
 def test_interrupted_commit_rolls_forward(built_a, monkeypatch):
     """A crash between journal write and installation must be healed by
     the next call, producing the same final state."""
-    import metacache_mpi_ray.pipelines.extend as ext_mod
-
     root, a_ids, a_src = built_a
     b_ids, b_src = _b_batch()
 
-    real_install = ext_mod._install_files
+    real_install = checkpoint._checkpoint_install_files
     calls = {"n": 0}
 
     def crash_once(r, j):
@@ -248,13 +244,13 @@ def test_interrupted_commit_rolls_forward(built_a, monkeypatch):
             raise RuntimeError("simulated crash before install")
         return real_install(r, j)
 
-    monkeypatch.setattr(ext_mod, "_install_files", crash_once)
+    monkeypatch.setattr(checkpoint, "_checkpoint_install_files", crash_once)
     with pytest.raises(RuntimeError, match="simulated crash"):
         extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=4)
     # journal exists, nothing installed into signatures/ yet
     assert os.path.exists(os.path.join(root, "extend.commit.json"))
-    monkeypatch.setattr(ext_mod, "_install_files", real_install)
-    assert resume_pending_extend(root)
+    monkeypatch.setattr(checkpoint, "_checkpoint_install_files", real_install)
+    assert resume_pending_commit(root)
     assert not os.path.exists(os.path.join(root, "extend.commit.json"))
     # rolled-forward state == a clean extend's state
     got = _canon(read_clusters(root).to_pandas())
@@ -522,7 +518,7 @@ def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch)
     root = str(tmp_path / "idx")
     a_ids = np.arange(100, 120, dtype=np.int64)
     build_index(_token_docs(a_ids), CFG, root, num_partitions=2)
-    real_install = ext_mod._install_files
+    real_install = checkpoint._checkpoint_install_files
     crashed = []
 
     def crash_midway(r, journal_path):
@@ -538,7 +534,7 @@ def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch)
             os.remove(path)
         raise RuntimeError("simulated crash inside a compacting install")
 
-    monkeypatch.setattr(ext_mod, "_install_files", crash_midway)
+    monkeypatch.setattr(checkpoint, "_checkpoint_install_files", crash_midway)
     u_ids, u_src = list(a_ids), list(a_ids)
     max_files, log_hist = 0, []
 
@@ -561,7 +557,7 @@ def test_extend_compaction_bounds_files_and_rolls_forward(tmp_path, monkeypatch)
             extend_index(_token_docs(b_ids, b_src), root, CFG, num_partitions=2)
         except RuntimeError as e:
             assert "simulated crash" in str(e)
-            assert resume_pending_extend(root)
+            assert resume_pending_commit(root)
             u_ids += list(b_ids)
             u_src += list(b_src)
             assert_equals_rebuild("crash")

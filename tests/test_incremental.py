@@ -350,9 +350,10 @@ def _shard_tables(root: str, stage: str) -> list:
 def test_build_index_files_match_the_stage_chain(tmp_path, corpus_dir):
     """At P = 1, 4 and 8 every index shard holds only rows of its shard,
     sorted by its key, and each stage's rows are the Dataset stage
-    chain's (the flagship oracle of tests/test_dedup_pipeline.py), with
-    the band keys of its signatures."""
-    from test_dedup_pipeline import _sorted_table, _stage_chain
+    chain's and the in-process numpy reference's (the flagship oracles
+    of tests/test_dedup_pipeline.py), with the band keys of their
+    signatures."""
+    from test_dedup_pipeline import _numpy_reference, _sorted_table, _stage_chain
 
     from metacache_mpi_ray.functions.blocks import split_by_key
     from metacache_mpi_ray.stages.banding import band_key_rows
@@ -369,6 +370,15 @@ def test_build_index_files_match_the_stage_chain(tmp_path, corpus_dir):
     }
     want = {stage: _sorted_table(ds, keys) for stage, (ds, keys, _) in chain.items()}
     assert want["verified"].num_rows > 0
+    ref_sigs, ref_verified, ref_clusters = _numpy_reference(docs, cfg)
+    ref = {
+        "signatures": ref_sigs,
+        "bands": band_key_rows(ref_sigs, cfg)
+        .sort_by([("bkey", "ascending"), ("doc_id", "ascending")])
+        .combine_chunks(),
+        "verified": ref_verified,
+        "clusters": ref_clusters,
+    }
     for p_count in (1, 4, 8):
         root = str(tmp_path / f"idx{p_count}")
         build_index(docs, cfg, root, num_partitions=p_count)
@@ -380,7 +390,9 @@ def test_build_index_files_match_the_stage_chain(tmp_path, corpus_dir):
                 assert t.equals(t.sort_by(first)), (stage, p)
                 assert split_by_key(t, [shard_key], p_count)[p].num_rows == t.num_rows
             got = pa.concat_tables(tabs).sort_by([(k, "ascending") for k in keys])
-            assert got.combine_chunks().equals(want[stage]), (stage, p_count)
+            got = got.combine_chunks()
+            assert got.equals(want[stage]), (stage, p_count, "chain")
+            assert got.equals(ref[stage]), (stage, p_count, "reference")
 
 
 def test_incremental_agrees_with_full_recompute(tmp_path, corpus_dir):
@@ -695,6 +707,31 @@ def test_repl_index_honors_bucket_cap(tmp_path):
     # must agree the probe matches nothing
     assert not batch["matched"].iloc[0]
     assert repl["matched"] is False or repl["matched"] == False  # noqa: E712
+
+
+def test_repl_index_breaks_top_k_ties_by_doc_id(tmp_path):
+    """Matches tied on est_sim rank by doc_id, ascending (the rule of
+    ``ann.brute_force_topk``): 100 exact copies of one page give the 5
+    smallest ids, not whichever 5 an unstable sort leaves in front."""
+    from metacache_mpi_ray.pipelines.incremental import ReplIndex, build_index
+
+    body = "one page stored a hundred times over in the index " * 10
+    ids = np.arange(1, 101, dtype=np.int64) * 7
+    corpus = ingest_documents(
+        rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(ids, type=pa.int64()),
+                    "text": pa.array([body] * len(ids), type=pa.string()),
+                }
+            )
+        )
+    )
+    root = str(tmp_path / "tieidx")
+    build_index(corpus, DedupConfig(), root, num_partitions=4)
+    got = ReplIndex(root).query(body, top_k=5)["matches"]
+    assert [m["est_sim"] for m in got] == [1.0] * 5
+    assert [m["doc_id"] for m in got] == [7, 14, 21, 28, 35]
 
 
 @pytest.mark.parametrize("n_stored, matched", [(2, True), (3, False)])

@@ -137,14 +137,15 @@ def test_embedding_near_dup(emb_ds):
 
 def test_propagate_min_labels_matches_union_find():
     from metacache_mpi_ray.stages.cluster import propagate_min_labels
-    from metacache_mpi_ray.state.unionfind import labels_from_edges
+    from metacache_mpi_ray.state.unionfind import connected_components_arrays
 
     edges = pd.DataFrame(
         {"a": [1, 2, 10, 11, 20, 3], "b": [2, 3, 11, 12, 21, 4]}
     )
     ds = rd.from_pandas(edges)
     dist = propagate_min_labels(ds, num_partitions=4).to_pandas()
-    uf = labels_from_edges(rd.from_pandas(edges))
+    nodes, labels = connected_components_arrays(edges["a"].to_numpy(), edges["b"].to_numpy())
+    uf = dict(zip(nodes.tolist(), labels.tolist()))
     dist_map = dict(zip(dist["doc_id"], dist["cluster_id"]))
     assert dist_map == uf
 

@@ -116,12 +116,12 @@ def test_exact_jaccard_verification(corpus_dir):
 
 
 def test_distributed_cluster_method_matches_driver(corpus_dir, monkeypatch):
-    from metacache_mpi_ray.pipelines import dedup
+    from metacache_mpi_ray.stages import cluster
 
     docs = ingest_pages(rd.read_parquet(f"{corpus_dir}/pages")).materialize()
     d = near_dup_pipeline(docs, CFG, num_partitions=4).clusters.to_pandas()
     # a limit of 0 verified edges sends every run to distributed components
-    monkeypatch.setattr(dedup, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
+    monkeypatch.setattr(cluster, "CLUSTER_DRIVER_EDGE_LIMIT", 0)
     x = near_dup_pipeline(docs, CFG, num_partitions=4).clusters.to_pandas()
     m = d.sort_values("doc_id").reset_index(drop=True)
     k = x.sort_values("doc_id").reset_index(drop=True)
