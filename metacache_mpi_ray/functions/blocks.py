@@ -111,9 +111,10 @@ def split_by_key(t: pa.Table, key_cols: list[str], num_partitions: int) -> list[
     for c in key_cols:
         v = _key_u64(t[c])
         h = splitmix64(v) if h is None else mix2(h, v)
-    part = (h % U64(num_partitions)).astype(np.int64)
+    # the narrowest dtype: numpy's stable sort radix-sorts 8/16-bit keys
+    part = (h % U64(num_partitions)).astype(np.min_scalar_type(num_partitions - 1))
     order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=num_partitions))])
     t = t.take(pa.array(order))
     return [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
 

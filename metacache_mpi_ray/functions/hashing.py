@@ -46,22 +46,6 @@ def mix2(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     return murmur3_fmix64(np.asarray(a, dtype=U64) ^ splitmix64(b))
 
 
-def hash_str_column(strings, seed: int = 0) -> np.ndarray:
-    """Vectorized u64 hash of a column of strings / bytes.
-
-    Used for stable ids (doc_id = hash(url)) and content hashes
-    (text_hash). Delegates to pandas' vectorized stable string hash
-    (siphash, fixed key) then re-mixes with the seed — deterministic
-    across runs and processes.
-    """
-    import pandas as pd
-    from pandas.util import hash_pandas_object
-
-    s = pd.Series(list(strings), dtype="object")
-    base = hash_pandas_object(s, index=False, categorize=False).to_numpy(dtype=U64)
-    return murmur3_fmix64(base ^ splitmix64(U64(seed & 0xFFFFFFFFFFFFFFFF)))
-
-
 # ---------------------------------------------------------------------------
 # Rolling char-shingle hashing — the analog of the reference's 2-bit k-mer
 # encoder + integer hash (/root/reference/src/dna_encoding.h:303-348 +
@@ -184,27 +168,34 @@ def arrow_string_buffer(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data, offs[:-1].astype(np.int64), offs[1:].astype(np.int64)
 
 
+def _span_terms(span: np.ndarray, seed: int, out: np.ndarray) -> int:
+    """``out[i] = (span[i]+1) * B^i`` for the polynomial hash with the
+    base of ``seed``; returns B^-1."""
+    b, binv = _shingle_base(seed)
+    with np.errstate(over="ignore"):
+        np.add(span, U64(1), out=out, dtype=U64)
+        np.multiply(out, _pow_seq(b, len(span)), out=out)
+    return binv
+
+
 def _span_prefix(span: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
     """(S, B^-1) for position-normalized polynomial hashing over ``span``:
     S[0] = 0, S[i+1] = S[i] + (span[i]+1) * B^i, built in one array."""
-    b, binv = _shingle_base(seed)
     prefix = np.empty(len(span) + 1, dtype=U64)
     prefix[0] = 0
-    terms = prefix[1:]
-    with np.errstate(over="ignore"):
-        np.add(span, U64(1), out=terms, dtype=U64)
-        np.multiply(terms, _pow_seq(b, len(span)), out=terms)
-        np.cumsum(terms, out=terms)
+    binv = _span_terms(span, seed, prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
     return prefix, binv
 
 
-def _whole_hashes(prefix: np.ndarray, binv: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Whole-text hash of the rows ``[s, e)`` of a ``_span_prefix`` span:
-    the full-string polynomial, the length folded in (so "a" vs
-    "a\0"-style prefixes differ), fmix64."""
+def _whole_hashes(sums: np.ndarray, binv: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whole-text hash of the rows ``[s, e)`` of a span, from each row's
+    sum of ``(b+1) * B^j`` over its span positions j: the full-string
+    polynomial (scaled back by ``B^-s``), the length
+    folded in (so "a" vs "a\0"-style prefixes differ), fmix64."""
     inv = _pow_seq(binv, int(s.max()) + 1 if len(s) else 1)
     with np.errstate(over="ignore"):
-        vals = (prefix[e] - prefix[s]) * inv[s]
+        vals = sums * inv[s]
         vals ^= splitmix64((e - s).astype(U64))
     return murmur3_fmix64(vals)
 
@@ -223,13 +214,92 @@ def doc_hashes_from_buffer(
     data: np.ndarray, starts: np.ndarray, ends: np.ndarray, seed: int = 0
 ) -> np.ndarray:
     """One u64 content hash per row (full-string polynomial + fmix),
-    from one prefix over the rows' byte span ``[min(starts), max(ends))``
-    only: a sliced Arrow array never hashes its parent's other bytes."""
+    over the rows' byte span ``[min(starts), max(ends))`` only: a sliced
+    Arrow array never hashes its parent's other bytes. Contiguous rows
+    (``starts[1:] == ends[:-1]``, as Arrow offsets are) sum their terms
+    with one ``np.add.reduceat``; other rows difference one prefix."""
     if len(starts) == 0:
         return np.empty(0, dtype=U64)
-    lo = int(starts.min())
-    prefix, binv = _span_prefix(data[lo : int(ends.max())], seed)
-    return _whole_hashes(prefix, binv, starts - lo, ends - lo)
+    if not np.array_equal(starts[1:], ends[:-1]):
+        lo = int(starts.min())
+        prefix, binv = _span_prefix(data[lo : int(ends.max())], seed)
+        s, e = starts - lo, ends - lo
+        with np.errstate(over="ignore"):
+            return _whole_hashes(prefix[e] - prefix[s], binv, s, e)
+    lo = int(starts[0])
+    s, e = starts - lo, ends - lo
+    # one zero term past the span: an empty last row's start is in range
+    terms = np.empty(int(e[-1]) + 1, dtype=U64)
+    terms[-1] = 0
+    binv = _span_terms(data[lo : int(ends[-1])], seed, terms[:-1])
+    sums = np.add.reduceat(terms, s)
+    sums[s == e] = 0  # reduceat gives an empty row terms[s]
+    return _whole_hashes(sums, binv, s, e)
+
+
+def window_hashes(
+    data: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    k: int,
+    seed: int = 0,
+    *,
+    finalize: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every k-byte window of the contiguous rows ``[starts, ends)``
+    (``starts[1:] == ends[:-1]``, as Arrow offsets are), hashed once
+    over their span ``[starts[0], ends[-1])`` (``_window_sums``).
+
+    Returns ``(vals, segments, short, whole)``: ``vals[i]`` hashes the
+    window starting at span byte ``i``; the windows run in ``2 * nrows``
+    segments of ``segments`` lengths, each row's own windows and then
+    those that cross its end (``np.repeat`` over them labels every
+    window; the last segments run past ``len(vals)``); ``short`` lists
+    the rows shorter than ``k`` (no window of their own) and ``whole``
+    their whole-text hashes (``doc_hashes_from_buffer``)."""
+    if not np.array_equal(starts[1:], ends[:-1]):
+        raise ValueError("shingle hashing needs contiguous rows")
+    vals = _window_sums(data[int(starts[0]) : int(ends[-1])], k, seed)
+    if finalize:
+        _fmix64_inplace(vals)
+    lens = ends - starts
+    segments = np.empty(2 * len(lens), dtype=np.int64)
+    segments[0::2] = np.maximum(lens - k + 1, 0)
+    segments[1::2] = lens - segments[0::2]
+    short = np.flatnonzero(lens < k)
+    return vals, segments, short, doc_hashes_from_buffer(data, starts[short], ends[short], seed)
+
+
+def _window_sums(span: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """``sum_{j<k} (span[i+j]+1) * B^j`` for every window start ``i``:
+    the prefix form's ``(S[i+k] - S[i]) * B^-i``, mod 2**64, built by
+    doubling instead (``W_2h[i] = W_h[i] + W_h[i+h] * B^h``, the set
+    bits of k joined the same way) — a few vectorized passes instead of
+    a sequential cumsum."""
+    n = len(span)
+    if n < k:
+        return np.empty(0, dtype=U64)
+    b, _ = _shingle_base(seed)
+    w = np.add(span, U64(1), dtype=U64)  # W_h on [0, n - h]
+    tmp = np.empty(n, dtype=U64)
+    acc, m, h = None, 0, 1  # acc = W_m on [0, n - m]
+    with np.errstate(over="ignore"):
+        while True:
+            if k & h:
+                if acc is None:
+                    acc = w[: n - h + 1] if h == k else w[: n - h + 1].copy()
+                else:
+                    size = n - m - h + 1
+                    np.multiply(w[m : m + size], U64(pow(b, m, 1 << 64)), out=tmp[:size])
+                    acc = acc[:size]
+                    acc += tmp[:size]
+                m += h
+            if 2 * h > k:
+                return acc
+            size = n - 2 * h + 1
+            np.multiply(w[h : h + size], U64(pow(b, h, 1 << 64)), out=tmp[:size])
+            w[:size] += tmp[:size]
+            h *= 2
 
 
 def shingle_hashes_from_buffer(
@@ -245,33 +315,16 @@ def shingle_hashes_from_buffer(
 
     Same output contract as concat_shingle_hashes: (hashes, offsets)
     with >=1 shingle per row (whole-string hash fallback for short
-    rows). The rows must be contiguous (``starts[1:] == ends[:-1]``, as
-    Arrow offsets are): every k-byte window of their span
-    ``[starts[0], ends[-1])`` is hashed once, in place, then the
-    windows that cross a row end are dropped; short rows' whole-text
-    hashes come from the same prefix.
+    rows). The rows must be contiguous (``window_hashes``); the windows
+    that cross a row end are dropped.
     """
-    nrows = len(starts)
-    if nrows == 0:
+    if len(starts) == 0:
         return np.empty(0, dtype=U64), np.zeros(1, dtype=np.int64)
-    if not np.array_equal(starts[1:], ends[:-1]):
-        raise ValueError("shingle_hashes_from_buffer needs contiguous rows")
-    lo = int(starts[0])
-    prefix, binv = _span_prefix(data[lo : int(ends[-1])], seed)
-    s, e = starts - lo, ends - lo
-    nw = max(len(prefix) - k, 0)  # windows in the span
-    with np.errstate(over="ignore"):
-        vals = prefix[k:] - prefix[:nw]
-        np.multiply(vals, _pow_seq(binv, nw), out=vals)
-    if finalize:
-        _fmix64_inplace(vals)
-    # window starts in [max(s, e-k+1), e) cross row r's end
-    keep = np.ones(nw, dtype=bool)
-    cross = e[:, None] - k + 1 + np.arange(k - 1)
-    keep[cross[(cross >= s[:, None]) & (cross < nw)]] = False
-
-    n_shingles = np.maximum(e - s - k + 1, 0)
-    short = np.flatnonzero(n_shingles == 0)
+    vals, segments, short, whole = window_hashes(
+        data, starts, ends, k, seed, finalize=finalize
+    )
+    keep = np.repeat(np.arange(len(segments)) % 2 == 0, segments)[: len(vals)]
+    n_shingles = segments[0::2]
     if len(short) == 0:
         return vals[keep], np.concatenate([[0], np.cumsum(n_shingles)])
     offsets = np.concatenate([[0], np.cumsum(np.maximum(n_shingles, 1))])
@@ -279,7 +332,7 @@ def shingle_hashes_from_buffer(
     fill = np.ones(len(out), dtype=bool)
     fill[offsets[short]] = False
     out[fill] = vals[keep]
-    out[offsets[short]] = _whole_hashes(prefix, binv, s[short], e[short])
+    out[offsets[short]] = whole
     return out, offsets
 
 

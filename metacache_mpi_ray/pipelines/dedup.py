@@ -13,9 +13,11 @@ pass. With P = ``num_partitions``, every split below is
 1. sign (``_sign_pieces``, which ``build_index``, the daily batch and
    ``bucket_census`` also run), one ``banding.sign_split`` task per
    non-empty docs block, submitted as the block arrives: MinHash in
-   slices of about ``signatures.SIGN_SLICE_BYTES`` of text, band keys
-   folded to ``bkey``; band rows split by the shard of ``bkey``,
-   signature rows by the shard of ``doc_id``;
+   slices of about ``signatures.SIGN_SLICE_BYTES`` of text, each one
+   pass from window hashes to OPH bins (``signatures.oph_sign_rows``),
+   then ``banding.split_signed``: band keys folded to ``bkey``, band
+   rows split by the shard of ``bkey``, signature rows by the shard of
+   ``doc_id``;
 2. bucket task p: every bucket of band shard p is whole, so the star
    kernel ``candidates.star_edges`` (capped at ``cfg.bucket_cap``)
    runs as in ``bucket_edges``; distinct pairs split by the shard of ``a``;

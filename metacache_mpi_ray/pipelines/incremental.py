@@ -113,7 +113,13 @@ from metacache_mpi_ray.stages.candidates import (
     segment_all_pairs,
 )
 from metacache_mpi_ray.stages.cluster import components
-from metacache_mpi_ray.stages.signatures import sig_from_arrow, signature_schema
+from metacache_mpi_ray.stages.signatures import (
+    minhash_perm_constants,
+    sig_from_arrow,
+    sig_to_arrow,
+    sign_rows,
+    signature_schema,
+)
 from metacache_mpi_ray.stages.verify import lookup_sorted, minhash_scores
 from metacache_mpi_ray.state.checkpoint import (
     ConfigMismatch,
@@ -595,8 +601,6 @@ class ReplIndex:
     DEFAULT_MAX_BYTES = 8 << 30
 
     def __init__(self, ckpt_root: str, max_bytes: int | None = None):
-        from metacache_mpi_ray.stages.signatures import MinHashSigner
-
         shards = index_shards(ckpt_root)
         resume_pending_commit(ckpt_root)
         if max_bytes is None:
@@ -618,7 +622,7 @@ class ReplIndex:
                 f"METACACHE_REPL_MAX_BYTES."
             )
         self.cfg = load_index_config(ckpt_root)
-        self._signer = MinHashSigner(self.cfg)
+        self._perms = minhash_perm_constants(self.cfg.n_perms, self.cfg.seed)
         self.band_keys, self.band_docs = _sorted_run(files["bands"], _decode_bands)
         self.sig_ids, self.sig_mat = _sorted_run(files["signatures"], _decode_signatures)
         cl = pa.concat_tables(ray.get(read_clusters(ckpt_root).to_arrow_refs())).sort_by("doc_id")
@@ -638,15 +642,16 @@ class ReplIndex:
         (the reference's interactive shell re-parses query options per
         input line, mode_query.cpp:269-315; the REPL CLI's ``:set``
         maps onto these)."""
+        from metacache_mpi_ray.functions.hashing import arrow_string_buffer
+        from metacache_mpi_ray.functions.text import normalize_text_arrow
         from metacache_mpi_ray.stages.banding import band_key_rows
-        from metacache_mpi_ray.stages.ingest import _ingest_documents_batch
 
-        # signed and banded exactly as a batch doc is
-        doc = _ingest_documents_batch(
-            pa.table({"doc_id": pa.array([0], pa.int64()), "text": pa.array([text], pa.string())})
+        # normalized, signed and banded exactly as a batch doc is
+        norm = normalize_text_arrow(pa.array([text], pa.string()))
+        sig = sign_rows(*arrow_string_buffer(norm), self.cfg, *self._perms)
+        bands = band_key_rows(
+            pa.table({"doc_id": pa.array([0], pa.int64()), "sig": sig_to_arrow(sig)}), self.cfg
         )
-        sig_tab = self._signer(doc)
-        bands = band_key_rows(sig_tab, self.cfg)
         nk = bands["bkey"].to_numpy()
         _, cand, *_ = _probe_pairs(
             *_bucket_rows(self.band_keys, self.band_docs, np.unique(nk)),
@@ -656,7 +661,7 @@ class ReplIndex:
         cand, mat = _signature_rows(self.sig_ids, self.sig_mat, cand)
         est, keep = minhash_scores(
             mat,
-            sig_from_arrow(sig_tab["sig"]),
+            sig,
             self.cfg.verify_threshold if verify_threshold is None else float(verify_threshold),
         )
         cand, est = cand[keep], est[keep]

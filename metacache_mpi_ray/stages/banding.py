@@ -85,12 +85,18 @@ def band_key_rows(sigs: pa.Table, cfg: DedupConfig) -> pa.Table:
     return pa.table({"bkey": bk, "doc_id": doc_id.astype(np.int64, copy=False)})
 
 
+def split_signed(sig: pa.Table, cfg: DedupConfig, shards: int) -> list[pa.Table]:
+    """One block's signature rows -> its band rows split by the shard of
+    ``bkey``, then its signature rows split by the shard of ``doc_id``
+    (``shards`` pieces each)."""
+    bands = split_by_key(band_key_rows(sig, cfg), ["bkey"], shards)
+    return [*bands, *split_by_key(sig, ["doc_id"], shards)]
+
+
 @ray.remote
 def sign_split(block, cfg: DedupConfig, shards: int):
     """The sign task of ``pipelines/dedup._sign_pieces``: one docs block
-    -> its band rows split by the shard of ``bkey``, then its signature
-    rows split by the shard of ``doc_id`` (``shards`` pieces each). One
-    ``MinHashSigner`` call signs the block (it slices by bytes)."""
+    -> ``split_signed``'s 2 * ``shards`` pieces. One ``MinHashSigner``
+    call signs the block (it slices by bytes)."""
     sig = MinHashSigner(cfg)(_as_table(block)).combine_chunks()
-    bands = split_by_key(band_key_rows(sig, cfg), ["bkey"], shards)
-    return (*bands, *split_by_key(sig, ["doc_id"], shards))
+    return tuple(split_signed(sig, cfg, shards))

@@ -6,13 +6,17 @@ mode_build.cpp:65-68). Here: per-document MinHash over char-16-gram
 shingle hashes of norm-v1 text, one vectorized pass per slice of about
 ``SIGN_SLICE_BYTES`` of text (``MinHashSigner``):
 
-  1. ``functions/hashing.shingle_hashes_from_buffer`` hashes every
-     16-byte window of the slice's contiguous byte span once, then
-     drops the windows that cross a row end;
-  2. OPH (``oph_minhash_from_shingles``, the default scheme) scatters
-     each shingle into the bin of its top bits and densifies the rows
-     with an empty bin; ``"kperm"`` runs one ``np.minimum.reduceat``
-     pass per affine permutation (``minhash_from_shingles``).
+  1. ``functions/hashing.window_hashes`` hashes every 16-byte window
+     of the slice's contiguous byte span once;
+  2. OPH (``oph_sign_rows``, the default scheme) scatters every window
+     straight into the bin of its top bits in its row, the windows that
+     cross a row end into a spare row, puts a row shorter than 16 bytes
+     by its whole-text hash, and densifies the rows with an empty bin.
+     ``oph_minhash_from_shingles`` gives the same signatures from a
+     per-row shingle stream (``shingle_hashes_from_buffer``, which drops
+     the crossing windows); ``"kperm"`` runs one ``np.minimum.reduceat``
+     pass per affine permutation over that stream
+     (``minhash_from_shingles``).
 
 Duplicate shingles need no dedup for plain min-hash (min over a
 multiset equals min over its set), unlike the reference's bottom-s
@@ -33,6 +37,7 @@ from metacache_mpi_ray.functions.hashing import (
     arrow_string_buffer,
     minhash_perm_constants,
     shingle_hashes_from_buffer,
+    window_hashes,
 )
 
 
@@ -55,48 +60,83 @@ def minhash_from_shingles(
     return sig
 
 
+_EMPTY_BIN = np.iinfo(np.uint64).max
+
+
+def _oph_scatter(hashes: np.ndarray, row_keys: np.ndarray, n: int, n_bins: int) -> np.ndarray:
+    """(n + 1, n_bins) min hash per (row, bin): ``row_keys[i]`` is hash
+    i's row shifted left by log2(n_bins) (row n takes what no row
+    keeps), its bin the top log2(n_bins) hash bits; ``row_keys`` becomes
+    the scatter key in place. Hashes must be fmix-finalized (uniform);
+    n_bins a power of two."""
+    lg = int(n_bins).bit_length() - 1
+    sig = np.full((n + 1, n_bins), _EMPTY_BIN, dtype=U64)
+    row_keys += (hashes >> U64(64 - lg)).view(np.int64)
+    np.minimum.at(sig.reshape(-1), row_keys, hashes)  # vectorized scatter-min
+    return sig
+
+
+def _densify(sig: np.ndarray) -> np.ndarray:
+    """Rotation densification (Shrivastava & Li 2014) of the rows with
+    an empty bin: an empty bin takes the value of the nearest filled bin
+    to its left, circularly. Over the doubled column range, a running
+    max of "own index if filled" finds it for every column at once (a
+    row with no filled bin keeps the sentinel)."""
+    n_bins = sig.shape[1]
+    filled = sig != _EMPTY_BIN
+    rows = np.flatnonzero(~filled.all(axis=1))
+    if len(rows) == 0:
+        return sig
+    cols = np.arange(2 * n_bins, dtype=np.int32)
+    src = np.where(np.tile(filled[rows], 2), cols, -1)
+    src = np.maximum.accumulate(src, axis=1)[:, n_bins:] & (n_bins - 1)
+    sig[rows] = np.take_along_axis(sig[rows], src, axis=1)
+    return sig
+
+
 def oph_minhash_from_shingles(
     hashes: np.ndarray, offsets: np.ndarray, n_bins: int
 ) -> np.ndarray:
     """One-permutation hashing (Li, Owen, Zhang 2012) with rotation
-    densification (Shrivastava & Li 2014): shingles land in
-    ``n_bins`` bins by their top hash bits; the signature is the min
-    hash value per bin, an empty bin takes the value of the nearest
-    filled bin to its left, circularly. ONE O(M log M) pass over the
-    shingle stream instead of n_perms passes — the at-scale scheme. Requires fmix-finalized
-    (uniform) hashes; n_bins must be a power of two.
-    """
+    densification of a per-doc shingle stream (row i's shingles are
+    ``hashes[offsets[i]:offsets[i+1]]``): shingles land in ``n_bins``
+    bins by their top hash bits; the signature is the min hash value
+    per bin. ONE O(M) scatter over the stream instead of n_perms passes
+    — the at-scale scheme. Requires fmix-finalized (uniform) hashes;
+    n_bins must be a power of two. ``oph_sign_rows`` is the same
+    signature straight from the window hashes."""
     n = len(offsets) - 1
     lg = int(n_bins).bit_length() - 1
-    sig = np.full((n, n_bins), np.iinfo(np.uint64).max, dtype=U64)
-    if n == 0 or len(hashes) == 0:
-        return sig
-    key = (hashes >> U64(64 - lg)).view(np.int64)
-    key += np.repeat(np.arange(n, dtype=np.int64) << lg, np.diff(offsets))
-    np.minimum.at(sig.reshape(-1), key, hashes)  # vectorized scatter-min
-    # rotation densification of the rows with an empty bin: over the
-    # doubled column range, a running max of "own index if filled" finds
-    # the nearest filled bin to the left of every column at once (a row
-    # with no filled bin keeps the sentinel)
-    filled = sig != np.iinfo(np.uint64).max
-    rows = np.flatnonzero(~filled.all(axis=1))
-    if len(rows) == 0:
-        return sig
-    cols = np.arange(2 * n_bins, dtype=np.int64)
-    src = np.where(np.tile(filled[rows], 2), cols, -1)
-    src = np.maximum.accumulate(src, axis=1)[:, n_bins:] % n_bins
-    sig[rows] = np.take_along_axis(sig[rows], src, axis=1)
-    return sig
+    row_keys = np.repeat(np.arange(n, dtype=np.int64) << lg, np.diff(offsets))
+    return _densify(_oph_scatter(hashes, row_keys, n, n_bins)[:n])
+
+
+def oph_sign_rows(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, seed: int, n_bins: int
+) -> np.ndarray:
+    """OPH signatures of the contiguous rows ``[starts, ends)``, equal to
+    ``oph_minhash_from_shingles`` over ``shingle_hashes_from_buffer``'s
+    stream without building it: every window keeps its row's key, the
+    windows that cross a row end scatter into the spare row, and a row
+    shorter than k puts its whole-text hash in its bin."""
+    n = len(starts)
+    if n == 0:
+        return np.empty((0, n_bins), dtype=U64)
+    vals, segments, short, whole = window_hashes(data, starts, ends, k, seed)
+    lg = int(n_bins).bit_length() - 1
+    keys = np.full(2 * n, n << lg, dtype=np.int64)
+    keys[0::2] = np.arange(n, dtype=np.int64) << lg
+    row_keys = np.repeat(keys, segments)[: len(vals)]
+    sig = _oph_scatter(vals, row_keys, n, n_bins)[:n]
+    sig[short, whole >> U64(64 - lg)] = whole
+    return _densify(sig)
 
 
 def sign_rows(data, starts, ends, cfg: DedupConfig, a, b) -> np.ndarray:
     """(nrows, n_perms) u64 signatures of the contiguous rows
     ``[starts, ends)`` of one byte buffer."""
     if cfg.minhash_scheme == "oph":
-        hashes, offsets = shingle_hashes_from_buffer(
-            data, starts, ends, cfg.shingle_k, cfg.seed
-        )
-        return oph_minhash_from_shingles(hashes, offsets, cfg.n_perms)
+        return oph_sign_rows(data, starts, ends, cfg.shingle_k, cfg.seed, cfg.n_perms)
     # fmix finalization skipped: the (a*h+b) permutations are the
     # dispersal step, and fmix is a bijection (same Jaccard structure)
     hashes, offsets = shingle_hashes_from_buffer(
@@ -200,9 +240,12 @@ def signature_schema(n_perms: int) -> pa.Schema:
     )
 
 
-#: norm_text bytes per signing slice: the shingle-hash and OPH buffers
-#: of one slice stay cache-sized (a row larger than this is its own slice)
-SIGN_SLICE_BYTES = 256 << 10
+#: norm_text bytes per signing slice (a row larger than this is its own
+#: slice). Each u64 temporary of a slice's window hashes and OPH keys is
+#: 8x this, so 64 KiB keeps them at 512 KiB, well inside a 2 MiB L2. Over
+#: 8000 web_mix docs (1-vCPU Xeon VM) 256 KiB signed ~15% slower and
+#: 32-128 KiB within 5% of 64 KiB; dup_heavy's short rows did not care
+SIGN_SLICE_BYTES = 64 << 10
 
 
 def sign_slices(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:

@@ -5,7 +5,6 @@ import numpy as np
 from metacache_mpi_ray.config import DedupConfig
 from metacache_mpi_ray.functions.hashing import (
     concat_shingle_hashes,
-    hash_str_column,
     minhash_perm_constants,
     murmur3_fmix64,
     rolling_shingle_hashes,
@@ -87,14 +86,6 @@ def test_sig_arrow_and_binary_roundtrip():
     packed = _pack_fixed(np.arange(2), sig, np.dtype(np.uint64))["payload"]
     assert (_unpack_fixed(packed, np.dtype(np.uint64)) == sig).all()
     assert (_unpack_fixed(packed.slice(1), np.dtype(np.uint64)) == sig[1:]).all()
-
-
-def test_hash_str_column_stable():
-    h1 = hash_str_column(["a", "b", "a"], seed=5)
-    h2 = hash_str_column(["a", "b", "a"], seed=5)
-    assert (h1 == h2).all()
-    assert h1[0] == h1[2] and h1[0] != h1[1]
-    assert (hash_str_column(["a"], seed=5) != hash_str_column(["a"], seed=6)).all()
 
 
 def test_signer_byte_slices_equal_per_row_signing(monkeypatch):
